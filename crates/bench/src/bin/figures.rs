@@ -5,8 +5,8 @@
 //!         [all|fig1|fig2|fig6|fig8|fig10|fig18|fig19|fig20|fig21|fig22|table1|table2|table4|ablation|topo]
 //! figures [--quick] probe <WORKLOAD>
 //! figures [--quick] probe --chaos[=SEED] <WORKLOAD>
-//! figures [--quick] trace [fig1|fig18]      (needs --features trace)
-//! figures [--quick] timeline [fig1|fig18|topo]  (needs --features metrics)
+//! figures [--quick] trace [fig1|fig18|topo]
+//! figures [--quick] timeline [fig1|fig18|topo]
 //! figures [--out DIR] status [--check]
 //! ```
 //!
@@ -22,27 +22,23 @@
 //! parallelism) fans each experiment's independent sweep cells out over N
 //! worker threads. Output is byte-identical for every worker count.
 //!
-//! `--engine cycle|analytic|hybrid` picks the prediction backend:
-//! `cycle` (default) is the cycle-approximate simulator, `analytic`
-//! replaces each cell with the closed-form fast path where a model
-//! exists (migration-dominated configs always fall back to the
-//! simulator), and `hybrid` runs analytic first and escalates cells
-//! whose predicted footprints sit near a capacity cliff back to the
-//! full simulation. The engine is tagged in every telemetry record.
+//! `--engine cycle|analytic` picks the prediction backend: `cycle`
+//! (default) is the cycle-approximate simulator, `analytic` replaces each
+//! cell with the closed-form fast path where a model exists
+//! (migration-dominated configs always fall back to the simulator). The
+//! engine is tagged in every telemetry record.
 //!
-//! `trace` re-runs a figure's sweep with stage-boundary tracing and
+//! `trace` re-runs a figure's sweep under the stage-tracing probe and
 //! writes per-stage latency histograms (JSON) plus a flamegraph-style
-//! folded-stack breakdown to `results/trace/`. It is only available when
-//! the binary was built with `--features trace`; the default build keeps
-//! the engine's hot path trace-free.
+//! folded-stack breakdown to `results/trace/`.
 //!
-//! `timeline` re-runs a figure's sweep with the chiplet-resolved metric
-//! registry attached and writes per-chiplet interval time-series plus
-//! the cross-chiplet traffic matrix to `results/timeline/<fig>.{json,csv}`,
-//! journaling one record per cell (with its warmup-knee estimate) under
-//! the `<fig>-timeline` experiment id so `figures status` reports
-//! worst-imbalance and warmup fractions. It needs `--features metrics`;
-//! the default build keeps the engine's hot path metric-free.
+//! `timeline` re-runs a figure's sweep under the metrics probe and writes
+//! per-chiplet interval time-series plus the cross-chiplet traffic matrix
+//! to `results/timeline/<fig>.{json,csv}`, journaling one record per cell
+//! (its outcome and warmup-knee estimate) under the `<fig>-timeline`
+//! experiment id so `figures status` reports worst-imbalance and warmup
+//! fractions. Both run on the cycle engine; runs without a probe pay
+//! nothing for either.
 //!
 //! Every experiment sweep is journaled as it runs: one JSONL record per
 //! cell under `<out>/journal/<exp>.jsonl` and the cell's full statistics
@@ -104,7 +100,7 @@ struct Options {
     retries: Option<usize>,
     /// Deliberate failure injections (`--inject exp:cell=panic|budget`).
     inject: Vec<Injection>,
-    /// Prediction engine (`--engine cycle|analytic|hybrid`).
+    /// Prediction engine (`--engine cycle|analytic`).
     engine: EngineKind,
     /// Positional arguments (experiment ids, or `probe <WORKLOAD>`).
     targets: Vec<String>,
@@ -115,7 +111,7 @@ fn usage() -> ! {
         "usage: figures [--quick] [--jobs N] [--out DIR] [--resume] \
          [--progress[=on|off|auto]] [--chaos[=SEED]] \
          [--keep-going|--fail-fast] [--retries N] \
-         [--engine cycle|analytic|hybrid] \
+         [--engine cycle|analytic] \
          [--inject exp:cell=panic|budget] [TARGET ...]\n\
          targets: all fig1 fig2 fig6 fig8 fig10 fig18 fig19 fig20 fig21 fig22 \
          table1 table2 table4 ablation topo | probe <WORKLOAD> | trace [FIG] | \
@@ -158,7 +154,7 @@ fn parse_args() -> Options {
             "--engine" => match args.next().as_deref().and_then(EngineKind::parse) {
                 Some(e) => opts.engine = e,
                 None => {
-                    eprintln!("--engine wants cycle|analytic|hybrid");
+                    eprintln!("--engine wants cycle|analytic");
                     usage();
                 }
             },
@@ -220,7 +216,7 @@ fn parse_args() -> Options {
                     match EngineKind::parse(v) {
                         Some(e) => opts.engine = e,
                         None => {
-                            eprintln!("--engine wants cycle|analytic|hybrid, got {v:?}");
+                            eprintln!("--engine wants cycle|analytic, got {v:?}");
                             usage();
                         }
                     }
@@ -470,18 +466,22 @@ fn run_status(out_dir: &Path, check: bool) {
     }
 }
 
-/// Traced sweep: re-runs `fig` with stage-boundary tracing, prints the
-/// per-stage breakdown, and writes `trace/<fig>.json` + `.folded` under
-/// the output directory.
-#[cfg(feature = "trace")]
-fn run_trace(h: &Harness, fig: &str, out_dir: &std::path::Path) {
-    if !mcm_bench::experiments::TRACEABLE_FIGURES.contains(&fig) {
+/// Exits 2 unless `fig` is a figure the probed re-runs know.
+fn require_probed(fig: &str) {
+    if !experiments::PROBED_FIGURES.contains(&fig) {
         eprintln!(
-            "unknown traced figure {fig:?}; have {:?}",
-            mcm_bench::experiments::TRACEABLE_FIGURES
+            "unknown probed figure {fig:?}; have {:?}",
+            experiments::PROBED_FIGURES
         );
         std::process::exit(2);
     }
+}
+
+/// Traced sweep: re-runs `fig` under the stage-tracing probe, prints the
+/// per-stage breakdown, and writes `trace/<fig>.json` + `.folded` under
+/// the output directory.
+fn run_trace(h: &Harness, fig: &str, out_dir: &Path) {
+    require_probed(fig);
     let t0 = Instant::now();
     let ft = experiments::trace_figure(h, fig);
     println!("{}", mcm_bench::report::render_trace(&ft));
@@ -502,57 +502,17 @@ fn run_trace(h: &Harness, fig: &str, out_dir: &std::path::Path) {
     }
 }
 
-/// Feature-off stub: `trace` needs a traced build.
-#[cfg(not(feature = "trace"))]
-fn run_trace(_h: &Harness, _fig: &str, _out_dir: &std::path::Path) {
-    eprintln!(
-        "the `trace` subcommand needs the trace feature;\n\
-         rebuild with: cargo run --release -p mcm-bench --features trace --bin figures -- trace"
-    );
-    std::process::exit(2);
-}
-
-/// Metered sweep: re-runs `fig` with the chiplet-resolved metric registry,
-/// prints the per-configuration summary, writes `timeline/<fig>.json` +
-/// `.csv` under the output directory, and journals one record per cell
-/// (warmup-knee estimate attached) under the `<fig>-timeline` experiment.
-#[cfg(feature = "metrics")]
+/// Metered sweep: re-runs `fig` under the metrics probe, prints the
+/// per-configuration summary, writes `timeline/<fig>.json` + `.csv` under
+/// the output directory, and journals one record per cell (outcome and
+/// warmup-knee estimate) under the `<fig>-timeline` experiment.
 fn run_timeline(h: &Harness, fig: &str, out_dir: &Path) {
-    use mcm_bench::telemetry::{append_journal_records, CellRecord, CellSpec};
-    use mcm_sim::WARMUP_EPSILON;
-    if !experiments::TIMELINE_FIGURES.contains(&fig) {
-        eprintln!(
-            "unknown timeline figure {fig:?}; have {:?}",
-            experiments::TIMELINE_FIGURES
-        );
-        std::process::exit(2);
-    }
+    require_probed(fig);
     let t0 = Instant::now();
     let mr = experiments::timeline_figure(h, fig);
     println!("{}", mcm_bench::report::render_timeline(&mr));
     let exp = format!("{fig}-timeline");
-    let total = mr.rows.len() * mr.cols.len();
-    let records: Vec<CellRecord> = (0..total)
-        .map(|i| {
-            let (row, col) = (i / mr.cols.len(), i % mr.cols.len());
-            let spec = CellSpec {
-                row,
-                col,
-                workload: mr.rows[row].clone(),
-                config: mr.cols[col].clone(),
-                seed: 0,
-            };
-            let stats = &mr.stats[i];
-            let outcome = if stats.degradation.is_degraded() {
-                CellOutcome::Degraded
-            } else {
-                CellOutcome::Completed
-            };
-            CellRecord::from_stats(&exp, &spec, i, total, mr.cell_wall_us[i], outcome, stats)
-                .with_warmup_frac(mr.cells[i].warmup_frac(WARMUP_EPSILON))
-        })
-        .collect();
-    if let Err(e) = append_journal_records(out_dir, &exp, &records) {
+    if let Err(e) = telemetry::append_journal_records(out_dir, &exp, &mr.journal_records(&exp)) {
         eprintln!("warning: failed to journal {exp}: {e}");
     }
     match mcm_bench::report::write_timeline(&mr, out_dir) {
@@ -573,16 +533,6 @@ fn run_timeline(h: &Harness, fig: &str, out_dir: &Path) {
             std::process::exit(1);
         }
     }
-}
-
-/// Feature-off stub: `timeline` needs a metered build.
-#[cfg(not(feature = "metrics"))]
-fn run_timeline(_h: &Harness, _fig: &str, _out_dir: &Path) {
-    eprintln!(
-        "the `timeline` subcommand needs the metrics feature;\n\
-         rebuild with: cargo run --release -p mcm-bench --features metrics --bin figures -- timeline"
-    );
-    std::process::exit(2);
 }
 
 /// Deep-dive: full statistics for one workload under every main config.

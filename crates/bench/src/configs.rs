@@ -99,7 +99,7 @@ impl ConfigKind {
     /// analytic engine — `None` when the configuration's behaviour is
     /// dominated by reactive migration (C-NUMA, GRIT, the real-cost
     /// migration variants), which has no closed form; those cells fall
-    /// back to the cycle engine under `--engine analytic|hybrid`.
+    /// back to the cycle engine under `--engine analytic`.
     ///
     /// The CLAP family shares one first-order approximation (per-structure
     /// OLP-style size selection + first touch); ablation knobs like the

@@ -7,10 +7,10 @@
 
 use clap_core::{survey_mean, survey_workload, Clap};
 use mcm_policies::{Nuba, Sac};
-use mcm_sim::RunTrace;
 use mcm_sim::{
-    analytic, run, run_outcome, ChaosConfig, ChaosPolicy, ChaosStats, RemoteCacheModel, RunMetrics,
-    RunOutcome, RunStats, SimConfig, SimError, TileMapping, TiledGemm, TopologyKind, Workload,
+    analytic, run, run_outcome, run_with, ChaosConfig, ChaosPolicy, ChaosStats, MetricsProbe,
+    Probe, RemoteCacheModel, RunMetrics, RunOutcome, RunStats, RunTrace, SimConfig, SimError,
+    TileMapping, TiledGemm, TopologyKind, Workload, WARMUP_EPSILON,
 };
 use mcm_types::{PageSize, TbId, WarpId};
 use mcm_workloads::{suite, SyntheticWorkload, FOOTPRINT_SCALE};
@@ -21,7 +21,7 @@ use std::time::Instant;
 use crate::configs::ConfigKind;
 use crate::runner::SweepRunner;
 use crate::supervise::{CellVerdict, Supervisor};
-use crate::telemetry::{self, CellSpec, Telemetry};
+use crate::telemetry::{self, CellRecord, CellSpec, Telemetry};
 
 /// A figure/table's worth of results.
 #[derive(Clone, Debug)]
@@ -76,11 +76,6 @@ pub enum EngineKind {
     /// statistics only, orders of magnitude faster. Configurations with
     /// no closed form (reactive migration) fall back to the simulator.
     Analytic,
-    /// Analytic first, escalating to the simulator any cell whose
-    /// prediction sits near a capacity cliff
-    /// ([`AnalyticStats::needs_escalation`](mcm_sim::AnalyticStats::needs_escalation))
-    /// or whose configuration has no closed form.
-    Hybrid,
 }
 
 impl EngineKind {
@@ -89,7 +84,6 @@ impl EngineKind {
         match self {
             EngineKind::Cycle => "cycle",
             EngineKind::Analytic => "analytic",
-            EngineKind::Hybrid => "hybrid",
         }
     }
 
@@ -98,7 +92,6 @@ impl EngineKind {
         match s {
             "cycle" => Some(EngineKind::Cycle),
             "analytic" => Some(EngineKind::Analytic),
-            "hybrid" => Some(EngineKind::Hybrid),
             _ => None,
         }
     }
@@ -318,7 +311,8 @@ impl Harness {
         &self.base
     }
 
-    fn prep(&self, w: &SyntheticWorkload) -> SyntheticWorkload {
+    /// `w` at the harness's threadblock scale.
+    pub fn prep(&self, w: &SyntheticWorkload) -> SyntheticWorkload {
         w.clone().with_tb_scale(1, self.tb_div)
     }
 
@@ -361,10 +355,8 @@ impl Harness {
     /// per-cell machines (the topology study) use this directly; the
     /// synthetic-workload entry points wrap it after threadblock scaling.
     ///
-    /// Under [`EngineKind::Analytic`]/[`EngineKind::Hybrid`], cells whose
-    /// configuration has no closed-form placement model — and, for
-    /// hybrid, cells whose prediction sits near a capacity cliff — run
-    /// on the cycle simulator instead.
+    /// Under [`EngineKind::Analytic`], cells whose configuration has no
+    /// closed-form placement model run on the cycle simulator instead.
     ///
     /// # Errors
     ///
@@ -376,30 +368,43 @@ impl Harness {
         w: &W,
         kind: ConfigKind,
     ) -> Result<RunOutcome, SimError> {
-        let cycle = |base: &SimConfig| {
-            let (mut policy, cfg) = kind.build(base);
-            run_outcome(&cfg, w, policy.as_mut(), None)
-        };
         let model = match self.engine {
             EngineKind::Cycle => None,
-            EngineKind::Analytic | EngineKind::Hybrid => {
-                kind.placement_model(w.allocs(), base.num_chiplets)
-            }
+            EngineKind::Analytic => kind.placement_model(w.allocs(), base.num_chiplets),
         };
         match model {
-            None => cycle(base),
+            None => {
+                let (mut policy, cfg) = kind.build(base);
+                run_outcome(&cfg, w, policy.as_mut(), None)
+            }
             Some(pm) => {
                 // Predict against the per-config machine (translation
                 // flags, TLB classes), exactly what the simulator runs.
                 let (_, cfg) = kind.build(base);
                 let stats = self.replay_for(w).predict(&cfg, &pm)?;
-                if self.engine == EngineKind::Hybrid && stats.needs_escalation() {
-                    cycle(base)
-                } else {
-                    Ok(RunOutcome::Completed(stats.into_run_stats()))
-                }
+                Ok(RunOutcome::Completed(stats.into_run_stats()))
             }
         }
+    }
+
+    /// Runs `w` under `kind` on the cycle simulator over an explicit base
+    /// machine configuration, with `probe` observing (a [`RunTrace`], a
+    /// [`MetricsProbe`], or `()`). The outcome is identical whatever the
+    /// probe — probes only observe.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fatal [`SimError`]s (aborts are an `Ok` outcome, not
+    /// an error).
+    pub fn run_probed<W: Workload, P: Probe>(
+        &self,
+        base: &SimConfig,
+        w: &W,
+        kind: ConfigKind,
+        probe: &mut P,
+    ) -> Result<RunOutcome, SimError> {
+        let (mut policy, cfg) = kind.build(base);
+        run_with(&cfg, w, policy.as_mut(), None, probe)
     }
 
     /// Runs `w` under `kind` and returns the statistics.
@@ -416,49 +421,6 @@ impl Harness {
             Ok(done) => done.into_stats(),
             Err(e) => panic!("{} run failed: {e}", kind.name()),
         }
-    }
-
-    /// Runs `w` under `kind` and returns the statistics plus the run's
-    /// stage-boundary trace. The simulated machine is identical to
-    /// [`Harness::run`] — tracing only observes.
-    #[cfg(feature = "trace")]
-    pub fn run_traced(&self, w: &SyntheticWorkload, kind: ConfigKind) -> (RunStats, RunTrace) {
-        let (mut policy, cfg) = kind.build(&self.base);
-        let w = self.prep(w);
-        let (outcome, trace) = mcm_sim::run_traced(&cfg, &w, policy.as_mut(), None)
-            .unwrap_or_else(|e| panic!("{} traced run failed: {e}", kind.name()));
-        (outcome.into_stats(), trace)
-    }
-
-    /// Runs `w` under `kind` with the chiplet-resolved metric registry
-    /// attached, returning the statistics plus the run's [`RunMetrics`]
-    /// (cumulative counters, interval time-series, and the cross-chiplet
-    /// traffic matrix). The simulated machine is identical to
-    /// [`Harness::run`] — metering only observes.
-    #[cfg(feature = "metrics")]
-    pub fn run_metered(&self, w: &SyntheticWorkload, kind: ConfigKind) -> (RunStats, RunMetrics) {
-        let w = self.prep(w);
-        self.run_metered_workload(&self.base, &w, kind)
-    }
-
-    /// [`Harness::run_metered`] over an explicit base configuration and
-    /// any [`Workload`] — the metered analogue of `try_run_workload`,
-    /// for sweeps (like `topo`) that rebuild the machine per cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a fatal simulation error.
-    #[cfg(feature = "metrics")]
-    pub fn run_metered_workload<W: Workload>(
-        &self,
-        base: &SimConfig,
-        w: &W,
-        kind: ConfigKind,
-    ) -> (RunStats, RunMetrics) {
-        let (mut policy, cfg) = kind.build(base);
-        let (outcome, metrics) = mcm_sim::run_metered(&cfg, w, policy.as_mut(), None)
-            .unwrap_or_else(|e| panic!("{} metered run failed: {e}", kind.name()));
-        (outcome.into_stats(), metrics)
     }
 
     /// Runs `w` under `kind` with a remote-cache scheme attached,
@@ -894,12 +856,55 @@ pub fn ablation(h: &Harness) -> Grid {
     )
 }
 
-// Shared by `topo` and `timeline_topo`, which must build identical cells.
-fn fabric_kind(fabric: &str, n: usize) -> TopologyKind {
-    match fabric {
-        "ring" => TopologyKind::Ring,
-        "mesh" => TopologyKind::square_mesh(n),
-        _ => TopologyKind::FullyConnected,
+/// The topology study's cells (DESIGN.md §13): tiled-GEMM rows, one
+/// machine per fabric × chiplet-count column.
+struct TopoSweep {
+    gemms: [TiledGemm; 2],
+    cols: Vec<String>,
+    machines: Vec<SimConfig>,
+}
+
+impl TopoSweep {
+    fn new(h: &Harness) -> Self {
+        // The tile grid stands in for the threadblock divisor: quick runs
+        // shrink the GEMM the way `tb_div` shrinks the synthetic workloads
+        // (still ≥ 4 TBs per chiplet at 16 chiplets).
+        let (mt, nt, kt, blk) = if h.tb_div > 1 {
+            (8, 8, 4, 2)
+        } else {
+            (16, 16, 8, 4)
+        };
+        let blocked = TileMapping::Blocked {
+            rows: blk,
+            cols: blk,
+        };
+        let mut cols = Vec::new();
+        let mut machines = Vec::new();
+        for fabric in ["ring", "mesh", "fc"] {
+            for n in [4usize, 8, 16] {
+                let mut base = h.base.clone();
+                base.num_chiplets = n;
+                base.topology = match fabric {
+                    "ring" => TopologyKind::Ring,
+                    "mesh" => TopologyKind::square_mesh(n),
+                    _ => TopologyKind::FullyConnected,
+                };
+                cols.push(format!("{fabric}/{n}"));
+                machines.push(base);
+            }
+        }
+        TopoSweep {
+            gemms: [
+                TiledGemm::new(mt, nt, kt, TileMapping::RowMajor),
+                TiledGemm::new(mt, nt, kt, blocked),
+            ],
+            cols,
+            machines,
+        }
+    }
+
+    fn rows(&self) -> Vec<String> {
+        self.gemms.iter().map(|w| w.name().to_string()).collect()
     }
 }
 
@@ -911,45 +916,15 @@ fn fabric_kind(fabric: &str, n: usize) -> TopologyKind {
 /// column reads as "what this fabric × package size buys the same
 /// mapping policy".
 pub fn topo(h: &Harness) -> Grid {
-    // The tile grid stands in for the threadblock divisor: quick runs
-    // shrink the GEMM the way `tb_div` shrinks the synthetic workloads
-    // (still ≥ 4 TBs per chiplet at 16 chiplets).
-    let (mt, nt, kt, blk) = if h.tb_div > 1 {
-        (8, 8, 4, 2)
-    } else {
-        (16, 16, 8, 4)
-    };
-    let gemms = [
-        TiledGemm::new(mt, nt, kt, TileMapping::RowMajor),
-        TiledGemm::new(
-            mt,
-            nt,
-            kt,
-            TileMapping::Blocked {
-                rows: blk,
-                cols: blk,
-            },
-        ),
-    ];
-    let chiplets = [4usize, 8, 16];
-    let fabrics = ["ring", "mesh", "fc"];
-    let row_names: Vec<String> = gemms.iter().map(|w| w.name().to_string()).collect();
-    let col_names: Vec<String> = fabrics
-        .iter()
-        .flat_map(|&f| chiplets.iter().map(move |n| format!("{f}/{n}")))
-        .collect();
-    let cells = CellSpec::grid(&row_names, &col_names);
+    let sw = TopoSweep::new(h);
+    let row_names = sw.rows();
+    let cells = CellSpec::grid(&row_names, &sw.cols);
     let all: Vec<RunStats> = h.sweep_stats("topo", &cells, |_, s| {
-        let n = chiplets[s.col % chiplets.len()];
-        let mut base = h.base.clone();
-        base.num_chiplets = n;
-        base.topology = fabric_kind(fabrics[s.col / chiplets.len()], n);
-        h.try_run_workload(&base, &gemms[s.row], ConfigKind::Clap)
+        h.try_run_workload(&sw.machines[s.col], &sw.gemms[s.row], ConfigKind::Clap)
     });
     let mut perf = Vec::new();
     let mut remote = Vec::new();
-    for r in 0..gemms.len() {
-        let stats = &all[r * col_names.len()..(r + 1) * col_names.len()];
+    for stats in all.chunks(sw.cols.len()) {
         let b = stats[0].cycles.max(1) as f64;
         perf.push(stats.iter().map(|s| b / s.cycles.max(1) as f64).collect());
         remote.push(stats.iter().map(RunStats::remote_ratio).collect());
@@ -959,21 +934,94 @@ pub fn topo(h: &Harness) -> Grid {
         title: "Interconnect scaling: topology x chiplet count on tiled GEMM (norm. to ring/4)"
             .into(),
         rows: row_names,
-        cols: col_names,
+        cols: sw.cols,
         perf,
         remote,
     }
 }
 
+/// The figures `figures trace` and `figures timeline` can re-run.
+pub const PROBED_FIGURES: [&str; 3] = ["fig1", "fig18", "topo"];
+
+/// A figure's sweep, re-runnable cell by cell under any [`Probe`].
+enum FigureSweep {
+    /// Suite workloads (rows) × configurations (columns) on the
+    /// harness's machine.
+    Suite(Vec<SyntheticWorkload>, Vec<ConfigKind>),
+    /// The topology study: CLAP on one machine per column.
+    Topo(TopoSweep),
+}
+
+impl FigureSweep {
+    /// # Panics
+    ///
+    /// Panics if `fig` is not one of [`PROBED_FIGURES`].
+    fn new(h: &Harness, fig: &str) -> Self {
+        match fig {
+            "fig1" => {
+                let (ws, configs) = fig1_sweep();
+                FigureSweep::Suite(ws, configs)
+            }
+            "fig18" => FigureSweep::Suite(suite::all(), ConfigKind::main_eval()),
+            "topo" => FigureSweep::Topo(TopoSweep::new(h)),
+            other => panic!("no probed figure {other:?} (have {PROBED_FIGURES:?})"),
+        }
+    }
+
+    fn labels(&self) -> (Vec<String>, Vec<String>) {
+        match self {
+            FigureSweep::Suite(ws, configs) => (
+                ws.iter().map(|w| w.name().to_string()).collect(),
+                configs.iter().map(|c| c.name()).collect(),
+            ),
+            FigureSweep::Topo(sw) => (sw.rows(), sw.cols.clone()),
+        }
+    }
+
+    /// Re-runs every cell on the harness's workers, each under a fresh
+    /// probe from `new_probe`, and returns `(outcome, probe, wall µs)` per
+    /// cell in row-major submission order — identical at any worker
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fatal simulation error.
+    fn run<P: Probe + Send>(
+        &self,
+        h: &Harness,
+        new_probe: impl Fn(&SimConfig) -> P + Sync,
+    ) -> Vec<(RunOutcome, P, u64)> {
+        let (rows, cols) = self.labels();
+        let cells: Vec<(usize, usize)> = (0..rows.len())
+            .flat_map(|r| (0..cols.len()).map(move |c| (r, c)))
+            .collect();
+        h.runner().map(&cells, |_, &(r, c)| {
+            let t0 = Instant::now();
+            let (out, probe) = match self {
+                FigureSweep::Suite(ws, configs) => {
+                    let mut p = new_probe(&h.base);
+                    (
+                        h.run_probed(&h.base, &h.prep(&ws[r]), configs[c], &mut p),
+                        p,
+                    )
+                }
+                FigureSweep::Topo(sw) => {
+                    let mut p = new_probe(&sw.machines[c]);
+                    let out = h.run_probed(&sw.machines[c], &sw.gemms[r], ConfigKind::Clap, &mut p);
+                    (out, p)
+                }
+            };
+            let out = out.unwrap_or_else(|e| panic!("{} x {} failed: {e}", rows[r], cols[c]));
+            (out, probe, t0.elapsed().as_micros() as u64)
+        })
+    }
+}
+
 /// Per-configuration merged stage traces of one figure's sweep (what
 /// `figures trace` renders and writes under `results/trace/`).
-///
-/// The type is always compiled so report code and tests need no feature
-/// gates; only the producing sweep ([`trace_figure`]) needs the `trace`
-/// cargo feature.
 #[derive(Clone, Debug)]
 pub struct FigureTrace {
-    /// Figure identifier ("fig1", "fig18").
+    /// Figure identifier ("fig1", "fig18", "topo").
     pub id: String,
     /// Column (configuration) labels, in sweep order.
     pub cols: Vec<String>,
@@ -984,48 +1032,30 @@ pub struct FigureTrace {
     pub traces: Vec<RunTrace>,
 }
 
-/// The figures `trace_figure` knows how to run.
-pub const TRACEABLE_FIGURES: [&str; 2] = ["fig1", "fig18"];
-
-/// Re-runs figure `fig`'s sweep with tracing on and merges the per-cell
-/// traces by configuration column. Cells fan out over the harness's
-/// workers like any other sweep; merged aggregates are order-independent,
-/// so output is identical at every worker count.
+/// Re-runs figure `fig`'s sweep under a [`RunTrace`] probe per cell and
+/// merges the traces by configuration column. Merged aggregates are
+/// order-independent, so output is identical at every worker count.
 ///
 /// # Panics
 ///
-/// Panics if `fig` is not one of [`TRACEABLE_FIGURES`].
-#[cfg(feature = "trace")]
+/// Panics if `fig` is not one of [`PROBED_FIGURES`].
 pub fn trace_figure(h: &Harness, fig: &str) -> FigureTrace {
-    let (ws, configs) = match fig {
-        "fig1" => fig1_sweep(),
-        "fig18" => (suite::all(), ConfigKind::main_eval()),
-        other => panic!("no traced figure {other:?} (have {TRACEABLE_FIGURES:?})"),
-    };
-    let cells: Vec<(usize, usize)> = (0..ws.len())
-        .flat_map(|r| (0..configs.len()).map(move |c| (r, c)))
-        .collect();
-    let all: Vec<RunTrace> = h
-        .runner()
-        .map(&cells, |_, &(r, c)| h.run_traced(&ws[r], configs[c]).1);
-    let mut traces = vec![RunTrace::new(); configs.len()];
-    for (&(_, c), t) in cells.iter().zip(&all) {
-        traces[c].merge_aggregates(t);
+    let sweep = FigureSweep::new(h, fig);
+    let (rows, cols) = sweep.labels();
+    let mut traces = vec![RunTrace::new(); cols.len()];
+    for (i, (_, t, _)) in sweep.run(h, |_| RunTrace::new()).iter().enumerate() {
+        traces[i % cols.len()].merge_aggregates(t);
     }
     FigureTrace {
         id: fig.into(),
-        cols: configs.iter().map(|c| c.name()).collect(),
-        rows: ws.iter().map(|w| w.name().to_string()).collect(),
+        cols,
+        rows,
         traces,
     }
 }
 
 /// Chiplet-resolved, time-resolved metrics of one figure's sweep (what
 /// `figures timeline` renders and writes under `results/timeline/`).
-///
-/// The type is always compiled so report code and tests need no feature
-/// gates; only the producing sweep ([`timeline_figure`]) needs the
-/// `metrics` cargo feature.
 #[derive(Clone, Debug)]
 pub struct MetricsReport {
     /// Figure identifier ("fig1", "fig18", "topo").
@@ -1034,8 +1064,8 @@ pub struct MetricsReport {
     pub rows: Vec<String>,
     /// Column (configuration) labels, in sweep order.
     pub cols: Vec<String>,
-    /// Per-cell run statistics, row-major (`rows.len() × cols.len()`).
-    pub stats: Vec<RunStats>,
+    /// Per-cell run outcomes, row-major (`rows.len() × cols.len()`).
+    pub outcomes: Vec<RunOutcome>,
     /// Per-cell metrics in the same order, interval series intact.
     pub cells: Vec<RunMetrics>,
     /// Per-cell wall time in µs, same order (journaled with the cell).
@@ -1054,104 +1084,48 @@ impl MetricsReport {
 
     /// The run statistics of cell (`row`, `col`).
     pub fn cell_stats(&self, row: usize, col: usize) -> &RunStats {
-        &self.stats[row * self.cols.len() + col]
+        self.outcomes[row * self.cols.len() + col].stats()
+    }
+
+    /// One journal record per cell under experiment `exp`, built from
+    /// the cell's outcome and stamped with its warmup fraction.
+    pub fn journal_records(&self, exp: &str) -> Vec<CellRecord> {
+        let total = self.outcomes.len();
+        (0..total)
+            .map(|i| {
+                let (row, col) = (i / self.cols.len(), i % self.cols.len());
+                let spec = CellSpec {
+                    row,
+                    col,
+                    workload: self.rows[row].clone(),
+                    config: self.cols[col].clone(),
+                    seed: 0,
+                };
+                let wall = self.cell_wall_us[i];
+                CellRecord::from_outcome(exp, &spec, i, total, wall, &self.outcomes[i])
+                    .with_warmup_frac(self.cells[i].warmup_frac(WARMUP_EPSILON))
+            })
+            .collect()
     }
 }
 
-/// The figures `timeline_figure` knows how to run.
-pub const TIMELINE_FIGURES: [&str; 3] = ["fig1", "fig18", "topo"];
-
-/// Re-runs figure `fig`'s sweep with the metric registry attached and
-/// folds per-cell aggregates by configuration column. Cells fan out over
-/// the harness's workers like any other sweep and land back in
-/// submission order, so per-cell series and folded aggregates are
-/// identical at every worker count.
+/// Re-runs figure `fig`'s sweep under a [`MetricsProbe`] per cell and
+/// folds per-cell aggregates by configuration column. Per-cell series
+/// and folded aggregates are identical at every worker count.
 ///
 /// # Panics
 ///
-/// Panics if `fig` is not one of [`TIMELINE_FIGURES`].
-#[cfg(feature = "metrics")]
+/// Panics if `fig` is not one of [`PROBED_FIGURES`].
 pub fn timeline_figure(h: &Harness, fig: &str) -> MetricsReport {
-    if fig == "topo" {
-        return timeline_topo(h);
-    }
-    let (ws, configs) = match fig {
-        "fig1" => fig1_sweep(),
-        "fig18" => (suite::all(), ConfigKind::main_eval()),
-        other => panic!("no timeline figure {other:?} (have {TIMELINE_FIGURES:?})"),
-    };
-    let cells: Vec<(usize, usize)> = (0..ws.len())
-        .flat_map(|r| (0..configs.len()).map(move |c| (r, c)))
-        .collect();
-    let all = h.runner().map(&cells, |_, &(r, c)| {
-        let t0 = Instant::now();
-        let out = h.run_metered(&ws[r], configs[c]);
-        (out, t0.elapsed().as_micros() as u64)
-    });
-    assemble_timeline(
-        fig,
-        ws.iter().map(|w| w.name().to_string()).collect(),
-        configs.iter().map(|c| c.name()).collect(),
-        all,
-    )
-}
-
-/// The metered twin of [`topo`]: identical per-cell machines (fabric ×
-/// chiplet count, quick-scaled GEMM geometry), every cell under CLAP.
-#[cfg(feature = "metrics")]
-fn timeline_topo(h: &Harness) -> MetricsReport {
-    let (mt, nt, kt, blk) = if h.tb_div > 1 {
-        (8, 8, 4, 2)
-    } else {
-        (16, 16, 8, 4)
-    };
-    let gemms = [
-        TiledGemm::new(mt, nt, kt, TileMapping::RowMajor),
-        TiledGemm::new(
-            mt,
-            nt,
-            kt,
-            TileMapping::Blocked {
-                rows: blk,
-                cols: blk,
-            },
-        ),
-    ];
-    let chiplets = [4usize, 8, 16];
-    let fabrics = ["ring", "mesh", "fc"];
-    let rows: Vec<String> = gemms.iter().map(|w| w.name().to_string()).collect();
-    let cols: Vec<String> = fabrics
-        .iter()
-        .flat_map(|&f| chiplets.iter().map(move |n| format!("{f}/{n}")))
-        .collect();
-    let cells: Vec<(usize, usize)> = (0..gemms.len())
-        .flat_map(|r| (0..cols.len()).map(move |c| (r, c)))
-        .collect();
-    let all = h.runner().map(&cells, |_, &(r, c)| {
-        let n = chiplets[c % chiplets.len()];
-        let mut base = h.base.clone();
-        base.num_chiplets = n;
-        base.topology = fabric_kind(fabrics[c / chiplets.len()], n);
-        let t0 = Instant::now();
-        let out = h.run_metered_workload(&base, &gemms[r], ConfigKind::Clap);
-        (out, t0.elapsed().as_micros() as u64)
-    });
-    assemble_timeline("topo", rows, cols, all)
-}
-
-#[cfg(feature = "metrics")]
-fn assemble_timeline(
-    id: &str,
-    rows: Vec<String>,
-    cols: Vec<String>,
-    all: Vec<((RunStats, RunMetrics), u64)>,
-) -> MetricsReport {
-    let mut stats = Vec::with_capacity(all.len());
+    let sweep = FigureSweep::new(h, fig);
+    let (rows, cols) = sweep.labels();
+    let all = sweep.run(h, |cfg| MetricsProbe::new(cfg.num_chiplets));
+    let mut outcomes = Vec::with_capacity(all.len());
     let mut cells = Vec::with_capacity(all.len());
     let mut cell_wall_us = Vec::with_capacity(all.len());
-    for ((s, m), wall) in all {
-        stats.push(s);
-        cells.push(m);
+    for (out, p, wall) in all {
+        outcomes.push(out);
+        cells.push(p.into_metrics());
         cell_wall_us.push(wall);
     }
     // Column folds adopt the first cell's shape and add the rest; the
@@ -1162,10 +1136,10 @@ fn assemble_timeline(
         merged[i % cols.len()].merge_aggregates(m);
     }
     MetricsReport {
-        id: id.into(),
+        id: fig.into(),
         rows,
         cols,
-        stats,
+        outcomes,
         cells,
         cell_wall_us,
         merged,

@@ -6,7 +6,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use mcm_sim::{MetricSlot, TraceEventClass, TraceStage, WARMUP_EPSILON};
+use mcm_sim::{Counter, TraceEventClass, TraceStage, SAMPLE_INTERVAL, WARMUP_EPSILON};
 
 use crate::experiments::{FigureTrace, Grid, MetricsReport, Table4Row};
 use crate::telemetry::Json;
@@ -561,8 +561,8 @@ pub fn render_timeline(mr: &MetricsReport) -> String {
 /// workspace deliberately has no serde dependency): per configuration
 /// column, the merged per-chiplet counters and cross-chiplet traffic
 /// matrix, then each cell's warmup summary and full interval series.
-/// Frame deltas list only slots that moved during the interval; absent
-/// slot keys read as zero.
+/// Frame deltas list only counters that moved during the interval; absent
+/// counter keys read as zero.
 pub fn timeline_json(mr: &MetricsReport) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
@@ -583,7 +583,7 @@ pub fn timeline_json(mr: &MetricsReport) -> String {
         let _ = writeln!(s, "    {{");
         let _ = writeln!(s, "      \"config\": \"{}\",", label.replace('"', "\\\""));
         let _ = writeln!(s, "      \"num_chiplets\": {n},");
-        let _ = writeln!(s, "      \"sample_interval\": {},", m.sample_interval());
+        let _ = writeln!(s, "      \"sample_interval\": {SAMPLE_INTERVAL},");
         let _ = writeln!(s, "      \"merged_cells\": {},", m.merged_cells);
         let _ = writeln!(s, "      \"dropped_frames\": {},", m.dropped_frames);
         let _ = writeln!(
@@ -592,18 +592,14 @@ pub fn timeline_json(mr: &MetricsReport) -> String {
             json_opt_f64(m.dram_imbalance())
         );
         let _ = writeln!(s, "      \"counters\": {{");
-        for (i, slot) in MetricSlot::ALL.iter().enumerate() {
-            let comma = if i + 1 < MetricSlot::ALL.len() {
-                ","
-            } else {
-                ""
-            };
+        for (i, counter) in Counter::ALL.iter().enumerate() {
+            let comma = if i + 1 < Counter::COUNT { "," } else { "" };
             let per_chiplet: Vec<String> =
-                (0..n).map(|ch| m.count(ch, *slot).to_string()).collect();
+                (0..n).map(|ch| m.count(ch, *counter).to_string()).collect();
             let _ = writeln!(
                 s,
                 "        \"{}\": [{}]{comma}",
-                slot.name(),
+                counter.name(),
                 per_chiplet.join(",")
             );
         }
@@ -653,14 +649,18 @@ pub fn timeline_json(mr: &MetricsReport) -> String {
             let _ = writeln!(s, "          \"series\": [");
             for (fi, frame) in cell.series().iter().enumerate() {
                 let mut deltas = Vec::new();
-                for slot in MetricSlot::ALL {
-                    if frame.total(slot) == 0 {
+                for counter in Counter::ALL {
+                    if frame.total(counter) == 0 {
                         continue;
                     }
                     let per_chiplet: Vec<String> = (0..cell.num_chiplets())
-                        .map(|ch| frame.delta(ch, slot).to_string())
+                        .map(|ch| frame.delta(ch, counter).to_string())
                         .collect();
-                    deltas.push(format!("\"{}\": [{}]", slot.name(), per_chiplet.join(",")));
+                    deltas.push(format!(
+                        "\"{}\": [{}]",
+                        counter.name(),
+                        per_chiplet.join(",")
+                    ));
                 }
                 let comma = if fi + 1 < cell.series().len() {
                     ","
@@ -690,13 +690,13 @@ pub fn timeline_json(mr: &MetricsReport) -> String {
 }
 
 /// The CSV representation of a metrics report, long format: one row per
-/// (configuration, workload, frame, chiplet) with every slot's interval
+/// (configuration, workload, frame, chiplet) with every counter's interval
 /// delta — directly plottable as per-chiplet time series.
 pub fn timeline_csv(mr: &MetricsReport) -> String {
     let mut s = String::new();
     let _ = write!(s, "config,workload,frame,cycle,chiplet");
-    for slot in MetricSlot::ALL {
-        let _ = write!(s, ",{}", slot.name());
+    for counter in Counter::ALL {
+        let _ = write!(s, ",{}", counter.name());
     }
     let _ = writeln!(s);
     for r in 0..mr.rows.len() {
@@ -705,8 +705,8 @@ pub fn timeline_csv(mr: &MetricsReport) -> String {
             for (fi, frame) in cell.series().iter().enumerate() {
                 for ch in 0..cell.num_chiplets() {
                     let _ = write!(s, "{label},{},{fi},{},{ch}", mr.rows[r], frame.cycle);
-                    for slot in MetricSlot::ALL {
-                        let _ = write!(s, ",{}", frame.delta(ch, slot));
+                    for counter in Counter::ALL {
+                        let _ = write!(s, ",{}", frame.delta(ch, counter));
                     }
                     let _ = writeln!(s);
                 }

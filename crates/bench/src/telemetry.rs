@@ -2,8 +2,8 @@
 //! result shards (bounded memory, resumable sweeps), and a live progress
 //! reporter.
 //!
-//! PR 3's `mcm_sim::trace` watches *inside* one run; this module watches
-//! *across* a sweep. As each [`SweepRunner`](crate::runner::SweepRunner)
+//! The simulator's probes (`mcm_sim::Probe`) watch *inside* one run;
+//! this module watches *across* a sweep. As each [`SweepRunner`](crate::runner::SweepRunner)
 //! cell completes, the worker thread appends one [`CellRecord`] to
 //! `<out>/journal/<exp>.jsonl` and writes the cell's full statistics to
 //! `<out>/shards/<exp>/<cell>.json`. The experiment's grid is assembled
@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mcm_sim::{AllocAccessStats, DegradationStats, RunStats};
+use mcm_sim::{AllocAccessStats, Counter, DegradationStats, RunOutcome, RunStats};
 use mcm_types::AllocId;
 
 use crate::runner::SweepObserver;
@@ -369,7 +369,9 @@ fn f64_opt_field(obj: &Json, key: &str) -> Option<f64> {
 // RunStats <-> JSON (the shard payload)
 // ---------------------------------------------------------------------------
 
-/// Serializes full run statistics as one JSON object line.
+/// Serializes full run statistics as one JSON object line. The
+/// per-chiplet-event counters are written in counter-table order
+/// ([`Counter::ALL`]), each under its field name.
 ///
 /// Every field a figure reads is an exact integer, so
 /// `stats_from_json(stats_to_json(s))` reproduces them bit for bit. The
@@ -381,29 +383,9 @@ fn f64_opt_field(obj: &Json, key: &str) -> Option<f64> {
 pub fn stats_to_json(s: &RunStats) -> String {
     let mut o = String::new();
     let _ = write!(o, "{{\"cycles\":{}", s.cycles);
-    let _ = write!(o, ",\"mem_insts\":{}", s.mem_insts);
-    let _ = write!(o, ",\"warp_insts\":{}", s.warp_insts);
-    let _ = write!(o, ",\"remote_insts\":{}", s.remote_insts);
-    let _ = write!(o, ",\"l1d_hits\":{}", s.l1d_hits);
-    let _ = write!(o, ",\"l1d_misses\":{}", s.l1d_misses);
-    let _ = write!(o, ",\"l2d_hits\":{}", s.l2d_hits);
-    let _ = write!(o, ",\"l2d_misses\":{}", s.l2d_misses);
-    let _ = write!(o, ",\"l1tlb_hits\":{}", s.l1tlb_hits);
-    let _ = write!(o, ",\"l1tlb_misses\":{}", s.l1tlb_misses);
-    let _ = write!(o, ",\"l2tlb_hits\":{}", s.l2tlb_hits);
-    let _ = write!(o, ",\"l2tlb_misses\":{}", s.l2tlb_misses);
-    let _ = write!(o, ",\"walks\":{}", s.walks);
-    let _ = write!(o, ",\"walk_mshr_hits\":{}", s.walk_mshr_hits);
-    let _ = write!(o, ",\"walk_cycles\":{}", s.walk_cycles);
-    let _ = write!(o, ",\"translation_cycles\":{}", s.translation_cycles);
-    let _ = write!(o, ",\"data_cycles\":{}", s.data_cycles);
-    let _ = write!(o, ",\"faults\":{}", s.faults);
-    let _ = write!(o, ",\"coalesced_fills\":{}", s.coalesced_fills);
-    let _ = write!(o, ",\"promotions\":{}", s.promotions);
-    let _ = write!(o, ",\"remote_cache_hits\":{}", s.remote_cache_hits);
-    let _ = write!(o, ",\"migrations\":{}", s.migrations);
-    let _ = write!(o, ",\"shootdowns\":{}", s.shootdowns);
-    let _ = write!(o, ",\"dram_accesses\":{}", s.dram_accesses);
+    for c in Counter::ALL {
+        let _ = write!(o, ",\"{}\":{}", c.name(), s.counter(c));
+    }
     let per_chiplet: Vec<String> = s.dram_per_chiplet.iter().map(u64::to_string).collect();
     let _ = write!(o, ",\"dram_per_chiplet\":[{}]", per_chiplet.join(","));
     let _ = write!(
@@ -481,31 +463,8 @@ pub fn stats_from_json(j: &Json) -> Result<RunStats, String> {
         per_alloc.insert(AllocId::new(idx), a);
     }
     let d = j.get("degradation").ok_or("missing degradation")?;
-    Ok(RunStats {
+    let mut s = RunStats {
         cycles: u64_field(j, "cycles")?,
-        mem_insts: u64_field(j, "mem_insts")?,
-        warp_insts: u64_field(j, "warp_insts")?,
-        remote_insts: u64_field(j, "remote_insts")?,
-        l1d_hits: u64_field(j, "l1d_hits")?,
-        l1d_misses: u64_field(j, "l1d_misses")?,
-        l2d_hits: u64_field(j, "l2d_hits")?,
-        l2d_misses: u64_field(j, "l2d_misses")?,
-        l1tlb_hits: u64_field(j, "l1tlb_hits")?,
-        l1tlb_misses: u64_field(j, "l1tlb_misses")?,
-        l2tlb_hits: u64_field(j, "l2tlb_hits")?,
-        l2tlb_misses: u64_field(j, "l2tlb_misses")?,
-        walks: u64_field(j, "walks")?,
-        walk_mshr_hits: u64_field(j, "walk_mshr_hits")?,
-        walk_cycles: u64_field(j, "walk_cycles")?,
-        translation_cycles: u64_field(j, "translation_cycles")?,
-        data_cycles: u64_field(j, "data_cycles")?,
-        faults: u64_field(j, "faults")?,
-        coalesced_fills: u64_field(j, "coalesced_fills")?,
-        promotions: u64_field(j, "promotions")?,
-        remote_cache_hits: u64_field(j, "remote_cache_hits")?,
-        migrations: u64_field(j, "migrations")?,
-        shootdowns: u64_field(j, "shootdowns")?,
-        dram_accesses: u64_field(j, "dram_accesses")?,
         dram_per_chiplet: j
             .get("dram_per_chiplet")
             .and_then(Json::as_arr)
@@ -533,7 +492,12 @@ pub fn stats_from_json(j: &Json) -> Result<RunStats, String> {
             // their rendered strings ("error_samples") for humans only.
             errors: Vec::new(),
         },
-    })
+        ..RunStats::default()
+    };
+    for c in Counter::ALL {
+        *s.counter_mut(c) = u64_field(j, c.name())?;
+    }
+    Ok(s)
 }
 
 // ---------------------------------------------------------------------------
@@ -689,8 +653,7 @@ pub struct CellRecord {
     pub tlb_class_missing: u64,
     /// Per-chiplet DRAM imbalance, max/mean over
     /// [`RunStats::dram_per_chiplet`] (`None` when the run touched no
-    /// DRAM). Computed in every build — the counter it reads is part of
-    /// the base statistics, not the `metrics` feature.
+    /// DRAM).
     pub imbalance: Option<f64>,
     /// Fraction of the run's simulated time spent before the remote-ratio
     /// warmup knee; stamped only by `figures timeline` cells (`None`, and
@@ -699,7 +662,7 @@ pub struct CellRecord {
     /// Why a quarantined cell failed (abort reason or panic message);
     /// empty for healthy cells and omitted from their journal lines.
     pub reason: String,
-    /// Engine that produced the cell ("cycle", "analytic", "hybrid");
+    /// Engine that produced the cell ("cycle" or "analytic");
     /// the default "cycle" is omitted from the journal line so
     /// pre-engine journals and new ones stay byte-identical.
     pub engine: String,
@@ -745,6 +708,25 @@ impl CellRecord {
             reason: String::new(),
             engine: "cycle".to_string(),
         }
+    }
+
+    /// Builds a record from a run's outcome: `completed`, `degraded`, or
+    /// `aborted` with the abort reason (partial statistics).
+    pub fn from_outcome(
+        exp: &str,
+        spec: &CellSpec,
+        cell: usize,
+        total: usize,
+        wall_us: u64,
+        outcome: &RunOutcome,
+    ) -> CellRecord {
+        let (kind, reason) = match outcome {
+            RunOutcome::Completed(_) => (CellOutcome::Completed, String::new()),
+            RunOutcome::Degraded { .. } => (CellOutcome::Degraded, String::new()),
+            RunOutcome::Aborted { reason, .. } => (CellOutcome::Aborted, reason.to_string()),
+        };
+        CellRecord::from_stats(exp, spec, cell, total, wall_us, kind, outcome.stats())
+            .with_reason(&reason)
     }
 
     /// Attaches a quarantine reason (abort reason / panic message).
@@ -1809,6 +1791,38 @@ mod tests {
             config: "S-64KB".into(),
             seed: 0,
         }
+    }
+
+    #[test]
+    fn outcome_records_keep_the_abort_and_its_reason() {
+        let s = sample_stats();
+        let aborted = RunOutcome::Aborted {
+            reason: mcm_sim::SimError::BudgetExceeded {
+                cycles: 900,
+                max_cycles: 800,
+            },
+            stats: s.clone(),
+        };
+        let r = CellRecord::from_outcome("fig1-timeline", &spec(), 3, 24, 99, &aborted);
+        assert_eq!(
+            r.outcome,
+            CellOutcome::Aborted,
+            "partial stats are not a completion"
+        );
+        assert!(
+            r.reason.contains("800"),
+            "reason names the budget: {}",
+            r.reason
+        );
+        assert_eq!(r.cycles, s.cycles);
+        let degraded = RunOutcome::Degraded {
+            stats: s.clone(),
+            errors: Vec::new(),
+        };
+        let r = CellRecord::from_outcome("x", &spec(), 0, 1, 1, &degraded);
+        assert_eq!((r.outcome, r.reason.as_str()), (CellOutcome::Degraded, ""));
+        let r = CellRecord::from_outcome("x", &spec(), 0, 1, 1, &RunOutcome::Completed(s));
+        assert_eq!(r.outcome, CellOutcome::Completed);
     }
 
     #[test]

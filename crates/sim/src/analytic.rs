@@ -116,7 +116,7 @@ impl PlacementModel {
 }
 
 /// The analytic engine's prediction — the figure-of-merit subset of
-/// [`RunStats`], plus the model's capacity-cliff self-assessment.
+/// [`RunStats`].
 #[derive(Clone, Debug, Default)]
 pub struct AnalyticStats {
     /// Memory instructions (line accesses × reuse), as the engine counts
@@ -150,11 +150,6 @@ pub struct AnalyticStats {
     pub cycles: u64,
     /// Per-structure access/remote counts.
     pub per_alloc: HashMap<AllocId, AllocAccessStats>,
-    /// Metrics whose inputs sit near a capacity cliff (footprint within
-    /// 0.75–1.5× of the relevant structure's capacity), where the reach
-    /// model is least trustworthy. Non-empty ⇒ a hybrid sweep escalates
-    /// this cell to the cycle engine.
-    pub near_cliff: Vec<String>,
 }
 
 impl AnalyticStats {
@@ -171,12 +166,6 @@ impl AnalyticStats {
     /// L2 TLB miss rate over L2 lookups.
     pub fn l2tlb_miss_rate(&self) -> f64 {
         ratio(self.l2tlb_misses, self.l2tlb_hits + self.l2tlb_misses)
-    }
-
-    /// `true` when any predicted metric sits near a capacity cliff and a
-    /// hybrid sweep should fall back to the cycle engine.
-    pub fn needs_escalation(&self) -> bool {
-        !self.near_cliff.is_empty()
     }
 
     /// Projects the prediction onto [`RunStats`] so analytic cells flow
@@ -259,20 +248,6 @@ fn reach_misses(n: u64, u: u64, e: u64) -> u64 {
     } else {
         let steady = (n as f64 * (u - e) as f64 / u as f64).round() as u64;
         steady.max(u).min(n)
-    }
-}
-
-/// Flags `label` when `footprint` sits inside the cliff region around
-/// `capacity` (0.75–1.5×), where the reach model flips between its two
-/// regimes and is least accurate.
-fn cliff_check(near_cliff: &mut Vec<String>, label: &str, footprint: u64, capacity: u64) {
-    if capacity == 0 {
-        return;
-    }
-    let lo = (capacity as f64 * 0.75) as u64;
-    let hi = (capacity as f64 * 1.5) as u64;
-    if footprint >= lo && footprint <= hi && !near_cliff.iter().any(|s| s == label) {
-        near_cliff.push(label.to_string());
     }
 }
 
@@ -771,7 +746,6 @@ fn predict_captured(
                 .sum();
             let e = cfg.tlb_entries(*page).l1 as u64;
             let miss = reach_misses(n, u, e);
-            cliff_check(&mut st.near_cliff, "l1tlb", u, e);
             st.l1tlb_misses += miss;
             l2_lookups[(sm / cfg.sms_per_chiplet) * nc + c] += miss;
         }
@@ -793,7 +767,6 @@ fn predict_captured(
                 .sum();
             let e = cfg.tlb_entries(*page).l2 as u64;
             let miss = reach_misses(n, u, e);
-            cliff_check(&mut st.near_cliff, "l2tlb", u, e);
             st.l2tlb_misses += miss;
             l2_total_lookups += n;
         }
@@ -834,14 +807,6 @@ fn predict_captured(
         let distinct: u64 = distinct_per_owner.iter().sum();
         let bytes = distinct * cfg.line_bytes;
         let cached = bytes <= cfg.effective_l2d_bytes() as u64;
-        if distinct > 0 {
-            cliff_check(
-                &mut st.near_cliff,
-                "transfers",
-                bytes,
-                cfg.effective_l2d_bytes() as u64,
-            );
-        }
         for own in 0..chiplets {
             let count = if cached {
                 distinct_per_owner[own]

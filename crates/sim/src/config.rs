@@ -211,11 +211,6 @@ pub struct SimConfig {
     pub translation: TranslationConfig,
     /// Cycles between `on_epoch` policy callbacks (reactive policies).
     pub epoch_cycles: u64,
-    /// Cycles between metric time-series samples: with `--features
-    /// metrics` the sampler closes one per-chiplet delta frame every this
-    /// many simulated cycles (see [`RunMetrics`](crate::RunMetrics)).
-    /// Ignored — but still validated — when the feature is off.
-    pub sample_interval: u64,
     /// PF blocks (2MB) of physical memory per chiplet.
     pub pf_blocks_per_chiplet: u64,
     /// Joint footprint/resource scale factor. Workload footprints in this
@@ -281,7 +276,6 @@ impl Default for SimConfig {
 
             translation: TranslationConfig::baseline(),
             epoch_cycles: 50_000,
-            sample_interval: 50_000,
             pf_blocks_per_chiplet: 4096,
             resource_scale: 1,
             audit_epochs: false,
@@ -389,9 +383,6 @@ impl SimConfig {
         }
         if self.epoch_cycles == 0 {
             return fail("epoch_cycles must be non-zero".into());
-        }
-        if self.sample_interval == 0 {
-            return fail("sample_interval must be non-zero".into());
         }
         if self.pf_blocks_per_chiplet == 0 {
             return fail("pf_blocks_per_chiplet must be non-zero".into());
@@ -561,7 +552,6 @@ mod tests {
         rejects(|c| c.dram_channels = 12, "dram_channels");
         rejects(|c| c.resource_scale = 0, "resource_scale");
         rejects(|c| c.epoch_cycles = 0, "epoch_cycles");
-        rejects(|c| c.sample_interval = 0, "sample_interval");
         rejects(|c| c.pf_blocks_per_chiplet = 0, "pf_blocks_per_chiplet");
         rejects(|c| c.max_cycles = Some(0), "max_cycles");
         rejects(|c| c.stall_window = Some(0), "stall_window");

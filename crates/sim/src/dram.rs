@@ -15,7 +15,6 @@ pub struct Dram {
     channels: Vec<Vec<BucketedResource>>,
     latency: u64,
     service: u64,
-    accesses: Vec<u64>,
     queue_cycles: u64,
 }
 
@@ -40,7 +39,6 @@ impl Dram {
             ],
             latency,
             service,
-            accesses: vec![0; layout.num_chiplets()],
             queue_cycles: 0,
         }
     }
@@ -62,15 +60,9 @@ impl Dram {
     pub fn access_at(&mut self, chiplet: ChipletId, pa: PhysAddr, now: u64) -> u64 {
         let n = self.channels[chiplet.index()].len();
         let ch = self.layout.channel_of(pa, n);
-        self.accesses[chiplet.index()] += 1;
         let start = self.channels[chiplet.index()][ch].acquire(now, self.service);
         self.queue_cycles += start - now;
         start + self.latency
-    }
-
-    /// Accesses served per chiplet so far.
-    pub fn accesses(&self, chiplet: ChipletId) -> u64 {
-        self.accesses[chiplet.index()]
     }
 }
 
@@ -95,7 +87,7 @@ mod tests {
         let t2 = d.access(PhysAddr::new(4 * 256), 0); // wraps to channel 0
         assert_eq!(t1, 100);
         assert_eq!(t2, 105);
-        assert_eq!(d.accesses(ChipletId::new(0)), 2);
+        assert_eq!(d.queue_cycles(), 5);
     }
 
     #[test]

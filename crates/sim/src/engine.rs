@@ -24,20 +24,16 @@
 use mcm_types::{ChipletId, TbId, VirtAddr};
 
 use crate::config::SimConfig;
-#[cfg(feature = "metrics")]
-use crate::metrics::RunMetrics;
-use crate::metrics::{MetricSlot, Metrics};
 use crate::page_table::PageTable;
 use crate::policy::{PagingPolicy, RemoteCacheModel, WalkEvent};
+use crate::probe::Probe;
 use crate::resources::BucketedResource;
 use crate::stage::datapath::DataPath;
 use crate::stage::driver::Driver;
 use crate::stage::sched::KernelSchedule;
 use crate::stage::translate::{TranslateStage, Translation};
-use crate::stats::{AllocAccessStats, RunStats};
-#[cfg(feature = "trace")]
-use crate::trace::RunTrace;
-use crate::trace::{TraceEventKind, TraceStage, Tracer};
+use crate::stats::{AllocAccessStats, Counter, Counters, RunStats};
+use crate::trace::{TraceEventKind, TraceStage};
 use crate::workload::Workload;
 use crate::SimError;
 
@@ -152,63 +148,27 @@ pub fn run_outcome(
     policy: &mut dyn PagingPolicy,
     remote_cache: Option<&mut dyn RemoteCacheModel>,
 ) -> Result<RunOutcome, SimError> {
-    run_machine(cfg, workload, policy, remote_cache).map(|(outcome, _, _)| outcome)
+    run_with(cfg, workload, policy, remote_cache, &mut ())
 }
 
-/// Like [`run_outcome`], but also returns the run's stage-boundary trace:
-/// per-stage latency histograms and the bounded structured event stream
-/// (see [`trace`](crate::trace)). Only available with the `trace` cargo
-/// feature; tracing does not perturb results — the simulated machine is
-/// byte-identical to an untraced run.
+/// Like [`run_outcome`], with `probe` observing the run (see
+/// [`Probe`]): pass a [`RunTrace`](crate::RunTrace) for stage histograms
+/// and events, a [`MetricsProbe`](crate::MetricsProbe) for the interval
+/// series and traffic matrix. Probes only observe — the outcome is
+/// identical to an unprobed run.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-#[cfg(feature = "trace")]
-pub fn run_traced(
+/// Same as [`run_outcome`].
+pub fn run_with<P: Probe>(
     cfg: &SimConfig,
     workload: &dyn Workload,
     policy: &mut dyn PagingPolicy,
     remote_cache: Option<&mut dyn RemoteCacheModel>,
-) -> Result<(RunOutcome, RunTrace), SimError> {
-    run_machine(cfg, workload, policy, remote_cache)
-        .map(|(outcome, tracer, _)| (outcome, tracer.into_trace()))
-}
-
-/// Like [`run_outcome`], but also returns the run's chiplet-resolved,
-/// time-resolved metrics: the per-chiplet counter registry, the sampled
-/// time series, and the cross-chiplet traffic matrix (see
-/// [`metrics`](crate::metrics)). Only available with the `metrics` cargo
-/// feature; metering does not perturb results — the simulated machine is
-/// byte-identical to an unmetered run.
-///
-/// # Errors
-///
-/// Same as [`run`].
-#[cfg(feature = "metrics")]
-pub fn run_metered(
-    cfg: &SimConfig,
-    workload: &dyn Workload,
-    policy: &mut dyn PagingPolicy,
-    remote_cache: Option<&mut dyn RemoteCacheModel>,
-) -> Result<(RunOutcome, RunMetrics), SimError> {
-    run_machine(cfg, workload, policy, remote_cache).map(|(outcome, _, metrics)| {
-        let end = outcome.stats().cycles;
-        (outcome, metrics.into_metrics(end))
-    })
-}
-
-/// Shared body of [`run_outcome`] / `run_traced` / `run_metered`: runs
-/// the machine and hands back the outcome plus the (possibly no-op)
-/// tracer and metrics sinks.
-fn run_machine(
-    cfg: &SimConfig,
-    workload: &dyn Workload,
-    policy: &mut dyn PagingPolicy,
-    remote_cache: Option<&mut dyn RemoteCacheModel>,
-) -> Result<(RunOutcome, Tracer, Metrics), SimError> {
+    probe: &mut P,
+) -> Result<RunOutcome, SimError> {
     cfg.validate()?;
-    let mut m = Machine::new(cfg, workload, remote_cache);
+    let mut m = Machine::new(cfg, workload, remote_cache, probe);
     policy.begin(workload.allocs(), cfg);
     // A tripped supervision limit (budget/watchdog) still flushes the
     // machine's partial statistics — everything else aborts the run.
@@ -217,18 +177,15 @@ fn run_machine(
         Err(reason @ (SimError::BudgetExceeded { .. } | SimError::Livelock { .. })) => Some(reason),
         Err(e) => return Err(e),
     };
-    let tracer = std::mem::take(&mut m.tracer);
-    let metrics = std::mem::take(&mut m.metrics);
     let stats = m.finish(policy);
-    let outcome = match abort {
+    Ok(match abort {
         Some(reason) => RunOutcome::Aborted { reason, stats },
         None if stats.degradation.is_degraded() => {
             let errors = stats.degradation.errors.clone();
             RunOutcome::Degraded { stats, errors }
         }
         None => RunOutcome::Completed(stats),
-    };
-    Ok((outcome, tracer, metrics))
+    })
 }
 
 /// Translation memo for the engine's same-page repeat fast path
@@ -274,9 +231,9 @@ enum AccessResult {
 }
 
 /// The orchestrator: owns the page table (read by translation, written by
-/// the driver), the per-SM issue ports, and the run-level statistics the
-/// stages flush into.
-struct Machine<'c, 'r> {
+/// the driver), the per-SM issue ports, and the counter registry every
+/// stage counts into; reports to the run's probe `P`.
+struct Machine<'c, 'r, 'p, P: Probe> {
     cfg: &'c SimConfig,
     /// `line_reuse` of the kernel currently running.
     reuse: u64,
@@ -285,7 +242,10 @@ struct Machine<'c, 'r> {
     data: DataPath<'r>,
     driver: Driver,
     sm_port: Vec<BucketedResource>,
-    stats: RunStats,
+    /// The per-chiplet counter registry ([`RunStats`] is folded from it).
+    ctr: Counters,
+    /// The simulated clock at the end of the run (or at an abort).
+    cycles: u64,
     /// Cached `policy.wants_access_samples()` — a per-policy constant,
     /// hoisted out of the per-access path (virtual call) at run start.
     wants_samples: bool,
@@ -295,23 +255,19 @@ struct Machine<'c, 'r> {
     /// `HashMap` once, at [`Machine::finish`].
     alloc_stats: Vec<AllocAccessStats>,
     next_epoch: u64,
-    /// Stage-boundary trace sink (a zero-sized no-op without the `trace`
-    /// feature).
-    tracer: Tracer,
-    /// Chiplet-resolved metrics sink (a zero-sized no-op without the
-    /// `metrics` feature).
-    metrics: Metrics,
+    probe: &'p mut P,
     /// Recycled per-warp access-stream buffers (DESIGN.md §15): retiring
     /// warps return their `Vec<VirtAddr>` here and starting warps refill
     /// one in place, so the steady state allocates nothing per warp.
     stream_pool: Vec<Vec<VirtAddr>>,
 }
 
-impl<'c, 'r> Machine<'c, 'r> {
+impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
     fn new(
         cfg: &'c SimConfig,
         workload: &dyn Workload,
         remote_cache: Option<&'r mut dyn RemoteCacheModel>,
+        probe: &'p mut P,
     ) -> Self {
         Machine {
             cfg,
@@ -321,12 +277,12 @@ impl<'c, 'r> Machine<'c, 'r> {
             data: DataPath::new(cfg, remote_cache),
             driver: Driver::new(cfg, workload.allocs()),
             sm_port: vec![BucketedResource::new(1); cfg.total_sms()],
-            stats: RunStats::default(),
+            ctr: Counters::new(cfg.num_chiplets),
+            cycles: 0,
             wants_samples: false,
             alloc_stats: vec![AllocAccessStats::default(); workload.allocs().len()],
             next_epoch: cfg.epoch_cycles,
-            tracer: Tracer::new(),
-            metrics: Metrics::new(cfg),
+            probe,
             stream_pool: Vec::new(),
         }
     }
@@ -341,7 +297,7 @@ impl<'c, 'r> Machine<'c, 'r> {
         for k in 0..workload.num_kernels() {
             now = self.run_kernel(workload, k, now, policy)?;
             let dirs = policy.on_kernel_end(k, now);
-            self.tracer.event(TraceEventKind::EpochDirectives {
+            self.probe.event(TraceEventKind::EpochDirectives {
                 epoch: now,
                 directives: dirs.len() as u32,
             });
@@ -353,15 +309,15 @@ impl<'c, 'r> Machine<'c, 'r> {
                 &dirs,
                 policy.ideal_migration(),
                 now,
-                &mut self.tracer,
-                &mut self.metrics,
+                &mut self.ctr,
+                self.probe,
             );
             if self.cfg.audit_epochs {
                 self.driver
                     .audit(self.cfg, &self.page_table, &self.translate);
             }
         }
-        self.stats.cycles = now;
+        self.cycles = now;
         Ok(())
     }
 
@@ -378,7 +334,7 @@ impl<'c, 'r> Machine<'c, 'r> {
             k,
             start,
             &mut self.stream_pool,
-            &mut self.tracer,
+            self.probe,
         );
         let kd = *sched.kernel();
         self.reuse = kd.line_reuse.max(1) as u64;
@@ -395,7 +351,7 @@ impl<'c, 'r> Machine<'c, 'r> {
             let Some((t, wid)) = popped else { break };
             if let Some(max) = self.cfg.max_cycles {
                 if t > max {
-                    self.stats.cycles = t;
+                    self.cycles = t;
                     return Err(SimError::BudgetExceeded {
                         cycles: t,
                         max_cycles: max,
@@ -404,20 +360,19 @@ impl<'c, 'r> Machine<'c, 'r> {
             }
             if let Some(window) = self.cfg.stall_window {
                 if t.saturating_sub(last_progress) > window || idle_pops > window {
-                    self.stats.cycles = t;
+                    self.cycles = t;
                     return Err(SimError::Livelock { cycles: t, window });
                 }
             }
             idle_pops += 1;
-            // Sampling clock: close metric intervals passed by this pop.
-            // A batch's increments land in the interval containing its pop
-            // time (DESIGN.md §16).
-            self.metrics.tick(t);
+            // Probe clock: a batch's counts land in the interval
+            // containing its pop time (DESIGN.md §10).
+            self.probe.tick(t, &self.ctr);
             // Epoch callbacks for reactive policies.
             while t >= self.next_epoch {
                 let epoch = self.next_epoch;
                 let dirs = policy.on_epoch(epoch);
-                self.tracer.event(TraceEventKind::EpochDirectives {
+                self.probe.event(TraceEventKind::EpochDirectives {
                     epoch,
                     directives: dirs.len() as u32,
                 });
@@ -429,8 +384,8 @@ impl<'c, 'r> Machine<'c, 'r> {
                     &dirs,
                     policy.ideal_migration(),
                     epoch,
-                    &mut self.tracer,
-                    &mut self.metrics,
+                    &mut self.ctr,
+                    self.probe,
                 );
                 if self.cfg.audit_epochs {
                     self.driver
@@ -467,15 +422,20 @@ impl<'c, 'r> Machine<'c, 'r> {
                 }
                 // Batch-hoisted instruction tallies: one add per batch
                 // instead of one per retired access.
-                self.stats.mem_insts += advanced as u64 * self.reuse;
-                self.stats.warp_insts += advanced as u64 * issue_gap * self.reuse;
+                self.ctr
+                    .add(chiplet, Counter::MemInsts, advanced as u64 * self.reuse);
+                self.ctr.add(
+                    chiplet,
+                    Counter::WarpInsts,
+                    advanced as u64 * issue_gap * self.reuse,
+                );
                 sched.advance(wid, advanced);
                 if advanced > 0 {
                     last_progress = last_progress.max(batch_done);
                     idle_pops = 0;
                 }
                 end = end.max(batch_done);
-                self.tracer.sample(TraceStage::Sched, batch_done - t);
+                self.probe.sample(TraceStage::Sched, batch_done - t);
                 if let Some(resume) = fault_resume {
                     sched.reschedule(wid, resume);
                     continue;
@@ -490,7 +450,7 @@ impl<'c, 'r> Machine<'c, 'r> {
                     continue;
                 }
             }
-            sched.retire_warp(workload, k, wid, t, &mut self.stream_pool, &mut self.tracer);
+            sched.retire_warp(workload, k, wid, t, &mut self.stream_pool, self.probe);
         }
         sched.recycle(&mut self.stream_pool);
         Ok(end)
@@ -525,7 +485,7 @@ impl<'c, 'r> Machine<'c, 'r> {
             // L1 hit's observable effects and reuse the PTE (see
             // [`RepeatXlate`]). An L1 hit never consults the GMMU server.
             self.translate
-                .repeat_l1_hit(sm, chiplet, class, slot, &mut self.metrics);
+                .repeat_l1_hit(sm, chiplet, class, slot, &mut self.ctr);
             (pte, issue + self.cfg.l1_tlb_latency, false)
         } else {
             let gmmu_free = self.driver.gmmu_ready(chiplet);
@@ -538,8 +498,8 @@ impl<'c, 'r> Machine<'c, 'r> {
                 va,
                 issue,
                 gmmu_free,
-                &mut self.tracer,
-                &mut self.metrics,
+                &mut self.ctr,
+                self.probe,
             )? {
                 Translation::Done { pte, done, walked } => {
                     // Arm (or disarm) the memo for the next access. `None`
@@ -567,10 +527,10 @@ impl<'c, 'r> Machine<'c, 'r> {
                         tb,
                         va,
                         at,
-                        &mut self.tracer,
-                        &mut self.metrics,
+                        &mut self.ctr,
+                        self.probe,
                     )?;
-                    self.tracer.sample(TraceStage::Fault, resume - at);
+                    self.probe.sample(TraceStage::Fault, resume - at);
                     return Ok(AccessResult::Fault(resume));
                 }
             }
@@ -584,20 +544,16 @@ impl<'c, 'r> Machine<'c, 'r> {
                 cycle: tt,
             });
         }
-        self.stats.translation_cycles += tt - issue;
-        self.tracer.sample(TraceStage::Translate, tt - issue);
+        self.ctr
+            .add(chiplet, Counter::TranslationCycles, tt - issue);
+        self.probe.sample(TraceStage::Translate, tt - issue);
 
         // --- Data access ---
         let pa = pte.pa + va.offset_in(pte.size.bytes());
         let data_chiplet = self.page_table.layout().chiplet_of(pa);
         let remote = data_chiplet != chiplet;
         if remote {
-            self.stats.remote_insts += self.reuse;
-            self.metrics
-                .add(chiplet, MetricSlot::RemoteAccess, self.reuse);
-        } else {
-            self.metrics
-                .add(chiplet, MetricSlot::LocalAccess, self.reuse);
+            self.ctr.add(chiplet, Counter::RemoteInsts, self.reuse);
         }
         let idx = pte.alloc.index();
         if idx >= self.alloc_stats.len() {
@@ -609,10 +565,8 @@ impl<'c, 'r> Machine<'c, 'r> {
             self.alloc_stats[idx].remote += self.reuse;
         }
         // The (reuse - 1) unsimulated repeats hit the L1 cache and L1 TLB.
-        self.data.stats.l1d_hits += self.reuse - 1;
-        self.translate.stats.l1tlb_hits += self.reuse - 1;
-        self.metrics
-            .add(chiplet, MetricSlot::L1TlbHit, self.reuse - 1);
+        self.ctr.add(chiplet, Counter::L1dHits, self.reuse - 1);
+        self.ctr.add(chiplet, Counter::L1tlbHits, self.reuse - 1);
         if self.wants_samples {
             policy.on_access(&WalkEvent {
                 va,
@@ -630,31 +584,41 @@ impl<'c, 'r> Machine<'c, 'r> {
             data_chiplet,
             pa,
             tt,
-            &mut self.tracer,
-            &mut self.metrics,
+            &mut self.ctr,
+            self.probe,
         );
-        self.stats.data_cycles += done - tt;
-        self.tracer.sample(TraceStage::Data, done - tt);
+        self.ctr.add(chiplet, Counter::DataCycles, done - tt);
+        self.probe.sample(TraceStage::Data, done - tt);
         Ok(AccessResult::Done(done))
     }
 
-    /// Flushes every stage's statistics slice and the policy's allocator
-    /// tallies into the run-level statistics, consuming the machine.
-    fn finish(mut self, policy: &mut dyn PagingPolicy) -> RunStats {
-        // Flush the dense per-allocation tallies; only touched allocations
-        // get a map entry, exactly as the old per-access `entry()` did.
+    /// Folds the registry, the per-allocation tallies, the stages'
+    /// degradation tallies and the policy's allocator figures into the
+    /// run's statistics, and hands the final registry to the probe.
+    fn finish(self, policy: &mut dyn PagingPolicy) -> RunStats {
+        let mut stats = RunStats {
+            cycles: self.cycles,
+            blocks_consumed: policy.blocks_consumed(),
+            ..RunStats::default()
+        };
+        stats.fold(&self.ctr);
+        // Only touched allocations get a map entry.
         for (i, st) in self.alloc_stats.iter().enumerate() {
             if st.accesses > 0 {
-                self.stats
+                stats
                     .per_alloc
                     .insert(mcm_types::AllocId::new(i as u16), *st);
             }
         }
-        self.translate.stats.flush_into(&mut self.stats);
-        self.data.flush_into(self.cfg, &mut self.stats);
-        self.driver.stats.flush_into(&mut self.stats);
-        self.stats.blocks_consumed = policy.blocks_consumed();
-        self.stats.degradation.fallback_remote_frames = policy.frame_fallbacks();
-        self.stats
+        (
+            stats.interconnect_transfers,
+            stats.interconnect_queue_cycles,
+            stats.dram_queue_cycles,
+        ) = self.data.run_totals();
+        stats.degradation.absorb(self.translate.degradation);
+        stats.degradation.absorb(self.driver.degradation);
+        stats.degradation.fallback_remote_frames = policy.frame_fallbacks();
+        self.probe.finish(stats.cycles, &self.ctr);
+        stats
     }
 }

@@ -44,6 +44,7 @@ mod interconnect;
 pub mod metrics;
 mod page_table;
 mod policy;
+mod probe;
 mod pte_map;
 mod resources;
 pub mod stage;
@@ -57,23 +58,18 @@ pub use cache::SetAssocCache;
 pub use chaos::{ChaosConfig, ChaosPolicy, ChaosStats, StateAuditor, Stonewall};
 pub use config::{PtePlacement, SimConfig, TlbEntries, TopologyKind, TranslationConfig};
 pub use dram::Dram;
-#[cfg(feature = "metrics")]
-pub use engine::run_metered;
-#[cfg(feature = "trace")]
-pub use engine::run_traced;
-pub use engine::{run, run_outcome, RunOutcome};
+pub use engine::{run, run_outcome, run_with, RunOutcome};
 pub use error::SimError;
 pub use interconnect::{build_topology, FullyConnected, Mesh2d, Ring, Topology};
-pub use metrics::{
-    imbalance, LinkTraffic, MetricSlot, RunMetrics, SampleFrame, NUM_SLOTS, WARMUP_EPSILON,
-};
+pub use metrics::{imbalance, LinkTraffic, RunMetrics, SampleFrame, WARMUP_EPSILON};
 pub use page_table::{PageTable, Pte, PTES_PER_LINE};
 pub use policy::{
     AllocInfo, Directive, FaultCtx, PagingPolicy, RemoteCacheModel, RemoteServe, StaticHint,
     WalkEvent,
 };
+pub use probe::{MetricsProbe, Probe, SAMPLE_INTERVAL};
 pub use resources::{BucketedResource, Server, BUCKET_CYCLES};
-pub use stats::{AllocAccessStats, DegradationStats, RunStats};
+pub use stats::{AllocAccessStats, Counter, Counters, DegradationStats, RunStats};
 pub use tlb::Tlb;
 pub use trace::{
     LatencyHistogram, RunTrace, TraceEvent, TraceEventClass, TraceEventKind, TraceStage,

@@ -1,130 +1,22 @@
-//! Opt-in chiplet-resolved, time-resolved metrics: a per-chiplet counter
-//! registry, an interval sampler, and an N×N cross-chiplet traffic matrix.
+//! Chiplet-resolved, time-resolved metrics: the per-chiplet counter
+//! registry of a run, its interval time series, and the N×N cross-chiplet
+//! traffic matrix.
 //!
-//! The trace layer ([`trace`](crate::trace)) answers "*how long* did each
+//! The trace ([`RunTrace`](crate::RunTrace)) answers "*how long* did each
 //! stage take, whole-run"; this layer answers "*where* did events land
 //! (which chiplet, which link) and *when* (which sampling interval)" —
-//! the paper's chiplet-locality argument made observable. The engine's
-//! stage seams carry probe points that feed a per-run [`Metrics`] sink
-//! next to every [`RunStats`](crate::RunStats) increment.
-//!
-//! The sink follows the exact contract of the `trace` feature: without
-//! the `metrics` cargo feature it is a zero-sized no-op whose inlined
-//! empty methods compile away, so the default build pays nothing and
-//! results are byte-identical either way (the CI golden smoke proves it).
-//! With `--features metrics`, [`run_metered`](crate::run_metered) returns
-//! a [`RunMetrics`] next to the run's outcome.
-//!
-//! The registry uses fixed slot ids ([`MetricSlot`]) into a flat
-//! chiplet-major array — no hashing on the hot path. The sampler closes
-//! an interval every [`SimConfig::sample_interval`](crate::SimConfig)
-//! simulated cycles (driven by the engine's event clock, like the epoch
-//! loop), snapshotting per-chiplet counter *deltas* into a compact time
-//! series. Sampling reads only the sink's own state, never the machine's,
-//! which is what makes non-perturbation structural rather than hoped-for.
-//!
-//! The data types here ([`RunMetrics`], [`SampleFrame`], [`LinkTraffic`])
-//! are *always* compiled — only the hot-path recording is gated — so
-//! report/merge code and tests need no feature gymnastics. Every
-//! per-chiplet counter sums to the corresponding `RunStats` total; the
-//! metrics-conformance tests in `crates/bench/tests/metrics_conformance.rs`
-//! assert this.
+//! the paper's chiplet-locality argument made observable. A
+//! [`MetricsProbe`](crate::MetricsProbe) produces a [`RunMetrics`]: it
+//! snapshots the engine's always-on [`Counters`] registry every
+//! [`SAMPLE_INTERVAL`](crate::SAMPLE_INTERVAL) cycles and tallies every
+//! interconnect crossing. Sampling reads the registry, never the machine,
+//! and the registry is the one the run's [`RunStats`](crate::RunStats) is
+//! folded from, so every per-chiplet count sums to its run-level total by
+//! construction.
 
 use mcm_types::ChipletId;
 
-use crate::config::SimConfig;
-use crate::interconnect::Topology;
-
-/// Fixed per-chiplet counter slots of the metric registry. Each slot
-/// mirrors one [`RunStats`](crate::RunStats) increment site, attributed
-/// to a chiplet, so that the per-chiplet counters of a slot sum exactly
-/// to the run-level total.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum MetricSlot {
-    /// L1 TLB hits on the chiplet's SMs (sums to `l1tlb_hits`).
-    L1TlbHit,
-    /// L1 TLB misses on the chiplet's SMs (sums to `l1tlb_misses`).
-    L1TlbMiss,
-    /// L2 TLB hits (sums to `l2tlb_hits`).
-    L2TlbHit,
-    /// L2 TLB misses / walks issued (sums to `l2tlb_misses`).
-    L2TlbMiss,
-    /// Page walks completed by the chiplet's walkers (sums to `walks`).
-    Walk,
-    /// Cycles spent in the chiplet's completed walks — walker occupancy
-    /// (sums to `walk_cycles`).
-    WalkCycle,
-    /// Walk requests absorbed by an in-flight walk (sums to
-    /// `walk_mshr_hits`).
-    WalkMshrHit,
-    /// Demand faults raised by the chiplet's walkers (sums to `faults`).
-    Fault,
-    /// Memory instructions served by the requesting chiplet's own DRAM
-    /// (`LocalAccess + RemoteAccess` sums to `mem_insts`).
-    LocalAccess,
-    /// Memory instructions served by another chiplet's DRAM (sums to
-    /// `remote_insts`).
-    RemoteAccess,
-    /// DRAM line accesses served *by* the chiplet's channels — DRAM
-    /// occupancy (matches `dram_per_chiplet`, sums to `dram_accesses`).
-    DramAccess,
-    /// Pages migrated off the chiplet (sums to `migrations`).
-    Migration,
-    /// Shootdowns for pages the chiplet owned (sums to `shootdowns`).
-    Shootdown,
-    /// Promotions of blocks resident on the chiplet (sums to
-    /// `promotions`).
-    Promotion,
-}
-
-impl MetricSlot {
-    /// Every slot, in registry order.
-    pub const ALL: [MetricSlot; 14] = [
-        MetricSlot::L1TlbHit,
-        MetricSlot::L1TlbMiss,
-        MetricSlot::L2TlbHit,
-        MetricSlot::L2TlbMiss,
-        MetricSlot::Walk,
-        MetricSlot::WalkCycle,
-        MetricSlot::WalkMshrHit,
-        MetricSlot::Fault,
-        MetricSlot::LocalAccess,
-        MetricSlot::RemoteAccess,
-        MetricSlot::DramAccess,
-        MetricSlot::Migration,
-        MetricSlot::Shootdown,
-        MetricSlot::Promotion,
-    ];
-
-    /// Stable snake_case name (JSON keys, CSV column headers).
-    pub fn name(&self) -> &'static str {
-        match self {
-            MetricSlot::L1TlbHit => "l1tlb_hit",
-            MetricSlot::L1TlbMiss => "l1tlb_miss",
-            MetricSlot::L2TlbHit => "l2tlb_hit",
-            MetricSlot::L2TlbMiss => "l2tlb_miss",
-            MetricSlot::Walk => "walk",
-            MetricSlot::WalkCycle => "walk_cycle",
-            MetricSlot::WalkMshrHit => "walk_mshr_hit",
-            MetricSlot::Fault => "fault",
-            MetricSlot::LocalAccess => "local_access",
-            MetricSlot::RemoteAccess => "remote_access",
-            MetricSlot::DramAccess => "dram_access",
-            MetricSlot::Migration => "migration",
-            MetricSlot::Shootdown => "shootdown",
-            MetricSlot::Promotion => "promotion",
-        }
-    }
-
-    /// Index of the slot within a chiplet's registry row.
-    #[inline]
-    pub fn index(&self) -> usize {
-        *self as usize
-    }
-}
-
-/// Slots per chiplet in the flat registry.
-pub const NUM_SLOTS: usize = MetricSlot::ALL.len();
+use crate::stats::{Counter, Counters};
 
 /// Tallies of one ordered `src → dst` pair of the cross-chiplet traffic
 /// matrix. The diagonal stays zero: same-chiplet transfers are free and
@@ -140,6 +32,14 @@ pub struct LinkTraffic {
     pub queue_cycles: u64,
 }
 
+impl LinkTraffic {
+    fn add(&mut self, o: &LinkTraffic) {
+        self.transfers += o.transfers;
+        self.hops += o.hops;
+        self.queue_cycles += o.queue_cycles;
+    }
+}
+
 /// One closed interval of the per-chiplet time series: the counter
 /// *deltas* accumulated over `(previous frame's cycle, cycle]`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -147,23 +47,19 @@ pub struct SampleFrame {
     /// Interval end, in simulated cycles. Events are attributed to the
     /// interval containing the cycle their warp wake-up was popped at.
     pub cycle: u64,
-    /// Per-chiplet slot deltas, chiplet-major:
-    /// `deltas[chiplet * NUM_SLOTS + slot]`.
-    pub deltas: Vec<u64>,
+    /// Per-chiplet counter deltas over the interval.
+    pub deltas: Counters,
 }
 
 impl SampleFrame {
-    /// The delta of `slot` on `chiplet` over this interval.
-    pub fn delta(&self, chiplet: usize, slot: MetricSlot) -> u64 {
-        self.deltas[chiplet * NUM_SLOTS + slot.index()]
+    /// The delta of `c` on `chiplet` over this interval.
+    pub fn delta(&self, chiplet: usize, c: Counter) -> u64 {
+        self.deltas.get(chiplet, c)
     }
 
-    /// The delta of `slot` summed over every chiplet.
-    pub fn total(&self, slot: MetricSlot) -> u64 {
-        self.deltas
-            .chunks_exact(NUM_SLOTS)
-            .map(|row| row[slot.index()])
-            .sum()
+    /// The delta of `c` summed over every chiplet.
+    pub fn total(&self, c: Counter) -> u64 {
+        self.deltas.total(c)
     }
 }
 
@@ -172,12 +68,10 @@ impl SampleFrame {
 /// the N×N cross-chiplet traffic matrix.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunMetrics {
-    num_chiplets: usize,
-    sample_interval: u64,
-    /// Cumulative counters, chiplet-major (`chiplet * NUM_SLOTS + slot`).
-    counters: Vec<u64>,
+    /// Cumulative counters: the run's final registry.
+    pub(crate) counters: Counters,
     /// Closed sampling intervals, in cycle order.
-    series: Vec<SampleFrame>,
+    pub(crate) series: Vec<SampleFrame>,
     /// Traffic matrix, src-major (`src * num_chiplets + dst`).
     traffic: Vec<LinkTraffic>,
     /// Cells folded into this aggregate via [`Self::merge_aggregates`]
@@ -189,13 +83,10 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// An empty registry for `num_chiplets` chiplets sampling every
-    /// `sample_interval` cycles.
-    pub fn new(num_chiplets: usize, sample_interval: u64) -> Self {
+    /// An empty record for `num_chiplets` chiplets.
+    pub fn new(num_chiplets: usize) -> Self {
         RunMetrics {
-            num_chiplets,
-            sample_interval,
-            counters: vec![0; num_chiplets * NUM_SLOTS],
+            counters: Counters::new(num_chiplets),
             series: Vec::new(),
             traffic: vec![LinkTraffic::default(); num_chiplets * num_chiplets],
             merged_cells: 1,
@@ -205,22 +96,17 @@ impl RunMetrics {
 
     /// Chiplets in the registry.
     pub fn num_chiplets(&self) -> usize {
-        self.num_chiplets
+        self.counters.num_chiplets()
     }
 
-    /// Sampling interval in simulated cycles.
-    pub fn sample_interval(&self) -> u64 {
-        self.sample_interval
+    /// The cumulative per-chiplet counters.
+    pub fn counters(&self) -> &Counters {
+        &self.counters
     }
 
-    /// Cumulative count of `slot` on `chiplet`.
-    pub fn count(&self, chiplet: usize, slot: MetricSlot) -> u64 {
-        self.counters[chiplet * NUM_SLOTS + slot.index()]
-    }
-
-    /// Cumulative count of `slot` summed over every chiplet.
-    pub fn total(&self, slot: MetricSlot) -> u64 {
-        (0..self.num_chiplets).map(|c| self.count(c, slot)).sum()
+    /// Cumulative count of `c` on `chiplet`.
+    pub fn count(&self, chiplet: usize, c: Counter) -> u64 {
+        self.counters.get(chiplet, c)
     }
 
     /// The closed sampling intervals, in cycle order.
@@ -230,29 +116,14 @@ impl RunMetrics {
 
     /// The `src → dst` cell of the traffic matrix.
     pub fn traffic(&self, src: usize, dst: usize) -> LinkTraffic {
-        self.traffic[src * self.num_chiplets + dst]
+        self.traffic[src * self.num_chiplets() + dst]
     }
 
     /// Sums row `src` of the matrix: everything the chiplet sent.
     pub fn traffic_row(&self, src: usize) -> LinkTraffic {
-        (0..self.num_chiplets).fold(LinkTraffic::default(), |mut acc, dst| {
-            let t = self.traffic(src, dst);
-            acc.transfers += t.transfers;
-            acc.hops += t.hops;
-            acc.queue_cycles += t.queue_cycles;
-            acc
-        })
-    }
-
-    /// Sums column `dst` of the matrix: everything the chiplet received.
-    pub fn traffic_col(&self, dst: usize) -> LinkTraffic {
-        (0..self.num_chiplets).fold(LinkTraffic::default(), |mut acc, src| {
-            let t = self.traffic(src, dst);
-            acc.transfers += t.transfers;
-            acc.hops += t.hops;
-            acc.queue_cycles += t.queue_cycles;
-            acc
-        })
+        let mut acc = LinkTraffic::default();
+        (0..self.num_chiplets()).for_each(|dst| acc.add(&self.traffic(src, dst)));
+        acc
     }
 
     /// Total transfers across the whole matrix (equals
@@ -261,41 +132,20 @@ impl RunMetrics {
         self.traffic.iter().map(|t| t.transfers).sum()
     }
 
-    /// Records `n` events of `slot` on `chiplet`.
-    #[inline]
-    pub fn record(&mut self, chiplet: ChipletId, slot: MetricSlot, n: u64) {
-        self.counters[chiplet.index() * NUM_SLOTS + slot.index()] += n;
-    }
-
     /// Records one completed `src → dst` transfer of `hops` hops that
     /// queued for `queue_cycles`.
-    #[inline]
-    pub fn record_transfer(
+    pub(crate) fn record_transfer(
         &mut self,
         src: ChipletId,
         dst: ChipletId,
         hops: u32,
         queue_cycles: u64,
     ) {
-        let cell = &mut self.traffic[src.index() * self.num_chiplets + dst.index()];
+        let n = self.num_chiplets();
+        let cell = &mut self.traffic[src.index() * n + dst.index()];
         cell.transfers += 1;
         cell.hops += hops as u64;
         cell.queue_cycles += queue_cycles;
-    }
-
-    /// Closes the sampling interval ending at `cycle`: appends the
-    /// deltas since `prev` (the counters at the previous boundary) and
-    /// refreshes `prev`. `prev` must be the same length as the counters.
-    #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
-    fn close_interval(&mut self, cycle: u64, prev: &mut [u64]) {
-        let deltas: Vec<u64> = self
-            .counters
-            .iter()
-            .zip(prev.iter())
-            .map(|(c, p)| c - p)
-            .collect();
-        prev.copy_from_slice(&self.counters);
-        self.series.push(SampleFrame { cycle, deltas });
     }
 
     /// Folds another cell's metrics into this one: counters and the
@@ -305,36 +155,27 @@ impl RunMetrics {
     /// on the aggregate state. An empty (default) accumulator adopts
     /// `other`'s shape.
     pub fn merge_aggregates(&mut self, other: &RunMetrics) {
-        if self.num_chiplets == 0 {
-            self.num_chiplets = other.num_chiplets;
-            self.sample_interval = other.sample_interval;
-            self.counters = vec![0; other.counters.len()];
+        if self.traffic.is_empty() {
             self.traffic = vec![LinkTraffic::default(); other.traffic.len()];
             self.merged_cells = 0;
         }
-        debug_assert_eq!(self.num_chiplets, other.num_chiplets);
-        for (c, o) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *c += o;
-        }
+        self.counters.absorb(&other.counters);
         for (t, o) in self.traffic.iter_mut().zip(other.traffic.iter()) {
-            t.transfers += o.transfers;
-            t.hops += o.hops;
-            t.queue_cycles += o.queue_cycles;
+            t.add(o);
         }
         self.merged_cells += other.merged_cells;
         self.dropped_frames += other.dropped_frames + other.series.len() as u64;
     }
 
     /// The remote-access ratio of each closed interval:
-    /// `remote / (local + remote)`, or `None` for intervals with no
+    /// `remote_insts / mem_insts`, or `None` for intervals with no
     /// retired accesses.
     pub fn remote_ratio_series(&self) -> Vec<Option<f64>> {
         self.series
             .iter()
             .map(|f| {
-                let local = f.total(MetricSlot::LocalAccess);
-                let remote = f.total(MetricSlot::RemoteAccess);
-                let all = local + remote;
+                let all = f.total(Counter::MemInsts);
+                let remote = f.total(Counter::RemoteInsts);
                 (all > 0).then(|| remote as f64 / all as f64)
             })
             .collect()
@@ -384,21 +225,17 @@ impl RunMetrics {
     }
 
     /// Per-chiplet DRAM load imbalance: `max / mean` of the chiplets'
-    /// [`MetricSlot::DramAccess`] counters (`1.0` = perfectly balanced).
-    /// `None` when no DRAM access was recorded.
+    /// `dram_accesses` counters (`1.0` = perfectly balanced). `None` when
+    /// no DRAM access was recorded.
     pub fn dram_imbalance(&self) -> Option<f64> {
-        let per: Vec<u64> = (0..self.num_chiplets)
-            .map(|c| self.count(c, MetricSlot::DramAccess))
-            .collect();
-        imbalance(&per)
+        imbalance(&self.counters.row(Counter::DramAccesses))
     }
 }
 
 /// `max / mean` of a per-chiplet load vector (`1.0` = perfectly
 /// balanced); `None` for an empty or all-zero vector. Shared by the
 /// metrics layer and the journal's imbalance field, which computes it
-/// from [`RunStats::dram_per_chiplet`](crate::RunStats) so every build
-/// journals it.
+/// from [`RunStats::dram_per_chiplet`](crate::RunStats).
 pub fn imbalance(per_chiplet: &[u64]) -> Option<f64> {
     let total: u64 = per_chiplet.iter().sum();
     if total == 0 || per_chiplet.is_empty() {
@@ -414,125 +251,6 @@ pub fn imbalance(per_chiplet: &[u64]) -> Option<f64> {
 /// absolute distance of the tail mean.
 pub const WARMUP_EPSILON: f64 = 0.05;
 
-/// The engine-side sink. With the `metrics` feature this owns a
-/// [`RunMetrics`] plus the sampler state; without it, it is a zero-sized
-/// type whose methods are empty `#[inline(always)]` bodies the optimizer
-/// erases — the same no-op inline sink contract as
-/// [`Tracer`](crate::trace::Tracer).
-#[cfg(feature = "metrics")]
-#[derive(Debug, Default)]
-pub struct Metrics {
-    m: RunMetrics,
-    /// Counters at the last closed interval boundary.
-    prev: Vec<u64>,
-    next_sample: u64,
-    interval: u64,
-}
-
-#[cfg(feature = "metrics")]
-impl Metrics {
-    pub(crate) fn new(cfg: &SimConfig) -> Self {
-        Metrics {
-            m: RunMetrics::new(cfg.num_chiplets, cfg.sample_interval),
-            prev: vec![0; cfg.num_chiplets * NUM_SLOTS],
-            next_sample: cfg.sample_interval,
-            interval: cfg.sample_interval,
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn bump(&mut self, chiplet: ChipletId, slot: MetricSlot) {
-        self.m.record(chiplet, slot, 1);
-    }
-
-    #[inline(always)]
-    pub(crate) fn add(&mut self, chiplet: ChipletId, slot: MetricSlot, n: u64) {
-        self.m.record(chiplet, slot, n);
-    }
-
-    /// Link-queue level probe taken *before* a transfer; the matching
-    /// [`Self::crossing`] turns the difference into that transfer's
-    /// queueing cycles.
-    #[inline(always)]
-    pub(crate) fn queue_probe(&self, topo: &dyn Topology) -> u64 {
-        topo.queue_cycles()
-    }
-
-    /// Records one completed cross-chiplet transfer, deriving hops from
-    /// the topology's routing and queueing from the probe delta.
-    #[inline(always)]
-    pub(crate) fn crossing(
-        &mut self,
-        topo: &dyn Topology,
-        src: ChipletId,
-        dst: ChipletId,
-        queue_before: u64,
-    ) {
-        let queued = topo.queue_cycles() - queue_before;
-        self.m
-            .record_transfer(src, dst, topo.hops(src, dst), queued);
-    }
-
-    /// Advances the sampling clock to event time `t`, closing every
-    /// interval boundary passed. Mirrors the engine's epoch loop: driven
-    /// by heap-popped event times, so it is deterministic per cell.
-    #[inline(always)]
-    pub(crate) fn tick(&mut self, t: u64) {
-        while t >= self.next_sample {
-            let boundary = self.next_sample;
-            self.m.close_interval(boundary, &mut self.prev);
-            self.next_sample += self.interval;
-        }
-    }
-
-    /// Consumes the sink: flushes any unreported tail deltas as a final
-    /// (possibly partial) interval ending at `end`, so the series deltas
-    /// always sum exactly to the cumulative counters.
-    pub(crate) fn into_metrics(mut self, end: u64) -> RunMetrics {
-        if self.m.counters != self.prev || self.m.series.is_empty() {
-            let cycle = end.max(self.next_sample - self.interval);
-            self.m.close_interval(cycle, &mut self.prev);
-        }
-        self.m
-    }
-}
-
-/// No-op metrics sink: the `metrics` feature is off.
-#[cfg(not(feature = "metrics"))]
-#[derive(Debug, Default)]
-pub struct Metrics;
-
-#[cfg(not(feature = "metrics"))]
-impl Metrics {
-    pub(crate) fn new(_cfg: &SimConfig) -> Self {
-        Metrics
-    }
-
-    #[inline(always)]
-    pub(crate) fn bump(&mut self, _chiplet: ChipletId, _slot: MetricSlot) {}
-
-    #[inline(always)]
-    pub(crate) fn add(&mut self, _chiplet: ChipletId, _slot: MetricSlot, _n: u64) {}
-
-    #[inline(always)]
-    pub(crate) fn queue_probe(&self, _topo: &dyn Topology) -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub(crate) fn crossing(
-        &mut self,
-        _topo: &dyn Topology,
-        _src: ChipletId,
-        _dst: ChipletId,
-        _queue_before: u64,
-    ) {
-    }
-
-    #[inline(always)]
-    pub(crate) fn tick(&mut self, _t: u64) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,49 +260,35 @@ mod tests {
     }
 
     #[test]
-    fn registry_is_chiplet_resolved() {
-        let mut m = RunMetrics::new(4, 1_000);
-        m.record(chip(0), MetricSlot::L1TlbHit, 3);
-        m.record(chip(2), MetricSlot::L1TlbHit, 5);
-        m.record(chip(2), MetricSlot::Walk, 1);
-        assert_eq!(m.count(0, MetricSlot::L1TlbHit), 3);
-        assert_eq!(m.count(2, MetricSlot::L1TlbHit), 5);
-        assert_eq!(m.total(MetricSlot::L1TlbHit), 8);
-        assert_eq!(m.total(MetricSlot::Walk), 1);
-        assert_eq!(m.total(MetricSlot::Fault), 0);
-    }
-
-    #[test]
-    fn traffic_matrix_rows_and_cols_sum() {
-        let mut m = RunMetrics::new(4, 1_000);
+    fn traffic_matrix_rows_sum() {
+        let mut m = RunMetrics::new(4);
         m.record_transfer(chip(0), chip(1), 1, 10);
         m.record_transfer(chip(0), chip(2), 2, 0);
         m.record_transfer(chip(3), chip(0), 1, 5);
         assert_eq!(m.transfers(), 3);
         assert_eq!(m.traffic_row(0).transfers, 2);
         assert_eq!(m.traffic_row(0).hops, 3);
-        assert_eq!(m.traffic_col(0).transfers, 1);
         assert_eq!(m.traffic(0, 1).queue_cycles, 10);
         assert_eq!(m.traffic(1, 0).transfers, 0, "matrix is ordered");
     }
 
     #[test]
     fn merge_folds_counters_and_matrix_but_drops_frames() {
-        let mut a = RunMetrics::new(2, 500);
-        a.record(chip(0), MetricSlot::DramAccess, 4);
+        let mut a = RunMetrics::new(2);
+        a.counters.add(chip(0), Counter::DramAccesses, 4);
         a.series.push(SampleFrame {
             cycle: 500,
-            deltas: vec![0; 2 * NUM_SLOTS],
+            deltas: Counters::new(2),
         });
-        let mut b = RunMetrics::new(2, 500);
-        b.record(chip(0), MetricSlot::DramAccess, 6);
+        let mut b = RunMetrics::new(2);
+        b.counters.add(chip(0), Counter::DramAccesses, 6);
         b.record_transfer(chip(0), chip(1), 1, 2);
         b.series.push(SampleFrame {
             cycle: 500,
-            deltas: vec![0; 2 * NUM_SLOTS],
+            deltas: Counters::new(2),
         });
         a.merge_aggregates(&b);
-        assert_eq!(a.count(0, MetricSlot::DramAccess), 10);
+        assert_eq!(a.count(0, Counter::DramAccesses), 10);
         assert_eq!(a.transfers(), 1);
         assert_eq!(a.merged_cells, 2);
         assert_eq!(a.series.len(), 1, "other's frames are not spliced in");
@@ -593,21 +297,21 @@ mod tests {
         let mut acc = RunMetrics::default();
         acc.merge_aggregates(&a);
         assert_eq!(acc.num_chiplets(), 2);
-        assert_eq!(acc.count(0, MetricSlot::DramAccess), 10);
+        assert_eq!(acc.count(0, Counter::DramAccesses), 10);
         assert_eq!(acc.merged_cells, 2);
     }
 
     /// A frame with `local`/`remote` access deltas on chiplet 0.
     fn frame(cycle: u64, chiplets: usize, local: u64, remote: u64) -> SampleFrame {
-        let mut deltas = vec![0; chiplets * NUM_SLOTS];
-        deltas[MetricSlot::LocalAccess.index()] = local;
-        deltas[MetricSlot::RemoteAccess.index()] = remote;
+        let mut deltas = Counters::new(chiplets);
+        deltas.add(chip(0), Counter::MemInsts, local + remote);
+        deltas.add(chip(0), Counter::RemoteInsts, remote);
         SampleFrame { cycle, deltas }
     }
 
     #[test]
     fn warmup_knee_finds_first_converged_interval() {
-        let mut m = RunMetrics::new(2, 100);
+        let mut m = RunMetrics::new(2);
         // Remote ratio 0.9, 0.5, 0.21, 0.2, 0.2, 0.2: tail mean 0.2 (last
         // quarter = final frame with ratio 0.2); 0.21 is the knee.
         for (i, (l, r)) in [(1, 9), (5, 5), (79, 21), (8, 2), (8, 2), (8, 2)]
@@ -624,7 +328,7 @@ mod tests {
 
     #[test]
     fn warmup_knee_skips_empty_intervals_and_degenerate_series() {
-        let mut m = RunMetrics::new(2, 100);
+        let mut m = RunMetrics::new(2);
         assert_eq!(m.warmup_knee(WARMUP_EPSILON), None, "empty series");
         m.series.push(frame(100, 2, 1, 1));
         assert_eq!(m.warmup_knee(WARMUP_EPSILON), None, "one interval");
@@ -641,48 +345,5 @@ mod tests {
         assert_eq!(imbalance(&[5, 5, 5, 5]), Some(1.0));
         let skew = imbalance(&[12, 4, 0, 0]).expect("non-zero load");
         assert!((skew - 3.0).abs() < 1e-9, "12 / mean 4 = 3, got {skew}");
-    }
-
-    #[test]
-    fn slot_names_are_unique() {
-        let mut names: Vec<_> = MetricSlot::ALL.iter().map(|s| s.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), NUM_SLOTS);
-        // The discriminant-based index matches ALL's order.
-        for (i, s) in MetricSlot::ALL.iter().enumerate() {
-            assert_eq!(s.index(), i);
-        }
-    }
-
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn sampler_closes_intervals_and_flushes_the_tail() {
-        let mut cfg = SimConfig::baseline();
-        cfg.num_chiplets = 2;
-        cfg.sample_interval = 100;
-        let mut sink = Metrics::new(&cfg);
-        sink.bump(chip(0), MetricSlot::DramAccess);
-        sink.tick(150); // closes (0, 100]
-        sink.bump(chip(1), MetricSlot::DramAccess);
-        sink.bump(chip(1), MetricSlot::DramAccess);
-        sink.tick(350); // closes (100, 200] and (200, 300]
-        sink.bump(chip(0), MetricSlot::DramAccess);
-        let m = sink.into_metrics(360);
-        assert_eq!(m.series().len(), 4, "3 boundaries + flushed tail");
-        assert_eq!(m.series()[0].cycle, 100);
-        assert_eq!(m.series()[0].delta(0, MetricSlot::DramAccess), 1);
-        assert_eq!(m.series()[1].cycle, 200);
-        assert_eq!(m.series()[1].delta(1, MetricSlot::DramAccess), 2);
-        assert_eq!(m.series()[2].total(MetricSlot::DramAccess), 0);
-        assert_eq!(m.series()[3].cycle, 360);
-        assert_eq!(m.series()[3].delta(0, MetricSlot::DramAccess), 1);
-        // Series deltas sum exactly to the cumulative counters.
-        let summed: u64 = m
-            .series()
-            .iter()
-            .map(|f| f.total(MetricSlot::DramAccess))
-            .sum();
-        assert_eq!(summed, m.total(MetricSlot::DramAccess));
     }
 }

@@ -12,31 +12,14 @@ use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
 use crate::dram::Dram;
 use crate::interconnect::{build_topology, Topology};
-use crate::metrics::{MetricSlot, Metrics};
 use crate::page_table::{PageTable, Pte};
 use crate::policy::{RemoteCacheModel, RemoteServe};
-use crate::stats::RunStats;
-use crate::trace::{TraceEventKind, Tracer};
+use crate::probe::Probe;
+use crate::stats::{Counter, Counters};
 
 /// Tag bit distinguishing PTE lines from data lines in the L2 cache key
 /// space.
 const PTE_LINE_TAG: u64 = 1 << 62;
-
-/// Counters owned by the data-path stage, flushed into
-/// [`RunStats`] at end of run.
-#[derive(Clone, Debug, Default)]
-pub struct DataPathStats {
-    /// L1 data cache hits.
-    pub l1d_hits: u64,
-    /// L1 data cache misses.
-    pub l1d_misses: u64,
-    /// L2 data cache hits.
-    pub l2d_hits: u64,
-    /// L2 data cache misses.
-    pub l2d_misses: u64,
-    /// Remote-cache hits (NUBA/SAC runs).
-    pub remote_cache_hits: u64,
-}
 
 /// The data path of one machine.
 ///
@@ -52,8 +35,6 @@ pub struct DataPath<'r> {
     dram: Dram,
     interconnect: Box<dyn Topology>,
     remote_cache: Option<&'r mut dyn RemoteCacheModel>,
-    /// This stage's statistics slice.
-    pub stats: DataPathStats,
 }
 
 impl<'r> DataPath<'r> {
@@ -88,7 +69,6 @@ impl<'r> DataPath<'r> {
             ),
             interconnect: build_topology(cfg),
             remote_cache,
-            stats: DataPathStats::default(),
         }
     }
 
@@ -97,7 +77,7 @@ impl<'r> DataPath<'r> {
     /// remote-cache / interconnect path when the line is remote. Returns
     /// the completion cycle.
     #[allow(clippy::too_many_arguments)]
-    pub fn access(
+    pub fn access<P: Probe>(
         &mut self,
         cfg: &SimConfig,
         sm: usize,
@@ -105,26 +85,25 @@ impl<'r> DataPath<'r> {
         data_chiplet: ChipletId,
         pa: PhysAddr,
         t: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
+        probe: &mut P,
     ) -> u64 {
         let line = pa.raw() >> self.line_shift;
         if self.l1d[sm].access(line) {
-            self.stats.l1d_hits += 1;
+            ctr.bump(chiplet, Counter::L1dHits);
             return t + cfg.l1d_latency;
         }
-        self.stats.l1d_misses += 1;
+        ctr.bump(chiplet, Counter::L1dMisses);
         let t_l2 = t + cfg.l1d_latency;
         if self.l2d[chiplet.index()].access(line) {
-            self.stats.l2d_hits += 1;
+            ctr.bump(chiplet, Counter::L2dHits);
             return t_l2 + cfg.l2d_latency;
         }
-        self.stats.l2d_misses += 1;
+        ctr.bump(chiplet, Counter::L2dMisses);
         let t_mem = t_l2 + cfg.l2d_latency;
         if data_chiplet == chiplet {
             // The caller already resolved `pa`'s owner; skip re-deriving it.
-            metrics.bump(data_chiplet, MetricSlot::DramAccess);
-            return self.dram.access_at(data_chiplet, pa, t_mem);
+            return self.dram(data_chiplet, pa, t_mem, ctr);
         }
         let served = match self.remote_cache.as_deref_mut() {
             Some(rc) => rc.access(chiplet, pa),
@@ -132,66 +111,73 @@ impl<'r> DataPath<'r> {
         };
         match served {
             Some(RemoteServe::Sram) => {
-                self.stats.remote_cache_hits += 1;
+                ctr.bump(chiplet, Counter::RemoteCacheHits);
                 t_mem + cfg.l2d_latency
             }
             Some(RemoteServe::LocalDram) => {
-                self.stats.remote_cache_hits += 1;
-                metrics.bump(chiplet, MetricSlot::DramAccess);
-                self.dram.access_at(chiplet, pa, t_mem)
+                ctr.bump(chiplet, Counter::RemoteCacheHits);
+                self.dram(chiplet, pa, t_mem, ctr)
             }
-            None => {
-                let arrive = self.interconnect.request(chiplet, data_chiplet, t_mem);
-                let mem_done = self.dram.access_at(data_chiplet, pa, arrive);
-                metrics.bump(data_chiplet, MetricSlot::DramAccess);
-                tracer.event(TraceEventKind::Crossing {
-                    src: data_chiplet,
-                    dst: chiplet,
-                    hops: self.interconnect.hops(data_chiplet, chiplet),
-                    cycle: mem_done,
-                });
-                let q0 = metrics.queue_probe(self.interconnect.as_ref());
-                let done = self.interconnect.transfer(data_chiplet, chiplet, mem_done);
-                metrics.crossing(self.interconnect.as_ref(), data_chiplet, chiplet, q0);
-                done
-            }
+            None => self.remote_read(chiplet, data_chiplet, pa, t_mem, ctr, probe),
         }
     }
 
-    /// A DRAM line read by `requester` from `owner`'s memory: direct when
-    /// local, request/transfer over the interconnect when remote.
-    #[allow(clippy::too_many_arguments)]
-    fn mem_read(
+    /// One DRAM line access served by `chiplet`'s channels, counted on
+    /// that chiplet.
+    #[inline]
+    fn dram(&mut self, chiplet: ChipletId, pa: PhysAddr, t: u64, ctr: &mut Counters) -> u64 {
+        ctr.bump(chiplet, Counter::DramAccesses);
+        self.dram.access_at(chiplet, pa, t)
+    }
+
+    /// A line `requester` reads from `owner`'s DRAM: the request crosses
+    /// the interconnect, the owner's DRAM serves it, and the data crosses
+    /// back.
+    fn remote_read<P: Probe>(
         &mut self,
         requester: ChipletId,
         owner: ChipletId,
         pa: PhysAddr,
         t: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
+        probe: &mut P,
     ) -> u64 {
-        metrics.bump(owner, MetricSlot::DramAccess);
+        let arrive = self.interconnect.request(requester, owner, t);
+        let done = self.dram(owner, pa, arrive, ctr);
+        self.cross(owner, requester, done, probe)
+    }
+
+    /// One line transfer `src → dst` starting at `at`, reported to the
+    /// probe as a crossing; returns the arrival cycle. The only place the
+    /// stage moves data between distinct chiplets.
+    fn cross<P: Probe>(&mut self, src: ChipletId, dst: ChipletId, at: u64, probe: &mut P) -> u64 {
+        let q0 = probe.queue_probe(self.interconnect.as_ref());
+        let done = self.interconnect.transfer(src, dst, at);
+        probe.crossing(self.interconnect.as_ref(), src, dst, at, q0);
+        done
+    }
+
+    /// A DRAM line read by `requester` from `owner`'s memory: direct when
+    /// local, request/transfer over the interconnect when remote.
+    fn mem_read<P: Probe>(
+        &mut self,
+        requester: ChipletId,
+        owner: ChipletId,
+        pa: PhysAddr,
+        t: u64,
+        ctr: &mut Counters,
+        probe: &mut P,
+    ) -> u64 {
         if owner == requester {
-            self.dram.access_at(owner, pa, t)
+            self.dram(owner, pa, t, ctr)
         } else {
-            let arrive = self.interconnect.request(requester, owner, t);
-            let done = self.dram.access_at(owner, pa, arrive);
-            tracer.event(TraceEventKind::Crossing {
-                src: owner,
-                dst: requester,
-                hops: self.interconnect.hops(owner, requester),
-                cycle: done,
-            });
-            let q0 = metrics.queue_probe(self.interconnect.as_ref());
-            let xfer_done = self.interconnect.transfer(owner, requester, done);
-            metrics.crossing(self.interconnect.as_ref(), owner, requester, q0);
-            xfer_done
+            self.remote_read(requester, owner, pa, t, ctr, probe)
         }
     }
 
     /// One upper-level page-table access on a PWC miss.
     #[allow(clippy::too_many_arguments)]
-    pub fn pte_node_access(
+    pub fn pte_node_access<P: Probe>(
         &mut self,
         cfg: &SimConfig,
         pt: &PageTable,
@@ -201,20 +187,20 @@ impl<'r> DataPath<'r> {
         leaf: PageSize,
         levels: u32,
         t: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
+        probe: &mut P,
     ) -> u64 {
         let node_chiplet =
             pt.walk_node_chiplet(va, level, leaf, requester, cfg.pte_placement, levels);
         let key = PageTable::walk_node_key(va, level, leaf, levels);
         let pa = self.synth_pte_pa(cfg, pt, node_chiplet, key);
-        self.mem_read(requester, node_chiplet, pa, t, tracer, metrics)
+        self.mem_read(requester, node_chiplet, pa, t, ctr, probe)
     }
 
     /// The leaf PTE access: PTE lines are cached in the requester's L2
     /// (this is what the coalescing logic inspects, §4.6).
     #[allow(clippy::too_many_arguments)]
-    pub fn leaf_pte_access(
+    pub fn leaf_pte_access<P: Probe>(
         &mut self,
         cfg: &SimConfig,
         pt: &PageTable,
@@ -223,8 +209,8 @@ impl<'r> DataPath<'r> {
         pte: Pte,
         levels: u32,
         t: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
+        probe: &mut P,
     ) -> u64 {
         let leaf = pte.size;
         let vpn = va.raw() >> leaf.shift();
@@ -238,7 +224,7 @@ impl<'r> DataPath<'r> {
             p => pt.walk_node_chiplet(va, levels, leaf, requester, p, levels),
         };
         let pa = self.synth_pte_pa(cfg, pt, leaf_chiplet, line_key);
-        self.mem_read(requester, leaf_chiplet, pa, t, tracer, metrics)
+        self.mem_read(requester, leaf_chiplet, pa, t, ctr, probe)
     }
 
     /// Synthesises a physical address on `chiplet` for a page-table node,
@@ -266,48 +252,27 @@ impl<'r> DataPath<'r> {
     }
 
     /// Charges one interconnect transfer from `src` to `dst` at `now`
-    /// (migration data movement).
-    pub fn interconnect_transfer(
+    /// (migration data movement). Same-chiplet moves are free.
+    pub fn interconnect_transfer<P: Probe>(
         &mut self,
         src: ChipletId,
         dst: ChipletId,
         now: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
+        probe: &mut P,
     ) {
         if src != dst {
-            // Mirrors `Topology::transfer`: same-chiplet transfers are free
-            // and uncounted, so they must not appear as crossings either.
-            tracer.event(TraceEventKind::Crossing {
-                src,
-                dst,
-                hops: self.interconnect.hops(src, dst),
-                cycle: now,
-            });
-            let q0 = metrics.queue_probe(self.interconnect.as_ref());
-            self.interconnect.transfer(src, dst, now);
-            metrics.crossing(self.interconnect.as_ref(), src, dst, q0);
-        } else {
-            self.interconnect.transfer(src, dst, now);
+            self.cross(src, dst, now, probe);
         }
     }
 
-    /// Flushes this stage's slice — cache counters plus the
-    /// DRAM/interconnect tallies — into the run-level statistics.
-    pub(crate) fn flush_into(&mut self, cfg: &SimConfig, out: &mut RunStats) {
-        out.l1d_hits += self.stats.l1d_hits;
-        out.l1d_misses += self.stats.l1d_misses;
-        out.l2d_hits += self.stats.l2d_hits;
-        out.l2d_misses += self.stats.l2d_misses;
-        out.remote_cache_hits += self.stats.remote_cache_hits;
-        out.dram_per_chiplet = (0..cfg.num_chiplets)
-            .map(|c| self.dram.accesses(ChipletId::new(c as u8)))
-            .collect();
-        out.dram_accesses = out.dram_per_chiplet.iter().sum();
-        out.interconnect_transfers = self.interconnect.transfers();
-        out.dram_queue_cycles = self.dram.queue_cycles();
-        out.interconnect_queue_cycles = self.interconnect.queue_cycles();
-        self.stats = DataPathStats::default();
+    /// The run-level interconnect and DRAM totals: `(transfers, link
+    /// queue cycles, DRAM queue cycles)`.
+    pub(crate) fn run_totals(&self) -> (u64, u64, u64) {
+        (
+            self.interconnect.transfers(),
+            self.interconnect.queue_cycles(),
+            self.dram.queue_cycles(),
+        )
     }
 }
 
@@ -323,32 +288,15 @@ mod tests {
     fn l1_hit_is_cheapest_and_counted() {
         let c = cfg();
         let mut d = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let ch = ChipletId::new(0);
         let pa = PhysAddr::new(0);
-        let cold = d.access(
-            &c,
-            0,
-            ch,
-            ch,
-            pa,
-            0,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
-        );
+        let cold = d.access(&c, 0, ch, ch, pa, 0, &mut ctr, &mut ());
         assert!(cold >= c.l1d_latency + c.l2d_latency + c.dram_latency);
-        assert_eq!(d.stats.l1d_misses, 1);
-        let warm = d.access(
-            &c,
-            0,
-            ch,
-            ch,
-            pa,
-            1_000,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
-        );
+        assert_eq!(ctr.total(Counter::L1dMisses), 1);
+        let warm = d.access(&c, 0, ch, ch, pa, 1_000, &mut ctr, &mut ());
         assert_eq!(warm, 1_000 + c.l1d_latency);
-        assert_eq!(d.stats.l1d_hits, 1);
+        assert_eq!(ctr.total(Counter::L1dHits), 1);
     }
 
     #[test]
@@ -356,6 +304,7 @@ mod tests {
         let c = cfg();
         let layout = c.layout();
         let mut d = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let requester = ChipletId::new(0);
         // A frame on chiplet 1: remote for chiplet 0.
         let pa = layout.block_base(layout.block_of_chiplet(ChipletId::new(1), 0));
@@ -366,8 +315,8 @@ mod tests {
             layout.chiplet_of(pa),
             pa,
             0,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
+            &mut ctr,
+            &mut (),
         );
         let mut d2 = DataPath::new(&c, None);
         let local_pa = layout.block_base(layout.block_of_chiplet(requester, 0));
@@ -378,8 +327,8 @@ mod tests {
             layout.chiplet_of(local_pa),
             local_pa,
             0,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
+            &mut ctr,
+            &mut (),
         );
         assert!(
             remote_done > local_done,
@@ -402,6 +351,7 @@ mod tests {
         let layout = c.layout();
         let mut rc = AlwaysSram;
         let mut d = DataPath::new(&c, Some(&mut rc));
+        let mut ctr = Counters::new(c.num_chiplets);
         let requester = ChipletId::new(0);
         let pa = layout.block_base(layout.block_of_chiplet(ChipletId::new(1), 0));
         let done = d.access(
@@ -411,18 +361,19 @@ mod tests {
             layout.chiplet_of(pa),
             pa,
             0,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
+            &mut ctr,
+            &mut (),
         );
         assert_eq!(done, c.l1d_latency + c.l2d_latency + c.l2d_latency);
-        assert_eq!(d.stats.remote_cache_hits, 1);
+        assert_eq!(ctr.total(Counter::RemoteCacheHits), 1);
     }
 
     #[test]
-    fn flush_reports_dram_and_interconnect_tallies() {
+    fn remote_miss_counts_dram_on_the_owner_and_one_crossing() {
         let c = cfg();
         let layout = c.layout();
         let mut d = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let requester = ChipletId::new(0);
         let pa = layout.block_base(layout.block_of_chiplet(ChipletId::new(1), 0));
         d.access(
@@ -432,17 +383,12 @@ mod tests {
             layout.chiplet_of(pa),
             pa,
             0,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
+            &mut ctr,
+            &mut (),
         );
-        let mut out = RunStats::default();
-        d.flush_into(&c, &mut out);
-        assert_eq!(out.dram_accesses, 1);
-        assert_eq!(out.dram_per_chiplet.len(), c.num_chiplets);
-        assert!(
-            out.interconnect_transfers >= 1,
-            "remote miss must cross the interconnect"
-        );
-        assert_eq!(out.l2d_misses, 1);
+        assert_eq!(ctr.row(Counter::DramAccesses), vec![0, 1, 0, 0]);
+        assert_eq!(ctr.get(0, Counter::L2dMisses), 1);
+        let (transfers, _, _) = d.run_totals();
+        assert_eq!(transfers, 1, "remote miss must cross the interconnect");
     }
 }

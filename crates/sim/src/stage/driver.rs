@@ -10,41 +10,15 @@
 use mcm_types::{AllocId, ChipletId, PageSize, SmId, TbId, VirtAddr, BASE_PAGE_BYTES};
 
 use crate::config::SimConfig;
-use crate::metrics::{MetricSlot, Metrics};
 use crate::page_table::PageTable;
 use crate::policy::{AllocInfo, Directive, FaultCtx, PagingPolicy};
+use crate::probe::Probe;
 use crate::resources::Server;
 use crate::stage::datapath::DataPath;
 use crate::stage::translate::TranslateStage;
-use crate::stats::{DegradationStats, RunStats};
-use crate::trace::{TraceEventKind, Tracer};
+use crate::stats::{Counter, Counters, DegradationStats};
+use crate::trace::TraceEventKind;
 use crate::SimError;
-
-/// Counters owned by the driver stage, flushed into
-/// [`RunStats`] at end of run.
-#[derive(Clone, Debug, Default)]
-pub struct DriverStats {
-    /// 2MB (or intermediate-size) promotions performed.
-    pub promotions: u64,
-    /// Pages migrated by the policy.
-    pub migrations: u64,
-    /// TLB shootdowns charged.
-    pub shootdowns: u64,
-    /// Degradation events this stage absorbed (rejected directives, audit
-    /// violations).
-    pub degradation: DegradationStats,
-}
-
-impl DriverStats {
-    /// Adds this stage's slice into the run-level statistics.
-    pub(crate) fn flush_into(&mut self, out: &mut RunStats) {
-        out.promotions += self.promotions;
-        out.migrations += self.migrations;
-        out.shootdowns += self.shootdowns;
-        out.degradation
-            .absorb(std::mem::take(&mut self.degradation));
-    }
-}
 
 /// The driver stage of one machine.
 pub struct Driver {
@@ -52,8 +26,9 @@ pub struct Driver {
     gmmu_ovh: Vec<Server>,
     /// Sorted (base, end, alloc) for fault attribution.
     alloc_ranges: Vec<(u64, u64, AllocId)>,
-    /// This stage's statistics slice.
-    pub stats: DriverStats,
+    /// Degradation events this stage absorbed (rejected directives, audit
+    /// violations).
+    pub degradation: DegradationStats,
 }
 
 impl Driver {
@@ -67,7 +42,7 @@ impl Driver {
         Driver {
             gmmu_ovh: vec![Server::new(); cfg.num_chiplets],
             alloc_ranges,
-            stats: DriverStats::default(),
+            degradation: DegradationStats::default(),
         }
     }
 
@@ -107,7 +82,7 @@ impl Driver {
     ///   [`SimError::OutOfFrames`]); a fault the policy cannot resolve is
     ///   fatal — the warp can never make progress.
     #[allow(clippy::too_many_arguments)]
-    pub fn resolve_fault(
+    pub fn resolve_fault<P: Probe>(
         &mut self,
         cfg: &SimConfig,
         pt: &mut PageTable,
@@ -119,8 +94,8 @@ impl Driver {
         tb: TbId,
         va: VirtAddr,
         at: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
+        probe: &mut P,
     ) -> Result<u64, SimError> {
         let page = va.align_down(BASE_PAGE_BYTES);
         let alloc = self.alloc_of(va).ok_or_else(|| SimError::PolicyViolation {
@@ -143,8 +118,8 @@ impl Driver {
             &dirs,
             policy.ideal_migration(),
             at,
-            tracer,
-            metrics,
+            ctr,
+            probe,
         );
         if pt.translate(va).is_none() {
             return Err(SimError::PolicyViolation {
@@ -152,7 +127,7 @@ impl Driver {
             });
         }
         let resume = at + cfg.fault_latency;
-        tracer.event(TraceEventKind::FaultResolved {
+        probe.event(TraceEventKind::FaultResolved {
             va: page,
             chiplet,
             directives: dirs.len() as u32,
@@ -168,7 +143,7 @@ impl Driver {
     /// `degradation.rejected_directives` with a sampled
     /// [`SimError::DirectiveRejected`].
     #[allow(clippy::too_many_arguments)]
-    pub fn apply_directives(
+    pub fn apply_directives<P: Probe>(
         &mut self,
         cfg: &SimConfig,
         pt: &mut PageTable,
@@ -177,15 +152,15 @@ impl Driver {
         dirs: &[Directive],
         ideal: bool,
         now: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
+        probe: &mut P,
     ) {
         for (i, d) in dirs.iter().enumerate() {
             if let Err(e) =
-                self.apply_directive(cfg, pt, translate, data, *d, ideal, now, tracer, metrics)
+                self.apply_directive(cfg, pt, translate, data, *d, ideal, now, ctr, probe)
             {
-                self.stats.degradation.rejected_directives += 1;
-                self.stats.degradation.record(SimError::DirectiveRejected {
+                self.degradation.rejected_directives += 1;
+                self.degradation.record(SimError::DirectiveRejected {
                     index: i,
                     reason: e.to_string(),
                 });
@@ -197,7 +172,7 @@ impl Driver {
     /// validation passed, so a rejected directive leaves the machine
     /// untouched.
     #[allow(clippy::too_many_arguments)]
-    fn apply_directive(
+    fn apply_directive<P: Probe>(
         &mut self,
         cfg: &SimConfig,
         pt: &mut PageTable,
@@ -206,8 +181,8 @@ impl Driver {
         d: Directive,
         ideal: bool,
         now: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
+        probe: &mut P,
     ) -> Result<(), SimError> {
         match d {
             Directive::Map {
@@ -226,9 +201,8 @@ impl Driver {
                     return Err(SimError::TlbClassMissing { size });
                 }
                 pt.promote(base, size)?;
-                self.stats.promotions += 1;
                 if let Some(pte) = pt.translate(base) {
-                    metrics.bump(pt.layout().chiplet_of(pte.pa), MetricSlot::Promotion);
+                    ctr.bump(pt.layout().chiplet_of(pte.pa), Counter::Promotions);
                 }
                 // Promotion rewrites PTEs: stale 64KB entries must go.
                 translate.invalidate_block_64k(base, size.base_pages());
@@ -237,7 +211,7 @@ impl Driver {
             Directive::Unmap { va } => {
                 let pte = pt.unmap(va)?;
                 let owner = pt.layout().chiplet_of(pte.pa);
-                self.shootdown(cfg, translate, va, pte.size, owner, ideal, now, metrics);
+                self.shootdown(cfg, translate, va, owner, ideal, now, ctr);
                 Ok(())
             }
             Directive::Migrate { va, to_pa } => {
@@ -261,21 +235,20 @@ impl Driver {
                 }
                 let pte = pt.unmap(va)?;
                 let src = pt.layout().chiplet_of(pte.pa);
-                self.shootdown(cfg, translate, va, pte.size, src, ideal, now, metrics);
+                self.shootdown(cfg, translate, va, src, ideal, now, ctr);
                 if let Err(e) = pt.map(va, to_pa, pte.size, pte.alloc) {
                     // Keep the migration atomic: restore the original
                     // mapping before reporting the rejection.
                     let _ = pt.map(va, pte.pa, pte.size, pte.alloc);
                     return Err(e);
                 }
-                self.stats.migrations += 1;
-                metrics.bump(src, MetricSlot::Migration);
+                ctr.bump(src, Counter::Migrations);
                 data.invalidate_page_lines(cfg, pte.pa);
                 if !ideal {
                     let dst = pt.layout().chiplet_of(to_pa);
                     self.gmmu_ovh[src.index()].acquire(now, cfg.migration_latency);
                     self.gmmu_ovh[dst.index()].acquire(now, cfg.migration_latency);
-                    data.interconnect_transfer(src, dst, now, tracer, metrics);
+                    data.interconnect_transfer(src, dst, now, probe);
                 }
                 Ok(())
             }
@@ -290,17 +263,14 @@ impl Driver {
         cfg: &SimConfig,
         translate: &mut TranslateStage,
         va: VirtAddr,
-        size: PageSize,
         owner: ChipletId,
         ideal: bool,
         now: u64,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
     ) {
         translate.invalidate_page(va);
-        let _ = size;
         if !ideal {
-            self.stats.shootdowns += 1;
-            metrics.bump(owner, MetricSlot::Shootdown);
+            ctr.bump(owner, Counter::Shootdowns);
             for s in &mut self.gmmu_ovh {
                 s.acquire(now, cfg.tlb_shootdown_latency);
             }
@@ -316,8 +286,8 @@ impl Driver {
         // Cached TLB coverage must never outlive its mapping.
         violations.extend(translate.stale_coverage(pt));
         for v in violations {
-            self.stats.degradation.audit_violations += 1;
-            self.stats.degradation.record(v);
+            self.degradation.audit_violations += 1;
+            self.degradation.record(v);
         }
     }
 }
@@ -375,6 +345,7 @@ mod tests {
         let mut pt = PageTable::new(c.layout());
         let mut tr = TranslateStage::new(&c);
         let mut data = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let mut drv = Driver::new(&c, &allocs());
         // Promote at an unmapped base: must be rejected and counted.
         let dirs = [
@@ -394,13 +365,17 @@ mod tests {
             &dirs,
             false,
             0,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
+            &mut ctr,
+            &mut (),
         );
-        assert_eq!(drv.stats.degradation.rejected_directives, 2);
-        assert!(!drv.stats.degradation.errors.is_empty());
-        assert_eq!(drv.stats.promotions, 0);
-        assert_eq!(drv.stats.shootdowns, 0, "rejected unmap charges nothing");
+        assert_eq!(drv.degradation.rejected_directives, 2);
+        assert!(!drv.degradation.errors.is_empty());
+        assert_eq!(ctr.total(Counter::Promotions), 0);
+        assert_eq!(
+            ctr.total(Counter::Shootdowns),
+            0,
+            "rejected unmap charges nothing"
+        );
     }
 
     #[test]
@@ -410,6 +385,7 @@ mod tests {
         let mut pt = PageTable::new(c.layout());
         let mut tr = TranslateStage::new(&c);
         let mut data = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let mut drv = Driver::new(&c, &allocs());
         let va = VirtAddr::new(0);
         let src_pa = layout.block_base(layout.block_of_chiplet(ChipletId::new(0), 0));
@@ -424,11 +400,11 @@ mod tests {
             &[Directive::Migrate { va, to_pa: dst_pa }],
             false,
             100,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
+            &mut ctr,
+            &mut (),
         );
-        assert_eq!(drv.stats.migrations, 1);
-        assert_eq!(drv.stats.shootdowns, 1);
+        assert_eq!(ctr.total(Counter::Migrations), 1);
+        assert_eq!(ctr.total(Counter::Shootdowns), 1);
         let pte = pt.translate(va).expect("still mapped");
         assert_eq!(pte.pa, dst_pa);
         assert!(
@@ -458,6 +434,7 @@ mod tests {
         let mut pt = PageTable::new(c.layout());
         let mut tr = TranslateStage::new(&c);
         let mut data = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let mut drv = Driver::new(&c, &allocs());
         let mut p = MapIt;
         let resume = drv
@@ -472,8 +449,8 @@ mod tests {
                 TbId::new(0),
                 VirtAddr::new(0x1_0040),
                 500,
-                &mut Tracer::new(),
-                &mut Metrics::new(&c),
+                &mut ctr,
+                &mut (),
             )
             .expect("fault must resolve");
         assert_eq!(resume, 500 + c.fault_latency);
@@ -496,6 +473,7 @@ mod tests {
         let mut pt = PageTable::new(c.layout());
         let mut tr = TranslateStage::new(&c);
         let mut data = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let mut drv = Driver::new(&c, &allocs());
         let err = drv
             .resolve_fault(
@@ -509,8 +487,8 @@ mod tests {
                 TbId::new(0),
                 VirtAddr::new(64),
                 0,
-                &mut Tracer::new(),
-                &mut Metrics::new(&c),
+                &mut ctr,
+                &mut (),
             )
             .expect_err("unmapped fault must abort");
         assert!(matches!(err, SimError::PolicyViolation { .. }));

@@ -16,12 +16,14 @@
 //! * [`sched`] — threadblock-to-SM distribution and warp bookkeeping for
 //!   one kernel launch.
 //!
-//! Each stage owns its own statistics slice
-//! ([`translate::TranslateStats`], [`datapath::DataPathStats`],
-//! [`driver::DriverStats`]), flushed into [`RunStats`](crate::RunStats)
-//! when a run completes. All stage state is owned and `Send`, which is
-//! what lets the bench harness fan fully independent runs out across
-//! threads (one machine per run, nothing shared).
+//! Stages own no statistics: they count every event into the machine's
+//! per-chiplet [`Counters`](crate::Counters) registry, which
+//! [`RunStats`](crate::RunStats) is folded from, and report samples and
+//! events to the run's [`Probe`](crate::Probe). Only the degradation
+//! tallies of the translate and driver stages live with them. All stage
+//! state is owned and `Send`, which is what lets the bench harness fan
+//! fully independent runs out across threads (one machine per run,
+//! nothing shared).
 
 pub mod datapath;
 pub mod driver;

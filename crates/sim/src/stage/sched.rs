@@ -12,7 +12,8 @@ use std::collections::VecDeque;
 use mcm_types::{TbId, VirtAddr, WarpId};
 
 use crate::config::SimConfig;
-use crate::trace::{TraceEventKind, Tracer};
+use crate::probe::Probe;
+use crate::trace::TraceEventKind;
 use crate::workload::{tb_chiplet, KernelDesc, Workload};
 
 /// A 4-ary min-heap of `(ready_cycle, warp_id)` wake-up events.
@@ -108,13 +109,13 @@ impl KernelSchedule {
     /// `pool` recycles per-warp access-stream buffers across warps and
     /// kernels (DESIGN.md §15): starting warps pop a cleared buffer
     /// instead of allocating, retiring warps push theirs back.
-    pub fn new(
+    pub fn new<P: Probe>(
         cfg: &SimConfig,
         workload: &dyn Workload,
         k: usize,
         start: u64,
         pool: &mut Vec<Vec<VirtAddr>>,
-        tracer: &mut Tracer,
+        probe: &mut P,
     ) -> Self {
         let kd = workload.kernel(k);
         let sms = cfg.total_sms();
@@ -141,7 +142,7 @@ impl KernelSchedule {
         for sm in 0..sms {
             for _ in 0..concurrent_tbs {
                 if let Some(tb) = sched.sm_queue[sm].pop_front() {
-                    sched.start_tb(workload, k, sm, tb, start, pool, tracer);
+                    sched.start_tb(workload, k, sm, tb, start, pool, probe);
                 }
             }
         }
@@ -155,7 +156,7 @@ impl KernelSchedule {
 
     /// Launches `tb`'s warps on `sm` at cycle `at`.
     #[allow(clippy::too_many_arguments)]
-    fn start_tb(
+    fn start_tb<P: Probe>(
         &mut self,
         workload: &dyn Workload,
         k: usize,
@@ -163,9 +164,9 @@ impl KernelSchedule {
         tb: TbId,
         at: u64,
         pool: &mut Vec<Vec<VirtAddr>>,
-        tracer: &mut Tracer,
+        probe: &mut P,
     ) {
-        tracer.event(TraceEventKind::TbStart {
+        probe.event(TraceEventKind::TbStart {
             sm: sm as u32,
             tb,
             cycle: at,
@@ -228,14 +229,14 @@ impl KernelSchedule {
 
     /// Retires warp `wid` at cycle `t`; when it was its threadblock's last
     /// live warp, the SM's next queued threadblock (if any) starts at `t`.
-    pub fn retire_warp(
+    pub fn retire_warp<P: Probe>(
         &mut self,
         workload: &dyn Workload,
         k: usize,
         wid: usize,
         t: u64,
         pool: &mut Vec<Vec<VirtAddr>>,
-        tracer: &mut Tracer,
+        probe: &mut P,
     ) {
         // A retired warp never batches again: recycle its stream buffer.
         let mut stream = std::mem::take(&mut self.warps[wid].accesses);
@@ -246,7 +247,7 @@ impl KernelSchedule {
         if self.tb_live_warps[slot] == 0 {
             let sm = self.warps[wid].sm;
             if let Some(next_tb) = self.sm_queue[sm].pop_front() {
-                self.start_tb(workload, k, sm, next_tb, t, pool, tracer);
+                self.start_tb(workload, k, sm, next_tb, t, pool, probe);
             }
         }
     }
@@ -309,7 +310,7 @@ mod tests {
     fn tbs_spread_over_chiplets_and_warps_drain() {
         let c = cfg();
         let w = TinyWorkload;
-        let mut s = KernelSchedule::new(&c, &w, 0, 0, &mut Vec::new(), &mut Tracer::new());
+        let mut s = KernelSchedule::new(&c, &w, 0, 0, &mut Vec::new(), &mut ());
         assert_eq!(s.kernel().num_tbs, 2);
         let mut sms_seen = std::collections::HashSet::new();
         let mut popped = 0usize;
@@ -322,7 +323,7 @@ mod tests {
             if !s.warp_finished(wid) {
                 s.reschedule(wid, t + 1);
             } else {
-                s.retire_warp(&w, 0, wid, t, &mut Vec::new(), &mut Tracer::new());
+                s.retire_warp(&w, 0, wid, t, &mut Vec::new(), &mut ());
             }
         }
         assert_eq!(sms_seen.len(), 2, "both chiplets' SMs must host TBs");
@@ -333,8 +334,8 @@ mod tests {
     fn start_jitter_is_deterministic_and_bounded() {
         let c = cfg();
         let w = TinyWorkload;
-        let mut a = KernelSchedule::new(&c, &w, 0, 1_000, &mut Vec::new(), &mut Tracer::new());
-        let mut b = KernelSchedule::new(&c, &w, 0, 1_000, &mut Vec::new(), &mut Tracer::new());
+        let mut a = KernelSchedule::new(&c, &w, 0, 1_000, &mut Vec::new(), &mut ());
+        let mut b = KernelSchedule::new(&c, &w, 0, 1_000, &mut Vec::new(), &mut ());
         loop {
             let (ea, eb) = (a.pop(), b.pop());
             assert_eq!(ea, eb, "schedule must be deterministic");
@@ -383,14 +384,7 @@ mod tests {
             }
         }
         let c = cfg();
-        let mut s = KernelSchedule::new(
-            &c,
-            &EmptyWorkload,
-            0,
-            0,
-            &mut Vec::new(),
-            &mut Tracer::new(),
-        );
+        let mut s = KernelSchedule::new(&c, &EmptyWorkload, 0, 0, &mut Vec::new(), &mut ());
         assert!(s.pop().is_none());
     }
 }

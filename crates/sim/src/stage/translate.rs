@@ -14,13 +14,13 @@ use mcm_types::{ChipletId, FastMap, PageSize, VirtAddr};
 
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
-use crate::metrics::{MetricSlot, Metrics};
 use crate::page_table::{PageTable, Pte};
+use crate::probe::Probe;
 use crate::resources::BucketedResource;
 use crate::stage::datapath::DataPath;
-use crate::stats::{DegradationStats, RunStats};
+use crate::stats::{Counter, Counters, DegradationStats};
 use crate::tlb::Tlb;
-use crate::trace::{TraceEventKind, TraceStage, Tracer};
+use crate::trace::{TraceEventKind, TraceStage};
 use crate::SimError;
 
 /// Outcome of translating one virtual address.
@@ -43,50 +43,6 @@ pub enum Translation {
         /// Cycle at which the fault is raised.
         at: u64,
     },
-}
-
-/// Counters owned by the translation stage, flushed into
-/// [`RunStats`] at end of run.
-#[derive(Clone, Debug, Default)]
-pub struct TranslateStats {
-    /// L1 TLB hits.
-    pub l1tlb_hits: u64,
-    /// L1 TLB misses.
-    pub l1tlb_misses: u64,
-    /// L2 TLB hits.
-    pub l2tlb_hits: u64,
-    /// L2 TLB misses (page walks issued).
-    pub l2tlb_misses: u64,
-    /// Page walks completed.
-    pub walks: u64,
-    /// Walk requests absorbed by an in-flight walk for the same page.
-    pub walk_mshr_hits: u64,
-    /// Cycles spent in completed walks (including queueing).
-    pub walk_cycles: u64,
-    /// Demand faults detected (walks that found no mapping).
-    pub faults: u64,
-    /// TLB fills that produced a multi-page coalesced entry.
-    pub coalesced_fills: u64,
-    /// Degradation events this stage absorbed (stale TLB coverage,
-    /// missing TLB classes, walk-queue stalls).
-    pub degradation: DegradationStats,
-}
-
-impl TranslateStats {
-    /// Adds this stage's slice into the run-level statistics.
-    pub(crate) fn flush_into(&mut self, out: &mut RunStats) {
-        out.l1tlb_hits += self.l1tlb_hits;
-        out.l1tlb_misses += self.l1tlb_misses;
-        out.l2tlb_hits += self.l2tlb_hits;
-        out.l2tlb_misses += self.l2tlb_misses;
-        out.walks += self.walks;
-        out.walk_mshr_hits += self.walk_mshr_hits;
-        out.walk_cycles += self.walk_cycles;
-        out.faults += self.faults;
-        out.coalesced_fills += self.coalesced_fills;
-        out.degradation
-            .absorb(std::mem::take(&mut self.degradation));
-    }
 }
 
 /// One chiplet's in-flight page-walk table (MSHR-style coalescing plus
@@ -177,8 +133,9 @@ pub struct TranslateStage {
     /// class (all class pages are aligned supersets), which is what makes
     /// the repeat fast path's skipped probes provably unobservable.
     min_shift: u32,
-    /// This stage's statistics slice.
-    pub stats: TranslateStats,
+    /// Degradation events this stage absorbed (stale TLB coverage,
+    /// missing TLB classes, walk-queue stalls).
+    pub degradation: DegradationStats,
 }
 
 impl TranslateStage {
@@ -232,7 +189,7 @@ impl TranslateStage {
             // and the shift is never consulted; 0 is a safe placeholder.
             min_shift: classes.iter().map(|s| s.shift()).min().unwrap_or(0),
             classes,
-            stats: TranslateStats::default(),
+            degradation: DegradationStats::default(),
         }
     }
 
@@ -267,11 +224,10 @@ impl TranslateStage {
         chiplet: ChipletId,
         class: u32,
         slot: u32,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
     ) {
         self.l1_tlb[sm][class as usize].touch(slot);
-        self.stats.l1tlb_hits += 1;
-        metrics.bump(chiplet, MetricSlot::L1TlbHit);
+        ctr.bump(chiplet, Counter::L1tlbHits);
     }
 
     /// Translates `va` for `sm` on `chiplet`: L1 TLB → L2 TLB → page walk.
@@ -288,7 +244,7 @@ impl TranslateStage {
     /// [`SimError::WalkQueueOverflow`] if the chiplet's walk queue is full
     /// and cannot drain.
     #[allow(clippy::too_many_arguments)]
-    pub fn translate(
+    pub fn translate<P: Probe>(
         &mut self,
         cfg: &SimConfig,
         pt: &PageTable,
@@ -298,8 +254,8 @@ impl TranslateStage {
         va: VirtAddr,
         issue: u64,
         gmmu_free: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
+        probe: &mut P,
     ) -> Result<Translation, SimError> {
         let mut tt = issue + cfg.l1_tlb_latency;
         self.last_l1 = None;
@@ -314,20 +270,17 @@ impl TranslateStage {
         if let Some(hit) = l1_slot {
             match pt.translate(va) {
                 Some(p) => {
-                    self.stats.l1tlb_hits += 1;
-                    metrics.bump(chiplet, MetricSlot::L1TlbHit);
+                    ctr.bump(chiplet, Counter::L1tlbHits);
                     self.last_l1 = Some(hit);
                     hit_pte = Some(p);
                 }
                 None => {
                     self.note_stale_tlb(va);
-                    self.stats.l1tlb_misses += 1;
-                    metrics.bump(chiplet, MetricSlot::L1TlbMiss);
+                    ctr.bump(chiplet, Counter::L1tlbMisses);
                 }
             }
         } else {
-            self.stats.l1tlb_misses += 1;
-            metrics.bump(chiplet, MetricSlot::L1TlbMiss);
+            ctr.bump(chiplet, Counter::L1tlbMisses);
         }
         if let Some(pte) = hit_pte {
             return Ok(Translation::Done {
@@ -344,8 +297,7 @@ impl TranslateStage {
         {
             match pt.translate(va) {
                 Some(p) => {
-                    self.stats.l2tlb_hits += 1;
-                    metrics.bump(chiplet, MetricSlot::L2TlbHit);
+                    ctr.bump(chiplet, Counter::L2tlbHits);
                     self.last_l1 = self.fill_l1(pt, cfg, sm, va, p);
                     l2_pte = Some(p);
                 }
@@ -359,16 +311,15 @@ impl TranslateStage {
                 walked: false,
             });
         }
-        self.stats.l2tlb_misses += 1;
-        metrics.bump(chiplet, MetricSlot::L2TlbMiss);
-        tracer.event(TraceEventKind::L2TlbMiss {
+        ctr.bump(chiplet, Counter::L2tlbMisses);
+        probe.event(TraceEventKind::L2TlbMiss {
             va,
             chiplet,
             cycle: tt,
         });
-        match self.page_walk(cfg, pt, data, chiplet, va, tt, gmmu_free, tracer, metrics)? {
+        match self.page_walk(cfg, pt, data, chiplet, va, tt, gmmu_free, ctr, probe)? {
             Translation::Done { pte, done, .. } => {
-                self.fill_l2(pt, cfg, chiplet, va, pte, done, tracer);
+                self.fill_l2(pt, cfg, chiplet, va, pte, done, ctr, probe);
                 self.last_l1 = self.fill_l1(pt, cfg, sm, va, pte);
                 Ok(Translation::Done {
                     pte,
@@ -384,7 +335,7 @@ impl TranslateStage {
     /// no mapping exists (the walk failed; the GMMU logs it and the driver
     /// resolves it, paper §2.5 case ⑥-⑦).
     #[allow(clippy::too_many_arguments)]
-    fn page_walk(
+    fn page_walk<P: Probe>(
         &mut self,
         cfg: &SimConfig,
         pt: &PageTable,
@@ -393,21 +344,19 @@ impl TranslateStage {
         va: VirtAddr,
         t: u64,
         gmmu_free: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
+        ctr: &mut Counters,
+        probe: &mut P,
     ) -> Result<Translation, SimError> {
         let t = t.max(gmmu_free);
         let Some(pte) = pt.translate(va) else {
-            self.stats.faults += 1;
-            metrics.bump(chiplet, MetricSlot::Fault);
+            ctr.bump(chiplet, Counter::Faults);
             return Ok(Translation::Fault { at: t });
         };
         // MSHR hit: join an in-flight walk for the same leaf page.
         let page_key = va.raw() >> pte.size.shift();
         if let Some(done) = self.walk_mshr[chiplet.index()].get(page_key) {
             if done > t {
-                self.stats.walk_mshr_hits += 1;
-                metrics.bump(chiplet, MetricSlot::WalkMshrHit);
+                ctr.bump(chiplet, Counter::WalkMshrHits);
                 return Ok(Translation::Done {
                     pte,
                     done,
@@ -429,18 +378,16 @@ impl TranslateStage {
                 tw += cfg.pwc_latency;
             } else {
                 tw = data.pte_node_access(
-                    cfg, pt, chiplet, va, level, pte.size, levels, tw, tracer, metrics,
+                    cfg, pt, chiplet, va, level, pte.size, levels, tw, ctr, probe,
                 );
             }
         }
-        tw = data.leaf_pte_access(cfg, pt, chiplet, va, pte, levels, tw, tracer, metrics);
+        tw = data.leaf_pte_access(cfg, pt, chiplet, va, pte, levels, tw, ctr, probe);
         self.walk_mshr[chiplet.index()].insert(page_key, tw);
-        self.stats.walks += 1;
-        self.stats.walk_cycles += tw - t;
-        metrics.bump(chiplet, MetricSlot::Walk);
-        metrics.add(chiplet, MetricSlot::WalkCycle, tw - t);
-        tracer.sample(TraceStage::Walk, tw - t);
-        tracer.event(TraceEventKind::WalkComplete {
+        ctr.bump(chiplet, Counter::Walks);
+        ctr.add(chiplet, Counter::WalkCycles, tw - t);
+        probe.sample(TraceStage::Walk, tw - t);
+        probe.event(TraceEventKind::WalkComplete {
             va,
             chiplet,
             issued: t,
@@ -486,10 +433,10 @@ impl TranslateStage {
             stalled += earliest - t;
             t = earliest;
             self.walk_mshr[idx].drop_done(t);
-            self.stats.degradation.walk_queue_stalls += 1;
+            self.degradation.walk_queue_stalls += 1;
         }
         if stalled > 0 {
-            self.stats.degradation.walk_queue_stall_cycles += stalled;
+            self.degradation.walk_queue_stall_cycles += stalled;
         }
         Ok(t)
     }
@@ -497,8 +444,8 @@ impl TranslateStage {
     /// Counts a stale TLB hit (coverage without a mapping) and drops the
     /// stale coverage machine-wide.
     fn note_stale_tlb(&mut self, va: VirtAddr) {
-        self.stats.degradation.stale_tlb_hits += 1;
-        self.stats.degradation.record(SimError::NotMapped { va });
+        self.degradation.stale_tlb_hits += 1;
+        self.degradation.record(SimError::NotMapped { va });
         self.invalidate_page(va);
     }
 
@@ -580,7 +527,7 @@ impl TranslateStage {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn fill_l2(
+    fn fill_l2<P: Probe>(
         &mut self,
         pt: &PageTable,
         cfg: &SimConfig,
@@ -588,14 +535,15 @@ impl TranslateStage {
         va: VirtAddr,
         pte: Pte,
         cycle: u64,
-        tracer: &mut Tracer,
+        ctr: &mut Counters,
+        probe: &mut P,
     ) {
         match self.fill_mask(pt, cfg, va, pte) {
             Some((class, mask)) => {
                 if mask.count_ones() > 1 {
-                    self.stats.coalesced_fills += 1;
+                    ctr.bump(chiplet, Counter::CoalescedFills);
                 }
-                tracer.event(TraceEventKind::TlbFill {
+                probe.event(TraceEventKind::TlbFill {
                     va,
                     chiplet,
                     pages: mask.count_ones(),
@@ -610,10 +558,8 @@ impl TranslateStage {
     /// Counts a translation whose leaf size has no TLB class: the walk was
     /// already charged, the entry just cannot be cached.
     fn note_missing_class(&mut self, size: PageSize) {
-        self.stats.degradation.tlb_class_missing += 1;
-        self.stats
-            .degradation
-            .record(SimError::TlbClassMissing { size });
+        self.degradation.tlb_class_missing += 1;
+        self.degradation.record(SimError::TlbClassMissing { size });
     }
 
     /// The TLB class and valid-bit mask to install for a translation of
@@ -682,21 +628,11 @@ mod tests {
         let pt = mapped_table(&c, va);
         let mut tr = TranslateStage::new(&c);
         let mut data = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let ch = ChipletId::new(0);
 
         let first = tr
-            .translate(
-                &c,
-                &pt,
-                &mut data,
-                0,
-                ch,
-                va,
-                100,
-                0,
-                &mut Tracer::new(),
-                &mut Metrics::new(&c),
-            )
+            .translate(&c, &pt, &mut data, 0, ch, va, 100, 0, &mut ctr, &mut ())
             .expect("translate");
         match first {
             Translation::Done { done, walked, .. } => {
@@ -705,23 +641,12 @@ mod tests {
             }
             Translation::Fault { .. } => panic!("mapped page must not fault"),
         }
-        assert_eq!(tr.stats.walks, 1);
-        assert_eq!(tr.stats.l1tlb_misses, 1);
-        assert_eq!(tr.stats.l2tlb_misses, 1);
+        assert_eq!(ctr.total(Counter::Walks), 1);
+        assert_eq!(ctr.total(Counter::L1tlbMisses), 1);
+        assert_eq!(ctr.total(Counter::L2tlbMisses), 1);
 
         let second = tr
-            .translate(
-                &c,
-                &pt,
-                &mut data,
-                0,
-                ch,
-                va,
-                10_000,
-                0,
-                &mut Tracer::new(),
-                &mut Metrics::new(&c),
-            )
+            .translate(&c, &pt, &mut data, 0, ch, va, 10_000, 0, &mut ctr, &mut ())
             .expect("translate");
         match second {
             Translation::Done { done, walked, .. } => {
@@ -730,8 +655,8 @@ mod tests {
             }
             Translation::Fault { .. } => panic!("mapped page must not fault"),
         }
-        assert_eq!(tr.stats.l1tlb_hits, 1);
-        assert_eq!(tr.stats.walks, 1, "no second walk");
+        assert_eq!(ctr.total(Counter::L1tlbHits), 1);
+        assert_eq!(ctr.total(Counter::Walks), 1, "no second walk");
     }
 
     #[test]
@@ -740,6 +665,7 @@ mod tests {
         let pt = PageTable::new(c.layout());
         let mut tr = TranslateStage::new(&c);
         let mut data = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let out = tr
             .translate(
                 &c,
@@ -750,15 +676,15 @@ mod tests {
                 VirtAddr::new(0),
                 50,
                 5_000,
-                &mut Tracer::new(),
-                &mut Metrics::new(&c),
+                &mut ctr,
+                &mut (),
             )
             .expect("translate");
         match out {
             Translation::Fault { at } => assert_eq!(at, 5_000, "fault serializes behind the GMMU"),
             Translation::Done { .. } => panic!("unmapped access must fault"),
         }
-        assert_eq!(tr.stats.faults, 1);
+        assert_eq!(ctr.total(Counter::Faults), 1);
     }
 
     #[test]
@@ -768,40 +694,19 @@ mod tests {
         let mut pt = mapped_table(&c, va);
         let mut tr = TranslateStage::new(&c);
         let mut data = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let ch = ChipletId::new(0);
-        tr.translate(
-            &c,
-            &pt,
-            &mut data,
-            0,
-            ch,
-            va,
-            0,
-            0,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
-        )
-        .expect("warm up");
+        tr.translate(&c, &pt, &mut data, 0, ch, va, 0, 0, &mut ctr, &mut ())
+            .expect("warm up");
         // Unmap behind the TLB's back (no shootdown): next lookup hits
         // stale coverage, which is dropped and re-walked.
         pt.unmap(va).expect("unmap");
         assert!(!tr.stale_coverage(&pt).is_empty());
         let out = tr
-            .translate(
-                &c,
-                &pt,
-                &mut data,
-                0,
-                ch,
-                va,
-                20_000,
-                0,
-                &mut Tracer::new(),
-                &mut Metrics::new(&c),
-            )
+            .translate(&c, &pt, &mut data, 0, ch, va, 20_000, 0, &mut ctr, &mut ())
             .expect("translate");
         assert!(matches!(out, Translation::Fault { .. }));
-        assert!(tr.stats.degradation.stale_tlb_hits >= 1);
+        assert!(tr.degradation.stale_tlb_hits >= 1);
         assert!(tr.stale_coverage(&pt).is_empty(), "stale coverage dropped");
     }
 
@@ -812,35 +717,18 @@ mod tests {
         let pt = mapped_table(&c, va);
         let mut tr = TranslateStage::new(&c);
         let mut data = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let ch = ChipletId::new(0);
-        tr.translate(
-            &c,
-            &pt,
-            &mut data,
-            0,
-            ch,
-            va,
-            0,
-            0,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
-        )
-        .expect("warm up");
+        tr.translate(&c, &pt, &mut data, 0, ch, va, 0, 0, &mut ctr, &mut ())
+            .expect("warm up");
         tr.invalidate_page(va);
-        tr.translate(
-            &c,
-            &pt,
-            &mut data,
-            0,
-            ch,
-            va,
-            50_000,
-            0,
-            &mut Tracer::new(),
-            &mut Metrics::new(&c),
-        )
-        .expect("translate");
-        assert_eq!(tr.stats.walks, 2, "invalidation must force a re-walk");
+        tr.translate(&c, &pt, &mut data, 0, ch, va, 50_000, 0, &mut ctr, &mut ())
+            .expect("translate");
+        assert_eq!(
+            ctr.total(Counter::Walks),
+            2,
+            "invalidation must force a re-walk"
+        );
     }
 
     #[test]
@@ -859,6 +747,7 @@ mod tests {
         }
         let mut tr = TranslateStage::new(&c);
         let mut data = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
         let ch = ChipletId::new(0);
         // Issue walks to distinct pages at the same cycle: the third+ must
         // stall behind the 2-entry queue, not overflow.
@@ -872,15 +761,15 @@ mod tests {
                 VirtAddr::new(i * BASE_PAGE_BYTES),
                 10,
                 0,
-                &mut Tracer::new(),
-                &mut Metrics::new(&c),
+                &mut ctr,
+                &mut (),
             )
             .expect("translate");
         }
         assert!(
-            tr.stats.degradation.walk_queue_stalls > 0,
+            tr.degradation.walk_queue_stalls > 0,
             "a 2-entry queue must stall 4 concurrent walks"
         );
-        assert!(tr.stats.degradation.walk_queue_stall_cycles > 0);
+        assert!(tr.degradation.walk_queue_stall_cycles > 0);
     }
 }

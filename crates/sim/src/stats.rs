@@ -1,8 +1,15 @@
 //! Run statistics: everything the paper's figures and tables plot.
+//!
+//! Every event the engine can attribute to a chiplet is counted exactly
+//! once, in the per-chiplet [`Counters`] registry. The counter table below
+//! declares each such counter once and generates the [`Counter`] ids, the
+//! matching [`RunStats`] fields, and the accessors the fold
+//! ([`RunStats::fold`]) and the shard codec iterate over — so per-chiplet
+//! rows sum to the run-level totals by construction.
 
 use std::collections::HashMap;
 
-use mcm_types::AllocId;
+use mcm_types::{AllocId, ChipletId};
 
 use crate::SimError;
 
@@ -26,84 +33,192 @@ impl AllocAccessStats {
     }
 }
 
-/// Statistics of one simulation run.
-#[derive(Clone, Debug, Default)]
-pub struct RunStats {
-    /// Total simulated cycles (kernel launch to last warp retirement).
-    pub cycles: u64,
-    /// Memory instructions executed (warp-level, line-granular).
-    pub mem_insts: u64,
-    /// Total warp instructions (memory × arithmetic intensity).
-    pub warp_insts: u64,
-    /// Memory instructions whose data page is mapped on a remote chiplet.
-    pub remote_insts: u64,
+/// Generates [`Counter`] and [`RunStats`] from one `(Variant, field, doc)`
+/// list; the run-level fields that are not per-chiplet events are written
+/// out once inside.
+macro_rules! counter_table {
+    ($( ($var:ident, $field:ident, $doc:literal), )*) => {
+        /// One per-chiplet-attributable event counter: a column of the
+        /// [`Counters`] registry and a `u64` field of [`RunStats`] of the
+        /// same name.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum Counter {
+            $( #[doc = $doc] $var, )*
+        }
 
-    /// L1 data cache hits / misses.
-    pub l1d_hits: u64,
-    /// L1 data cache misses.
-    pub l1d_misses: u64,
-    /// L2 data cache hits.
-    pub l2d_hits: u64,
-    /// L2 data cache misses.
-    pub l2d_misses: u64,
+        impl Counter {
+            /// Number of counters (width of a registry row).
+            pub const COUNT: usize = [$(stringify!($var)),*].len();
 
-    /// L1 TLB hits.
-    pub l1tlb_hits: u64,
-    /// L1 TLB misses.
-    pub l1tlb_misses: u64,
-    /// L2 TLB hits.
-    pub l2tlb_hits: u64,
-    /// L2 TLB misses (page walks issued).
-    pub l2tlb_misses: u64,
+            /// Every counter, in table order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$var),*];
 
-    /// Page walks completed.
-    pub walks: u64,
-    /// Walk requests absorbed by an in-flight walk for the same page
-    /// (GMMU MSHR coalescing).
-    pub walk_mshr_hits: u64,
-    /// Cycles spent in completed page walks (including queueing).
-    pub walk_cycles: u64,
-    /// Total address-translation latency over all memory instructions.
-    pub translation_cycles: u64,
-    /// Total data-access latency (post-translation) over all memory
-    /// instructions.
-    pub data_cycles: u64,
-    /// Demand page faults taken.
-    pub faults: u64,
+            /// The [`RunStats`] field name (JSON keys, CSV columns).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( Counter::$var => stringify!($field), )*
+                }
+            }
+        }
 
-    /// TLB fills that produced a multi-page coalesced entry.
-    pub coalesced_fills: u64,
-    /// 2MB promotions performed.
-    pub promotions: u64,
-    /// Remote-cache hits (NUBA/SAC runs).
-    pub remote_cache_hits: u64,
-    /// Pages migrated by the policy.
-    pub migrations: u64,
-    /// TLB shootdowns charged.
-    pub shootdowns: u64,
-    /// Total DRAM line accesses issued (data + PTE).
-    pub dram_accesses: u64,
-    /// DRAM line accesses per chiplet (load-balance diagnostics).
-    pub dram_per_chiplet: Vec<u64>,
-    /// Total inter-chiplet interconnect transfers routed (any topology).
-    pub interconnect_transfers: u64,
-    /// Total cycles spent queueing for DRAM channels.
-    pub dram_queue_cycles: u64,
-    /// Total cycles spent queueing for interconnect links.
-    pub interconnect_queue_cycles: u64,
+        /// Statistics of one simulation run.
+        #[derive(Clone, Debug, Default)]
+        pub struct RunStats {
+            /// Total simulated cycles (kernel launch to last warp retirement).
+            pub cycles: u64,
+            $( #[doc = $doc] pub $field: u64, )*
+            /// DRAM line accesses per chiplet: the registry's
+            /// `dram_accesses` row (load-balance diagnostics).
+            pub dram_per_chiplet: Vec<u64>,
+            /// Total inter-chiplet interconnect transfers routed (any topology).
+            pub interconnect_transfers: u64,
+            /// Total cycles spent queueing for DRAM channels.
+            pub dram_queue_cycles: u64,
+            /// Total cycles spent queueing for interconnect links.
+            pub interconnect_queue_cycles: u64,
 
-    /// PF blocks consumed by the policy's allocator (fragmentation study),
-    /// if reported.
-    pub blocks_consumed: Option<usize>,
+            /// PF blocks consumed by the policy's allocator (fragmentation study),
+            /// if reported.
+            pub blocks_consumed: Option<usize>,
 
-    /// Per-data-structure counters.
-    pub per_alloc: HashMap<AllocId, AllocAccessStats>,
+            /// Per-data-structure counters.
+            pub per_alloc: HashMap<AllocId, AllocAccessStats>,
 
-    /// Graceful-degradation events the run absorbed instead of aborting.
-    pub degradation: DegradationStats,
+            /// Graceful-degradation events the run absorbed instead of aborting.
+            pub degradation: DegradationStats,
+        }
+
+        impl RunStats {
+            /// The run-level total of counter `c`.
+            pub fn counter(&self, c: Counter) -> u64 {
+                match c {
+                    $( Counter::$var => self.$field, )*
+                }
+            }
+
+            /// The field holding counter `c`'s run-level total.
+            pub fn counter_mut(&mut self, c: Counter) -> &mut u64 {
+                match c {
+                    $( Counter::$var => &mut self.$field, )*
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
+    (MemInsts, mem_insts, "Memory instructions executed (warp-level, line-granular)."),
+    (WarpInsts, warp_insts, "Total warp instructions (memory × arithmetic intensity)."),
+    (RemoteInsts, remote_insts, "Memory instructions whose data page is mapped on a remote chiplet."),
+    (L1dHits, l1d_hits, "L1 data cache hits."),
+    (L1dMisses, l1d_misses, "L1 data cache misses."),
+    (L2dHits, l2d_hits, "L2 data cache hits."),
+    (L2dMisses, l2d_misses, "L2 data cache misses."),
+    (L1tlbHits, l1tlb_hits, "L1 TLB hits."),
+    (L1tlbMisses, l1tlb_misses, "L1 TLB misses."),
+    (L2tlbHits, l2tlb_hits, "L2 TLB hits."),
+    (L2tlbMisses, l2tlb_misses, "L2 TLB misses (page walks issued)."),
+    (Walks, walks, "Page walks completed."),
+    (WalkMshrHits, walk_mshr_hits, "Walk requests absorbed by an in-flight walk for the same page (GMMU MSHR coalescing)."),
+    (WalkCycles, walk_cycles, "Cycles spent in completed page walks (including queueing)."),
+    (TranslationCycles, translation_cycles, "Total address-translation latency over all memory instructions."),
+    (DataCycles, data_cycles, "Total data-access latency (post-translation) over all memory instructions."),
+    (Faults, faults, "Demand page faults taken."),
+    (CoalescedFills, coalesced_fills, "TLB fills that produced a multi-page coalesced entry."),
+    (Promotions, promotions, "2MB promotions performed (on the chiplet holding the promoted block)."),
+    (RemoteCacheHits, remote_cache_hits, "Remote-cache hits (NUBA/SAC runs)."),
+    (Migrations, migrations, "Pages migrated by the policy (off the source chiplet)."),
+    (Shootdowns, shootdowns, "TLB shootdowns charged (to the chiplet owning the page)."),
+    (DramAccesses, dram_accesses, "DRAM line accesses issued, data + PTE (on the serving chiplet)."),
+}
+
+/// The per-chiplet counter registry: one fixed-width row of
+/// [`Counter::COUNT`] cells per chiplet, indexed by [`Counter`] — no
+/// hashing and no branch on the hot path. Every build keeps it; events
+/// are attributed to the chiplet whose SMs, TLBs, walkers or DRAM
+/// channels saw them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Counters {
+    rows: Vec<[u64; Counter::COUNT]>,
+}
+
+impl Counters {
+    /// An all-zero registry for `num_chiplets` chiplets.
+    pub fn new(num_chiplets: usize) -> Self {
+        Counters {
+            rows: vec![[0; Counter::COUNT]; num_chiplets],
+        }
+    }
+
+    /// Chiplets in the registry.
+    pub fn num_chiplets(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Counts `n` events of `c` on `chiplet`.
+    #[inline(always)]
+    pub fn add(&mut self, chiplet: ChipletId, c: Counter, n: u64) {
+        self.rows[chiplet.index()][c as usize] += n;
+    }
+
+    /// Counts one event of `c` on `chiplet`.
+    #[inline(always)]
+    pub fn bump(&mut self, chiplet: ChipletId, c: Counter) {
+        self.add(chiplet, c, 1);
+    }
+
+    /// The count of `c` on chiplet `chiplet`.
+    pub fn get(&self, chiplet: usize, c: Counter) -> u64 {
+        self.rows[chiplet][c as usize]
+    }
+
+    /// The count of `c` summed over every chiplet.
+    pub fn total(&self, c: Counter) -> u64 {
+        self.rows.iter().map(|r| r[c as usize]).sum()
+    }
+
+    /// The per-chiplet counts of `c`, in chiplet order.
+    pub fn row(&self, c: Counter) -> Vec<u64> {
+        self.rows.iter().map(|r| r[c as usize]).collect()
+    }
+
+    /// Cell-wise `self − earlier`: the events counted since `earlier`, a
+    /// snapshot of this registry taken before.
+    pub(crate) fn since(&self, earlier: &Counters) -> Counters {
+        let mut out = self.clone();
+        for (row, prev) in out.rows.iter_mut().zip(&earlier.rows) {
+            for (v, p) in row.iter_mut().zip(prev) {
+                *v -= p;
+            }
+        }
+        out
+    }
+
+    /// Cell-wise `self += other`. An empty registry adopts `other`'s shape.
+    pub fn absorb(&mut self, other: &Counters) {
+        if self.rows.is_empty() {
+            self.rows = vec![[0; Counter::COUNT]; other.rows.len()];
+        }
+        debug_assert_eq!(self.rows.len(), other.rows.len());
+        for (row, o) in self.rows.iter_mut().zip(&other.rows) {
+            for (v, x) in row.iter_mut().zip(o) {
+                *v += x;
+            }
+        }
+    }
 }
 
 impl RunStats {
+    /// Folds the registry into the run-level totals: every [`Counter`]
+    /// field becomes the sum of its per-chiplet row, and
+    /// [`Self::dram_per_chiplet`] the `dram_accesses` row itself.
+    pub(crate) fn fold(&mut self, counters: &Counters) {
+        for c in Counter::ALL {
+            *self.counter_mut(c) = counters.total(c);
+        }
+        self.dram_per_chiplet = counters.row(Counter::DramAccesses);
+    }
+
     /// Remote access ratio of memory instructions — the line plotted in
     /// Figs. 1, 2, 6, 8, 18, 19, 22.
     pub fn remote_ratio(&self) -> f64 {
@@ -227,7 +342,7 @@ impl DegradationStats {
         }
     }
 
-    /// Merges another stage's degradation slice into this one: counters
+    /// Merges another stage's degradation tally into this one: counters
     /// add, error samples stay bounded at [`Self::MAX_ERROR_SAMPLES`].
     pub(crate) fn absorb(&mut self, mut other: DegradationStats) {
         self.fallback_remote_frames += other.fallback_remote_frames;
@@ -316,5 +431,51 @@ mod tests {
             remote: 1,
         };
         assert!((a.remote_ratio() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn registry_folds_into_run_stats() {
+        let mut r = Counters::new(4);
+        r.bump(ChipletId::new(0), Counter::Walks);
+        r.add(ChipletId::new(2), Counter::Walks, 4);
+        r.add(ChipletId::new(3), Counter::DramAccesses, 7);
+        assert_eq!(r.get(2, Counter::Walks), 4);
+        assert_eq!(r.total(Counter::Faults), 0);
+        let mut s = RunStats::default();
+        s.fold(&r);
+        assert_eq!(s.walks, 5);
+        assert_eq!(s.dram_accesses, 7);
+        assert_eq!(s.dram_per_chiplet, vec![0, 0, 0, 7]);
+        // Every counter's field is reachable through its id.
+        for c in Counter::ALL {
+            assert_eq!(s.counter(c), r.total(c), "{}", c.name());
+        }
+    }
+
+    #[test]
+    fn registry_difference_and_sum_are_cellwise() {
+        let mut a = Counters::new(2);
+        a.add(ChipletId::new(1), Counter::MemInsts, 3);
+        let snap = a.clone();
+        a.add(ChipletId::new(1), Counter::MemInsts, 2);
+        a.bump(ChipletId::new(0), Counter::Faults);
+        let d = a.since(&snap);
+        assert_eq!(d.get(1, Counter::MemInsts), 2);
+        assert_eq!(d.get(0, Counter::Faults), 1);
+        let mut acc = Counters::default();
+        acc.absorb(&snap);
+        acc.absorb(&d);
+        assert_eq!(acc, a);
+    }
+
+    #[test]
+    fn counter_names_are_unique_and_ordered() {
+        let mut names: Vec<_> = Counter::ALL.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Counter::COUNT);
+        for (i, c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i);
+        }
     }
 }

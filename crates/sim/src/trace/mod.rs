@@ -1,23 +1,16 @@
-//! Opt-in stage-boundary tracing: per-stage latency histograms and a
-//! bounded structured event stream.
+//! Stage-boundary tracing: per-stage latency histograms and a bounded
+//! structured event stream.
 //!
-//! The engine's stage seams (`stage::{translate, datapath, driver,
-//! sched}` plus the `Machine` event loop) carry probe points that feed a
-//! per-run [`Tracer`]. The tracer is **feature-gated**: without the
-//! `trace` cargo feature it is a zero-sized no-op whose inlined empty
-//! methods compile away, so the default build pays nothing — results are
-//! byte-identical either way (the CI golden smoke proves it). With
-//! `--features trace`, [`run_traced`](crate::run_traced) returns a
-//! [`RunTrace`] next to the run's outcome.
-//!
-//! The data types here ([`LatencyHistogram`], [`TraceEvent`],
-//! [`RunTrace`]) are *always* compiled — only the hot-path recording is
-//! gated — so report/merge code and tests need no feature gymnastics.
+//! [`RunTrace`] is a [`Probe`](crate::Probe): pass one to
+//! [`run_with`](crate::run_with) and the engine's stage seams
+//! (`stage::{translate, datapath, driver, sched}` plus the `Machine` event
+//! loop) feed it samples and events. Runs without it pay nothing — the
+//! engine is monomorphized per probe — and tracing never changes results.
 //!
 //! Every histogram total reconciles exactly with a
 //! [`RunStats`](crate::RunStats) counter (walk samples == page walks,
-//! crossing events == interconnect transfers, ...); the trace-conformance
-//! tests in `crates/bench/tests/trace_conformance.rs` assert this.
+//! crossing events == interconnect transfers, ...); `tests/probe.rs`
+//! asserts this.
 
 mod event;
 mod hist;
@@ -161,57 +154,6 @@ impl RunTrace {
     pub fn total_cycles(&self) -> u64 {
         self.hists.iter().map(LatencyHistogram::sum).sum()
     }
-}
-
-/// The engine-side sink. With the `trace` feature this owns a
-/// [`RunTrace`]; without it, it is a zero-sized type whose methods are
-/// empty `#[inline(always)]` bodies the optimizer erases — the "no-op
-/// inline sink" that makes the default build zero-cost.
-#[cfg(feature = "trace")]
-#[derive(Debug, Default)]
-pub struct Tracer {
-    trace: RunTrace,
-}
-
-#[cfg(feature = "trace")]
-impl Tracer {
-    pub(crate) fn new() -> Self {
-        Tracer {
-            trace: RunTrace::new(),
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn sample(&mut self, stage: TraceStage, latency: u64) {
-        self.trace.record_sample(stage, latency);
-    }
-
-    #[inline(always)]
-    pub(crate) fn event(&mut self, kind: TraceEventKind) {
-        self.trace.record_event(kind);
-    }
-
-    pub(crate) fn into_trace(self) -> RunTrace {
-        self.trace
-    }
-}
-
-/// No-op tracer: the `trace` feature is off.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Default)]
-pub struct Tracer;
-
-#[cfg(not(feature = "trace"))]
-impl Tracer {
-    pub(crate) fn new() -> Self {
-        Tracer
-    }
-
-    #[inline(always)]
-    pub(crate) fn sample(&mut self, _stage: TraceStage, _latency: u64) {}
-
-    #[inline(always)]
-    pub(crate) fn event(&mut self, _kind: TraceEventKind) {}
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI gate: build, test, lint — default features plus the
-# `trace` and `metrics` builds. Run from anywhere; no network needed
-# (the workspace vendors its dev-dependency stubs in crates/).
+# Offline CI gate: build, test, lint, then end-to-end smokes of the one
+# `figures` binary. Run from anywhere; no network needed (the workspace
+# vendors its dev-dependency stubs in crates/).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,55 +19,26 @@ cargo test --workspace -q
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo build --release --features trace"
-cargo build --release --workspace --features trace
-# Workspace-root builds can leave target/release/figures stale when only
-# feature flags changed; force the binary current before running it.
-cargo build --release -p mcm-bench --bin figures --features trace
-
-echo "== cargo test --features trace (incl. trace conformance)"
-cargo test --workspace -q --features trace
-
-echo "== cargo clippy --features trace (deny warnings)"
-cargo clippy --workspace --all-targets --features trace -- -D warnings
-
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
 
-echo "== traced-build golden smoke (figure CSVs byte-identical with trace compiled in)"
-# The binary at target/release/figures is the traced build right now
-# (last build above); its figure output must still match the goldens —
-# tracing observes, it never perturbs.
-./target/release/figures --quick --jobs 2 --out "$smoke/traced" fig1 fig18
-cmp "$smoke/traced/fig1.csv" tests/goldens/fig1_quick.csv
-cmp "$smoke/traced/fig18.csv" tests/goldens/fig18_quick.csv
+# The explicit -p build is what guarantees target/release/figures is fresh
+# before any output or wall-clock number below is trusted (a
+# workspace-root rebuild alone can skip relinking the bin).
+echo "== golden smoke (figures fig1/fig18 vs tests/goldens)"
+cargo build --release -p mcm-bench --bin figures
+./target/release/figures --quick --jobs 2 --out "$smoke/default" fig1 fig18
+cmp "$smoke/default/fig1.csv" tests/goldens/fig1_quick.csv
+cmp "$smoke/default/fig18.csv" tests/goldens/fig18_quick.csv
 
 echo "== trace subcommand smoke (JSON + folded stacks land in the out dir)"
 ./target/release/figures --quick --jobs 2 --out "$smoke/trace-out" trace fig1
 test -s "$smoke/trace-out/trace/fig1.json"
 test -s "$smoke/trace-out/trace/fig1.folded"
 
-echo "== cargo build --release --features metrics"
-cargo build --release --workspace --features metrics
-cargo build --release -p mcm-bench --bin figures --features metrics
-
-echo "== cargo test --features metrics (incl. metrics conformance)"
-cargo test --workspace -q --features metrics
-
-echo "== cargo clippy --features metrics (deny warnings)"
-cargo clippy --workspace --all-targets --features metrics -- -D warnings
-
-echo "== metered-build golden smoke (figure CSVs byte-identical with metrics compiled in)"
-# Same bar as the traced build: the metric registry observes the
-# simulation, it must never perturb it.
-./target/release/figures --quick --jobs 2 --progress=off --out "$smoke/metered" fig1 fig18 topo
-cmp "$smoke/metered/fig1.csv" tests/goldens/fig1_quick.csv
-cmp "$smoke/metered/fig18.csv" tests/goldens/fig18_quick.csv
-cmp "$smoke/metered/topo.csv" tests/goldens/topo_quick.csv
-
 echo "== timeline smoke (figures timeline topo: outputs land, journal carries imbalance, status sees it)"
 # JSON validity and matrix-vs-stats reconciliation are pinned by the
-# Rust conformance suite run above; this checks the end-to-end surface.
+# workspace tests run above; this checks the end-to-end surface.
 ./target/release/figures --quick --jobs 2 --progress=off --out "$smoke/timeline" timeline topo
 test -s "$smoke/timeline/timeline/topo.json"
 test -s "$smoke/timeline/timeline/topo.csv"
@@ -75,17 +46,6 @@ test -s "$smoke/timeline/journal/topo-timeline.jsonl"
 grep -q '"imbalance"' "$smoke/timeline/journal/topo-timeline.jsonl"
 ./target/release/figures --out "$smoke/timeline" status | grep -q "topo-timeline"
 ./target/release/figures --out "$smoke/timeline" status --check > /dev/null
-
-# Rebuild default features so the binary left in target/ is the stock one.
-# The explicit -p build is what guarantees target/release/figures is fresh
-# before any wall-clock number below is trusted (a workspace-root rebuild
-# alone can skip relinking the bin).
-echo "== default-feature golden smoke (figures fig1/fig18 vs tests/goldens)"
-cargo build --release --workspace
-cargo build --release -p mcm-bench --bin figures
-./target/release/figures --quick --jobs 2 --out "$smoke/default" fig1 fig18
-cmp "$smoke/default/fig1.csv" tests/goldens/fig1_quick.csv
-cmp "$smoke/default/fig18.csv" tests/goldens/fig18_quick.csv
 
 echo "== fig18 wall-clock budget (vs committed results/bench_timings.json, 2x headroom)"
 # Guards the hot-path optimization pass (DESIGN.md §15) against silent
@@ -109,8 +69,7 @@ echo "== analytic engine smoke (quick fig1+topo: < 1s wall, >= 10x the cycle eng
 # The cycle-engine reference times come from the default and topo smokes
 # above (same binary, same --jobs 2, same quick grid). The workspace
 # test runs earlier already cross-validated the two engines' metrics
-# (crates/bench/tests/cross_validation.rs) in both default and trace
-# builds; this asserts the speedup that justifies the fast path. The
+# (crates/bench/tests/cross_validation.rs); this asserts the speedup that justifies the fast path. The
 # bar was re-based 20x -> 10x when the DESIGN.md §15 hot-path pass made
 # the cycle engine itself ~1.7x faster on this grid (measured ratio
 # ~13-18x depending on runner noise).

@@ -2,8 +2,7 @@
 # Regenerates the golden CSVs that tests/golden.rs pins byte-for-byte.
 #
 # The goldens are the quick-grid (--quick) fig1, fig18, and topo CSVs
-# produced by the release `figures` binary with DEFAULT features —
-# tracing off.
+# produced by the release `figures` binary.
 # Run this only when a simulator change intentionally moves the numbers,
 # and commit the refreshed goldens together with that change.
 #
