@@ -979,36 +979,26 @@ impl FigureSweep {
     }
 
     /// Re-runs every cell on the harness's workers, each under a fresh
-    /// probe from `new_probe`, and returns `(outcome, probe, wall µs)` per
-    /// cell in row-major submission order — identical at any worker
-    /// count.
+    /// probe, and returns `(outcome, probe, wall µs)` per cell in
+    /// row-major submission order — identical at any worker count.
     ///
     /// # Panics
     ///
     /// Panics on a fatal simulation error.
-    fn run<P: Probe + Send>(
-        &self,
-        h: &Harness,
-        new_probe: impl Fn(&SimConfig) -> P + Sync,
-    ) -> Vec<(RunOutcome, P, u64)> {
+    fn run<P: Probe + Default + Send>(&self, h: &Harness) -> Vec<(RunOutcome, P, u64)> {
         let (rows, cols) = self.labels();
         let cells: Vec<(usize, usize)> = (0..rows.len())
             .flat_map(|r| (0..cols.len()).map(move |c| (r, c)))
             .collect();
         h.runner().map(&cells, |_, &(r, c)| {
             let t0 = Instant::now();
-            let (out, probe) = match self {
+            let mut probe = P::default();
+            let out = match self {
                 FigureSweep::Suite(ws, configs) => {
-                    let mut p = new_probe(&h.base);
-                    (
-                        h.run_probed(&h.base, &h.prep(&ws[r]), configs[c], &mut p),
-                        p,
-                    )
+                    h.run_probed(&h.base, &h.prep(&ws[r]), configs[c], &mut probe)
                 }
                 FigureSweep::Topo(sw) => {
-                    let mut p = new_probe(&sw.machines[c]);
-                    let out = h.run_probed(&sw.machines[c], &sw.gemms[r], ConfigKind::Clap, &mut p);
-                    (out, p)
+                    h.run_probed(&sw.machines[c], &sw.gemms[r], ConfigKind::Clap, &mut probe)
                 }
             };
             let out = out.unwrap_or_else(|e| panic!("{} x {} failed: {e}", rows[r], cols[c]));
@@ -1043,7 +1033,7 @@ pub fn trace_figure(h: &Harness, fig: &str) -> FigureTrace {
     let sweep = FigureSweep::new(h, fig);
     let (rows, cols) = sweep.labels();
     let mut traces = vec![RunTrace::new(); cols.len()];
-    for (i, (_, t, _)) in sweep.run(h, |_| RunTrace::new()).iter().enumerate() {
+    for (i, (_, t, _)) in sweep.run::<RunTrace>(h).iter().enumerate() {
         traces[i % cols.len()].merge_aggregates(t);
     }
     FigureTrace {
@@ -1119,7 +1109,7 @@ impl MetricsReport {
 pub fn timeline_figure(h: &Harness, fig: &str) -> MetricsReport {
     let sweep = FigureSweep::new(h, fig);
     let (rows, cols) = sweep.labels();
-    let all = sweep.run(h, |cfg| MetricsProbe::new(cfg.num_chiplets));
+    let all = sweep.run::<MetricsProbe>(h);
     let mut outcomes = Vec::with_capacity(all.len());
     let mut cells = Vec::with_capacity(all.len());
     let mut cell_wall_us = Vec::with_capacity(all.len());

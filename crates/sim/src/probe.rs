@@ -102,8 +102,9 @@ pub const SAMPLE_INTERVAL: u64 = 50_000;
 
 /// Chiplet-resolved, time-resolved metrics: closes one per-chiplet delta
 /// frame of the registry every [`SAMPLE_INTERVAL`] simulated cycles and
-/// tallies every crossing into the N×N traffic matrix. Take the result
-/// with [`MetricsProbe::into_metrics`] after the run.
+/// tallies every crossing into the N×N traffic matrix. It sizes itself to
+/// the machine on the first hook that shows it. Take the result with
+/// [`MetricsProbe::into_metrics`] after the run.
 #[derive(Clone, Debug)]
 pub struct MetricsProbe {
     m: RunMetrics,
@@ -112,19 +113,29 @@ pub struct MetricsProbe {
     next_sample: u64,
 }
 
-impl MetricsProbe {
-    /// A probe for a machine of `num_chiplets` chiplets.
-    pub fn new(num_chiplets: usize) -> Self {
+impl Default for MetricsProbe {
+    fn default() -> Self {
         MetricsProbe {
-            m: RunMetrics::new(num_chiplets),
-            prev: Counters::new(num_chiplets),
+            m: RunMetrics::default(),
+            prev: Counters::default(),
             next_sample: SAMPLE_INTERVAL,
         }
     }
+}
 
+impl MetricsProbe {
     /// The metrics of the observed run.
     pub fn into_metrics(self) -> RunMetrics {
         self.m
+    }
+
+    /// Sizes a fresh probe for a machine of `num_chiplets` chiplets.
+    #[inline(always)]
+    fn fit(&mut self, num_chiplets: usize) {
+        if self.prev.num_chiplets() == 0 {
+            self.m = RunMetrics::new(num_chiplets);
+            self.prev = Counters::new(num_chiplets);
+        }
     }
 
     /// Appends the frame ending at `cycle`: the deltas since the last
@@ -151,6 +162,7 @@ impl Probe for MetricsProbe {
         _at: u64,
         queue_before: u64,
     ) {
+        self.fit(topo.num_chiplets());
         let queued = topo.queue_cycles() - queue_before;
         self.m
             .record_transfer(src, dst, topo.hops(src, dst), queued);
@@ -161,6 +173,7 @@ impl Probe for MetricsProbe {
     /// cell; a batch's events land in the interval containing its pop.
     #[inline(always)]
     fn tick(&mut self, t: u64, counters: &Counters) {
+        self.fit(counters.num_chiplets());
         while t >= self.next_sample {
             self.close_interval(self.next_sample, counters);
             self.next_sample += SAMPLE_INTERVAL;
@@ -170,6 +183,7 @@ impl Probe for MetricsProbe {
     /// Flushes the unreported tail as a final (possibly partial) interval
     /// so the series deltas always sum exactly to the final registry.
     fn finish(&mut self, end: u64, counters: &Counters) {
+        self.fit(counters.num_chiplets());
         if *counters != self.prev || self.m.series.is_empty() {
             let cycle = end.max(self.next_sample - SAMPLE_INTERVAL);
             self.close_interval(cycle, counters);
@@ -187,7 +201,7 @@ mod tests {
     fn sampler_closes_intervals_and_flushes_the_tail() {
         let chip = ChipletId::new;
         let mut ctr = Counters::new(2);
-        let mut p = MetricsProbe::new(2);
+        let mut p = MetricsProbe::default();
         let half = SAMPLE_INTERVAL / 2;
         ctr.bump(chip(0), Counter::DramAccesses);
         p.tick(SAMPLE_INTERVAL + half, &ctr); // closes (0, I]

@@ -200,10 +200,8 @@ impl Driver {
                 if !translate.has_class(size) {
                     return Err(SimError::TlbClassMissing { size });
                 }
-                pt.promote(base, size)?;
-                if let Some(pte) = pt.translate(base) {
-                    ctr.bump(pt.layout().chiplet_of(pte.pa), Counter::Promotions);
-                }
+                let pte = pt.promote(base, size)?;
+                ctr.bump(pt.layout().chiplet_of(pte.pa), Counter::Promotions);
                 // Promotion rewrites PTEs: stale 64KB entries must go.
                 translate.invalidate_block_64k(base, size.base_pages());
                 Ok(())

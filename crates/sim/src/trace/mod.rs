@@ -73,7 +73,7 @@ pub const DEFAULT_EVENT_CAP: usize = 4096;
 /// The trace of one run: per-stage latency histograms, exact per-kind
 /// event counters, and a bounded event stream with per-run sequence
 /// numbers.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunTrace {
     hists: [LatencyHistogram; TraceStage::ALL.len()],
     /// The buffered event stream, in recording (= sequence) order. At
@@ -90,6 +90,13 @@ pub struct RunTrace {
     cap: usize,
 }
 
+impl Default for RunTrace {
+    /// An empty trace retaining up to [`DEFAULT_EVENT_CAP`] events.
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl RunTrace {
     /// An empty trace retaining up to [`DEFAULT_EVENT_CAP`] events.
     pub fn new() -> Self {
@@ -99,8 +106,12 @@ impl RunTrace {
     /// An empty trace retaining up to `cap` buffered events.
     pub fn with_event_cap(cap: usize) -> Self {
         RunTrace {
+            hists: Default::default(),
+            events: Vec::new(),
+            counts: [0; TraceEventClass::ALL.len()],
+            events_seen: 0,
+            dropped_events: 0,
             cap,
-            ..RunTrace::default()
         }
     }
 
