@@ -218,6 +218,19 @@ struct RepeatXlate {
     pte: crate::page_table::Pte,
 }
 
+/// Per-access counts a warp batch sums locally and adds to the registry
+/// once, after the batch: every access of a batch issues from one
+/// chiplet, and nothing reads the registry before the next warp wake-up.
+#[derive(Default)]
+struct BatchTally {
+    /// Completed accesses whose data lives on another chiplet.
+    remote: u64,
+    /// Summed translation latency of the completed accesses.
+    translation_cycles: u64,
+    /// Summed data-path latency of the completed accesses.
+    data_cycles: u64,
+}
+
 /// Outcome of simulating one memory instruction.
 enum AccessResult {
     /// Completed at the given cycle.
@@ -407,9 +420,19 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
                 let mut advanced = 0usize;
                 // Same-page translation memo, valid only within this batch.
                 let mut repeat: Option<RepeatXlate> = None;
+                let mut tally = BatchTally::default();
                 for (i, va) in batch.iter().enumerate() {
                     let at = t + i as u64 * issue_gap;
-                    match self.memory_access(sm, chiplet, tb, *va, at, policy, &mut repeat)? {
+                    match self.memory_access(
+                        sm,
+                        chiplet,
+                        tb,
+                        *va,
+                        at,
+                        policy,
+                        &mut repeat,
+                        &mut tally,
+                    )? {
                         AccessResult::Done(done) => {
                             batch_done = batch_done.max(done);
                             advanced += 1;
@@ -420,15 +443,23 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
                         }
                     }
                 }
-                // Batch-hoisted instruction tallies: one add per batch
-                // instead of one per retired access.
-                self.ctr
-                    .add(chiplet, Counter::MemInsts, advanced as u64 * self.reuse);
-                self.ctr.add(
+                // Batch-hoisted tallies: one add per batch instead of one
+                // per retired access. Each access stands for `reuse` memory
+                // instructions; the `reuse - 1` unsimulated repeats hit the
+                // L1 cache and L1 TLB.
+                let n = advanced as u64;
+                let c = &mut self.ctr;
+                c.add(chiplet, Counter::MemInsts, n * self.reuse);
+                c.add(chiplet, Counter::WarpInsts, n * issue_gap * self.reuse);
+                c.add(chiplet, Counter::RemoteInsts, tally.remote * self.reuse);
+                c.add(chiplet, Counter::L1dHits, n * (self.reuse - 1));
+                c.add(chiplet, Counter::L1tlbHits, n * (self.reuse - 1));
+                c.add(
                     chiplet,
-                    Counter::WarpInsts,
-                    advanced as u64 * issue_gap * self.reuse,
+                    Counter::TranslationCycles,
+                    tally.translation_cycles,
                 );
+                c.add(chiplet, Counter::DataCycles, tally.data_cycles);
                 sched.advance(wid, advanced);
                 if advanced > 0 {
                     last_progress = last_progress.max(batch_done);
@@ -469,6 +500,7 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
         t: u64,
         policy: &mut dyn PagingPolicy,
         repeat: &mut Option<RepeatXlate>,
+        tally: &mut BatchTally,
     ) -> Result<AccessResult, SimError> {
         let issue = self.sm_port[sm].acquire(t, 1);
 
@@ -544,17 +576,14 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
                 cycle: tt,
             });
         }
-        self.ctr
-            .add(chiplet, Counter::TranslationCycles, tt - issue);
+        tally.translation_cycles += tt - issue;
         self.probe.sample(TraceStage::Translate, tt - issue);
 
         // --- Data access ---
         let pa = pte.pa + va.offset_in(pte.size.bytes());
         let data_chiplet = self.page_table.layout().chiplet_of(pa);
         let remote = data_chiplet != chiplet;
-        if remote {
-            self.ctr.add(chiplet, Counter::RemoteInsts, self.reuse);
-        }
+        tally.remote += remote as u64;
         let idx = pte.alloc.index();
         if idx >= self.alloc_stats.len() {
             self.alloc_stats
@@ -564,9 +593,6 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
         if remote {
             self.alloc_stats[idx].remote += self.reuse;
         }
-        // The (reuse - 1) unsimulated repeats hit the L1 cache and L1 TLB.
-        self.ctr.add(chiplet, Counter::L1dHits, self.reuse - 1);
-        self.ctr.add(chiplet, Counter::L1tlbHits, self.reuse - 1);
         if self.wants_samples {
             policy.on_access(&WalkEvent {
                 va,
@@ -587,7 +613,7 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
             &mut self.ctr,
             self.probe,
         );
-        self.ctr.add(chiplet, Counter::DataCycles, done - tt);
+        tally.data_cycles += done - tt;
         self.probe.sample(TraceStage::Data, done - tt);
         Ok(AccessResult::Done(done))
     }
