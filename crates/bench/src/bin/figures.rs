@@ -367,15 +367,15 @@ fn main() {
             println!("{}", render_table4(&rows));
         });
     }
-    // Fold the journaled cell tallies into the coarse wall-clock timings
-    // (an experiment may journal several sweeps only in principle; ids
-    // are unique today, so this is a straight merge by id).
-    for c in tele.experiment_counters() {
-        if let Some(t) = timings.iter_mut().find(|t| t.id == c.exp) {
-            t.cells += c.cells;
-            t.degraded += c.degraded;
-            t.resumed += c.resumed;
-            t.cell_wall_us.extend(c.cell_wall_us);
+    // An experiment that journaled its sweep reports the sweep's cell
+    // tallies under the experiment's own wall-clock seconds.
+    let swept = tele.experiment_counters();
+    for t in &mut timings {
+        if let Some(s) = swept.iter().find(|s| s.id == t.id) {
+            *t = ExperimentTiming {
+                seconds: t.seconds,
+                ..s.clone()
+            };
         }
     }
     tele.finish();
@@ -423,16 +423,22 @@ fn main() {
 /// directory — per-experiment completion, slowest cells, degraded and
 /// quarantined cells. Torn journal tails (a crash mid-append) are
 /// salvaged: the valid prefix is summarized and the tail reported as a
-/// warning. With `--check`, additionally validate every journal line and
-/// every shard file and require full cell coverage (every declared cell
-/// has a journal record), exiting non-zero on malformed, incomplete, or
-/// absent telemetry.
+/// warning, as are lines from another schema version. With `--check`,
+/// additionally validate every journal line and every shard file and
+/// require full cell coverage (every declared cell has a journal record),
+/// exiting non-zero on malformed, incomplete, or absent telemetry.
 fn run_status(out_dir: &Path, check: bool) {
     let journal = telemetry::read_journal_dir(&out_dir.join("journal"));
     let summaries = telemetry::summarize(&journal.records);
     print!("{}", render_status(&summaries));
     for w in &journal.salvaged {
         eprintln!("salvaged journal tail: {w}");
+    }
+    if journal.stale > 0 {
+        eprintln!(
+            "warning: skipped {} journal record(s) written under another schema version",
+            journal.stale
+        );
     }
     for e in &journal.errors {
         eprintln!("malformed journal line: {e}");

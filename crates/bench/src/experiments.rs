@@ -293,7 +293,7 @@ impl Harness {
                                 ..
                             } => {
                                 let wall_us = t0.elapsed().as_micros() as u64;
-                                scope.record_failure(i, s, wall_us, outcome, &reason, &stats);
+                                scope.record_failure(i, s, wall_us, outcome, &reason, stats);
                                 RunStats::default()
                             }
                         }

@@ -10,6 +10,7 @@
 
 pub mod configs;
 pub mod experiments;
+pub mod json;
 pub mod report;
 pub mod runner;
 pub mod supervise;

@@ -9,7 +9,7 @@ use std::path::Path;
 use mcm_sim::{Counter, TraceEventClass, TraceStage, SAMPLE_INTERVAL, WARMUP_EPSILON};
 
 use crate::experiments::{FigureTrace, Grid, MetricsReport, Table4Row};
-use crate::telemetry::Json;
+use crate::json::Json;
 
 /// Renders a grid as an aligned text table: one block for normalized
 /// performance, one for remote ratios.
@@ -83,13 +83,17 @@ pub fn write_csv(g: &Grid, dir: &Path) -> io::Result<()> {
     fs::write(dir.join(format!("{}.csv", g.id)), csv_string(g))
 }
 
-/// One experiment's wall-clock measurement for `bench_timings.json`,
-/// enriched with the cell tallies the sweep telemetry journaled.
+/// One experiment's wall-clock measurement and cell tallies: what a
+/// journaled sweep records when it finishes
+/// ([`Telemetry::experiment_counters`]) and what `bench_timings.json`
+/// lists.
+///
+/// [`Telemetry::experiment_counters`]: crate::telemetry::Telemetry::experiment_counters
 #[derive(Clone, Debug)]
 pub struct ExperimentTiming {
     /// Experiment identifier ("fig18", "table4", ...).
     pub id: String,
-    /// Wall-clock seconds the experiment took.
+    /// Wall-clock seconds the experiment (or the sweep) took.
     pub seconds: f64,
     /// Sweep cells the experiment ran or restored (0 when the experiment
     /// has no journaled sweep — e.g. fig10's locality survey).
@@ -117,9 +121,8 @@ impl ExperimentTiming {
     }
 }
 
-/// Writes per-experiment wall-clock timings to `dir/bench_timings.json`
-/// (hand-rolled JSON — the workspace deliberately has no serde
-/// dependency).
+/// Writes `dir/bench_timings.json`: run settings, then one experiment
+/// per line (`scripts/ci.sh` reads `"id": ` and `"seconds": ` with awk).
 ///
 /// # Errors
 ///
@@ -131,113 +134,26 @@ pub fn write_timings(
     engine: &str,
     dir: &Path,
 ) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"jobs\": {jobs},");
-    let _ = writeln!(s, "  \"quick\": {quick},");
-    let _ = writeln!(s, "  \"engine\": \"{}\",", engine.replace('"', "\\\""));
     let total: f64 = timings.iter().map(|t| t.seconds).sum();
-    let _ = writeln!(s, "  \"total_seconds\": {total:.3},");
-    let _ = writeln!(s, "  \"experiments\": [");
-    for (i, t) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        let walls: Vec<String> = t.cell_wall_us.iter().map(u64::to_string).collect();
-        let _ = writeln!(
-            s,
-            "    {{\"id\": \"{}\", \"seconds\": {:.3}, \"cells\": {}, \
-             \"degraded\": {}, \"resumed\": {}, \"cell_wall_us\": [{}]}}{comma}",
-            t.id.replace('"', "\\\""),
-            t.seconds,
-            t.cells,
-            t.degraded,
-            t.resumed,
-            walls.join(",")
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    fs::write(dir.join("bench_timings.json"), s)
-}
-
-/// The decoded contents of a `bench_timings.json` file.
-#[derive(Clone, Debug)]
-pub struct TimingsFile {
-    /// Worker count the run used.
-    pub jobs: usize,
-    /// Whether the run was `--quick`.
-    pub quick: bool,
-    /// Engine tag of the run.
-    pub engine: String,
-    /// Per-experiment timings, in file order.
-    pub timings: Vec<ExperimentTiming>,
-}
-
-/// Decodes `dir/bench_timings.json` (`None` when the file is absent or
-/// does not parse — callers start a fresh one).
-pub fn read_timings(dir: &Path) -> Option<TimingsFile> {
-    let s = fs::read_to_string(dir.join("bench_timings.json")).ok()?;
-    let j = Json::parse(&s).ok()?;
-    let f64_of = |v: &Json| -> Option<f64> {
-        match v {
-            Json::Num(n) => n.parse().ok(),
-            _ => None,
-        }
-    };
-    let mut timings = Vec::new();
-    for e in j.get("experiments")?.as_arr()? {
-        timings.push(ExperimentTiming {
-            id: e.get("id")?.as_str()?.to_string(),
-            seconds: f64_of(e.get("seconds")?)?,
-            cells: e.get("cells")?.as_usize()?,
-            degraded: e.get("degraded")?.as_usize()?,
-            resumed: e.get("resumed")?.as_usize()?,
-            cell_wall_us: e
-                .get("cell_wall_us")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<Vec<u64>>>()?,
-        });
-    }
-    Some(TimingsFile {
-        jobs: j.get("jobs")?.as_usize()?,
-        quick: matches!(j.get("quick")?, Json::Bool(b) if *b),
-        engine: j.get("engine")?.as_str()?.to_string(),
-        timings,
-    })
-}
-
-/// Merges one experiment's timing into `dir/bench_timings.json`,
-/// replacing any previous entry with the same id and preserving every
-/// other entry and the file's header fields. When the file is absent or
-/// unreadable, a fresh one is started with the given defaults. `whatif`
-/// rides along this way without clobbering a `figures` run's entries.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the rewrite.
-pub fn upsert_timing(
-    t: ExperimentTiming,
-    default_jobs: usize,
-    default_quick: bool,
-    default_engine: &str,
-    dir: &Path,
-) -> io::Result<()> {
-    let (mut timings, jobs, quick, engine) = match read_timings(dir) {
-        Some(tf) => (tf.timings, tf.jobs, tf.quick, tf.engine),
-        None => (
-            Vec::new(),
-            default_jobs,
-            default_quick,
-            default_engine.to_string(),
-        ),
-    };
-    match timings.iter_mut().find(|e| e.id == t.id) {
-        Some(slot) => *slot = t,
-        None => timings.push(t),
-    }
-    write_timings(&timings, jobs, quick, &engine, dir)
+    let experiments = timings.iter().map(|t| {
+        Json::obj([
+            ("id", Json::str(&t.id)),
+            ("seconds", Json::secs(t.seconds)),
+            ("cells", Json::num(t.cells)),
+            ("degraded", Json::num(t.degraded)),
+            ("resumed", Json::num(t.resumed)),
+            ("cell_wall_us", Json::nums(&t.cell_wall_us)),
+        ])
+    });
+    let doc = Json::obj([
+        ("jobs", Json::num(jobs)),
+        ("quick", Json::Bool(quick)),
+        ("engine", Json::str(engine)),
+        ("total_seconds", Json::secs(total)),
+        ("experiments", Json::Arr(experiments.collect())),
+    ]);
+    fs::create_dir_all(dir)?;
+    fs::write(dir.join("bench_timings.json"), doc.pretty(2))
 }
 
 /// Renders the `figures status` view of a run journal: per-experiment
@@ -292,6 +208,7 @@ pub fn render_status(summaries: &[crate::telemetry::ExpSummary]) -> String {
             let _ = writeln!(out, "   slowest: {}", cells.join(", "));
         }
         for r in &s.degraded_cells {
+            let d = &r.stats.degradation;
             let _ = writeln!(
                 out,
                 "   degraded: {}/{} cell {} — {} event(s) \
@@ -299,12 +216,12 @@ pub fn render_status(summaries: &[crate::telemetry::ExpSummary]) -> String {
                 r.workload,
                 r.config,
                 r.cell,
-                r.degraded_events,
-                r.fallback_remote_frames,
-                r.rejected_directives,
-                r.walk_queue_stalls,
-                r.stale_tlb_hits,
-                r.audit_violations
+                r.degraded_events(),
+                d.fallback_remote_frames,
+                d.rejected_directives,
+                d.walk_queue_stalls,
+                d.stale_tlb_hits,
+                d.audit_violations
             );
         }
         for r in &s.quarantined_cells {
@@ -400,73 +317,50 @@ pub fn render_trace(ft: &FigureTrace) -> String {
     out
 }
 
-/// The JSON representation of a figure trace (hand-rolled — the workspace
-/// deliberately has no serde dependency): per configuration, per-stage
-/// log2-bucketed latency histograms plus the exact event counters.
+/// The JSON representation of a figure trace: per configuration,
+/// per-stage log2-bucketed latency histograms (one stage per line) plus
+/// the exact event counters.
 pub fn trace_json(ft: &FigureTrace) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"figure\": \"{}\",", ft.id.replace('"', "\\\""));
-    let _ = writeln!(
-        s,
-        "  \"workloads\": [{}],",
-        ft.rows
+    let columns = ft.cols.iter().zip(&ft.traces).map(|(c, trace)| {
+        let events = TraceEventClass::ALL
             .iter()
-            .map(|r| format!("\"{}\"", r.replace('"', "\\\"")))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(s, "  \"columns\": [");
-    for (ci, (c, trace)) in ft.cols.iter().zip(&ft.traces).enumerate() {
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"config\": \"{}\",", c.replace('"', "\\\""));
-        let _ = writeln!(s, "      \"total_cycles\": {},", trace.total_cycles());
-        let _ = writeln!(s, "      \"events_seen\": {},", trace.events_seen);
-        let _ = writeln!(s, "      \"dropped_events\": {},", trace.dropped_events);
-        let _ = writeln!(s, "      \"events\": {{");
-        for (i, class) in TraceEventClass::ALL.iter().enumerate() {
-            let comma = if i + 1 < TraceEventClass::ALL.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                s,
-                "        \"{}\": {}{comma}",
-                class.name(),
-                trace.event_count(*class)
-            );
-        }
-        let _ = writeln!(s, "      }},");
-        let _ = writeln!(s, "      \"stages\": [");
-        for (i, stage) in TraceStage::ALL.iter().enumerate() {
+            .map(|class| (class.name(), Json::num(trace.event_count(*class))));
+        let stages = TraceStage::ALL.iter().map(|stage| {
             let h = trace.hist(*stage);
-            let comma = if i + 1 < TraceStage::ALL.len() {
-                ","
-            } else {
-                ""
-            };
-            let buckets = h
-                .nonzero_buckets()
-                .map(|(lo, hi, n)| format!("{{\"lo\": {lo}, \"hi\": {hi}, \"count\": {n}}}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = writeln!(s, "        {{");
-            let _ = writeln!(s, "          \"stage\": \"{}\",", stage.name());
-            let _ = writeln!(s, "          \"count\": {},", h.count());
-            let _ = writeln!(s, "          \"sum\": {},", h.sum());
-            let _ = writeln!(s, "          \"min\": {},", h.min().unwrap_or(0));
-            let _ = writeln!(s, "          \"max\": {},", h.max().unwrap_or(0));
-            let _ = writeln!(s, "          \"buckets\": [{buckets}]");
-            let _ = writeln!(s, "        }}{comma}");
-        }
-        let _ = writeln!(s, "      ]");
-        let comma = if ci + 1 < ft.cols.len() { "," } else { "" };
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
+            let buckets = h.nonzero_buckets().map(|(lo, hi, n)| {
+                Json::obj([
+                    ("lo", Json::num(lo)),
+                    ("hi", Json::num(hi)),
+                    ("count", Json::num(n)),
+                ])
+            });
+            Json::obj([
+                ("stage", Json::str(stage.name())),
+                ("count", Json::num(h.count())),
+                ("sum", Json::num(h.sum())),
+                ("min", Json::num(h.min().unwrap_or(0))),
+                ("max", Json::num(h.max().unwrap_or(0))),
+                ("buckets", Json::Arr(buckets.collect())),
+            ])
+        });
+        Json::obj([
+            ("config", Json::str(c)),
+            ("total_cycles", Json::num(trace.total_cycles())),
+            ("events_seen", Json::num(trace.events_seen)),
+            ("dropped_events", Json::num(trace.dropped_events)),
+            ("events", Json::obj(events)),
+            ("stages", Json::Arr(stages.collect())),
+        ])
+    });
+    Json::obj([
+        ("figure", Json::str(&ft.id)),
+        (
+            "workloads",
+            Json::Arr(ft.rows.iter().map(Json::str).collect()),
+        ),
+        ("columns", Json::Arr(columns.collect())),
+    ])
+    .pretty(4)
 }
 
 /// The flamegraph folded-stack representation of a figure trace: one
@@ -497,12 +391,6 @@ pub fn write_trace(ft: &FigureTrace, dir: &Path) -> io::Result<()> {
     fs::create_dir_all(&tdir)?;
     fs::write(tdir.join(format!("{}.json", ft.id)), trace_json(ft))?;
     fs::write(tdir.join(format!("{}.folded", ft.id)), trace_folded(ft))
-}
-
-/// `None` renders as JSON `null`; values get the six decimals the rest
-/// of the telemetry layer uses.
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| format!("{v:.6}"))
 }
 
 /// Renders a metrics report as an aligned text summary: per
@@ -557,136 +445,77 @@ pub fn render_timeline(mr: &MetricsReport) -> String {
     out
 }
 
-/// The JSON representation of a metrics report (hand-rolled — the
-/// workspace deliberately has no serde dependency): per configuration
+/// The JSON representation of a metrics report: per configuration
 /// column, the merged per-chiplet counters and cross-chiplet traffic
-/// matrix, then each cell's warmup summary and full interval series.
-/// Frame deltas list only counters that moved during the interval; absent
-/// counter keys read as zero.
+/// matrix, then each cell (one per line) with its warmup summary and full
+/// interval series. Frame deltas list only counters that moved during the
+/// interval; absent counter keys read as zero.
 pub fn timeline_json(mr: &MetricsReport) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"figure\": \"{}\",", mr.id.replace('"', "\\\""));
-    let _ = writeln!(
-        s,
-        "  \"workloads\": [{}],",
-        mr.rows
-            .iter()
-            .map(|r| format!("\"{}\"", r.replace('"', "\\\"")))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(s, "  \"columns\": [");
-    for (c, label) in mr.cols.iter().enumerate() {
+    let columns = mr.cols.iter().enumerate().map(|(c, label)| {
         let m = &mr.merged[c];
         let n = m.num_chiplets();
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"config\": \"{}\",", label.replace('"', "\\\""));
-        let _ = writeln!(s, "      \"num_chiplets\": {n},");
-        let _ = writeln!(s, "      \"sample_interval\": {SAMPLE_INTERVAL},");
-        let _ = writeln!(s, "      \"merged_cells\": {},", m.merged_cells);
-        let _ = writeln!(s, "      \"dropped_frames\": {},", m.dropped_frames);
-        let _ = writeln!(
-            s,
-            "      \"dram_imbalance\": {},",
-            json_opt_f64(m.dram_imbalance())
-        );
-        let _ = writeln!(s, "      \"counters\": {{");
-        for (i, counter) in Counter::ALL.iter().enumerate() {
-            let comma = if i + 1 < Counter::COUNT { "," } else { "" };
-            let per_chiplet: Vec<String> =
-                (0..n).map(|ch| m.count(ch, *counter).to_string()).collect();
-            let _ = writeln!(
-                s,
-                "        \"{}\": [{}]{comma}",
-                counter.name(),
-                per_chiplet.join(",")
-            );
-        }
-        let _ = writeln!(s, "      }},");
+        let counters =
+            Counter::ALL.map(|k| (k.name(), Json::nums((0..n).map(|ch| m.count(ch, k)))));
         let mut links = Vec::new();
         for src in 0..n {
             for dst in 0..n {
                 let t = m.traffic(src, dst);
                 if t.transfers > 0 {
-                    links.push(format!(
-                        "{{\"src\": {src}, \"dst\": {dst}, \"transfers\": {}, \
-                         \"hops\": {}, \"queue_cycles\": {}}}",
-                        t.transfers, t.hops, t.queue_cycles
-                    ));
+                    links.push(Json::obj([
+                        ("src", Json::num(src)),
+                        ("dst", Json::num(dst)),
+                        ("transfers", Json::num(t.transfers)),
+                        ("hops", Json::num(t.hops)),
+                        ("queue_cycles", Json::num(t.queue_cycles)),
+                    ]));
                 }
             }
         }
-        let _ = writeln!(s, "      \"traffic\": [{}],", links.join(", "));
-        let _ = writeln!(s, "      \"cells\": [");
-        for r in 0..mr.rows.len() {
+        let cells = (0..mr.rows.len()).map(|r| {
             let cell = mr.cell(r, c);
-            let stats = mr.cell_stats(r, c);
-            let ratios = cell.remote_ratio_series();
-            let _ = writeln!(s, "        {{");
-            let _ = writeln!(
-                s,
-                "          \"workload\": \"{}\",",
-                mr.rows[r].replace('"', "\\\"")
-            );
-            let _ = writeln!(s, "          \"cycles\": {},", stats.cycles);
-            let _ = writeln!(
-                s,
-                "          \"warmup_knee\": {},",
-                cell.warmup_knee(WARMUP_EPSILON)
-                    .map_or_else(|| "null".to_string(), |k| k.to_string())
-            );
-            let _ = writeln!(
-                s,
-                "          \"warmup_frac\": {},",
-                json_opt_f64(cell.warmup_frac(WARMUP_EPSILON))
-            );
-            let _ = writeln!(
-                s,
-                "          \"dram_imbalance\": {},",
-                json_opt_f64(cell.dram_imbalance())
-            );
-            let _ = writeln!(s, "          \"series\": [");
-            for (fi, frame) in cell.series().iter().enumerate() {
-                let mut deltas = Vec::new();
-                for counter in Counter::ALL {
-                    if frame.total(counter) == 0 {
-                        continue;
-                    }
-                    let per_chiplet: Vec<String> = (0..cell.num_chiplets())
-                        .map(|ch| frame.delta(ch, counter).to_string())
-                        .collect();
-                    deltas.push(format!(
-                        "\"{}\": [{}]",
-                        counter.name(),
-                        per_chiplet.join(",")
-                    ));
-                }
-                let comma = if fi + 1 < cell.series().len() {
-                    ","
-                } else {
-                    ""
-                };
-                let _ = writeln!(
-                    s,
-                    "            {{\"cycle\": {}, \"remote_ratio\": {}, \
-                     \"deltas\": {{{}}}}}{comma}",
-                    frame.cycle,
-                    json_opt_f64(ratios[fi]),
-                    deltas.join(", ")
-                );
-            }
-            let _ = writeln!(s, "          ]");
-            let comma = if r + 1 < mr.rows.len() { "," } else { "" };
-            let _ = writeln!(s, "        }}{comma}");
-        }
-        let _ = writeln!(s, "      ]");
-        let comma = if c + 1 < mr.cols.len() { "," } else { "" };
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
+            let frames = cell.series().iter().zip(cell.remote_ratio_series());
+            let series = frames.map(|(frame, ratio)| {
+                let moved = Counter::ALL.into_iter().filter(|&k| frame.total(k) > 0);
+                let deltas = moved.map(|k| {
+                    let per_chiplet = (0..cell.num_chiplets()).map(|ch| frame.delta(ch, k));
+                    (k.name(), Json::nums(per_chiplet))
+                });
+                Json::obj([
+                    ("cycle", Json::num(frame.cycle)),
+                    ("remote_ratio", Json::ratio(ratio)),
+                    ("deltas", Json::obj(deltas)),
+                ])
+            });
+            Json::obj([
+                ("workload", Json::str(&mr.rows[r])),
+                ("cycles", Json::num(mr.cell_stats(r, c).cycles)),
+                ("warmup_knee", Json::opt(cell.warmup_knee(WARMUP_EPSILON))),
+                ("warmup_frac", Json::ratio(cell.warmup_frac(WARMUP_EPSILON))),
+                ("dram_imbalance", Json::ratio(cell.dram_imbalance())),
+                ("series", Json::Arr(series.collect())),
+            ])
+        });
+        Json::obj([
+            ("config", Json::str(label)),
+            ("num_chiplets", Json::num(n)),
+            ("sample_interval", Json::num(SAMPLE_INTERVAL)),
+            ("merged_cells", Json::num(m.merged_cells)),
+            ("dropped_frames", Json::num(m.dropped_frames)),
+            ("dram_imbalance", Json::ratio(m.dram_imbalance())),
+            ("counters", Json::obj(counters)),
+            ("traffic", Json::Arr(links)),
+            ("cells", Json::Arr(cells.collect())),
+        ])
+    });
+    Json::obj([
+        ("figure", Json::str(&mr.id)),
+        (
+            "workloads",
+            Json::Arr(mr.rows.iter().map(Json::str).collect()),
+        ),
+        ("columns", Json::Arr(columns.collect())),
+    ])
+    .pretty(4)
 }
 
 /// The CSV representation of a metrics report, long format: one row per
@@ -782,8 +611,12 @@ mod tests {
         assert!(s.contains("\"engine\": \"analytic\""));
         assert!(s.contains(
             "\"id\": \"fig1\", \"seconds\": 1.250, \"cells\": 24, \
-             \"degraded\": 2, \"resumed\": 8, \"cell_wall_us\": [100,250,75]"
+             \"degraded\": 2, \"resumed\": 8, \"cell_wall_us\": [100, 250, 75]"
         ));
+        // One experiment per line, carrying both keys the CI awk reads.
+        let lines: Vec<&str> = s.lines().filter(|l| l.contains("\"id\": ")).collect();
+        assert_eq!(lines.len(), 2, "{s}");
+        assert!(lines.iter().all(|l| l.contains("\"seconds\": ")), "{s}");
         assert!(
             s.contains("\"cell_wall_us\": []"),
             "untelemetered experiments carry an empty wall-time list"
@@ -797,8 +630,8 @@ mod tests {
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         assert_eq!(s.matches('[').count(), s.matches(']').count());
         assert!(!s.contains(",\n  ]"));
-        // The enriched JSON still parses with the telemetry JSON parser.
-        crate::telemetry::Json::parse(&s).expect("bench_timings.json must be valid JSON");
+        // The enriched JSON still parses with the crate's JSON codec.
+        Json::parse(&s).expect("bench_timings.json must be valid JSON");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -823,7 +656,7 @@ mod tests {
                 2,
                 1_250_000,
                 CellOutcome::Degraded,
-                &degraded,
+                degraded,
             ),
             CellRecord::from_stats(
                 "fig1",
@@ -832,7 +665,7 @@ mod tests {
                 2,
                 900,
                 CellOutcome::Completed,
-                &RunStats::default(),
+                RunStats::default(),
             ),
         ];
         let s = render_status(&summarize(&records));
@@ -864,7 +697,7 @@ mod tests {
             4,
             100,
             CellOutcome::Completed,
-            &RunStats::default(),
+            RunStats::default(),
         );
         let aborted = CellRecord::from_stats(
             "fig9",
@@ -873,7 +706,7 @@ mod tests {
             4,
             50,
             CellOutcome::Aborted,
-            &RunStats::default(),
+            RunStats::default(),
         )
         .with_reason("run budget exceeded: cycle 9 past max_cycles 5");
         let panicked = CellRecord::from_stats(
@@ -883,7 +716,7 @@ mod tests {
             4,
             10,
             CellOutcome::Panicked,
-            &RunStats::default(),
+            RunStats::default(),
         )
         .with_reason("injected panic");
         // Cell 3 never journaled.
@@ -979,6 +812,64 @@ mod tests {
         let folded = std::fs::read_to_string(dir.join("trace/figT.folded")).expect("folded");
         assert!(folded.contains("figT;CLAP;data 40"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn labels_with_escapes_round_trip_through_every_document() {
+        use mcm_sim::{RunMetrics, RunOutcome, RunStats};
+        let (id, row, col) = ("fig\\x", "W\"1\"", "C\\2\nnew");
+        let labels = |doc: &str| -> (String, Vec<String>, Vec<String>) {
+            let j = Json::parse(doc).expect("document must be valid JSON");
+            let strs = |v: &Json, key: &str| -> Vec<String> {
+                let arr = v.get(key).and_then(Json::as_arr).expect("array");
+                arr.iter()
+                    .map(|x| x.as_str().expect("string").to_string())
+                    .collect()
+            };
+            let cols = j.get("columns").and_then(Json::as_arr).expect("columns");
+            let cols = cols.iter().map(|c| c.get("config").and_then(Json::as_str));
+            let figure = j.get("figure").and_then(Json::as_str).expect("figure");
+            (
+                figure.to_string(),
+                strs(&j, "workloads"),
+                cols.map(|c| c.expect("config").to_string()).collect(),
+            )
+        };
+        let want = (id.to_string(), vec![row.to_string()], vec![col.to_string()]);
+        let mut ft = figure_trace();
+        (ft.id, ft.rows, ft.cols, ft.traces) = (
+            id.into(),
+            vec![row.into()],
+            vec![col.into()],
+            vec![ft.traces.remove(0)],
+        );
+        assert_eq!(labels(&trace_json(&ft)), want);
+        let mr = MetricsReport {
+            id: id.into(),
+            rows: vec![row.into()],
+            cols: vec![col.into()],
+            outcomes: vec![RunOutcome::Completed(RunStats::default())],
+            cells: vec![RunMetrics::new(2)],
+            cell_wall_us: vec![1],
+            merged: vec![RunMetrics::new(2)],
+        };
+        let doc = timeline_json(&mr);
+        assert_eq!(labels(&doc), want);
+        let cell = Json::parse(&doc).expect("parse");
+        let cell = &cell.get("columns").and_then(Json::as_arr).expect("columns")[0];
+        let cell = &cell.get("cells").and_then(Json::as_arr).expect("cells")[0];
+        assert_eq!(cell.get("workload").and_then(Json::as_str), Some(row));
+        let dir = std::env::temp_dir().join("clap-repro-test-timings-escapes");
+        write_timings(&[ExperimentTiming::new(id, 0.5)], 1, true, col, &dir).expect("write");
+        let doc = std::fs::read_to_string(dir.join("bench_timings.json")).expect("read");
+        let _ = std::fs::remove_dir_all(&dir);
+        let j = Json::parse(&doc).expect("bench_timings.json must be valid JSON");
+        assert_eq!(j.get("engine").and_then(Json::as_str), Some(col));
+        let e = &j
+            .get("experiments")
+            .and_then(Json::as_arr)
+            .expect("experiments")[0];
+        assert_eq!(e.get("id").and_then(Json::as_str), Some(id));
     }
 
     #[test]

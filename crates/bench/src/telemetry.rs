@@ -16,11 +16,10 @@
 //! fields), and `scripts/ci.sh` `cmp`s resumed output against the
 //! goldens byte for byte.
 //!
-//! All JSON is hand-rolled and hand-parsed ([`Json`]) — the workspace
-//! deliberately has no serde dependency.
+//! Every document goes through the crate's one JSON codec
+//! ([`crate::json`]).
 
 use std::fmt;
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -32,14 +31,18 @@ use std::time::{Duration, Instant};
 use mcm_sim::{AllocAccessStats, Counter, DegradationStats, RunOutcome, RunStats};
 use mcm_types::AllocId;
 
+pub use crate::json::{json_escape, Json};
+use crate::report::ExperimentTiming;
 use crate::runner::SweepObserver;
 
 /// Version stamped into every journal record and shard file. Bump it when
-/// the record/shard layout changes; `--resume` treats shards from another
-/// schema as stale and re-runs their cells. v2: the `ring_*` statistics
-/// were renamed `interconnect_*` when the interconnect grew non-ring
-/// topologies.
-pub const SCHEMA_VERSION: u32 = 2;
+/// the record/shard layout changes: `--resume` treats shards from another
+/// schema as stale and re-runs their cells, and [`read_journal_dir`]
+/// skips (and counts) journal lines from another schema. v2: the `ring_*`
+/// statistics were renamed `interconnect_*` when the interconnect grew
+/// non-ring topologies. v3: a record carries the cell's full [`RunStats`]
+/// and a shard is `{schema, fingerprint, record}`.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// FNV-1a 64-bit hash — the stable fingerprint behind shard validation
 /// (deliberately not `DefaultHasher`, whose output may change across
@@ -50,8 +53,7 @@ pub const SCHEMA_VERSION: u32 = 2;
 pub use mcm_types::fnv1a;
 
 /// Renders a microsecond wall-clock count for humans (`870µs`, `3.4ms`,
-/// `1.25s`). Shared by the journal `status` view and the `whatif`
-/// per-variant timings.
+/// `1.25s`), as the journal `status` view prints it.
 pub fn fmt_duration_us(us: u64) -> String {
     if us >= 10_000_000 {
         format!("{:.1}s", us as f64 / 1e6)
@@ -61,285 +63,6 @@ pub fn fmt_duration_us(us: u64) -> String {
         format!("{:.1}ms", us as f64 / 1e3)
     } else {
         format!("{us}µs")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value model
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-///
-/// Numbers keep their raw text so 64-bit counters round-trip exactly
-/// (an `f64` intermediate would corrupt counts above 2^53).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, kept as its raw text.
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; insertion order preserved.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON document (the whole string must be consumed).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first syntax error.
-    pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            b: s.as_bytes(),
-            i: 0,
-        };
-        p.ws();
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes at offset {}", p.i));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (`None` for non-objects or absent keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact `u64`, if it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => n.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a `usize`, if it is a non-negative integer.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(n) => n.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if it is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The object fields, if it is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Escapes a string for embedding in a JSON document (quotes excluded).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl JsonParser<'_> {
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.b.get(self.i) {
-            Some(b'{') => self.obj(),
-            Some(b'[') => self.arr(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.num(),
-            Some(c) => Err(format!(
-                "unexpected byte {:?} at offset {}",
-                *c as char, self.i
-            )),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.i))
-        }
-    }
-
-    fn num(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while matches!(
-            self.b.get(self.i),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.i += 1;
-        }
-        let raw = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| format!("non-utf8 number at offset {start}"))?;
-        // Validate it is a number at all; the raw text is what we keep.
-        raw.parse::<f64>()
-            .map_err(|_| format!("bad number {raw:?} at offset {start}"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.i += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| format!("bad \\u escape at offset {}", self.i))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at offset {}", self.i))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad codepoint \\u{hex}"))?,
-                            );
-                            self.i += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.i)),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| format!("non-utf8 string at offset {}", self.i))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| format!("unterminated string at offset {}", self.i))?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn arr(&mut self) -> Result<Json, String> {
-        self.i += 1; // [
-        let mut out = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.ws();
-            out.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.i)),
-            }
-        }
-    }
-
-    fn obj(&mut self) -> Result<Json, String> {
-        self.i += 1; // {
-        let mut out = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.ws();
-            if self.b.get(self.i) != Some(&b'"') {
-                return Err(format!("expected object key at offset {}", self.i));
-            }
-            let key = self.string()?;
-            self.ws();
-            if self.b.get(self.i) != Some(&b':') {
-                return Err(format!("expected ':' at offset {}", self.i));
-            }
-            self.i += 1;
-            self.ws();
-            let v = self.value()?;
-            out.push((key, v));
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
-            }
-        }
     }
 }
 
@@ -356,104 +79,94 @@ fn str_field(obj: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing or non-string field {key:?}"))
 }
 
-/// Optional float field: absent keys (older journal lines) and
-/// non-numeric values both read as `None`.
-fn f64_opt_field(obj: &Json, key: &str) -> Option<f64> {
-    match obj.get(key) {
-        Some(Json::Num(n)) => n.parse().ok(),
-        _ => None,
-    }
+fn field<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, String> {
+    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
 }
 
 // ---------------------------------------------------------------------------
-// RunStats <-> JSON (the shard payload)
+// RunStats <-> JSON (the record payload)
 // ---------------------------------------------------------------------------
 
-/// Serializes full run statistics as one JSON object line. The
-/// per-chiplet-event counters are written in counter-table order
-/// ([`Counter::ALL`]), each under its field name.
+/// Run statistics as a JSON object. The per-chiplet-event counters are
+/// written in counter-table order ([`Counter::ALL`]), each under its
+/// field name.
 ///
 /// Every field a figure reads is an exact integer, so
-/// `stats_from_json(stats_to_json(s))` reproduces them bit for bit. The
-/// only lossy part is `degradation.errors`: the typed [`SimError`]
-/// samples are written as display strings (`"error_samples"`) for humans
-/// and decode back to an empty list — no figure or CSV reads them.
+/// `stats_from_json(stats_json(s))` reproduces them bit for bit. The only
+/// lossy part is `degradation.errors`: the typed [`SimError`] samples are
+/// written as display strings (`"error_samples"`) for humans and decode
+/// back to an empty list — no figure or CSV reads them.
 ///
 /// [`SimError`]: mcm_sim::SimError
-pub fn stats_to_json(s: &RunStats) -> String {
-    let mut o = String::new();
-    let _ = write!(o, "{{\"cycles\":{}", s.cycles);
-    for c in Counter::ALL {
-        let _ = write!(o, ",\"{}\":{}", c.name(), s.counter(c));
-    }
-    let per_chiplet: Vec<String> = s.dram_per_chiplet.iter().map(u64::to_string).collect();
-    let _ = write!(o, ",\"dram_per_chiplet\":[{}]", per_chiplet.join(","));
-    let _ = write!(
-        o,
-        ",\"interconnect_transfers\":{}",
-        s.interconnect_transfers
-    );
-    let _ = write!(o, ",\"dram_queue_cycles\":{}", s.dram_queue_cycles);
-    let _ = write!(
-        o,
-        ",\"interconnect_queue_cycles\":{}",
-        s.interconnect_queue_cycles
-    );
-    match s.blocks_consumed {
-        Some(n) => {
-            let _ = write!(o, ",\"blocks_consumed\":{n}");
-        }
-        None => o.push_str(",\"blocks_consumed\":null"),
-    }
+pub fn stats_json(s: &RunStats) -> Json {
+    let mut o = vec![("cycles", Json::num(s.cycles))];
+    o.extend(Counter::ALL.map(|c| (c.name(), Json::num(s.counter(c)))));
     // Per-structure counters, sorted by allocation id for determinism
     // (the in-memory map is a HashMap).
     let mut allocs: Vec<(&AllocId, &AllocAccessStats)> = s.per_alloc.iter().collect();
     allocs.sort_by_key(|(id, _)| **id);
-    o.push_str(",\"per_alloc\":{");
-    for (i, (id, a)) in allocs.iter().enumerate() {
-        let comma = if i > 0 { "," } else { "" };
-        let _ = write!(
-            o,
-            "{comma}\"{}\":{{\"accesses\":{},\"remote\":{}}}",
-            id.index(),
-            a.accesses,
-            a.remote
-        );
-    }
-    o.push('}');
+    let per_alloc = allocs.into_iter().map(|(id, a)| {
+        let counts = [
+            ("accesses", Json::num(a.accesses)),
+            ("remote", Json::num(a.remote)),
+        ];
+        (id.index().to_string(), Json::obj(counts))
+    });
     let d = &s.degradation;
-    let _ = write!(
-        o,
-        ",\"degradation\":{{\"fallback_remote_frames\":{},\"rejected_directives\":{},\
-         \"tlb_class_missing\":{},\"walk_queue_stalls\":{},\"walk_queue_stall_cycles\":{},\
-         \"stale_tlb_hits\":{},\"audit_violations\":{},\"error_samples\":[",
-        d.fallback_remote_frames,
-        d.rejected_directives,
-        d.tlb_class_missing,
-        d.walk_queue_stalls,
-        d.walk_queue_stall_cycles,
-        d.stale_tlb_hits,
-        d.audit_violations,
-    );
-    for (i, e) in d.errors.iter().enumerate() {
-        let comma = if i > 0 { "," } else { "" };
-        let _ = write!(o, "{comma}\"{}\"", json_escape(&e.to_string()));
-    }
-    o.push_str("]}}");
-    o
+    o.extend([
+        ("dram_per_chiplet", Json::nums(&s.dram_per_chiplet)),
+        (
+            "interconnect_transfers",
+            Json::num(s.interconnect_transfers),
+        ),
+        ("dram_queue_cycles", Json::num(s.dram_queue_cycles)),
+        (
+            "interconnect_queue_cycles",
+            Json::num(s.interconnect_queue_cycles),
+        ),
+        ("blocks_consumed", Json::opt(s.blocks_consumed)),
+        ("per_alloc", Json::obj(per_alloc)),
+        (
+            "degradation",
+            Json::obj([
+                (
+                    "fallback_remote_frames",
+                    Json::num(d.fallback_remote_frames),
+                ),
+                ("rejected_directives", Json::num(d.rejected_directives)),
+                ("tlb_class_missing", Json::num(d.tlb_class_missing)),
+                ("walk_queue_stalls", Json::num(d.walk_queue_stalls)),
+                (
+                    "walk_queue_stall_cycles",
+                    Json::num(d.walk_queue_stall_cycles),
+                ),
+                ("stale_tlb_hits", Json::num(d.stale_tlb_hits)),
+                ("audit_violations", Json::num(d.audit_violations)),
+                (
+                    "error_samples",
+                    Json::Arr(d.errors.iter().map(|e| Json::str(e.to_string())).collect()),
+                ),
+            ]),
+        ),
+    ]);
+    Json::obj(o)
 }
 
-/// Decodes run statistics from a parsed shard payload.
+/// [`stats_json`] as one compact line (what the stats digests hash).
+pub fn stats_to_json(s: &RunStats) -> String {
+    stats_json(s).compact()
+}
+
+/// Decodes run statistics from a parsed [`stats_json`] object.
 ///
 /// # Errors
 ///
 /// Returns a description of the first missing or malformed field.
 pub fn stats_from_json(j: &Json) -> Result<RunStats, String> {
     let mut per_alloc = std::collections::HashMap::new();
-    for (k, v) in j
-        .get("per_alloc")
-        .and_then(Json::as_obj)
-        .ok_or("missing per_alloc")?
+    for (k, v) in field(j, "per_alloc")?
+        .as_obj()
+        .ok_or("non-object per_alloc")?
     {
         let idx: u16 = k.parse().map_err(|_| format!("bad alloc id {k:?}"))?;
         let a = AllocAccessStats {
@@ -462,22 +175,21 @@ pub fn stats_from_json(j: &Json) -> Result<RunStats, String> {
         };
         per_alloc.insert(AllocId::new(idx), a);
     }
-    let d = j.get("degradation").ok_or("missing degradation")?;
+    let d = field(j, "degradation")?;
     let mut s = RunStats {
         cycles: u64_field(j, "cycles")?,
-        dram_per_chiplet: j
-            .get("dram_per_chiplet")
-            .and_then(Json::as_arr)
-            .ok_or("missing dram_per_chiplet")?
+        dram_per_chiplet: field(j, "dram_per_chiplet")?
+            .as_arr()
+            .ok_or("non-array dram_per_chiplet")?
             .iter()
             .map(|v| v.as_u64().ok_or("non-integer dram_per_chiplet entry"))
             .collect::<Result<_, _>>()?,
         interconnect_transfers: u64_field(j, "interconnect_transfers")?,
         dram_queue_cycles: u64_field(j, "dram_queue_cycles")?,
         interconnect_queue_cycles: u64_field(j, "interconnect_queue_cycles")?,
-        blocks_consumed: match j.get("blocks_consumed") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(v.as_usize().ok_or("non-integer blocks_consumed")?),
+        blocks_consumed: match field(j, "blocks_consumed")? {
+            Json::Null => None,
+            v => Some(v.as_usize().ok_or("non-integer blocks_consumed")?),
         },
         per_alloc,
         degradation: DegradationStats {
@@ -488,7 +200,7 @@ pub fn stats_from_json(j: &Json) -> Result<RunStats, String> {
             walk_queue_stall_cycles: u64_field(d, "walk_queue_stall_cycles")?,
             stale_tlb_hits: u64_field(d, "stale_tlb_hits")?,
             audit_violations: u64_field(d, "audit_violations")?,
-            // Typed error samples are not round-tripped; the shard keeps
+            // Typed error samples are not round-tripped; the record keeps
             // their rendered strings ("error_samples") for humans only.
             errors: Vec::new(),
         },
@@ -600,9 +312,9 @@ impl fmt::Display for CellOutcome {
     }
 }
 
-/// One journal line: a cell's identity, wall-clock, outcome, and the key
-/// run/degradation counters — what `figures status` and the enriched
-/// `bench_timings.json` are built from.
+/// One journal line: a cell's identity, wall-clock, outcome and full run
+/// statistics — what `figures status`, the enriched `bench_timings.json`
+/// and (inside a shard) `--resume` are built from.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellRecord {
     /// Schema version the record was written under.
@@ -624,37 +336,9 @@ pub struct CellRecord {
     pub wall_us: u64,
     /// How the cell finished.
     pub outcome: CellOutcome,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Memory instructions executed.
-    pub mem_insts: u64,
-    /// Memory instructions served by a remote chiplet.
-    pub remote_insts: u64,
-    /// L2 TLB misses (walks issued).
-    pub l2tlb_misses: u64,
-    /// Page walks completed.
-    pub walks: u64,
-    /// Demand faults taken.
-    pub faults: u64,
-    /// Total degradation events the run absorbed
-    /// ([`DegradationStats::events`]).
-    pub degraded_events: u64,
-    /// Frames placed on a fallback chiplet under capacity pressure.
-    pub fallback_remote_frames: u64,
-    /// Policy directives the engine rejected.
-    pub rejected_directives: u64,
-    /// Walk-queue full stalls.
-    pub walk_queue_stalls: u64,
-    /// Stale TLB hits invalidated and re-walked.
-    pub stale_tlb_hits: u64,
-    /// Epoch-audit violations.
-    pub audit_violations: u64,
-    /// Translations whose leaf size had no TLB class.
-    pub tlb_class_missing: u64,
-    /// Per-chiplet DRAM imbalance, max/mean over
-    /// [`RunStats::dram_per_chiplet`] (`None` when the run touched no
-    /// DRAM).
-    pub imbalance: Option<f64>,
+    /// The run's statistics (partial for an aborted run, zero for a
+    /// panicked one).
+    pub stats: RunStats,
     /// Fraction of the run's simulated time spent before the remote-ratio
     /// warmup knee; stamped only by `figures timeline` cells (`None`, and
     /// omitted from the journal line, everywhere else).
@@ -662,9 +346,8 @@ pub struct CellRecord {
     /// Why a quarantined cell failed (abort reason or panic message);
     /// empty for healthy cells and omitted from their journal lines.
     pub reason: String,
-    /// Engine that produced the cell ("cycle" or "analytic");
-    /// the default "cycle" is omitted from the journal line so
-    /// pre-engine journals and new ones stay byte-identical.
+    /// Engine that produced the cell ("cycle" or "analytic"); the
+    /// default "cycle" is omitted from the journal line.
     pub engine: String,
 }
 
@@ -677,9 +360,8 @@ impl CellRecord {
         total: usize,
         wall_us: u64,
         outcome: CellOutcome,
-        stats: &RunStats,
+        stats: RunStats,
     ) -> CellRecord {
-        let d = &stats.degradation;
         CellRecord {
             schema: SCHEMA_VERSION,
             exp: exp.to_string(),
@@ -690,20 +372,7 @@ impl CellRecord {
             seed: spec.seed,
             wall_us,
             outcome,
-            cycles: stats.cycles,
-            mem_insts: stats.mem_insts,
-            remote_insts: stats.remote_insts,
-            l2tlb_misses: stats.l2tlb_misses,
-            walks: stats.walks,
-            faults: stats.faults,
-            degraded_events: d.events(),
-            fallback_remote_frames: d.fallback_remote_frames,
-            rejected_directives: d.rejected_directives,
-            walk_queue_stalls: d.walk_queue_stalls,
-            stale_tlb_hits: d.stale_tlb_hits,
-            audit_violations: d.audit_violations,
-            tlb_class_missing: d.tlb_class_missing,
-            imbalance: mcm_sim::imbalance(&stats.dram_per_chiplet),
+            stats,
             warmup_frac: None,
             reason: String::new(),
             engine: "cycle".to_string(),
@@ -725,8 +394,8 @@ impl CellRecord {
             RunOutcome::Degraded { .. } => (CellOutcome::Degraded, String::new()),
             RunOutcome::Aborted { reason, .. } => (CellOutcome::Aborted, reason.to_string()),
         };
-        CellRecord::from_stats(exp, spec, cell, total, wall_us, kind, outcome.stats())
-            .with_reason(&reason)
+        let stats = outcome.stats().clone();
+        CellRecord::from_stats(exp, spec, cell, total, wall_us, kind, stats).with_reason(&reason)
     }
 
     /// Attaches a quarantine reason (abort reason / panic message).
@@ -750,56 +419,77 @@ impl CellRecord {
         self
     }
 
-    /// Serializes the record as one JSONL line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let mut o = String::new();
-        let _ = write!(o, "{{\"schema\":{}", self.schema);
-        let _ = write!(o, ",\"exp\":\"{}\"", json_escape(&self.exp));
-        let _ = write!(o, ",\"cell\":{}", self.cell);
-        let _ = write!(o, ",\"total\":{}", self.total);
-        let _ = write!(o, ",\"config\":\"{}\"", json_escape(&self.config));
-        let _ = write!(o, ",\"workload\":\"{}\"", json_escape(&self.workload));
-        let _ = write!(o, ",\"seed\":{}", self.seed);
-        let _ = write!(o, ",\"wall_us\":{}", self.wall_us);
-        let _ = write!(o, ",\"outcome\":\"{}\"", self.outcome);
-        // The default cycle engine is omitted so pre-engine journal
-        // lines and new ones stay byte-identical.
-        if !self.engine.is_empty() && self.engine != "cycle" {
-            let _ = write!(o, ",\"engine\":\"{}\"", json_escape(&self.engine));
+    /// Total degradation events the run absorbed
+    /// ([`DegradationStats::events`]).
+    pub fn degraded_events(&self) -> u64 {
+        self.stats.degradation.events()
+    }
+
+    /// Per-chiplet DRAM imbalance, max/mean over
+    /// [`RunStats::dram_per_chiplet`] (`None` when the run touched no
+    /// DRAM).
+    pub fn imbalance(&self) -> Option<f64> {
+        mcm_sim::imbalance(&self.stats.dram_per_chiplet)
+    }
+
+    /// The record as a JSON object. Optional fields are omitted when
+    /// empty; `imbalance` is derived from the statistics and written for
+    /// readers of the raw journal (it is not read back).
+    pub fn to_json(&self) -> Json {
+        let mut o = vec![
+            ("schema", Json::num(self.schema)),
+            ("exp", Json::str(&self.exp)),
+            ("cell", Json::num(self.cell)),
+            ("total", Json::num(self.total)),
+            ("config", Json::str(&self.config)),
+            ("workload", Json::str(&self.workload)),
+            ("seed", Json::num(self.seed)),
+            ("wall_us", Json::num(self.wall_us)),
+            ("outcome", Json::str(self.outcome.as_str())),
+        ];
+        if self.engine != "cycle" {
+            o.push(("engine", Json::str(&self.engine)));
         }
-        let _ = write!(o, ",\"cycles\":{}", self.cycles);
-        let _ = write!(o, ",\"mem_insts\":{}", self.mem_insts);
-        let _ = write!(o, ",\"remote_insts\":{}", self.remote_insts);
-        let _ = write!(o, ",\"l2tlb_misses\":{}", self.l2tlb_misses);
-        let _ = write!(o, ",\"walks\":{}", self.walks);
-        let _ = write!(o, ",\"faults\":{}", self.faults);
-        let _ = write!(o, ",\"degraded_events\":{}", self.degraded_events);
-        let _ = write!(
-            o,
-            ",\"fallback_remote_frames\":{}",
-            self.fallback_remote_frames
-        );
-        let _ = write!(o, ",\"rejected_directives\":{}", self.rejected_directives);
-        let _ = write!(o, ",\"walk_queue_stalls\":{}", self.walk_queue_stalls);
-        let _ = write!(o, ",\"stale_tlb_hits\":{}", self.stale_tlb_hits);
-        let _ = write!(o, ",\"audit_violations\":{}", self.audit_violations);
-        let _ = write!(o, ",\"tlb_class_missing\":{}", self.tlb_class_missing);
-        // Both summary ratios are omitted when absent so journal lines
-        // written before this schema addition and new ones interleave.
-        // Six decimals round-trip the values status actually prints.
-        if let Some(v) = self.imbalance {
-            let _ = write!(o, ",\"imbalance\":{v:.6}");
+        if let Some(v) = self.imbalance() {
+            o.push(("imbalance", Json::ratio(Some(v))));
         }
-        if let Some(v) = self.warmup_frac {
-            let _ = write!(o, ",\"warmup_frac\":{v:.6}");
+        if self.warmup_frac.is_some() {
+            o.push(("warmup_frac", Json::ratio(self.warmup_frac)));
         }
-        // Healthy records omit the reason so pre-supervision journal
-        // lines and new ones stay byte-identical.
         if !self.reason.is_empty() {
-            let _ = write!(o, ",\"reason\":\"{}\"", json_escape(&self.reason));
+            o.push(("reason", Json::str(&self.reason)));
         }
-        o.push('}');
-        o
+        o.push(("stats", stats_json(&self.stats)));
+        Json::obj(o)
+    }
+
+    /// The record as one JSONL line (no trailing newline).
+    pub fn to_json_line(&self) -> String {
+        self.to_json().compact()
+    }
+
+    /// Decodes a record object.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first missing or malformed field.
+    pub fn from_json(j: &Json) -> Result<CellRecord, String> {
+        let opt_str = |key, default| j.get(key).and_then(Json::as_str).unwrap_or(default);
+        Ok(CellRecord {
+            schema: u64_field(j, "schema")? as u32,
+            exp: str_field(j, "exp")?,
+            cell: u64_field(j, "cell")? as usize,
+            total: u64_field(j, "total")? as usize,
+            config: str_field(j, "config")?,
+            workload: str_field(j, "workload")?,
+            seed: u64_field(j, "seed")?,
+            wall_us: u64_field(j, "wall_us")?,
+            outcome: CellOutcome::parse(&str_field(j, "outcome")?)?,
+            stats: stats_from_json(field(j, "stats")?)?,
+            warmup_frac: j.get("warmup_frac").and_then(Json::as_f64),
+            reason: opt_str("reason", "").to_string(),
+            engine: opt_str("engine", "cycle").to_string(),
+        })
     }
 
     /// Parses one JSONL journal line.
@@ -808,72 +498,30 @@ impl CellRecord {
     ///
     /// Returns a description of the first missing or malformed field.
     pub fn parse_line(line: &str) -> Result<CellRecord, String> {
-        let j = Json::parse(line)?;
-        parse_record_json(&j)
+        CellRecord::from_json(&Json::parse(line)?)
     }
 }
 
-fn parse_record_json(j: &Json) -> Result<CellRecord, String> {
-    let schema = u64_field(j, "schema")? as u32;
-    Ok(CellRecord {
-        schema,
-        exp: str_field(j, "exp")?,
-        cell: u64_field(j, "cell")? as usize,
-        total: u64_field(j, "total")? as usize,
-        config: str_field(j, "config")?,
-        workload: str_field(j, "workload")?,
-        seed: u64_field(j, "seed")?,
-        wall_us: u64_field(j, "wall_us")?,
-        outcome: CellOutcome::parse(&str_field(j, "outcome")?)?,
-        cycles: u64_field(j, "cycles")?,
-        mem_insts: u64_field(j, "mem_insts")?,
-        remote_insts: u64_field(j, "remote_insts")?,
-        l2tlb_misses: u64_field(j, "l2tlb_misses")?,
-        walks: u64_field(j, "walks")?,
-        faults: u64_field(j, "faults")?,
-        degraded_events: u64_field(j, "degraded_events")?,
-        fallback_remote_frames: u64_field(j, "fallback_remote_frames")?,
-        rejected_directives: u64_field(j, "rejected_directives")?,
-        walk_queue_stalls: u64_field(j, "walk_queue_stalls")?,
-        stale_tlb_hits: u64_field(j, "stale_tlb_hits")?,
-        audit_violations: u64_field(j, "audit_violations")?,
-        tlb_class_missing: u64_field(j, "tlb_class_missing")?,
-        imbalance: f64_opt_field(j, "imbalance"),
-        warmup_frac: f64_opt_field(j, "warmup_frac"),
-        reason: j
-            .get("reason")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string(),
-        engine: j
-            .get("engine")
-            .and_then(Json::as_str)
-            .unwrap_or("cycle")
-            .to_string(),
-    })
+/// Serializes one shard file: the cell's journal line (already
+/// serialized, written verbatim), stamped with the schema version and the
+/// cell fingerprint `--resume` validates against.
+pub fn shard_to_json(fingerprint: u64, record_line: &str) -> String {
+    Json::obj([
+        ("schema", Json::num(SCHEMA_VERSION)),
+        ("fingerprint", Json::str(format!("{fingerprint:016x}"))),
+        ("record", Json::Raw(record_line.to_string())),
+    ])
+    .pretty(1)
 }
 
-/// Serializes one shard file: the cell's journal record plus its full
-/// statistics, stamped with the schema version and the cell fingerprint
-/// `--resume` validates against.
-pub fn shard_to_json(fingerprint: u64, record: &CellRecord, stats: &RunStats) -> String {
-    let mut o = String::new();
-    let _ = writeln!(o, "{{");
-    let _ = writeln!(o, "  \"schema\": {SCHEMA_VERSION},");
-    let _ = writeln!(o, "  \"fingerprint\": \"{fingerprint:016x}\",");
-    let _ = writeln!(o, "  \"record\": {},", record.to_json_line());
-    let _ = writeln!(o, "  \"stats\": {}", stats_to_json(stats));
-    let _ = write!(o, "}}");
-    o
-}
-
-/// Decodes a shard document, validating schema version and fingerprint.
+/// Decodes a shard document. `want_fingerprint` is checked when given
+/// (`--resume`); the schema version always is.
 ///
 /// # Errors
 ///
 /// Returns why the shard cannot be used (parse failure, schema mismatch,
 /// stale fingerprint) — `--resume` re-runs such cells.
-pub fn shard_from_json(s: &str, want_fingerprint: u64) -> Result<(CellRecord, RunStats), String> {
+pub fn shard_from_json(s: &str, want_fingerprint: Option<u64>) -> Result<CellRecord, String> {
     let j = Json::parse(s)?;
     let schema = u64_field(&j, "schema")?;
     if schema != u64::from(SCHEMA_VERSION) {
@@ -883,16 +531,12 @@ pub fn shard_from_json(s: &str, want_fingerprint: u64) -> Result<(CellRecord, Ru
     }
     let fp = str_field(&j, "fingerprint")?;
     let fp = u64::from_str_radix(&fp, 16).map_err(|_| format!("bad fingerprint {fp:?}"))?;
-    if fp != want_fingerprint {
+    if let Some(want) = want_fingerprint.filter(|&want| want != fp) {
         return Err(format!(
-            "fingerprint {fp:016x} != expected {want_fingerprint:016x} (configuration changed)"
+            "fingerprint {fp:016x} != expected {want:016x} (configuration changed)"
         ));
     }
-    let rec = j.get("record").ok_or("missing record")?;
-    // Re-serialize the record subtree through its line parser.
-    let record = parse_record_json(rec)?;
-    let stats = stats_from_json(j.get("stats").ok_or("missing stats")?)?;
-    Ok((record, stats))
+    CellRecord::from_json(field(&j, "record")?)
 }
 
 // ---------------------------------------------------------------------------
@@ -935,11 +579,6 @@ impl Progress {
         self.total.fetch_add(cells, Ordering::Relaxed);
         let mut cur = self.current.lock().unwrap_or_else(|p| p.into_inner());
         *cur = exp.to_string();
-    }
-
-    /// Cells completed so far (across all sweeps of the invocation).
-    pub fn done(&self) -> usize {
-        self.done.load(Ordering::Relaxed)
     }
 
     /// One status line: `done/total cells, rate, ETA, degraded count,
@@ -985,26 +624,9 @@ impl SweepObserver for Progress {
 // Telemetry: the per-invocation sink
 // ---------------------------------------------------------------------------
 
-/// Per-experiment cell tallies, collected as sweeps finish (feeds the
-/// enriched `bench_timings.json`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExpCounters {
-    /// Experiment id.
-    pub exp: String,
-    /// Cells the sweep ran or restored.
-    pub cells: usize,
-    /// Cells whose statistics carry degradation events.
-    pub degraded: usize,
-    /// Cells restored from shards instead of re-run.
-    pub resumed: usize,
-    /// Per-cell wall-clock microseconds in cell-index order (what each
-    /// run, restore, or quarantined attempt cost on its worker thread).
-    pub cell_wall_us: Vec<u64>,
-}
-
 /// The sweep-telemetry sink of one `figures` invocation: owns the output
 /// root (`<out>/journal`, `<out>/shards`), the resume flag, the optional
-/// progress monitor thread, and the per-experiment counters.
+/// progress monitor thread, and the per-experiment timings.
 ///
 /// Telemetry I/O failures never abort a sweep — a warning is printed and
 /// the computed statistics are used directly.
@@ -1013,7 +635,7 @@ pub struct Telemetry {
     resume: bool,
     progress: Option<Arc<Progress>>,
     monitor: Mutex<Option<JoinHandle<()>>>,
-    counters: Mutex<Vec<ExpCounters>>,
+    timings: Mutex<Vec<ExperimentTiming>>,
 }
 
 impl fmt::Debug for Telemetry {
@@ -1035,7 +657,7 @@ impl Telemetry {
             resume: false,
             progress: None,
             monitor: Mutex::new(None),
-            counters: Mutex::new(Vec::new()),
+            timings: Mutex::new(Vec::new()),
         }
     }
 
@@ -1074,22 +696,6 @@ impl Telemetry {
         self
     }
 
-    /// Whether resume is on.
-    pub fn resume(&self) -> bool {
-        self.resume
-    }
-
-    /// The output root (journals under `root/journal`, shards under
-    /// `root/shards/<exp>/`).
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// The progress counters, when a monitor is attached.
-    pub fn progress(&self) -> Option<&Arc<Progress>> {
-        self.progress.as_ref()
-    }
-
     /// The observer the sweep runner should report cell lifecycles to.
     pub fn observer(&self) -> &dyn SweepObserver {
         match &self.progress {
@@ -1101,32 +707,10 @@ impl Telemetry {
     /// Opens one sweep's journal and shard directory. Cell completions
     /// are journaled through the returned scope from the worker threads;
     /// call [`SweepScope::finish`] when the sweep ends to fold its
-    /// tallies into [`Telemetry::experiment_counters`].
+    /// timing into [`Telemetry::experiment_counters`].
     pub fn sweep(&self, exp: &str, total: usize, harness_fingerprint: u64) -> SweepScope<'_> {
-        let journal_dir = self.root.join("journal");
         let shard_dir = self.root.join("shards").join(exp);
-        let journal_path = journal_dir.join(format!("{exp}.jsonl"));
-        let journal = fs::create_dir_all(&journal_dir)
-            .and_then(|()| {
-                // A crash mid-append leaves a torn final record (no
-                // trailing newline). Truncate back to the last complete
-                // line before appending, so the journal stays a valid
-                // JSONL prefix and the new records don't concatenate
-                // onto the torn tail.
-                match repair_torn_tail(&journal_path) {
-                    Ok(0) => {}
-                    Ok(dropped) => eprintln!(
-                        "warning: {} journal had a torn final record; \
-                         dropped {dropped} trailing byte(s)",
-                        exp
-                    ),
-                    Err(e) => eprintln!("warning: could not repair {} journal tail: {e}", exp),
-                }
-                fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&journal_path)
-            })
+        let journal = open_journal(&self.root, exp)
             .map_err(|e| eprintln!("warning: telemetry journal for {exp} unavailable: {e}"))
             .ok();
         if let Err(e) = fs::create_dir_all(&shard_dir) {
@@ -1146,13 +730,14 @@ impl Telemetry {
             resumed: AtomicUsize::new(0),
             cell_walls: Mutex::new(Vec::new()),
             engine: "cycle".to_string(),
+            start: Instant::now(),
         }
     }
 
-    /// Per-experiment tallies of every finished sweep, in completion
-    /// order.
-    pub fn experiment_counters(&self) -> Vec<ExpCounters> {
-        self.counters
+    /// The timing and cell tallies of every finished sweep, in completion
+    /// order (`seconds` is the sweep's own wall-clock).
+    pub fn experiment_counters(&self) -> Vec<ExperimentTiming> {
+        self.timings
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .clone()
@@ -1194,7 +779,9 @@ impl Drop for Telemetry {
 }
 
 /// One sweep's journaling scope: shared by the worker threads, which call
-/// [`SweepScope::run_cell`] for every cell.
+/// [`SweepScope::try_restore`] for every cell and then, for each cell
+/// that had to run, [`SweepScope::record_success`] or
+/// [`SweepScope::record_failure`].
 pub struct SweepScope<'t> {
     tele: &'t Telemetry,
     exp: String,
@@ -1209,6 +796,8 @@ pub struct SweepScope<'t> {
     cell_walls: Mutex<Vec<(usize, u64)>>,
     /// Engine tag stamped on every journal record of this sweep.
     engine: String,
+    /// When the sweep opened (its timing's `seconds`).
+    start: Instant,
 }
 
 impl SweepScope<'_> {
@@ -1235,26 +824,6 @@ impl SweepScope<'_> {
         ))
     }
 
-    /// Runs (or restores) one cell: on resume, a valid shard short-cuts
-    /// the run; otherwise `f` runs, the shard and journal record are
-    /// written at completion — on this worker thread, not at sweep end —
-    /// and the statistics *decoded back from the shard encoding* are
-    /// returned, so the assembled grid provably comes from shard data.
-    pub fn run_cell(
-        &self,
-        index: usize,
-        spec: &CellSpec,
-        f: impl FnOnce() -> RunStats,
-    ) -> RunStats {
-        if let Some(stats) = self.try_restore(index, spec) {
-            return stats;
-        }
-        let t0 = Instant::now();
-        let stats = f();
-        let wall_us = t0.elapsed().as_micros() as u64;
-        self.record_success(index, spec, wall_us, stats)
-    }
-
     /// Attempts to restore cell `index` from its shard (resume mode
     /// only). A valid shard is journaled as [`CellOutcome::Resumed`] and
     /// its decoded statistics returned; a missing, corrupt, or stale
@@ -1263,28 +832,31 @@ impl SweepScope<'_> {
         if !self.tele.resume {
             return None;
         }
-        let shard_path = self.shard_path(index);
         let fingerprint = self.cell_fingerprint(index, spec);
         let t0 = Instant::now();
-        match fs::read_to_string(&shard_path) {
-            Ok(body) => match shard_from_json(&body, fingerprint) {
-                Ok((_, stats)) => {
+        match fs::read_to_string(self.shard_path(index)) {
+            Ok(body) => match shard_from_json(&body, Some(fingerprint)) {
+                Ok(shard) => {
                     let wall_us = t0.elapsed().as_micros() as u64;
+                    let (exp, total, resumed) = (&self.exp, self.total, CellOutcome::Resumed);
                     let record = CellRecord::from_stats(
-                        &self.exp,
+                        exp,
                         spec,
                         index,
-                        self.total,
+                        total,
                         wall_us,
-                        CellOutcome::Resumed,
-                        &stats,
+                        resumed,
+                        shard.stats,
                     )
                     .with_engine(&self.engine);
-                    self.append_journal(&record);
+                    self.append_journal(&record.to_json_line());
                     self.resumed.fetch_add(1, Ordering::Relaxed);
+                    if let Some(p) = &self.tele.progress {
+                        p.resumed.fetch_add(1, Ordering::Relaxed);
+                    }
                     self.note_cell_wall(index, wall_us);
-                    self.note_degradation(&stats);
-                    return Some(stats);
+                    self.note_degradation(&record.stats);
+                    return Some(record.stats);
                 }
                 Err(e) => eprintln!(
                     "[telemetry] re-running {} cell {index} ({}/{}): {e}",
@@ -1302,7 +874,8 @@ impl SweepScope<'_> {
 
     /// Journals a freshly-run cell and writes its shard, returning the
     /// statistics decoded back from the shard encoding (so the assembled
-    /// grid provably comes from shard data).
+    /// grid provably comes from shard data). The record is serialized
+    /// once: the journal line is also the shard's `record`.
     pub fn record_success(
         &self,
         index: usize,
@@ -1310,41 +883,25 @@ impl SweepScope<'_> {
         wall_us: u64,
         stats: RunStats,
     ) -> RunStats {
-        let shard_path = self.shard_path(index);
-        let fingerprint = self.cell_fingerprint(index, spec);
         let outcome = if stats.degradation.is_degraded() {
             CellOutcome::Degraded
         } else {
             CellOutcome::Completed
         };
         let record =
-            CellRecord::from_stats(&self.exp, spec, index, self.total, wall_us, outcome, &stats)
+            CellRecord::from_stats(&self.exp, spec, index, self.total, wall_us, outcome, stats)
                 .with_engine(&self.engine);
-        let body = shard_to_json(fingerprint, &record, &stats);
+        let line = record.to_json_line();
+        let body = shard_to_json(self.cell_fingerprint(index, spec), &line);
         // Temp-file + rename: a crash mid-write leaves no half-shard that
         // could masquerade as a completed cell.
-        let stats = match self.write_shard(&shard_path, &body) {
-            Ok(()) => match Json::parse(&body)
-                .and_then(|j| stats_from_json(j.get("stats").ok_or("missing stats")?))
-            {
-                Ok(decoded) => decoded,
-                Err(e) => {
-                    eprintln!(
-                        "warning: shard round-trip failed for {} cell {index}: {e}",
-                        self.exp
-                    );
-                    stats
-                }
-            },
-            Err(e) => {
-                eprintln!(
-                    "warning: failed to write shard for {} cell {index}: {e}",
-                    self.exp
-                );
-                stats
-            }
-        };
-        self.append_journal(&record);
+        let decoded = self
+            .write_shard(&self.shard_path(index), &body)
+            .map_err(|e| format!("failed to write shard: {e}"))
+            .and_then(|()| shard_from_json(&body, None))
+            .map_err(|e| eprintln!("warning: {} cell {index}: {e}", self.exp));
+        let stats = decoded.map_or(record.stats, |r| r.stats);
+        self.append_journal(&line);
         self.note_cell_wall(index, wall_us);
         self.note_degradation(&stats);
         stats
@@ -1361,13 +918,13 @@ impl SweepScope<'_> {
         wall_us: u64,
         outcome: CellOutcome,
         reason: &str,
-        stats: &RunStats,
+        stats: RunStats,
     ) {
         let record =
             CellRecord::from_stats(&self.exp, spec, index, self.total, wall_us, outcome, stats)
                 .with_reason(reason)
                 .with_engine(&self.engine);
-        self.append_journal(&record);
+        self.append_journal(&record.to_json_line());
         self.note_cell_wall(index, wall_us);
     }
 
@@ -1393,42 +950,37 @@ impl SweepScope<'_> {
         }
     }
 
-    fn append_journal(&self, record: &CellRecord) {
-        if record.outcome == CellOutcome::Resumed {
-            if let Some(p) = &self.tele.progress {
-                p.resumed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    fn append_journal(&self, line: &str) {
         let mut guard = self.journal.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(file) = guard.as_mut() {
-            if let Err(e) = writeln!(file, "{}", record.to_json_line()) {
+            if let Err(e) = writeln!(file, "{line}") {
                 eprintln!("warning: journal append failed for {}: {e}", self.exp);
                 *guard = None;
             }
         }
     }
 
-    /// Folds the sweep's tallies into the telemetry's per-experiment
-    /// counters.
+    /// Records the sweep's timing and cell tallies in the telemetry's
+    /// per-experiment list.
     pub fn finish(self) {
         let mut walls = self
             .cell_walls
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
+            .into_inner()
+            .unwrap_or_else(|p| p.into_inner());
         walls.sort_unstable_by_key(|&(i, _)| i);
-        let counters = ExpCounters {
-            exp: self.exp.clone(),
+        let timing = ExperimentTiming {
+            id: self.exp,
+            seconds: self.start.elapsed().as_secs_f64(),
             cells: self.total,
-            degraded: self.degraded.load(Ordering::Relaxed),
-            resumed: self.resumed.load(Ordering::Relaxed),
+            degraded: self.degraded.into_inner(),
+            resumed: self.resumed.into_inner(),
             cell_wall_us: walls.into_iter().map(|(_, us)| us).collect(),
         };
         self.tele
-            .counters
+            .timings
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .push(counters);
+            .push(timing);
     }
 }
 
@@ -1459,10 +1011,26 @@ pub fn repair_torn_tail(path: &Path) -> std::io::Result<u64> {
     Ok((body.len() - keep) as u64)
 }
 
-/// Appends pre-built records to `<root>/journal/<exp>.jsonl`, creating
-/// the directory and repairing a torn tail first. Used by runs (like
-/// `figures timeline`) that journal outside a [`Telemetry`] sweep scope;
-/// re-runs append, and [`summarize`] keeps the latest record per cell.
+/// Opens `<root>/journal/<exp>.jsonl` for appending, creating the
+/// directory. A crash mid-append leaves a torn final record (no trailing
+/// newline): it is truncated back to the last complete line first, so the
+/// journal stays a valid JSONL prefix and new records don't concatenate
+/// onto the torn tail.
+fn open_journal(root: &Path, exp: &str) -> std::io::Result<fs::File> {
+    let dir = root.join("journal");
+    fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("{exp}.jsonl"));
+    let dropped = repair_torn_tail(&path)?;
+    if dropped > 0 {
+        eprintln!("warning: {exp} journal had a torn final record; dropped {dropped} byte(s)");
+    }
+    fs::OpenOptions::new().create(true).append(true).open(&path)
+}
+
+/// Appends pre-built records to `<root>/journal/<exp>.jsonl`. Used by
+/// runs (like `figures timeline`) that journal outside a [`Telemetry`]
+/// sweep scope; re-runs append, and [`summarize`] keeps the latest record
+/// per cell.
 ///
 /// # Errors
 ///
@@ -1472,17 +1040,7 @@ pub fn append_journal_records(
     exp: &str,
     records: &[CellRecord],
 ) -> std::io::Result<()> {
-    let dir = root.join("journal");
-    fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{exp}.jsonl"));
-    let dropped = repair_torn_tail(&path)?;
-    if dropped > 0 {
-        eprintln!("warning: {exp} journal had a torn final record; dropped {dropped} bytes");
-    }
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)?;
+    let mut f = open_journal(root, exp)?;
     for r in records {
         writeln!(f, "{}", r.to_json_line())?;
     }
@@ -1501,6 +1059,9 @@ pub struct JournalRead {
     /// The valid prefix above them was salvaged; these are warnings, not
     /// check failures.
     pub salvaged: Vec<String>,
+    /// Lines written under another [`SCHEMA_VERSION`] (an older journal),
+    /// skipped. A warning, not a check failure.
+    pub stale: usize,
 }
 
 /// Reads every `*.jsonl` journal under `dir` (sorted by file name) and
@@ -1508,6 +1069,7 @@ pub struct JournalRead {
 /// instead of aborting the read; a malformed *final* line with no
 /// trailing newline is a torn tail from a crash mid-append — the valid
 /// prefix is kept and the tail reported in [`JournalRead::salvaged`].
+/// Lines from another schema are counted in [`JournalRead::stale`].
 pub fn read_journal_dir(dir: &Path) -> JournalRead {
     let mut out = JournalRead::default();
     let mut files: Vec<PathBuf> = match fs::read_dir(dir) {
@@ -1532,8 +1094,14 @@ pub fn read_journal_dir(dir: &Path) -> JournalRead {
             if line.trim().is_empty() {
                 continue;
             }
-            match CellRecord::parse_line(line) {
-                Ok(r) => out.records.push(r),
+            let record =
+                Json::parse(line).and_then(|j| match j.get("schema").and_then(Json::as_u64) {
+                    Some(v) if v != u64::from(SCHEMA_VERSION) => Ok(None),
+                    _ => CellRecord::from_json(&j).map(Some),
+                });
+            match record {
+                Ok(Some(r)) => out.records.push(r),
+                Ok(None) => out.stale += 1,
                 Err(e) if torn_tail && n + 1 == last => out.salvaged.push(format!(
                     "{}:{}: torn final record ({e}); salvaged the {} line(s) before it",
                     path.display(),
@@ -1550,7 +1118,7 @@ pub fn read_journal_dir(dir: &Path) -> JournalRead {
 }
 
 /// Walks every shard under `dir` (`<exp>/<cell>.json`), validating that
-/// each parses and carries the current schema. Returns the number of
+/// each decodes under the current schema. Returns the number of
 /// shards checked and the list of failures.
 pub fn check_shards(dir: &Path) -> (usize, Vec<String>) {
     let mut checked = 0;
@@ -1579,16 +1147,7 @@ pub fn check_shards(dir: &Path) -> (usize, Vec<String>) {
             checked += 1;
             let verdict = fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
-                .and_then(|body| {
-                    let j = Json::parse(&body)?;
-                    let schema = u64_field(&j, "schema")?;
-                    if schema != u64::from(SCHEMA_VERSION) {
-                        return Err(format!("schema {schema} != {SCHEMA_VERSION}"));
-                    }
-                    parse_record_json(j.get("record").ok_or("missing record")?)?;
-                    stats_from_json(j.get("stats").ok_or("missing stats")?)?;
-                    Ok(())
-                });
+                .and_then(|body| shard_from_json(&body, None));
             if let Err(e) = verdict {
                 errors.push(format!("{}: {e}", path.display()));
             }
@@ -1670,7 +1229,7 @@ pub fn summarize(records: &[CellRecord]) -> Vec<ExpSummary> {
                 .collect();
             let degraded_cells: Vec<CellRecord> = latest
                 .iter()
-                .filter(|(_, r)| !r.outcome.is_quarantined() && r.degraded_events > 0)
+                .filter(|(_, r)| !r.outcome.is_quarantined() && r.degraded_events() > 0)
                 .map(|(_, r)| (*r).clone())
                 .collect();
             let resumed = latest
@@ -1695,7 +1254,7 @@ pub fn summarize(records: &[CellRecord]) -> Vec<ExpSummary> {
             slowest.truncate(3);
             let worst_imbalance = latest
                 .iter()
-                .filter_map(|(_, r)| r.imbalance)
+                .filter_map(|(_, r)| r.imbalance())
                 .fold(None, |acc: Option<f64>, v| {
                     Some(acc.map_or(v, |a| a.max(v)))
                 });
@@ -1793,6 +1352,18 @@ mod tests {
         }
     }
 
+    fn record(cell: usize, total: usize, wall_us: u64, outcome: CellOutcome) -> CellRecord {
+        CellRecord::from_stats(
+            "figX",
+            &spec(),
+            cell,
+            total,
+            wall_us,
+            outcome,
+            sample_stats(),
+        )
+    }
+
     #[test]
     fn outcome_records_keep_the_abort_and_its_reason() {
         let s = sample_stats();
@@ -1814,7 +1385,7 @@ mod tests {
             "reason names the budget: {}",
             r.reason
         );
-        assert_eq!(r.cycles, s.cycles);
+        assert_eq!(r.stats.cycles, s.cycles);
         let degraded = RunOutcome::Degraded {
             stats: s.clone(),
             errors: Vec::new(),
@@ -1826,84 +1397,91 @@ mod tests {
     }
 
     #[test]
-    fn json_parser_handles_documents() {
-        let j = Json::parse(
-            r#"{"a": 1, "b": [true, null, "x\n\"y\""], "c": {"d": 18446744073709551615}}"#,
-        )
-        .expect("parse");
-        assert_eq!(j.get("a").and_then(Json::as_u64), Some(1));
-        let b = j.get("b").and_then(Json::as_arr).expect("arr");
-        assert_eq!(b[0], Json::Bool(true));
-        assert_eq!(b[1], Json::Null);
-        assert_eq!(b[2].as_str(), Some("x\n\"y\""));
-        // u64::MAX survives (an f64 intermediate would round it).
-        assert_eq!(
-            j.get("c").and_then(|c| c.get("d")).and_then(Json::as_u64),
-            Some(u64::MAX)
-        );
-    }
-
-    #[test]
-    fn json_parser_rejects_malformed_input() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("{\"a\": }").is_err());
-        assert!(Json::parse("[1, 2,]").is_err());
-        assert!(Json::parse("{} trailing").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn escape_round_trips() {
-        let nasty = "a\"b\\c\nd\te\u{1}f";
-        let doc = format!("\"{}\"", json_escape(nasty));
-        assert_eq!(Json::parse(&doc).expect("parse").as_str(), Some(nasty));
-    }
-
-    #[test]
     fn stats_round_trip_is_exact() {
         let s = sample_stats();
         let encoded = stats_to_json(&s);
+        // The stats digests hash these exact bytes.
+        assert_eq!(
+            encoded,
+            concat!(
+                r#"{"cycles":123456789012,"mem_insts":42,"warp_insts":420,"remote_insts":7,"#,
+                r#""l1d_hits":1,"l1d_misses":2,"l2d_hits":3,"l2d_misses":4,"l1tlb_hits":5,"#,
+                r#""l1tlb_misses":6,"l2tlb_hits":7,"l2tlb_misses":8,"walks":9,"#,
+                r#""walk_mshr_hits":10,"walk_cycles":11,"translation_cycles":12,"#,
+                r#""data_cycles":13,"faults":14,"coalesced_fills":15,"promotions":16,"#,
+                r#""remote_cache_hits":17,"migrations":18,"shootdowns":19,"dram_accesses":20,"#,
+                r#""dram_per_chiplet":[5,5,5,5],"interconnect_transfers":21,"#,
+                r#""dram_queue_cycles":22,"interconnect_queue_cycles":23,"blocks_consumed":99,"#,
+                r#""per_alloc":{"1":{"accesses":10,"remote":2},"3":{"accesses":30,"remote":4}},"#,
+                r#""degradation":{"fallback_remote_frames":2,"rejected_directives":0,"#,
+                r#""tlb_class_missing":0,"walk_queue_stalls":3,"walk_queue_stall_cycles":40,"#,
+                r#""stale_tlb_hits":0,"audit_violations":0,"error_samples":[]}}"#
+            )
+        );
         let decoded = stats_from_json(&Json::parse(&encoded).expect("parse")).expect("decode");
         // Everything a figure reads round-trips exactly; re-encoding the
         // decoded value must be byte-identical.
         assert_eq!(stats_to_json(&decoded), encoded);
-        assert_eq!(decoded.cycles, s.cycles);
-        assert_eq!(decoded.dram_per_chiplet, s.dram_per_chiplet);
-        assert_eq!(decoded.blocks_consumed, Some(99));
-        assert_eq!(decoded.per_alloc, s.per_alloc);
-        assert_eq!(
-            decoded.degradation.walk_queue_stall_cycles,
-            s.degradation.walk_queue_stall_cycles
-        );
+        assert_eq!(decoded, s);
         assert!(decoded.degradation.is_degraded());
     }
 
     #[test]
     fn record_round_trip() {
         let s = sample_stats();
-        let r = CellRecord::from_stats("fig1", &spec(), 5, 24, 1234, CellOutcome::Degraded, &s);
-        let line = r.to_json_line();
-        assert!(!line.contains('\n'), "journal records are single lines");
-        let parsed = CellRecord::parse_line(&line).expect("parse");
-        assert_eq!(parsed, r);
-        assert_eq!(parsed.degraded_events, s.degradation.events());
-        assert_eq!(parsed.outcome, CellOutcome::Degraded);
+        let timeline = record(5, 24, 1234, CellOutcome::Completed).with_warmup_frac(Some(0.25));
+        let cases = [
+            record(5, 24, 1234, CellOutcome::Completed),
+            record(5, 24, 1234, CellOutcome::Degraded),
+            record(5, 24, 7, CellOutcome::Resumed),
+            record(5, 24, 99, CellOutcome::Aborted).with_reason("livelock at cycle \"77\"\n"),
+            timeline.clone(),
+            record(5, 24, 1234, CellOutcome::Completed).with_engine("analytic"),
+        ];
+        for r in &cases {
+            let line = r.to_json_line();
+            assert!(!line.contains('\n'), "journal records are single lines");
+            let parsed = CellRecord::parse_line(&line).expect("parse");
+            assert_eq!(&parsed, r);
+            assert_eq!(parsed.degraded_events(), s.degradation.events());
+            // The derived imbalance is written for raw-journal readers.
+            assert!(line.contains(r#""imbalance":1.000000"#), "{line}");
+            let body = shard_to_json(0xabcd, &line);
+            assert_eq!(shard_from_json(&body, Some(0xabcd)).as_ref(), Ok(r));
+        }
+        // The compact spellings the CI smokes grep for.
+        assert!(cases[2].to_json_line().contains(r#""outcome":"resumed""#));
+        assert!(cases[4]
+            .to_json_line()
+            .contains(r#""warmup_frac":0.250000"#));
+        assert!(cases[5].to_json_line().contains(r#""engine":"analytic""#));
+        assert!(!cases[0].to_json_line().contains("engine"));
+        // A schema-2 shard (record and stats side by side) is stale.
+        let old = format!(
+            "{{\n  \"schema\": 2,\n  \"fingerprint\": \"000000000000abcd\",\n  \
+             \"record\": {{\"schema\":2,\"exp\":\"figX\",\"cell\":5,\"total\":24,\
+             \"config\":\"S-64KB\",\"workload\":\"STE\",\"seed\":0,\"wall_us\":1234,\
+             \"outcome\":\"completed\",\"cycles\":{}}},\n  \"stats\": {}\n}}",
+            s.cycles,
+            stats_to_json(&s)
+        );
+        assert!(Json::parse(&old).is_ok());
+        let err = shard_from_json(&old, Some(0xabcd)).expect_err("schema 2");
+        assert!(err.contains("stale shard"), "{err}");
     }
 
     #[test]
     fn shard_round_trip_validates_fingerprint_and_schema() {
-        let s = sample_stats();
-        let r = CellRecord::from_stats("fig1", &spec(), 5, 24, 1234, CellOutcome::Completed, &s);
-        let body = shard_to_json(0xabcd, &r, &s);
-        let (rec, stats) = shard_from_json(&body, 0xabcd).expect("valid shard");
-        assert_eq!(rec, r);
-        assert_eq!(stats_to_json(&stats), stats_to_json(&s));
+        let r = record(5, 24, 1234, CellOutcome::Completed);
+        let body = shard_to_json(0xabcd, &r.to_json_line());
+        assert_eq!(shard_from_json(&body, Some(0xabcd)), Ok(r.clone()));
+        assert_eq!(shard_from_json(&body, None), Ok(r));
         // Stale fingerprint → rejected (configuration changed).
-        let err = shard_from_json(&body, 0xdead).expect_err("stale");
+        let err = shard_from_json(&body, Some(0xdead)).expect_err("stale");
         assert!(err.contains("fingerprint"));
         // Stale schema → rejected.
         let old = body.replace(&format!("\"schema\": {SCHEMA_VERSION},"), "\"schema\": 0,");
-        assert!(shard_from_json(&old, 0xabcd)
+        assert!(shard_from_json(&old, Some(0xabcd))
             .expect_err("schema")
             .contains("schema"));
     }
@@ -1926,14 +1504,19 @@ mod tests {
 
     #[test]
     fn summarize_keeps_latest_record_per_cell() {
-        let s = sample_stats();
-        let mut clean = s.clone();
+        let mut clean = sample_stats();
         clean.degradation = DegradationStats::default();
-        let first = CellRecord::from_stats("figX", &spec(), 0, 2, 500, CellOutcome::Degraded, &s);
-        let rerun =
-            CellRecord::from_stats("figX", &spec(), 0, 2, 700, CellOutcome::Completed, &clean);
-        let other =
-            CellRecord::from_stats("figX", &spec(), 1, 2, 900, CellOutcome::Resumed, &clean);
+        let first = record(0, 2, 500, CellOutcome::Degraded);
+        let rerun = CellRecord::from_stats(
+            "figX",
+            &spec(),
+            0,
+            2,
+            700,
+            CellOutcome::Completed,
+            clean.clone(),
+        );
+        let other = CellRecord::from_stats("figX", &spec(), 1, 2, 900, CellOutcome::Resumed, clean);
         let sums = summarize(&[first, rerun.clone(), other]);
         assert_eq!(sums.len(), 1);
         let sum = &sums[0];
@@ -1953,7 +1536,8 @@ mod tests {
         let tele = Telemetry::new(&dir);
         let specs = [spec()];
         let scope = tele.sweep("figX", specs.len(), 42);
-        let out = scope.run_cell(0, &specs[0], sample_stats);
+        assert!(scope.try_restore(0, &specs[0]).is_none(), "resume is off");
+        let out = scope.record_success(0, &specs[0], 10, sample_stats());
         assert_eq!(out.cycles, sample_stats().cycles);
         scope.finish();
         assert!(dir.join("shards/figX/00000.json").is_file());
@@ -1965,33 +1549,28 @@ mod tests {
         assert_eq!(records[0].outcome, CellOutcome::Degraded);
         let (checked, shard_errors) = check_shards(&dir.join("shards"));
         assert_eq!((checked, shard_errors.len()), (1, 0), "{shard_errors:?}");
-        let counters = tele.experiment_counters();
+        let timings = tele.experiment_counters();
+        assert_eq!(timings.len(), 1);
+        let t = &timings[0];
         assert_eq!(
-            counters,
-            vec![ExpCounters {
-                exp: "figX".into(),
-                cells: 1,
-                degraded: 1,
-                resumed: 0,
-                cell_wall_us: counters[0].cell_wall_us.clone(),
-            }]
+            (t.id.as_str(), t.cells, t.degraded, t.resumed),
+            ("figX", 1, 1, 0)
         );
-        assert_eq!(
-            counters[0].cell_wall_us.len(),
-            1,
-            "one wall-time entry per cell"
-        );
-        // Resume: the closure must not run again.
+        assert_eq!(t.cell_wall_us, vec![10], "one wall-time entry per cell");
+        // Resume: the shard restores the cell, so nothing re-runs it.
         let tele = Telemetry::new(&dir).with_resume(true);
         let scope = tele.sweep("figX", specs.len(), 42);
-        let resumed = scope.run_cell(0, &specs[0], || panic!("cell must be restored, not re-run"));
+        let resumed = scope
+            .try_restore(0, &specs[0])
+            .expect("cell must be restored");
         assert_eq!(stats_to_json(&resumed), stats_to_json(&out));
         scope.finish();
         assert_eq!(tele.experiment_counters()[0].resumed, 1);
         // A different harness fingerprint marks the shard stale.
         let tele = Telemetry::new(&dir).with_resume(true);
         let scope = tele.sweep("figX", specs.len(), 43);
-        let fresh = scope.run_cell(0, &specs[0], sample_stats);
+        assert!(scope.try_restore(0, &specs[0]).is_none(), "stale shard");
+        let fresh = scope.record_success(0, &specs[0], 10, sample_stats());
         assert_eq!(fresh.cycles, sample_stats().cycles);
         scope.finish();
         assert_eq!(tele.experiment_counters()[0].resumed, 0);
@@ -2000,19 +1579,24 @@ mod tests {
 
     #[test]
     fn quarantine_records_round_trip_with_reason() {
-        let s = sample_stats();
-        let r = CellRecord::from_stats("fig1", &spec(), 3, 24, 99, CellOutcome::Aborted, &s)
-            .with_reason("livelock detected at cycle 77000");
+        let r = CellRecord::from_stats(
+            "fig1",
+            &spec(),
+            3,
+            24,
+            99,
+            CellOutcome::Aborted,
+            sample_stats(),
+        )
+        .with_reason("livelock detected at cycle 77000");
         let line = r.to_json_line();
         assert!(line.contains("\"outcome\":\"aborted\""));
         assert!(line.contains("\"reason\":\"livelock detected at cycle 77000\""));
         let parsed = CellRecord::parse_line(&line).expect("parse");
         assert_eq!(parsed, r);
         assert!(parsed.outcome.is_quarantined());
-        // Healthy records omit the reason field entirely, keeping their
-        // lines byte-identical to the pre-supervision schema.
-        let healthy =
-            CellRecord::from_stats("fig1", &spec(), 3, 24, 99, CellOutcome::Completed, &s);
+        // Healthy records omit the reason field entirely.
+        let healthy = record(3, 24, 99, CellOutcome::Completed);
         assert!(!healthy.to_json_line().contains("reason"));
         assert_eq!(
             CellRecord::parse_line(&healthy.to_json_line())
@@ -2024,14 +1608,29 @@ mod tests {
 
     #[test]
     fn summarize_classifies_quarantined_and_missing_cells() {
-        let s = sample_stats();
-        let mut clean = s.clone();
+        let mut clean = sample_stats();
         clean.degradation = DegradationStats::default();
-        let ok = CellRecord::from_stats("figQ", &spec(), 0, 4, 100, CellOutcome::Completed, &clean);
-        let aborted = CellRecord::from_stats("figQ", &spec(), 1, 4, 50, CellOutcome::Aborted, &s)
-            .with_reason("run budget exceeded");
+        let ok = CellRecord::from_stats(
+            "figQ",
+            &spec(),
+            0,
+            4,
+            100,
+            CellOutcome::Completed,
+            clean.clone(),
+        );
+        let aborted = CellRecord::from_stats(
+            "figQ",
+            &spec(),
+            1,
+            4,
+            50,
+            CellOutcome::Aborted,
+            sample_stats(),
+        )
+        .with_reason("run budget exceeded");
         let panicked =
-            CellRecord::from_stats("figQ", &spec(), 2, 4, 10, CellOutcome::Panicked, &clean)
+            CellRecord::from_stats("figQ", &spec(), 2, 4, 10, CellOutcome::Panicked, clean)
                 .with_reason("boom");
         // Cell 3 never journaled (crash before completion).
         let sums = summarize(&[ok, aborted, panicked]);
@@ -2054,8 +1653,15 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let journal_dir = dir.join("journal");
         fs::create_dir_all(&journal_dir).expect("mkdir");
-        let s = sample_stats();
-        let good = CellRecord::from_stats("figT", &spec(), 0, 2, 10, CellOutcome::Completed, &s);
+        let good = CellRecord::from_stats(
+            "figT",
+            &spec(),
+            0,
+            2,
+            10,
+            CellOutcome::Completed,
+            sample_stats(),
+        );
         let torn = good.to_json_line();
         let torn = &torn[..torn.len() / 2]; // record cut mid-write
         let path = journal_dir.join("figT.jsonl");
@@ -2071,7 +1677,7 @@ mod tests {
         // on a fresh line.
         let tele = Telemetry::new(&dir);
         let scope = tele.sweep("figT", 2, 42);
-        let _ = scope.run_cell(1, &spec(), sample_stats);
+        let _ = scope.record_success(1, &spec(), 10, sample_stats());
         scope.finish();
         let read = read_journal_dir(&journal_dir);
         assert_eq!(read.records.len(), 2);
@@ -2083,6 +1689,14 @@ mod tests {
         assert_eq!(read.records.len(), 1);
         assert_eq!(read.errors.len(), 1);
         assert!(read.salvaged.is_empty());
+        // A line from an older schema is skipped and counted as stale.
+        let old = "{\"schema\":2,\"exp\":\"figT\",\"cell\":1,\"total\":2,\"config\":\"S-64KB\",\
+                   \"workload\":\"STE\",\"seed\":0,\"wall_us\":5,\"outcome\":\"completed\",\
+                   \"cycles\":9,\"imbalance\":1.000000}";
+        fs::write(&path, format!("{old}\n{}\n", good.to_json_line())).expect("write");
+        let read = read_journal_dir(&journal_dir);
+        assert_eq!((read.records.len(), read.stale), (1, 1));
+        assert!(read.errors.is_empty(), "{:?}", read.errors);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -2098,7 +1712,7 @@ mod tests {
             25,
             CellOutcome::Panicked,
             "injected panic",
-            &RunStats::default(),
+            RunStats::default(),
         );
         scope.finish();
         assert!(!dir.join("shards/figF/00000.json").exists());

@@ -62,7 +62,7 @@ macro_rules! counter_table {
         }
 
         /// Statistics of one simulation run.
-        #[derive(Clone, Debug, Default)]
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
         pub struct RunStats {
             /// Total simulated cycles (kernel launch to last warp retirement).
             pub cycles: u64,

@@ -37,7 +37,7 @@ fn resume_after_crash_is_byte_identical_to_fresh_serial_run() {
     );
     let counters = tele.experiment_counters();
     assert_eq!(counters.len(), 1);
-    assert_eq!(counters[0].exp, "fig1");
+    assert_eq!(counters[0].id, "fig1");
     assert_eq!(counters[0].cells, 24, "8 workloads x 3 page sizes");
     assert_eq!(counters[0].resumed, 0);
 
@@ -125,7 +125,7 @@ fn topo_resume_under_analytic_engine_is_byte_identical() {
     );
     let counters = tele.experiment_counters();
     assert_eq!(counters.len(), 1);
-    assert_eq!(counters[0].exp, "topo");
+    assert_eq!(counters[0].id, "topo");
     assert_eq!(counters[0].cells, 18, "2 mappings x 3 fabrics x 3 sizes");
     assert_eq!(counters[0].resumed, 0);
 
