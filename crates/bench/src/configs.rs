@@ -95,6 +95,23 @@ impl ConfigKind {
         ]
     }
 
+    /// The ten configurations with a closed-form placement model, in the
+    /// order analytic sweeps evaluate them.
+    pub fn analytic_eval() -> Vec<ConfigKind> {
+        vec![
+            ConfigKind::Static(PageSize::Size4K),
+            ConfigKind::Static(PageSize::Size64K),
+            ConfigKind::Static(PageSize::Size2M),
+            ConfigKind::StaticAnalysis(PageSize::Size64K),
+            ConfigKind::StaticAnalysis(PageSize::Size2M),
+            ConfigKind::Mgvm,
+            ConfigKind::FBarre,
+            ConfigKind::Clap,
+            ConfigKind::ClapSa,
+            ConfigKind::Ideal,
+        ]
+    }
+
     /// Closed-form placement model of this configuration for the
     /// analytic engine — `None` when the configuration's behaviour is
     /// dominated by reactive migration (C-NUMA, GRIT, the real-cost

@@ -11,6 +11,21 @@ use mcm_sim::{Counter, TraceEventClass, TraceStage, SAMPLE_INTERVAL, WARMUP_EPSI
 use crate::experiments::{FigureTrace, Grid, MetricsReport, Table4Row};
 use crate::json::Json;
 
+/// Labelled run statistics as JSON lines, one `{"cell", "stats"}`
+/// object per cell (the layout of `tests/goldens/analytic_quick.jsonl`).
+pub fn stats_lines(cells: &[(String, mcm_sim::RunStats)]) -> String {
+    let mut out = String::new();
+    for (label, s) in cells {
+        let line = Json::obj([
+            ("cell", Json::str(label.as_str())),
+            ("stats", crate::telemetry::stats_json(s)),
+        ]);
+        out.push_str(&line.compact());
+        out.push('\n');
+    }
+    out
+}
+
 /// Renders a grid as an aligned text table: one block for normalized
 /// performance, one for remote ratios.
 pub fn render_grid(g: &Grid) -> String {

@@ -2,7 +2,9 @@
 # Regenerates the golden CSVs that tests/golden.rs pins byte-for-byte.
 #
 # The goldens are the quick-grid (--quick) fig1, fig18, and topo CSVs
-# produced by the release `figures` binary.
+# produced by the release `figures` binary, and the analytic engine's
+# quick cells (one JSON line per cell) printed by the `analytic_golden`
+# example.
 # Run this only when a simulator change intentionally moves the numbers,
 # and commit the refreshed goldens together with that change.
 #
@@ -20,6 +22,8 @@ mkdir -p tests/goldens
 cp "$out/fig1.csv" tests/goldens/fig1_quick.csv
 cp "$out/fig18.csv" tests/goldens/fig18_quick.csv
 cp "$out/topo.csv" tests/goldens/topo_quick.csv
+cargo run --release --quiet --example analytic_golden > "$out/analytic_quick.jsonl"
+cp "$out/analytic_quick.jsonl" tests/goldens/analytic_quick.jsonl
 
 echo "updated:"
 git -c color.status=false status --short tests/goldens/ || true

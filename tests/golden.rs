@@ -1,5 +1,6 @@
-//! Golden-file regression tests: the quick-grid fig1 and fig18 CSVs must
-//! match the checked-in goldens **byte for byte**.
+//! Golden-file regression tests: the quick-grid fig1, fig18 and topo CSVs
+//! and the analytic engine's quick cells must match the checked-in
+//! goldens **byte for byte**.
 //!
 //! The simulator is deterministic, the sweep runner collects results in
 //! submission order, and the CSV emitter formats with fixed precision —
@@ -7,12 +8,13 @@
 //! intentional, regenerate with `scripts/update_goldens.sh` and commit
 //! the new goldens alongside the change that explains them.
 
-use clap_repro::bench::experiments::{fig1, fig18, topo, Harness};
-use clap_repro::bench::report::csv_string;
+use clap_repro::bench::experiments::{analytic_cells, fig1, fig18, topo, Harness};
+use clap_repro::bench::report::{csv_string, stats_lines};
 
 const FIG1_GOLDEN: &str = include_str!("goldens/fig1_quick.csv");
 const FIG18_GOLDEN: &str = include_str!("goldens/fig18_quick.csv");
 const TOPO_GOLDEN: &str = include_str!("goldens/topo_quick.csv");
+const ANALYTIC_GOLDEN: &str = include_str!("goldens/analytic_quick.jsonl");
 
 fn assert_golden(id: &str, got: &str, want: &str) {
     if got == want {
@@ -62,4 +64,15 @@ fn topo_quick_grid_matches_golden() {
     for col in ["ring/8", "ring/16", "mesh/8", "mesh/16", "fc/8", "fc/16"] {
         assert!(g.perf.iter().all(|r| r[g.col(col)] > 0.0), "{col} ran");
     }
+}
+
+/// Every analytic-engine counter of the 150 suite cells and the 18 topo
+/// cells (4, 8 and 16 chiplets), one JSON line per cell: any change to
+/// the closed-form model's arithmetic shows up here, not only the
+/// figure-of-merit ratios the CSV goldens round.
+#[test]
+fn analytic_quick_cells_match_golden() {
+    let cells = analytic_cells(&Harness::quick());
+    assert_eq!(cells.len(), 15 * 10 + 2 * 9);
+    assert_golden("analytic", &stats_lines(&cells), ANALYTIC_GOLDEN);
 }
