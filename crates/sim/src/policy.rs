@@ -14,7 +14,7 @@ use crate::{SimConfig, SimError};
 /// static-analysis pass (LASP \[47\] / SUV \[17\]) would derive it. Consumed
 /// only by the SA-policy baselines of §5.2; profile-based policies ignore
 /// it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StaticHint {
     /// The structure is accessed in a C-periodic pattern: within every
     /// `period_bytes` window, threadblock `t` of `n` touches the `t/n`-th
@@ -33,7 +33,7 @@ pub enum StaticHint {
 }
 
 /// One GPU memory allocation ("data structure").
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct AllocInfo {
     /// Allocation identifier (also stored in PTE bits).
     pub id: AllocId,

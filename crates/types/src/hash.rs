@@ -6,7 +6,7 @@
 //! * [`fnv1a`] — FNV-1a over bytes. The bench telemetry layer fingerprints
 //!   configurations with it so resumed sweeps recognize shards written by
 //!   an earlier process (`DefaultHasher` output may change between
-//!   toolchains).
+//!   toolchains). [`Fnv1a`] is the same hash as a streaming `Hasher`.
 //! * [`FxHasher64`] — an Fx-style multiply-xor hasher for hot-path hash
 //!   maps keyed by small integers (page-table VPNs, walk-MSHR page keys).
 //!   SipHash, the `std` default, costs more than the table probe itself on
@@ -22,12 +22,35 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// (shard validation) and anywhere else a toolchain-independent digest of
 /// a string is needed.
 pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv1a::default();
+    h.write(s.as_bytes());
+    h.finish()
+}
+
+/// FNV-1a as a streaming [`Hasher`]: the digest of every byte written, in
+/// order. Integers reach it through `Hasher`'s default methods as
+/// native-endian bytes, so a digest of `Hash` values is stable within one
+/// platform only — right for in-memory cache keys, not for files.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf29ce484222325)
     }
-    h
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Multiplier used by [`FxHasher64`]: the 64-bit golden-ratio constant
