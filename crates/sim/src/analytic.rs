@@ -353,6 +353,9 @@ impl Replay {
         );
         let mut kernels = Vec::with_capacity(workload.num_kernels());
         let mut last_alloc = 0usize;
+        // One stream buffer and one sort buffer for the whole capture.
+        let mut stream = Vec::new();
+        let mut scratch: Vec<u64> = Vec::new();
         for k in 0..workload.num_kernels() {
             let desc = workload.kernel(k);
             let nstreams = desc.num_tbs as usize * desc.warps_per_tb as usize;
@@ -364,12 +367,11 @@ impl Replay {
             let mut offsets = Vec::with_capacity(nstreams + 1);
             let mut flat = Vec::new();
             let mut mult = Vec::new();
-            let mut scratch: Vec<u64> = Vec::new();
             offsets.push(0u64);
             for t in 0..desc.num_tbs {
                 for w in 0..desc.warps_per_tb {
                     let s = stream_tb.len();
-                    let stream = workload.warp_accesses(k, TbId::new(t), WarpId::new(w));
+                    workload.warp_accesses_into(k, TbId::new(t), WarpId::new(w), &mut stream);
                     assert!(
                         stream.len() <= 1 << 24,
                         "kernel {k} stream exceeds the first-touch key space (16M accesses)"

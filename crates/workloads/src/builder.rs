@@ -21,6 +21,9 @@ pub struct Part {
     /// Optional `(offset, len)` window restricting accesses to a sub-range
     /// of the allocation (e.g. "only one quarter of C* is reused", §5.2).
     pub window: Option<(u64, u64)>,
+    /// Unique lines per warp: the kernel's `unique_lines` split by
+    /// weight, at least one. Set when the kernel is added.
+    lines: usize,
 }
 
 impl Part {
@@ -31,6 +34,7 @@ impl Part {
             weight,
             pattern,
             window: None,
+            lines: 0,
         }
     }
 
@@ -133,17 +137,35 @@ impl WorkloadBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a part references an undeclared allocation or weights are
-    /// all zero.
-    pub fn kernel(mut self, spec: KernelSpec) -> Self {
-        assert!(
-            spec.parts.iter().all(|p| p.alloc < self.allocs.len()),
-            "kernel part references undeclared allocation"
-        );
-        assert!(
-            spec.parts.iter().map(|p| p.weight).sum::<f64>() > 0.0,
-            "kernel needs positive total weight"
-        );
+    /// Panics if a part references an undeclared allocation, weights are
+    /// all zero, a `Sliced` or `Irregular` period is non-zero and not a
+    /// multiple of [`LINE`], or a window starts at or beyond the end of
+    /// its allocation.
+    pub fn kernel(mut self, mut spec: KernelSpec) -> Self {
+        for p in &spec.parts {
+            assert!(
+                p.alloc < self.allocs.len(),
+                "kernel part references undeclared allocation"
+            );
+            if let Pattern::Sliced { period, .. } | Pattern::Irregular { period, .. } = p.pattern {
+                assert!(
+                    period % LINE == 0,
+                    "period {period} is not a multiple of the {LINE}-byte line"
+                );
+            }
+            if let Some((offset, _)) = p.window {
+                let bytes = self.allocs[p.alloc].1;
+                assert!(
+                    offset < bytes,
+                    "window offset {offset} is outside the {bytes}-byte allocation"
+                );
+            }
+        }
+        let total: f64 = spec.parts.iter().map(|p| p.weight).sum();
+        assert!(total > 0.0, "kernel needs positive total weight");
+        for p in &mut spec.parts {
+            p.lines = ((p.weight / total * spec.unique_lines as f64).round() as usize).max(1);
+        }
         self.kernels.push(spec);
         self
     }
@@ -237,65 +259,63 @@ impl Workload for SyntheticWorkload {
 
     fn warp_accesses_into(&self, k: usize, tb: TbId, warp: WarpId, out: &mut Vec<VirtAddr>) {
         let spec = &self.kernels[k];
+        out.clear();
+        if spec.passes == 0 {
+            return;
+        }
         let mut rng = StdRng::seed_from_u64(
             self.seed
                 ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ (tb.index() as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
                 ^ (warp.index() as u64).wrapping_mul(0x94D0_49BB_1331_11EB),
         );
-        let total_weight: f64 = spec.parts.iter().map(|p| p.weight).sum();
+        let uniques: usize = spec.parts.iter().map(|p| p.lines).sum();
+        out.reserve(uniques * spec.passes.max(2));
 
-        // Build each part's unique working set, then interleave passes.
-        let mut uniques: Vec<Vec<VirtAddr>> = Vec::with_capacity(spec.parts.len());
+        // Each part's unique working set, part after part.
         for part in &spec.parts {
-            let share = ((part.weight / total_weight) * spec.unique_lines as f64).round() as usize;
-            let n = share.max(1);
             let a = &self.allocs[part.alloc];
             let (w_off, w_len) = part.window.unwrap_or((0, a.bytes));
             let w_len = w_len.min(a.bytes - w_off).max(LINE);
-            let mut v = Vec::with_capacity(n);
-            for kk in 0..part.pattern.cycle_len(n) {
-                let off = part.pattern.offset(
-                    kk,
-                    n,
-                    tb,
-                    warp,
-                    spec.num_tbs,
-                    spec.warps_per_tb,
-                    w_len,
-                    &mut rng,
-                );
-                v.push(a.base + w_off + off);
-            }
-            uniques.push(v);
+            part.pattern.fill(
+                part.lines,
+                tb,
+                warp,
+                spec.num_tbs,
+                spec.warps_per_tb,
+                w_len,
+                a.base + w_off,
+                &mut rng,
+                out,
+            );
         }
 
-        // Interleave parts proportionally so structures mix in time, and
-        // repeat the whole sequence `passes` times for reuse.
-        let mut one_pass = Vec::with_capacity(spec.unique_lines);
-        let mut cursors = vec![0usize; uniques.len()];
-        let mut exhausted = 0;
-        while exhausted < uniques.len() {
-            exhausted = 0;
-            for (i, u) in uniques.iter().enumerate() {
-                if cursors[i] < u.len() {
-                    // Emit a small burst per structure for spatial locality.
-                    let burst = 4.min(u.len() - cursors[i]);
-                    one_pass.extend_from_slice(&u[cursors[i]..cursors[i] + burst]);
-                    cursors[i] += burst;
-                } else {
-                    exhausted += 1;
+        // Interleave parts proportionally so structures mix in time: a
+        // burst of up to 4 lines per part per round, for spatial
+        // locality. The rounds are appended behind the working sets, then
+        // moved to the front.
+        if spec.parts.len() > 1 {
+            let mut cursor = 0;
+            while out.len() < 2 * uniques {
+                let mut start = 0;
+                for part in &spec.parts {
+                    if cursor < part.lines {
+                        out.extend_from_within(start + cursor..start + part.lines.min(cursor + 4));
+                    }
+                    start += part.lines;
                 }
+                cursor += 4;
             }
+            out.copy_within(uniques.., 0);
+            out.truncate(uniques);
         }
-        out.clear();
-        out.reserve(one_pass.len() * spec.passes);
-        for pass in 0..spec.passes {
+
+        // Repeat the sequence `passes` times for reuse, alternating
+        // direction to vary reuse distance slightly.
+        for pass in 1..spec.passes {
+            out.extend_from_within(..uniques);
             if pass % 2 == 1 {
-                // Alternate direction to vary reuse distance slightly.
-                out.extend(one_pass.iter().rev().copied());
-            } else {
-                out.extend(one_pass.iter().copied());
+                out[pass * uniques..].reverse();
             }
         }
         // A pinch of shuffling within small windows keeps streams from
@@ -410,12 +430,120 @@ mod tests {
         }
     }
 
+    /// Streams of at most 8 accesses are not shuffled, so their order is
+    /// the interleave's and the passes'.
+    fn short_stream(unique_lines: usize, passes: usize, weights: [f64; 2]) -> Vec<usize> {
+        let w = WorkloadBuilder::new("short")
+            .alloc("a", 4 << 20)
+            .alloc("b", 4 << 20)
+            .kernel(KernelSpec {
+                num_tbs: 2,
+                warps_per_tb: 1,
+                insts_per_mem: 1,
+                line_reuse: 1,
+                unique_lines,
+                passes,
+                parts: vec![
+                    Part::new(0, weights[0], Pattern::SharedSweep),
+                    Part::new(1, weights[1], Pattern::SharedSweep),
+                ],
+            })
+            .build();
+        let s = w.warp_accesses(0, TbId::new(1), WarpId::new(0));
+        assert!(s.len() <= 8);
+        s.iter()
+            .map(|&va| w.allocs().iter().position(|a| a.contains(va)).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn parts_interleave_in_bursts_of_four() {
+        // 5 lines of `a` and 2 of `b`: a burst of each, then `a`'s rest.
+        assert_eq!(short_stream(7, 1, [5.0, 2.0]), [0, 0, 0, 0, 1, 1, 0]);
+    }
+
+    #[test]
+    fn odd_passes_run_backwards() {
+        assert_eq!(short_stream(4, 2, [3.0, 1.0]), [0, 0, 0, 1, 1, 0, 0, 0]);
+        assert_eq!(short_stream(2, 4, [1.0, 1.0]), [0, 1, 1, 0, 0, 1, 1, 0]);
+        assert!(short_stream(4, 0, [3.0, 1.0]).is_empty());
+    }
+
     #[test]
     fn tb_scale_clamps_to_one() {
         let w = toy().with_tb_scale(1, 64);
         assert_eq!(w.kernel(0).num_tbs, 1);
         let w2 = toy().with_tb_scale(2, 1);
         assert_eq!(w2.kernel(0).num_tbs, 64);
+    }
+
+    fn one_part(part: Part) -> KernelSpec {
+        KernelSpec {
+            num_tbs: 4,
+            warps_per_tb: 1,
+            insts_per_mem: 1,
+            line_reuse: 1,
+            unique_lines: 16,
+            passes: 1,
+            parts: vec![part],
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple of the 128-byte line")]
+    fn sub_line_sliced_period_panics() {
+        let sliced = Pattern::Sliced {
+            period: 64,
+            halo: 0.0,
+        };
+        let _ = WorkloadBuilder::new("bad")
+            .alloc("a", 1 << 20)
+            .kernel(one_part(Part::new(0, 1.0, sliced)));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple of the 128-byte line")]
+    fn unaligned_irregular_period_panics() {
+        let irregular = Pattern::Irregular {
+            period: 3 * 64,
+            locality: 0.5,
+            spread: 0,
+        };
+        let _ = WorkloadBuilder::new("bad")
+            .alloc("a", 1 << 20)
+            .kernel(one_part(Part::new(0, 1.0, irregular)));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 1048576-byte allocation")]
+    fn window_beyond_the_allocation_panics() {
+        let _ = WorkloadBuilder::new("bad")
+            .alloc("a", 1 << 20)
+            .kernel(one_part(
+                Part::new(0, 1.0, Pattern::Uniform).with_window(1 << 20, LINE),
+            ));
+    }
+
+    #[test]
+    fn line_multiple_periods_and_inner_windows_are_accepted() {
+        let w = WorkloadBuilder::new("ok")
+            .alloc("a", 1 << 20)
+            .kernel(one_part(
+                Part::new(
+                    0,
+                    1.0,
+                    Pattern::Sliced {
+                        period: 3 * LINE,
+                        halo: 0.0,
+                    },
+                )
+                .with_window((1 << 20) - LINE, 4 * LINE),
+            ))
+            .build();
+        let a = &w.allocs()[0];
+        for va in w.warp_accesses(0, TbId::new(3), WarpId::new(0)) {
+            assert!(a.contains(va), "{va} outside {}", a.name);
+        }
     }
 
     #[test]
