@@ -66,24 +66,35 @@ cmp "$smoke/topo/topo.csv" tests/goldens/topo_quick.csv
 ./target/release/figures --out "$smoke/topo" status --check > /dev/null
 
 echo "== analytic engine smoke (quick fig1+topo: < 1s wall, >= 10x the cycle engine)"
-# The cycle-engine reference times come from the default and topo smokes
-# above (same binary, same --jobs 2, same quick grid). The workspace
-# test runs earlier already cross-validated the two engines' metrics
-# (crates/bench/tests/cross_validation.rs); this asserts the speedup that justifies the fast path. The
-# bar was re-based 20x -> 10x when the DESIGN.md §15 hot-path pass made
-# the cycle engine itself ~1.7x faster on this grid (measured ratio
-# ~13-18x depending on runner noise).
-./target/release/figures --quick --jobs 2 --progress=off --engine analytic \
-    --out "$smoke/analytic" fig1 topo
-grep -q '"engine": "analytic"' "$smoke/analytic/bench_timings.json"
-cyc_fig1=$(awk -F'"seconds": ' '/"id": "fig1"/{split($2,a,","); print a[1]}' "$smoke/default/bench_timings.json")
-cyc_topo=$(awk -F'"seconds": ' '/"id": "topo"/{split($2,a,","); print a[1]}' "$smoke/topo/bench_timings.json")
-ana=$(awk -F'"seconds": ' '/"id": "fig1"|"id": "topo"/{split($2,a,","); s+=a[1]} END{print s}' "$smoke/analytic/bench_timings.json")
-awk -v c1="$cyc_fig1" -v c2="$cyc_topo" -v a="$ana" 'BEGIN {
-  c = c1 + c2
-  printf "   analytic %.3fs vs cycle %.3fs (%.1fx)\n", a, c, c / a
-  if (a >= 1.0) { print "analytic quick grid must finish under 1s wall" > "/dev/stderr"; exit 1 }
-  if (c < 10 * a) { print "analytic engine must be >= 10x the cycle engine" > "/dev/stderr"; exit 1 }
+# The workspace test runs earlier already cross-validated the two
+# engines' metrics (crates/bench/tests/cross_validation.rs); this asserts
+# the speedup that justifies the fast path. The bar was re-based 20x ->
+# 10x when the DESIGN.md §15 hot-path pass made the cycle engine itself
+# ~1.7x faster on this grid. Both engines run the same grid (same
+# binary, --jobs 2) back to back, three times each, and each bar is
+# checked against each side's fastest run: a shared host slows down for
+# seconds at a time, and one run per side let that noise alone fail the
+# gate.
+grid_seconds() {
+  awk -F'"seconds": ' '/"id": "fig1"|"id": "topo"/{split($2,a,","); s+=a[1]} END{print s}' "$1/bench_timings.json"
+}
+cyc="" ana=""
+for i in 1 2 3; do
+  ./target/release/figures --quick --jobs 2 --progress=off --out "$smoke/cycle$i" fig1 topo > /dev/null
+  ./target/release/figures --quick --jobs 2 --progress=off --engine analytic \
+      --out "$smoke/analytic$i" fig1 topo > /dev/null
+  grep -q '"engine": "analytic"' "$smoke/analytic$i/bench_timings.json"
+  cyc="$cyc $(grid_seconds "$smoke/cycle$i")"
+  ana="$ana $(grid_seconds "$smoke/analytic$i")"
+done
+awk -v cs="$cyc" -v as="$ana" 'BEGIN {
+  n = split(cs, c, " "); split(as, a, " ")
+  cmin = c[1]; amin = a[1]
+  for (i = 2; i <= n; i++) { if (c[i] < cmin) cmin = c[i]; if (a[i] < amin) amin = a[i] }
+  printf "   cycle runs%s s, analytic runs%s s\n", cs, as
+  printf "   fastest: analytic %.3fs vs cycle %.3fs (%.1fx)\n", amin, cmin, cmin / amin
+  if (amin >= 1.0) { print "analytic quick grid must finish under 1s wall" > "/dev/stderr"; exit 1 }
+  if (cmin < 10 * amin) { print "analytic engine must be >= 10x the cycle engine" > "/dev/stderr"; exit 1 }
 }'
 
 echo "== parallel-sweep determinism smoke (figures fig1, jobs 1 vs 4)"
