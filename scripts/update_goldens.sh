@@ -3,8 +3,8 @@
 #
 # The goldens are the quick-grid (--quick) fig1, fig18, and topo CSVs
 # produced by the release `figures` binary, and the analytic engine's
-# quick cells (one JSON line per cell) printed by the `analytic_golden`
-# example.
+# quick cells and the quick real-cost migration cells (one JSON line per
+# cell) printed by the `analytic_golden` and `migration_golden` examples.
 # Run this only when a simulator change intentionally moves the numbers,
 # and commit the refreshed goldens together with that change.
 #
@@ -24,6 +24,8 @@ cp "$out/fig18.csv" tests/goldens/fig18_quick.csv
 cp "$out/topo.csv" tests/goldens/topo_quick.csv
 cargo run --release --quiet --example analytic_golden > "$out/analytic_quick.jsonl"
 cp "$out/analytic_quick.jsonl" tests/goldens/analytic_quick.jsonl
+cargo run --release --quiet --example migration_golden > "$out/migration_quick.jsonl"
+cp "$out/migration_quick.jsonl" tests/goldens/migration_quick.jsonl
 
 echo "updated:"
 git -c color.status=false status --short tests/goldens/ || true

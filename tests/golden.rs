@@ -1,6 +1,6 @@
-//! Golden-file regression tests: the quick-grid fig1, fig18 and topo CSVs
-//! and the analytic engine's quick cells must match the checked-in
-//! goldens **byte for byte**.
+//! Golden-file regression tests: the quick-grid fig1, fig18 and topo CSVs,
+//! the analytic engine's quick cells and the real-cost migration cells
+//! must match the checked-in goldens **byte for byte**.
 //!
 //! The simulator is deterministic, the sweep runner collects results in
 //! submission order, and the CSV emitter formats with fixed precision —
@@ -8,13 +8,16 @@
 //! intentional, regenerate with `scripts/update_goldens.sh` and commit
 //! the new goldens alongside the change that explains them.
 
-use clap_repro::bench::experiments::{analytic_cells, fig1, fig18, topo, Harness};
+use clap_repro::bench::experiments::{
+    analytic_cells, fig1, fig18, migration_cells, topo, Harness, MIGRATION_CONFIGS,
+};
 use clap_repro::bench::report::{csv_string, stats_lines};
 
 const FIG1_GOLDEN: &str = include_str!("goldens/fig1_quick.csv");
 const FIG18_GOLDEN: &str = include_str!("goldens/fig18_quick.csv");
 const TOPO_GOLDEN: &str = include_str!("goldens/topo_quick.csv");
 const ANALYTIC_GOLDEN: &str = include_str!("goldens/analytic_quick.jsonl");
+const MIGRATION_GOLDEN: &str = include_str!("goldens/migration_quick.jsonl");
 
 fn assert_golden(id: &str, got: &str, want: &str) {
     if got == want {
@@ -75,4 +78,15 @@ fn analytic_quick_cells_match_golden() {
     let cells = analytic_cells(&Harness::quick());
     assert_eq!(cells.len(), 15 * 10 + 2 * 9);
     assert_golden("analytic", &stats_lines(&cells), ANALYTIC_GOLDEN);
+}
+
+/// Every counter of the 45 quick real-cost migration cells (GRIT(real),
+/// C-NUMA(real), CLAP+migration on each suite workload), one JSON line
+/// per cell. These are the only cells whose epochs migrate pages and
+/// shoot down TLBs at real cost; the CSV goldens do not cover them.
+#[test]
+fn migration_quick_cells_match_golden() {
+    let cells = migration_cells(&Harness::quick().with_jobs(2));
+    assert_eq!(cells.len(), 15 * MIGRATION_CONFIGS.len());
+    assert_golden("migration", &stats_lines(&cells), MIGRATION_GOLDEN);
 }
