@@ -48,6 +48,14 @@ impl Dram {
         self.queue_cycles
     }
 
+    /// Drops channel occupancy before cycle `t`: no access will start
+    /// before it again (see [`BucketedResource::forget_before`]).
+    pub fn forget_before(&mut self, t: u64) {
+        for ch in self.channels.iter_mut().flatten() {
+            ch.forget_before(t);
+        }
+    }
+
     /// Issues one line access to the chiplet owning `pa` at time `now`.
     /// Returns the completion time (queueing + service + access latency).
     pub fn access(&mut self, pa: PhysAddr, now: u64) -> u64 {

@@ -3,10 +3,12 @@
 //! Executes every kernel of a [`Workload`](crate::Workload) against a
 //! machine built from a [`SimConfig`](crate::SimConfig), with memory
 //! mapping decided by a [`PagingPolicy`](crate::PagingPolicy). Warps are
-//! interleaved through a time-ordered event heap; throughput limits come
-//! from busy-until resources (SM load/store ports, page walkers, DRAM
-//! channels, interconnect links), so warp-level parallelism hides latency exactly
-//! until a resource saturates.
+//! interleaved through a monotone wake-up queue; throughput limits come
+//! from bucketed resources (SM load/store ports, page walkers, DRAM
+//! channels, interconnect links), so warp-level parallelism hides latency
+//! exactly until a resource saturates. The clock never runs backwards, so
+//! once an epoch fires, every resource drops the bookings the clock has
+//! passed.
 //!
 //! The heavy lifting lives in the [`stage`](crate::stage) modules; the
 //! `Machine` here is a thin orchestrator that owns the page table and the
@@ -19,7 +21,7 @@
 //! * [`Driver`](crate::stage::driver::Driver) — fault resolution,
 //!   directive application, shootdowns, audits;
 //! * [`KernelSchedule`](crate::stage::sched::KernelSchedule) — TB
-//!   distribution and the warp event heap.
+//!   distribution and the warp wake-up queue.
 
 use mcm_types::{ChipletId, TbId, VirtAddr};
 
@@ -238,8 +240,8 @@ enum AccessResult {
     /// Hit a demand fault; the issuing warp must retry the access once the
     /// driver resolves it (at the given cycle). Modelling the fault as a
     /// warp reschedule — instead of atomically simulating the post-fault
-    /// path thousands of cycles in the future — keeps busy-until resource
-    /// state causal across the event heap.
+    /// path thousands of cycles in the future — keeps resource state
+    /// causal across the wake-up queue.
     Fault(u64),
 }
 
@@ -382,6 +384,7 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
             // containing its pop time (DESIGN.md §10).
             self.probe.tick(t, &self.ctr);
             // Epoch callbacks for reactive policies.
+            let epoch_due = t >= self.next_epoch;
             while t >= self.next_epoch {
                 let epoch = self.next_epoch;
                 let dirs = policy.on_epoch(epoch);
@@ -405,6 +408,16 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
                         .audit(self.cfg, &self.page_table, &self.translate);
                 }
                 self.next_epoch += self.cfg.epoch_cycles;
+            }
+            if epoch_due {
+                // Nothing books before this pop again (resources.rs,
+                // "Clock-floor contract"); not inside the loop above, whose
+                // next due epoch still books before `t`. The floor is the
+                // kernel's end so far when that is earlier: a warp with an
+                // empty stream retires without a batch, so the kernel may
+                // end (kernel-end directives book, the next kernel starts)
+                // before `t`.
+                self.forget_before(t.min(end));
             }
 
             // A warp keeps up to `warp_mlp` independent memory
@@ -485,6 +498,17 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
         }
         sched.recycle(&mut self.stream_pool);
         Ok(end)
+    }
+
+    /// Drops every resource's bookings before cycle `t`, which the clock
+    /// has passed for good: SM ports, page walkers, DRAM channels and
+    /// interconnect links.
+    fn forget_before(&mut self, t: u64) {
+        for port in &mut self.sm_port {
+            port.forget_before(t);
+        }
+        self.translate.forget_before(t);
+        self.data.forget_before(t);
     }
 
     /// Simulates one warp memory instruction: SM port → translation stage →

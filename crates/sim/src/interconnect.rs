@@ -54,6 +54,10 @@ pub trait Topology: Send {
 
     /// Average hops per transfer.
     fn avg_hops(&self) -> f64;
+
+    /// Drops link occupancy before cycle `t`: no transfer will start
+    /// before it again (see [`BucketedResource::forget_before`]).
+    fn forget_before(&mut self, t: u64);
 }
 
 /// Builds the interconnect described by `cfg` (shape from
@@ -185,6 +189,12 @@ impl Topology for Ring {
             self.hop_count as f64 / self.transfers as f64
         }
     }
+
+    fn forget_before(&mut self, t: u64) {
+        for link in self.links.iter_mut().flatten() {
+            link.forget_before(t);
+        }
+    }
 }
 
 /// A 2D mesh of `rows × cols` chiplets with dimension-ordered (XY)
@@ -297,6 +307,12 @@ impl Topology for Mesh2d {
             self.hop_count as f64 / self.transfers as f64
         }
     }
+
+    fn forget_before(&mut self, t: u64) {
+        for link in &mut self.links {
+            link.forget_before(t);
+        }
+    }
 }
 
 /// A fully-connected (all-to-all) package: every ordered chiplet pair has
@@ -372,6 +388,12 @@ impl Topology for FullyConnected {
             0.0
         } else {
             1.0
+        }
+    }
+
+    fn forget_before(&mut self, t: u64) {
+        for link in &mut self.links {
+            link.forget_before(t);
         }
     }
 }

@@ -265,6 +265,13 @@ impl<'r> DataPath<'r> {
         }
     }
 
+    /// Drops DRAM-channel and link occupancy before cycle `t`, which the
+    /// engine clock has passed for good.
+    pub fn forget_before(&mut self, t: u64) {
+        self.dram.forget_before(t);
+        self.interconnect.forget_before(t);
+    }
+
     /// The run-level interconnect and DRAM totals: `(transfers, link
     /// queue cycles, DRAM queue cycles)`.
     pub(crate) fn run_totals(&self) -> (u64, u64, u64) {

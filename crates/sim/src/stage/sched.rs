@@ -1,7 +1,7 @@
 //! The warp-scheduling stage: threadblock-to-SM distribution and warp
 //! bookkeeping for one kernel launch.
 //!
-//! Owns the time-ordered event heap that interleaves warps, the
+//! Owns the monotone wake-up queue that interleaves warps, the
 //! threadblock queues per SM, and the residency accounting that starts the
 //! next queued threadblock when one retires. The engine pops ready warps,
 //! simulates their memory batch through the other stages, and pushes them
@@ -16,63 +16,91 @@ use crate::probe::Probe;
 use crate::trace::TraceEventKind;
 use crate::workload::{tb_chiplet, KernelDesc, Workload};
 
-/// A 4-ary min-heap of `(ready_cycle, warp_id)` wake-up events.
+/// A monotone radix heap of `(ready_cycle, warp_id)` wake-up events.
 ///
-/// Replaces `BinaryHeap<Reverse<(u64, usize)>>` on the engine's hottest
-/// non-access path (one pop + one push per warp batch). Each live warp is
-/// enqueued at most once, so keys are distinct and *any* correct min-queue
-/// pops the identical ascending `(cycle, warp)` sequence — the simulated
-/// schedule does not depend on which heap shape holds the events. Four
-/// children per node halve the sift-down depth that dominates `pop` on
-/// kernels with thousands of resident warps, and a node's children sit in
-/// a single cache line.
-#[derive(Default)]
-struct EventHeap {
-    /// `(ready_cycle, warp_id)`, heap-ordered (parent ≤ children).
-    slots: Vec<(u64, u32)>,
+/// The engine clock never runs backwards: every push is at or after the
+/// cycle last popped (a batch reschedules at its completion plus the
+/// issue gap, a fault resumes at or after the faulting access, a new
+/// threadblock starts at the retire cycle plus its jitter, which may be
+/// 0). Keys therefore live in buckets by the highest bit in which their
+/// cycle differs from the last popped cycle `last`. Events at `last`
+/// itself sit in [`Self::now`] by descending warp id, so same-cycle
+/// wake-ups leave in warp-id order; `later[b]` holds cycles that agree
+/// with `last` above bit `b` and differ at it. A pop that finds `now`
+/// empty takes the lowest non-empty bucket, advances `last` to its
+/// smallest cycle and redistributes its events into strictly lower
+/// buckets, so an event moves at most 64 times however many warps wait.
+///
+/// Each live warp is enqueued at most once, so keys are distinct and the
+/// pops are exactly the ascending `(cycle, warp)` sequence any min-queue
+/// pops: the simulated schedule does not depend on the queue's shape.
+/// Buckets keep their capacity, so steady-state pushes do not allocate.
+struct WakeQueue {
+    /// Cycle of the most recent pop: nothing may be pushed before it.
+    last: u64,
+    /// Warps waking at `last`, by descending id (the next one is last).
+    now: Vec<u32>,
+    /// `later[b]`: events whose cycle first differs from `last` at bit
+    /// `b` (and is therefore greater).
+    later: [Vec<(u64, u32)>; 64],
+    /// Bit `b` set iff `later[b]` is non-empty.
+    occupied: u64,
 }
 
-impl EventHeap {
+impl Default for WakeQueue {
+    fn default() -> Self {
+        WakeQueue {
+            last: 0,
+            now: Vec::new(),
+            later: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+        }
+    }
+}
+
+impl WakeQueue {
     fn push(&mut self, t: u64, wid: u32) {
-        let mut i = self.slots.len();
-        self.slots.push((t, wid));
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.slots[parent] <= self.slots[i] {
-                break;
-            }
-            self.slots.swap(parent, i);
-            i = parent;
+        debug_assert!(
+            t >= self.last,
+            "wake-up at cycle {t} before the clock ({})",
+            self.last
+        );
+        let diff = t ^ self.last;
+        if diff == 0 {
+            let at = self.now.partition_point(|&w| w > wid);
+            self.now.insert(at, wid);
+        } else {
+            let b = 63 - diff.leading_zeros() as usize;
+            self.later[b].push((t, wid));
+            self.occupied |= 1 << b;
         }
     }
 
     fn pop(&mut self) -> Option<(u64, usize)> {
-        let top = *self.slots.first()?;
-        let last = self.slots.pop()?;
-        if !self.slots.is_empty() {
-            // Sift the displaced tail element down from the root.
-            let n = self.slots.len();
-            self.slots[0] = last;
-            let mut i = 0usize;
-            loop {
-                let first_child = i * 4 + 1;
-                if first_child >= n {
-                    break;
-                }
-                let mut min = first_child;
-                for c in first_child + 1..(first_child + 4).min(n) {
-                    if self.slots[c] < self.slots[min] {
-                        min = c;
-                    }
-                }
-                if self.slots[i] <= self.slots[min] {
-                    break;
-                }
-                self.slots.swap(i, min);
-                i = min;
+        if self.now.is_empty() {
+            if self.occupied == 0 {
+                return None;
             }
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << b);
+            let mut events = std::mem::take(&mut self.later[b]);
+            self.last = events.iter().map(|&(t, _)| t).min()?;
+            for &(t, wid) in &events {
+                let diff = t ^ self.last;
+                if diff == 0 {
+                    self.now.push(wid);
+                } else {
+                    let c = 63 - diff.leading_zeros() as usize;
+                    self.later[c].push((t, wid));
+                    self.occupied |= 1 << c;
+                }
+            }
+            events.clear();
+            self.later[b] = events;
+            self.now.sort_unstable_by(|a, b| b.cmp(a));
         }
-        Some((top.0, top.1 as usize))
+        let wid = self.now.pop()?;
+        Some((self.last, wid as usize))
     }
 }
 
@@ -94,8 +122,8 @@ pub struct KernelSchedule {
     /// Queued (not yet started) threadblocks per SM.
     sm_queue: Vec<VecDeque<TbId>>,
     warps: Vec<WarpCtx>,
-    /// Min-heap of `(ready_cycle, warp_id)`.
-    heap: EventHeap,
+    /// Pending `(ready_cycle, warp_id)` wake-ups.
+    queue: WakeQueue,
     /// Live warps per started threadblock, indexed by start slot.
     tb_live_warps: Vec<u32>,
     /// Start slot of each warp's threadblock.
@@ -123,7 +151,7 @@ impl KernelSchedule {
             kd,
             sm_queue: vec![VecDeque::new(); sms],
             warps: Vec::new(),
-            heap: EventHeap::default(),
+            queue: WakeQueue::default(),
             tb_live_warps: Vec::new(),
             warp_tb_slot: Vec::new(),
         };
@@ -188,19 +216,19 @@ impl KernelSchedule {
             // TBs do not start in threadblock order, so first-touch races
             // at equal progress are unbiased.
             let jitter = (tb.index() as u64 * 131 + w as u64 * 17).wrapping_mul(0x9E37_79B9) % 64;
-            self.heap.push(at + jitter, id as u32);
+            self.queue.push(at + jitter, id as u32);
         }
     }
 
     /// Pops the next ready warp: `(ready_cycle, warp_id)`. `None` once
     /// every warp retired.
     pub fn pop(&mut self) -> Option<(u64, usize)> {
-        self.heap.pop()
+        self.queue.pop()
     }
 
     /// Re-enqueues warp `wid` to continue at `at`.
     pub fn reschedule(&mut self, wid: usize, at: u64) {
-        self.heap.push(at, wid as u32);
+        self.queue.push(at, wid as u32);
     }
 
     /// The next up-to-`warp_mlp` accesses warp `wid` keeps in flight (GPU
@@ -356,6 +384,111 @@ mod tests {
                 None => break,
             }
         }
+    }
+
+    /// A [`WakeQueue`] driven in lockstep with a binary min-heap oracle.
+    #[derive(Default)]
+    struct QueuePair {
+        q: WakeQueue,
+        oracle: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+        live: std::collections::HashSet<u32>,
+        /// Cycle of the last pop.
+        clock: u64,
+        /// Warps popped so far at `clock`, and the largest id among them.
+        run: usize,
+        run_max_wid: u32,
+    }
+
+    impl QueuePair {
+        /// Pushes a warp not currently queued, at or after `wid`, at `t`.
+        fn push(&mut self, t: u64, mut wid: u32) -> u32 {
+            while !self.live.insert(wid) {
+                wid = (wid + 1) % 8192;
+            }
+            self.q.push(t, wid);
+            self.oracle.push(std::cmp::Reverse((t, wid)));
+            wid
+        }
+
+        /// Pops both; `false` once both are empty.
+        fn pop(&mut self, case: u32) -> bool {
+            let want = self
+                .oracle
+                .pop()
+                .map(|std::cmp::Reverse((t, w))| (t, w as usize));
+            assert_eq!(self.q.pop(), want, "case {case}");
+            let Some((t, w)) = want else { return false };
+            self.live.remove(&(w as u32));
+            if t == self.clock && self.run > 0 {
+                self.run += 1;
+                self.run_max_wid = self.run_max_wid.max(w as u32);
+            } else {
+                (self.run, self.run_max_wid) = (1, w as u32);
+            }
+            self.clock = t;
+            true
+        }
+    }
+
+    /// The wake-up queue pops exactly what a binary min-heap of
+    /// `(cycle, warp)` pops, on random monotone push/pop interleavings:
+    /// single pushes and bursts of up to 300 warps on one cycle, gaps of
+    /// every magnitude up to `1 << 63`, same-cycle pushes in the middle of
+    /// a same-cycle drain, and drains to empty followed by reuse. The test
+    /// checks that its random cases covered each of those.
+    #[test]
+    fn wake_queue_pops_what_a_binary_heap_pops() {
+        use proptest::collection::vec;
+        use proptest::{seed_for, Strategy, TestRng};
+
+        // (op, gap magnitude in bits, gap bits and warp id, burst size)
+        let ops = vec((0u8..8, 0u32..65, 0u64..u64::MAX, 1usize..300), 1..400);
+        let mut buckets_hit = 0u64;
+        let (mut biggest_drain, mut mid_drain_smaller, mut reused) = (0usize, 0usize, 0usize);
+        for case in 0..256 {
+            let mut rng = TestRng::new(seed_for("wake_queue_oracle", case));
+            let mut p = QueuePair::default();
+            let mut drained_empty = false;
+            for (op, magnitude, bits, burst) in ops.generate(&mut rng) {
+                let gap = match magnitude {
+                    0 => 0,
+                    m => (1u64 << (m - 1)) | (bits & ((1u64 << (m - 1)) - 1)),
+                };
+                let t = p.clock.saturating_add(gap);
+                match op {
+                    0..=3 => {
+                        reused += drained_empty as usize;
+                        drained_empty = false;
+                        for i in 0..if op == 0 { burst } else { 1 } {
+                            let diff = t ^ p.q.last;
+                            if diff != 0 {
+                                buckets_hit |= 1 << (63 - diff.leading_zeros());
+                            }
+                            let wid = p.push(t, (bits >> 16) as u32 % 8192 + i as u32);
+                            if t == p.clock && p.run > 0 && wid < p.run_max_wid {
+                                mid_drain_smaller += 1;
+                            }
+                        }
+                    }
+                    4..=6 => {
+                        p.pop(case);
+                    }
+                    _ => {
+                        while p.pop(case) {}
+                        drained_empty = true;
+                    }
+                }
+                biggest_drain = biggest_drain.max(p.run);
+            }
+            while p.pop(case) {}
+        }
+        assert_eq!(buckets_hit, u64::MAX, "every radix bucket took pushes");
+        assert!(biggest_drain >= 200, "one cycle woke {biggest_drain} warps");
+        assert!(
+            mid_drain_smaller > 0,
+            "no same-cycle push below a popped id"
+        );
+        assert!(reused > 0, "no queue was reused after draining empty");
     }
 
     #[test]

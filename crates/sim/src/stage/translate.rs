@@ -449,6 +449,14 @@ impl TranslateStage {
         self.invalidate_page(va);
     }
 
+    /// Drops page-walker occupancy before cycle `t`, which the engine
+    /// clock has passed for good.
+    pub fn forget_before(&mut self, t: u64) {
+        for w in &mut self.walkers {
+            w.forget_before(t);
+        }
+    }
+
     /// Drops TLB coverage of the page containing `va` from every L1 and
     /// L2 TLB (the invalidation half of a shootdown; the driver stage
     /// charges the cost).
