@@ -1,8 +1,7 @@
 //! Experiment harness for the CLAP reproduction.
 //!
 //! [`experiments`] holds one function per table/figure of the paper's
-//! evaluation; the `figures` binary prints them and writes CSVs, and the
-//! criterion benches in `benches/` time reduced-scale versions of each.
+//! evaluation; the `figures` binary prints them and writes CSVs.
 
 #![deny(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
