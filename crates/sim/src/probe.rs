@@ -168,8 +168,8 @@ impl Probe for MetricsProbe {
             .record_transfer(src, dst, topo.hops(src, dst), queued);
     }
 
-    /// Closes every interval boundary passed. Driven by heap-popped event
-    /// times, like the engine's epoch loop, so it is deterministic per
+    /// Closes every interval boundary passed. Driven by the wake-up times
+    /// the engine pops, like its epoch loop, so it is deterministic per
     /// cell; a batch's events land in the interval containing its pop.
     #[inline(always)]
     fn tick(&mut self, t: u64, counters: &Counters) {
