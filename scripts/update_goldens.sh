@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates the golden CSVs that tests/golden.rs pins byte-for-byte.
 #
-# The goldens are the quick-grid (--quick) fig1, fig18, and topo CSVs
+# The goldens are the quick-grid (--quick) fig1, fig2, fig8, fig18,
+# table2 and topo CSVs
 # produced by the release `figures` binary, and the analytic engine's
 # quick cells and the quick real-cost migration cells (one JSON line per
 # cell) printed by the `analytic_golden` and `migration_golden` examples.
@@ -16,12 +17,13 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 cargo build --release -p mcm-bench
-./target/release/figures --quick --jobs "${MCM_JOBS:-2}" --out "$out" fig1 fig18 topo
+./target/release/figures --quick --jobs "${MCM_JOBS:-2}" --out "$out" \
+  fig1 fig2 fig8 fig18 table2 topo
 
 mkdir -p tests/goldens
-cp "$out/fig1.csv" tests/goldens/fig1_quick.csv
-cp "$out/fig18.csv" tests/goldens/fig18_quick.csv
-cp "$out/topo.csv" tests/goldens/topo_quick.csv
+for id in fig1 fig2 fig8 fig18 table2 topo; do
+  cp "$out/$id.csv" "tests/goldens/${id}_quick.csv"
+done
 cargo run --release --quiet --example analytic_golden > "$out/analytic_quick.jsonl"
 cp "$out/analytic_quick.jsonl" tests/goldens/analytic_quick.jsonl
 cargo run --release --quiet --example migration_golden > "$out/migration_quick.jsonl"

@@ -1,6 +1,7 @@
-//! Golden-file regression tests: the quick-grid fig1, fig18 and topo CSVs,
-//! the analytic engine's quick cells and the real-cost migration cells
-//! must match the checked-in goldens **byte for byte**.
+//! Golden-file regression tests: the quick-grid fig1, fig2, fig8, fig18,
+//! table2 and topo CSVs, the analytic engine's quick cells and the
+//! real-cost migration cells must match the checked-in goldens **byte for
+//! byte**.
 //!
 //! The simulator is deterministic, the sweep runner collects results in
 //! submission order, and the CSV emitter formats with fixed precision —
@@ -9,12 +10,16 @@
 //! the new goldens alongside the change that explains them.
 
 use clap_repro::bench::experiments::{
-    analytic_cells, fig1, fig18, migration_cells, topo, Harness, MIGRATION_CONFIGS,
+    analytic_cells, fig1, fig18, fig2, fig8, migration_cells, table2, topo, Harness,
+    MIGRATION_CONFIGS,
 };
 use clap_repro::bench::report::{csv_string, stats_lines};
 
 const FIG1_GOLDEN: &str = include_str!("goldens/fig1_quick.csv");
+const FIG2_GOLDEN: &str = include_str!("goldens/fig2_quick.csv");
+const FIG8_GOLDEN: &str = include_str!("goldens/fig8_quick.csv");
 const FIG18_GOLDEN: &str = include_str!("goldens/fig18_quick.csv");
+const TABLE2_GOLDEN: &str = include_str!("goldens/table2_quick.csv");
 const TOPO_GOLDEN: &str = include_str!("goldens/topo_quick.csv");
 const ANALYTIC_GOLDEN: &str = include_str!("goldens/analytic_quick.jsonl");
 const MIGRATION_GOLDEN: &str = include_str!("goldens/migration_quick.jsonl");
@@ -46,6 +51,28 @@ fn assert_golden(id: &str, got: &str, want: &str) {
 fn fig1_quick_grid_matches_golden() {
     let g = fig1(&Harness::quick());
     assert_golden("fig1", &csv_string(&g), FIG1_GOLDEN);
+}
+
+/// The remote-cache columns: NUBA and SAC attached to S-2MB cells.
+#[test]
+fn fig2_quick_grid_matches_golden() {
+    let g = fig2(&Harness::quick().with_jobs(2));
+    assert_golden("fig2", &csv_string(&g), FIG2_GOLDEN);
+}
+
+/// The per-structure projection: one row per picked data structure,
+/// its remote ratio across the page-size ladder.
+#[test]
+fn fig8_quick_grid_matches_golden() {
+    let g = fig8(&Harness::quick().with_jobs(2));
+    assert_golden("fig8", &csv_string(&g), FIG8_GOLDEN);
+}
+
+/// The MPKI projection: L2$ and L2 TLB MPKI at 4KB/64KB/2MB.
+#[test]
+fn table2_quick_grid_matches_golden() {
+    let g = table2(&Harness::quick().with_jobs(2));
+    assert_golden("table2", &csv_string(&g), TABLE2_GOLDEN);
 }
 
 #[test]
