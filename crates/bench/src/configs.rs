@@ -6,9 +6,7 @@
 //! builds runs the same way.
 
 use clap_core::Clap;
-use mcm_policies::{
-    fbarre, ideal, mgvm, s2m, s4k, s64k, sa_2m, sa_64k, static_paging, CNuma, Grit, Placement,
-};
+use mcm_policies::{fbarre, ideal, mgvm, static_paging, CNuma, Grit, Placement};
 use mcm_sim::{
     AllocInfo, PagingPolicy, PlacementModel, PtePlacement, SimConfig, TranslationConfig,
 };
@@ -216,36 +214,6 @@ impl ConfigKind {
                 (Box::new(Clap::new().without_rt()), cfg)
             }
         }
-    }
-}
-
-/// Convenience constructors mirroring the paper's config list.
-pub mod presets {
-    use super::*;
-
-    /// `S-4KB` (Fig. 1 / Fig. 6 leftmost point).
-    pub fn s4kb() -> Box<dyn PagingPolicy> {
-        Box::new(s4k())
-    }
-
-    /// `S-64KB` (config 1).
-    pub fn s64kb() -> Box<dyn PagingPolicy> {
-        Box::new(s64k())
-    }
-
-    /// `S-2MB` (config 2).
-    pub fn s2mb() -> Box<dyn PagingPolicy> {
-        Box::new(s2m())
-    }
-
-    /// `SA-64KB` (§5.2).
-    pub fn sa64kb() -> Box<dyn PagingPolicy> {
-        Box::new(sa_64k())
-    }
-
-    /// `SA-2MB` (§5.2).
-    pub fn sa2mb() -> Box<dyn PagingPolicy> {
-        Box::new(sa_2m())
     }
 }
 

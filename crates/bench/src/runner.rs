@@ -13,37 +13,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Outcome of one sweep cell under panic isolation
-/// ([`SweepRunner::map_caught`]): either the cell's result, or the panic
-/// it died with, rendered as text. An unfilled result slot (a worker died
-/// outside the cell body) also surfaces as [`CellResult::Panicked`] — an
-/// empty slot is a classified state, not a crash.
-#[derive(Debug)]
-pub enum CellResult<R> {
-    /// The cell returned normally.
-    Done(R),
-    /// The cell panicked (or never filled its slot).
-    Panicked {
-        /// The panic payload, rendered (`&str`/`String` payloads verbatim).
-        message: String,
-    },
-}
-
-impl<R> CellResult<R> {
-    /// `true` for [`CellResult::Panicked`].
-    pub fn is_panicked(&self) -> bool {
-        matches!(self, CellResult::Panicked { .. })
-    }
-
-    /// The result, if the cell completed.
-    pub fn into_done(self) -> Option<R> {
-        match self {
-            CellResult::Done(r) => Some(r),
-            CellResult::Panicked { .. } => None,
-        }
-    }
-}
-
 /// Renders a caught panic payload (`&str` and `String` payloads verbatim,
 /// anything else a placeholder).
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -132,9 +101,7 @@ impl SweepRunner {
     ///
     /// Propagates the lowest-indexed panic of any cell (as a serial loop
     /// would see first) — but only after every other cell has finished, so
-    /// a panic no longer aborts in-flight work. Use
-    /// [`map_caught`](Self::map_caught) to classify panics instead of
-    /// propagating them.
+    /// a panic no longer aborts in-flight work.
     pub fn map_observed<T, R, F>(&self, items: &[T], f: F, obs: &dyn SweepObserver) -> Vec<R>
     where
         T: Sync,
@@ -159,35 +126,7 @@ impl SweepRunner {
         out
     }
 
-    /// [`map_observed`](Self::map_observed), but with every cell's panic
-    /// caught and classified instead of propagated: the result vector
-    /// always has one [`CellResult`] per item, in item order, and no panic
-    /// escapes. Cells are unwind-safe by construction in this crate (each
-    /// builds its own machine and policy); observers must tolerate a cell
-    /// panicking between its `cell_started` and `cell_finished` hooks.
-    pub fn map_caught<T, R, F>(
-        &self,
-        items: &[T],
-        f: F,
-        obs: &dyn SweepObserver,
-    ) -> Vec<CellResult<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.map_payload(items, f, obs)
-            .into_iter()
-            .map(|r| match r {
-                Ok(r) => CellResult::Done(r),
-                Err(p) => CellResult::Panicked {
-                    message: panic_message(p.as_ref()),
-                },
-            })
-            .collect()
-    }
-
-    /// Shared core of [`map_observed`] / [`map_caught`]: one
+    /// Core of [`map_observed`](Self::map_observed): one
     /// `Result<R, payload>` per item, in item order. Workers catch each
     /// cell's unwind and keep draining the queue, so one bad cell never
     /// cancels the rest of the sweep.
@@ -325,36 +264,6 @@ mod tests {
     fn empty_input_is_fine() {
         let out: Vec<u32> = SweepRunner::new(8).map(&[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn map_caught_isolates_panics_and_finishes_the_rest() {
-        let items: Vec<usize> = (0..16).collect();
-        for jobs in [1, 4] {
-            let out = SweepRunner::new(jobs).map_caught(
-                &items,
-                |i, &x| {
-                    if i == 5 {
-                        panic!("cell five is bad");
-                    }
-                    x * 2
-                },
-                &NOOP_OBSERVER,
-            );
-            assert_eq!(out.len(), items.len(), "jobs={jobs}");
-            for (i, r) in out.into_iter().enumerate() {
-                if i == 5 {
-                    match r {
-                        CellResult::Panicked { message } => {
-                            assert!(message.contains("cell five is bad"))
-                        }
-                        other => panic!("expected Panicked, got {other:?}"),
-                    }
-                } else {
-                    assert_eq!(r.into_done(), Some(i * 2), "jobs={jobs}");
-                }
-            }
-        }
     }
 
     #[test]

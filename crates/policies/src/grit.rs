@@ -64,11 +64,6 @@ impl Grit {
         self.ideal = false;
         self
     }
-
-    /// Pages migrated so far (policy-side view).
-    pub fn migrations_planned(&self) -> u64 {
-        self.migrations
-    }
 }
 
 impl Default for Grit {

@@ -124,11 +124,6 @@ pub fn sa_2m() -> StaticPaging {
 }
 
 impl StaticPaging {
-    /// The fixed page size this policy maps with.
-    pub fn page_size(&self) -> PageSize {
-        self.size
-    }
-
     /// Chooses the chiplet that should own the page containing `va`.
     fn target_chiplet(&self, ctx: &FaultCtx) -> Result<ChipletId, SimError> {
         let Some(st) = self.st.as_ref() else {

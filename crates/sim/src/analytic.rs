@@ -477,37 +477,6 @@ impl Replay {
     }
 }
 
-/// Predicts the run's figure-of-merit statistics closed-form, scheduling
-/// threadblocks to chiplets exactly as the engine does
-/// ([`tb_chiplet`]). One-shot wrapper over [`Replay::capture`] +
-/// [`Replay::predict`]; sweeps evaluating one workload under several
-/// configurations should capture once instead.
-///
-/// # Errors
-///
-/// Returns [`SimError::ConfigInvalid`] when `cfg` fails validation.
-pub fn predict<W: Workload + ?Sized>(
-    cfg: &SimConfig,
-    workload: &W,
-    placement: &PlacementModel,
-) -> Result<AnalyticStats, SimError> {
-    Replay::capture(workload).predict(cfg, placement)
-}
-
-/// [`predict`] with an explicit threadblock→chiplet schedule.
-///
-/// # Errors
-///
-/// Returns [`SimError::ConfigInvalid`] when `cfg` fails validation.
-pub fn predict_scheduled<W: Workload + ?Sized>(
-    cfg: &SimConfig,
-    workload: &W,
-    placement: &PlacementModel,
-    schedule: impl Fn(TbId, u32) -> usize,
-) -> Result<AnalyticStats, SimError> {
-    Replay::capture(workload).predict_scheduled(cfg, placement, schedule)
-}
-
 /// `log2` of the 64KB demand granule, the unit a [`Group`] sums over.
 const DEMAND_SHIFT: u32 = BASE_PAGE_BYTES.trailing_zeros();
 
@@ -1679,7 +1648,7 @@ mod tests {
                 PlacementModel::clap(w.allocs(), cfg.num_chiplets),
             ] {
                 let memo = replay.predict(cfg, &pm).unwrap();
-                let fresh = predict(cfg, &w, &pm).unwrap();
+                let fresh = Replay::capture(&w).predict(cfg, &pm).unwrap();
                 same(&memo, &fresh).unwrap();
             }
         }
@@ -1695,14 +1664,14 @@ mod tests {
     #[test]
     fn gemm_prediction_is_sane() {
         let w = TiledGemm::new(8, 8, 4, TileMapping::RowMajor);
-        let s = predict(
-            &quick_cfg(),
-            &w,
-            &PlacementModel::FirstTouch {
-                page: PageSize::Size64K,
-            },
-        )
-        .unwrap();
+        let s = Replay::capture(&w)
+            .predict(
+                &quick_cfg(),
+                &PlacementModel::FirstTouch {
+                    page: PageSize::Size64K,
+                },
+            )
+            .unwrap();
         assert!(s.mem_insts > 0);
         assert!(s.remote_ratio() >= 0.0 && s.remote_ratio() <= 1.0);
         assert!(s.faults > 0);
@@ -1732,14 +1701,14 @@ mod tests {
         // One threadblock ⇒ one chiplet touches everything first ⇒ every
         // granule is local under first touch.
         let w = TiledGemm::new(1, 1, 1, TileMapping::RowMajor);
-        let s = predict(
-            &quick_cfg(),
-            &w,
-            &PlacementModel::FirstTouch {
-                page: PageSize::Size64K,
-            },
-        )
-        .unwrap();
+        let s = Replay::capture(&w)
+            .predict(
+                &quick_cfg(),
+                &PlacementModel::FirstTouch {
+                    page: PageSize::Size64K,
+                },
+            )
+            .unwrap();
         assert_eq!(s.remote_insts, 0);
         assert_eq!(s.interconnect_transfers, 0);
         assert_eq!(s.avg_hops, 0.0);
@@ -1760,7 +1729,7 @@ mod tests {
         let mut long_lines = quick_cfg();
         long_lines.line_bytes = 128 << 10;
         for cfg in [three, wide, long_lines] {
-            let e = predict(&cfg, &w, &pm);
+            let e = Replay::capture(&w).predict(&cfg, &pm);
             assert!(matches!(e, Err(SimError::ConfigInvalid { .. })), "{e:?}");
         }
     }

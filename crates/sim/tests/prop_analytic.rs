@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use mcm_sim::analytic::{predict, predict_scheduled, PlacementModel};
+use mcm_sim::analytic::{PlacementModel, Replay};
 use mcm_sim::{tb_chiplet, SimConfig, TileMapping, TiledGemm, Workload};
 use mcm_types::PageSize;
 
@@ -71,7 +71,7 @@ proptest! {
     ) {
         let cfg = cfg_for(chiplets);
         let pm = placement_for(pk, &w, chiplets);
-        let s = predict(&cfg, &w, &pm).unwrap();
+        let s = Replay::capture(&w).predict(&cfg, &pm).unwrap();
         prop_assert!(s.mem_insts > 0);
         prop_assert!((0.0..=1.0).contains(&s.remote_ratio()));
         prop_assert!(s.remote_insts <= s.mem_insts);
@@ -93,8 +93,8 @@ proptest! {
         let chiplets = 8;
         let cfg = cfg_for(chiplets);
         let pm = PlacementModel::FirstTouch { page: PageSize::Size64K };
-        let base = predict(&cfg, &w, &pm).unwrap();
-        let rotated = predict_scheduled(&cfg, &w, &pm, |tb, n| {
+        let base = Replay::capture(&w).predict(&cfg, &pm).unwrap();
+        let rotated = Replay::capture(&w).predict_scheduled(&cfg, &pm, |tb, n| {
             (tb_chiplet(tb, n, chiplets) + rot) % chiplets
         })
         .unwrap();
@@ -122,7 +122,7 @@ proptest! {
         // Static analysis places by address, not by toucher, so only the
         // first-touch family guarantees zero remote here.
         let pm = placement_for(pk.min(1), &w, chiplets);
-        let s = predict_scheduled(&cfg, &w, &pm, |_, _| 0).unwrap();
+        let s = Replay::capture(&w).predict_scheduled(&cfg, &pm, |_, _| 0).unwrap();
         prop_assert_eq!(s.remote_insts, 0);
         prop_assert_eq!(s.interconnect_transfers, 0);
         prop_assert_eq!(s.remote_ratio(), 0.0);
@@ -143,7 +143,7 @@ proptest! {
         let pm = PlacementModel::FirstTouch { page };
         let mut prev = 0u64;
         for k in [1usize, 2, 4, 8] {
-            let s = predict_scheduled(&cfg, &w, &pm, move |tb, n| {
+            let s = Replay::capture(&w).predict_scheduled(&cfg, &pm, move |tb, n| {
                 (tb.index() * k) / n as usize
             })
             .unwrap();
