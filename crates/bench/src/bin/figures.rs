@@ -68,11 +68,14 @@ use std::time::{Duration, Instant};
 
 use mcm_bench::experiments::{self, EngineKind, Grid, Harness};
 use mcm_bench::report::{
-    render_grid, render_status, render_table4, write_csv, write_timings, ExperimentTiming,
+    render_grid, render_status, render_table4, render_timeline, render_trace, timeline_csv,
+    timeline_json, trace_folded, trace_json, write_csv, write_probed, write_timings,
+    ExperimentTiming,
 };
 use mcm_bench::runner::jobs_from_env;
 use mcm_bench::supervise::{Injection, Supervisor, SweepMode};
 use mcm_bench::telemetry::{self, CellOutcome, Telemetry};
+use mcm_sim::{MetricsProbe, RunMetrics, RunTrace};
 
 /// `--progress` setting.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -272,37 +275,17 @@ fn main() {
         return;
     }
 
-    if let Some(pos) = opts.targets.iter().position(|t| t == "trace") {
-        let fig = opts
-            .targets
-            .get(pos + 1)
-            .map(String::as_str)
-            .unwrap_or("fig1");
-        run_trace(&h, fig, &opts.out_dir);
-        return;
-    }
-
-    if let Some(pos) = opts.targets.iter().position(|t| t == "timeline") {
-        let fig = opts
-            .targets
-            .get(pos + 1)
-            .map(String::as_str)
-            .unwrap_or("fig18");
-        run_timeline(&h, fig, &opts.out_dir);
-        return;
-    }
-
-    if let Some(pos) = opts.targets.iter().position(|t| t == "probe") {
-        let wname = opts
-            .targets
-            .get(pos + 1)
-            .map(String::as_str)
-            .unwrap_or("STE");
-        match opts.chaos_seed {
-            Some(seed) => probe_chaos(&h, wname, seed),
-            None => probe(&h, wname),
+    // Subcommands taking one optional argument, with its default.
+    for (sub, default) in [("trace", "fig1"), ("timeline", "fig18"), ("probe", "STE")] {
+        if let Some(pos) = opts.targets.iter().position(|t| t == sub) {
+            let arg = opts.targets.get(pos + 1).map_or(default, String::as_str);
+            match (sub, opts.chaos_seed) {
+                ("probe", Some(seed)) => probe_chaos(&h, arg, seed),
+                ("probe", None) => probe(&h, arg),
+                _ => probed_sweep(&h, sub, arg, &opts.out_dir),
+            }
+            return;
         }
-        return;
     }
 
     // Experiment sweeps run with telemetry attached: per-cell journal and
@@ -340,25 +323,9 @@ fn main() {
             eprintln!("warning: failed to write {}.csv: {e}", g.id);
         }
     };
-    type GridFn<'a> = (&'a str, Box<dyn Fn(&Harness) -> Grid>);
-    let grids: Vec<GridFn> = vec![
-        ("fig1", Box::new(experiments::fig1)),
-        ("fig2", Box::new(experiments::fig2)),
-        ("fig6", Box::new(experiments::fig6)),
-        ("fig8", Box::new(experiments::fig8)),
-        ("fig10", Box::new(|_| experiments::fig10())),
-        ("fig18", Box::new(experiments::fig18)),
-        ("fig19", Box::new(experiments::fig19)),
-        ("fig20", Box::new(experiments::fig20)),
-        ("fig21", Box::new(experiments::fig21)),
-        ("fig22", Box::new(experiments::fig22)),
-        ("table2", Box::new(experiments::table2)),
-        ("ablation", Box::new(experiments::ablation)),
-        ("topo", Box::new(experiments::topo)),
-    ];
-    for (id, f) in grids {
-        if want(id) {
-            timed(&mut timings, id, &|| emit(&f(&h)));
+    for t in &experiments::TARGETS {
+        if want(t.id) {
+            timed(&mut timings, t.id, &|| emit(&experiments::grid(&h, t.id)));
         }
     }
     if want("table4") {
@@ -472,70 +439,45 @@ fn run_status(out_dir: &Path, check: bool) {
     }
 }
 
-/// Exits 2 unless `fig` is a figure the probed re-runs know.
-fn require_probed(fig: &str) {
-    if !experiments::PROBED_FIGURES.contains(&fig) {
-        eprintln!(
-            "unknown probed figure {fig:?}; have {:?}",
-            experiments::PROBED_FIGURES
-        );
+/// Probed sweep, `sub` being `trace` or `timeline`: re-runs `fig` under
+/// the stage-tracing or the metrics probe, prints the per-configuration
+/// summary, and writes `<sub>/<fig>.json` plus `trace/<fig>.folded` or
+/// `timeline/<fig>.csv` under the output directory. A timeline also
+/// journals one record per cell (outcome and warmup-knee estimate) under
+/// the `<fig>-timeline` experiment.
+fn probed_sweep(h: &Harness, sub: &str, fig: &str, out_dir: &Path) {
+    let probed = experiments::TARGETS.iter().filter(|t| t.probed);
+    if !probed.clone().any(|t| t.id == fig) {
+        let have: Vec<&str> = probed.map(|t| t.id).collect();
+        eprintln!("unknown probed figure {fig:?}; have {have:?}");
         std::process::exit(2);
     }
-}
-
-/// Traced sweep: re-runs `fig` under the stage-tracing probe, prints the
-/// per-stage breakdown, and writes `trace/<fig>.json` + `.folded` under
-/// the output directory.
-fn run_trace(h: &Harness, fig: &str, out_dir: &Path) {
-    require_probed(fig);
     let t0 = Instant::now();
-    let ft = experiments::trace_figure(h, fig);
-    println!("{}", mcm_bench::report::render_trace(&ft));
-    match mcm_bench::report::write_trace(&ft, out_dir) {
-        Ok(()) => eprintln!(
-            "[figures] wrote {} and {} in {:.1?}",
-            out_dir.join("trace").join(format!("{fig}.json")).display(),
-            out_dir
-                .join("trace")
-                .join(format!("{fig}.folded"))
-                .display(),
-            t0.elapsed()
-        ),
-        Err(e) => {
-            eprintln!("failed to write trace output: {e}");
-            std::process::exit(1);
+    let docs = if sub == "trace" {
+        let ft = experiments::rerun(h, fig, |t: RunTrace| t, RunTrace::merge_aggregates);
+        println!("{}", render_trace(&ft));
+        [("json", trace_json(&ft)), ("folded", trace_folded(&ft))]
+    } else {
+        let finish = MetricsProbe::into_metrics;
+        let mr = experiments::rerun(h, fig, finish, RunMetrics::merge_aggregates);
+        println!("{}", render_timeline(&mr));
+        let exp = format!("{fig}-timeline");
+        let records = mr.journal_records(&exp);
+        if let Err(e) = telemetry::append_journal_records(out_dir, &exp, &records) {
+            eprintln!("warning: failed to journal {exp}: {e}");
         }
-    }
-}
-
-/// Metered sweep: re-runs `fig` under the metrics probe, prints the
-/// per-configuration summary, writes `timeline/<fig>.json` + `.csv` under
-/// the output directory, and journals one record per cell (outcome and
-/// warmup-knee estimate) under the `<fig>-timeline` experiment.
-fn run_timeline(h: &Harness, fig: &str, out_dir: &Path) {
-    require_probed(fig);
-    let t0 = Instant::now();
-    let mr = experiments::timeline_figure(h, fig);
-    println!("{}", mcm_bench::report::render_timeline(&mr));
-    let exp = format!("{fig}-timeline");
-    if let Err(e) = telemetry::append_journal_records(out_dir, &exp, &mr.journal_records(&exp)) {
-        eprintln!("warning: failed to journal {exp}: {e}");
-    }
-    match mcm_bench::report::write_timeline(&mr, out_dir) {
+        [("json", timeline_json(&mr)), ("csv", timeline_csv(&mr))]
+    };
+    let path = |ext: &str| out_dir.join(sub).join(format!("{fig}.{ext}"));
+    match write_probed(out_dir, sub, fig, &docs) {
         Ok(()) => eprintln!(
             "[figures] wrote {} and {} in {:.1?}",
-            out_dir
-                .join("timeline")
-                .join(format!("{fig}.json"))
-                .display(),
-            out_dir
-                .join("timeline")
-                .join(format!("{fig}.csv"))
-                .display(),
+            path(docs[0].0).display(),
+            path(docs[1].0).display(),
             t0.elapsed()
         ),
         Err(e) => {
-            eprintln!("failed to write timeline output: {e}");
+            eprintln!("failed to write {sub} output: {e}");
             std::process::exit(1);
         }
     }

@@ -1,16 +1,19 @@
-//! One function per table/figure of the paper's evaluation.
+//! The paper's evaluation as data.
 //!
-//! Every function returns a [`Grid`] — workloads on rows, configurations
-//! (or page sizes) on columns, with normalized performance and remote
-//! access ratios — which the `figures` binary renders and
-//! `EXPERIMENTS.md` records against the paper.
+//! Every sweep figure or table is a workload-rows × [`Column`]s value,
+//! run cell by cell through one runner ([`Harness::run_cell`]) and
+//! projected onto a [`Grid`] — normalized performance and remote access
+//! ratios, or a figure's own projection — which the `figures` binary
+//! renders and `EXPERIMENTS.md` records against the paper. [`TARGETS`]
+//! lists every grid; [`rerun`] re-runs the same figure value under a
+//! probe.
 
 use clap_core::{survey_mean, survey_workload, Clap};
 use mcm_policies::{Nuba, Sac};
 use mcm_sim::{
-    analytic, run, run_outcome, run_with, ChaosConfig, ChaosPolicy, ChaosStats, MetricsProbe,
-    Probe, RemoteCacheModel, RunMetrics, RunOutcome, RunStats, RunTrace, SimConfig, SimError,
-    TileMapping, TiledGemm, TopologyKind, Workload, WARMUP_EPSILON,
+    analytic, run, run_outcome, run_with, ChaosConfig, ChaosPolicy, ChaosStats, Probe,
+    RemoteCacheModel, RunMetrics, RunOutcome, RunStats, SimConfig, SimError, TileMapping,
+    TiledGemm, TopologyKind, Workload, WARMUP_EPSILON,
 };
 use mcm_types::{Fnv1a, PageSize, TbId, WarpId};
 use mcm_workloads::{suite, SyntheticWorkload, FOOTPRINT_SCALE};
@@ -169,13 +172,8 @@ impl Harness {
     /// Reduced scale for the goldens, tests and CI smoke runs.
     pub fn quick() -> Self {
         Harness {
-            base: SimConfig::baseline().scaled(FOOTPRINT_SCALE),
             tb_div: 4,
-            jobs: 1,
-            telemetry: None,
-            supervisor: Arc::new(Supervisor::default()),
-            engine: EngineKind::Cycle,
-            replay_cache: Arc::new(Mutex::new(None)),
+            ..Harness::full()
         }
     }
 
@@ -341,17 +339,12 @@ impl Harness {
     /// Propagates fatal [`SimError`]s (aborts are an `Ok` outcome, not
     /// an error).
     pub fn try_run(&self, w: &SyntheticWorkload, kind: ConfigKind) -> Result<RunOutcome, SimError> {
-        let w = self.prep(w);
-        self.try_run_workload(&self.base, &w, kind)
+        self.run_cell(&self.prep(w), &kind.into(), &mut ())
     }
 
     /// Runs any [`Workload`] under `kind` on an explicit base machine
-    /// configuration, dispatching to the harness's engine. Sweeps with
-    /// per-cell machines (the topology study) use this directly; the
-    /// synthetic-workload entry points wrap it after threadblock scaling.
-    ///
-    /// Under [`EngineKind::Analytic`], cells whose configuration has no
-    /// closed-form placement model run on the cycle simulator instead.
+    /// configuration, dispatching to the harness's engine (see
+    /// [`Harness::run_cell`]).
     ///
     /// # Errors
     ///
@@ -363,99 +356,70 @@ impl Harness {
         w: &W,
         kind: ConfigKind,
     ) -> Result<RunOutcome, SimError> {
-        let model = match self.engine {
-            EngineKind::Cycle => None,
-            EngineKind::Analytic => kind.placement_model(w.allocs(), base.num_chiplets),
+        let col = Column {
+            machine: Some(base.clone()),
+            ..kind.into()
         };
-        match model {
-            None => {
-                let (mut policy, cfg) = kind.build(base);
-                run_outcome(&cfg, w, policy.as_mut(), None)
-            }
-            Some(pm) => {
-                // Predict against the per-config machine (translation
-                // flags, TLB classes), exactly what the simulator runs.
-                let (_, cfg) = kind.build(base);
-                let stats = self.replay_for(w).predict(&cfg, &pm)?;
-                Ok(RunOutcome::Completed(stats.into_run_stats()))
-            }
-        }
+        self.run_cell(w, &col, &mut ())
     }
 
-    /// Runs `w` under `kind` on the cycle simulator over an explicit base
-    /// machine configuration, with `probe` observing (a [`RunTrace`], a
-    /// [`MetricsProbe`], or `()`). The outcome is identical whatever the
-    /// probe — probes only observe.
+    /// The one cell runner: runs `w` (already at the harness's scale)
+    /// under column `col` on the column's machine, with `probe`
+    /// observing (a [`RunTrace`](mcm_sim::RunTrace), a
+    /// [`MetricsProbe`](mcm_sim::MetricsProbe), or `()`). Grid
+    /// sweeps, the golden cell lists, the probed re-runs and single runs
+    /// all come through here.
+    ///
+    /// Under [`EngineKind::Analytic`], a cell whose configuration has a
+    /// closed-form placement model and no remote cache is predicted, not
+    /// simulated, and `probe` sees nothing; every other cell runs on the
+    /// cycle simulator. The outcome is identical whatever the probe —
+    /// probes only observe.
     ///
     /// # Errors
     ///
     /// Propagates fatal [`SimError`]s (aborts are an `Ok` outcome, not
     /// an error).
-    pub fn run_probed<W: Workload, P: Probe>(
+    pub fn run_cell<P: Probe>(
         &self,
-        base: &SimConfig,
-        w: &W,
-        kind: ConfigKind,
+        w: &dyn Workload,
+        col: &Column,
         probe: &mut P,
     ) -> Result<RunOutcome, SimError> {
-        let (mut policy, cfg) = kind.build(base);
-        run_with(&cfg, w, policy.as_mut(), None, probe)
+        let base = col.machine.as_ref().unwrap_or(&self.base);
+        let (mut policy, cfg) = col.kind.build(base);
+        let model = match (self.engine, col.cache) {
+            (EngineKind::Analytic, None) => col.kind.placement_model(w.allocs(), base.num_chiplets),
+            _ => None,
+        };
+        if let Some(pm) = model {
+            // Predict against the per-config machine (translation
+            // flags, TLB classes), exactly what the simulator runs.
+            let stats = self.replay_for(w).predict(&cfg, &pm)?;
+            return Ok(RunOutcome::Completed(stats.into_run_stats()));
+        }
+        let mut cache = col.cache.map(|c| c.model(&cfg));
+        let cache = cache
+            .as_mut()
+            .map(|c| c.as_mut() as &mut dyn RemoteCacheModel);
+        run_with(&cfg, w, policy.as_mut(), cache, probe)
     }
 
-    /// Runs `w` under `kind` and returns the statistics.
+    /// Runs `w` under `col` — a [`ConfigKind`] or a whole [`Column`] —
+    /// and returns the statistics.
     ///
     /// # Panics
     ///
     /// Panics on a fatal error or an aborted run — the unsupervised
     /// entry point for callers that need plain statistics.
-    pub fn run(&self, w: &SyntheticWorkload, kind: ConfigKind) -> RunStats {
-        match self.try_run(w, kind) {
+    pub fn run(&self, w: &SyntheticWorkload, col: impl Into<Column>) -> RunStats {
+        let col = col.into();
+        match self.run_cell(&self.prep(w), &col, &mut ()) {
             Ok(RunOutcome::Aborted { reason, .. }) => {
-                panic!("{} run aborted: {reason}", kind.name())
+                panic!("{} run aborted: {reason}", col.label)
             }
             Ok(done) => done.into_stats(),
-            Err(e) => panic!("{} run failed: {e}", kind.name()),
-        }
-    }
-
-    /// Runs `w` under `kind` with a remote-cache scheme attached,
-    /// returning the full outcome (see [`Harness::try_run`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates fatal [`SimError`]s.
-    pub fn try_run_cached(
-        &self,
-        w: &SyntheticWorkload,
-        kind: ConfigKind,
-        cache: CacheKind,
-    ) -> Result<RunOutcome, SimError> {
-        let (mut policy, cfg) = kind.build(&self.base);
-        let w = self.prep(w);
-        let mut model: Box<dyn RemoteCacheModel> = match cache {
-            CacheKind::Nuba => Box::new(Nuba::for_config(&cfg)),
-            CacheKind::Sac => Box::new(Sac::for_config(&cfg)),
-        };
-        run_outcome(&cfg, &w, policy.as_mut(), Some(model.as_mut()))
-    }
-
-    /// Runs `w` under `kind` with a remote-cache scheme attached.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a fatal error or an aborted run.
-    pub fn run_cached(
-        &self,
-        w: &SyntheticWorkload,
-        kind: ConfigKind,
-        cache: CacheKind,
-    ) -> RunStats {
-        match self.try_run_cached(w, kind, cache) {
-            Ok(RunOutcome::Aborted { reason, .. }) => {
-                panic!("{} run aborted: {reason}", kind.name())
-            }
-            Ok(done) => done.into_stats(),
-            Err(e) => panic!("{} run failed: {e}", kind.name()),
+            Err(e) => panic!("{} run failed: {e}", col.label),
         }
     }
 
@@ -487,46 +451,195 @@ pub enum CacheKind {
     Sac,
 }
 
-fn grid_over(
-    id: &str,
-    title: &str,
-    h: &Harness,
-    workloads: &[SyntheticWorkload],
-    configs: &[ConfigKind],
-    baseline_col: usize,
-) -> Grid {
-    // One sweep cell per (workload × config); cells are independent, so
-    // they fan out over the harness's workers in any order and land back
-    // in submission order.
-    let row_names: Vec<String> = workloads.iter().map(|w| w.name().to_string()).collect();
-    let col_names: Vec<String> = configs.iter().map(|c| c.name()).collect();
-    let cells = CellSpec::grid(&row_names, &col_names);
-    let all: Vec<RunStats> = h.sweep_stats(id, &cells, |_, s| {
-        h.try_run(&workloads[s.row], configs[s.col])
+impl CacheKind {
+    /// The scheme's model, sized for machine `cfg`.
+    fn model(self, cfg: &SimConfig) -> Box<dyn RemoteCacheModel> {
+        match self {
+            CacheKind::Nuba => Box::new(Nuba::for_config(cfg)),
+            CacheKind::Sac => Box::new(Sac::for_config(cfg)),
+        }
+    }
+}
+
+/// One column of a grid experiment: what each of its cells runs.
+#[derive(Clone, Debug)]
+pub struct Column {
+    /// Grid header, and the configuration label the journal records.
+    pub label: String,
+    /// The configuration (paging policy plus the machine features it
+    /// assumes).
+    pub kind: ConfigKind,
+    /// Remote-cache scheme attached to every cell; such cells always run
+    /// on the cycle simulator.
+    pub cache: Option<CacheKind>,
+    /// The machine the column runs on: `None` for the harness's base
+    /// machine, else e.g. Fig. 22's 8-chiplet machine or one fabric of
+    /// the topology study.
+    pub machine: Option<SimConfig>,
+}
+
+impl From<ConfigKind> for Column {
+    fn from(kind: ConfigKind) -> Column {
+        Column {
+            label: kind.name(),
+            kind,
+            cache: None,
+            machine: None,
+        }
+    }
+}
+
+impl Column {
+    /// `kind` with remote-cache scheme `cache` attached, labelled
+    /// `<config>+NUBA` or `<config>+SAC`.
+    pub fn cached(kind: ConfigKind, cache: CacheKind) -> Column {
+        let scheme = match cache {
+            CacheKind::Nuba => "NUBA",
+            CacheKind::Sac => "SAC",
+        };
+        Column {
+            label: format!("{}+{scheme}", kind.name()),
+            cache: Some(cache),
+            ..kind.into()
+        }
+    }
+
+    /// This column under another label.
+    fn labelled(self, label: &str) -> Column {
+        Column {
+            label: label.into(),
+            ..self
+        }
+    }
+}
+
+/// How a figure turns each workload row's cell statistics into grid
+/// rows.
+#[derive(Clone, Copy, Debug)]
+enum Projection {
+    /// Speedup over the given column (`perf`) and remote ratio, one grid
+    /// row per workload.
+    Speedup(usize),
+    /// Remote ratio of each data structure named here, one grid row per
+    /// structure (`workload/structure`); `perf` reads 1.0.
+    Structures(&'static [&'static str]),
+    /// L2$ MPKI as `perf` and L2 TLB MPKI as `remote`, one grid row per
+    /// workload.
+    Mpki,
+}
+
+/// A grid experiment as data: workload rows × columns, and how the
+/// cells' statistics project onto the grid.
+struct Figure {
+    id: &'static str,
+    title: &'static str,
+    /// Workload rows, at the harness's scale.
+    rows: Vec<Box<dyn Workload>>,
+    cols: Vec<Column>,
+    projection: Projection,
+}
+
+impl Figure {
+    fn new(
+        id: &'static str,
+        title: &'static str,
+        rows: Vec<Box<dyn Workload>>,
+        cols: impl IntoIterator<Item = impl Into<Column>>,
+        projection: Projection,
+    ) -> Figure {
+        let cols = cols.into_iter().map(Into::into).collect();
+        Figure {
+            id,
+            title,
+            rows,
+            cols,
+            projection,
+        }
+    }
+
+    /// Row (workload) and column labels.
+    fn labels(&self) -> (Vec<String>, Vec<String>) {
+        (
+            self.rows.iter().map(|w| w.name().to_string()).collect(),
+            self.cols.iter().map(|c| c.label.clone()).collect(),
+        )
+    }
+
+    /// Runs every cell on `h`'s workers, each under a fresh probe, and
+    /// returns `(outcome, probe, wall µs)` per cell in row-major
+    /// submission order — identical at any worker count.
+    fn run_cells<P: Probe + Default + Send>(
+        &self,
+        h: &Harness,
+    ) -> Vec<(Result<RunOutcome, SimError>, P, u64)> {
+        let cells: Vec<(usize, usize)> = (0..self.rows.len())
+            .flat_map(|r| (0..self.cols.len()).map(move |c| (r, c)))
+            .collect();
+        h.runner().map(&cells, |_, &(r, c)| {
+            let t0 = Instant::now();
+            let mut probe = P::default();
+            let out = h.run_cell(self.rows[r].as_ref(), &self.cols[c], &mut probe);
+            (out, probe, t0.elapsed().as_micros() as u64)
+        })
+    }
+}
+
+/// Runs figure `fig` as one supervised, journaled sweep (see
+/// [`Harness::sweep_stats`]) and projects its cells' statistics onto a
+/// grid — the one place sweeps become [`Grid`]s.
+fn grid_over(h: &Harness, fig: &Figure) -> Grid {
+    let (row_names, cols) = fig.labels();
+    let cells = CellSpec::grid(&row_names, &cols);
+    let all = h.sweep_stats(fig.id, &cells, |_, s| {
+        h.run_cell(fig.rows[s.row].as_ref(), &fig.cols[s.col], &mut ())
     });
-    let mut perf = Vec::new();
-    let mut remote = Vec::new();
-    let mut rows = Vec::new();
-    for (r, w) in workloads.iter().enumerate() {
-        let stats = &all[r * configs.len()..(r + 1) * configs.len()];
-        let base_cycles = stats[baseline_col].cycles.max(1) as f64;
-        perf.push(
-            stats
-                .iter()
-                .map(|s| base_cycles / s.cycles.max(1) as f64)
-                .collect(),
-        );
-        remote.push(stats.iter().map(RunStats::remote_ratio).collect());
-        rows.push(w.name().to_string());
+    let mut g = Grid {
+        id: fig.id.into(),
+        title: fig.title.into(),
+        rows: Vec::new(),
+        cols,
+        perf: Vec::new(),
+        remote: Vec::new(),
+    };
+    for (w, stats) in fig.rows.iter().zip(all.chunks(fig.cols.len())) {
+        let mut push = |row: String, perf: Vec<f64>, remote: Vec<f64>| {
+            g.rows.push(row);
+            g.perf.push(perf);
+            g.remote.push(remote);
+        };
+        match fig.projection {
+            Projection::Speedup(base) => {
+                let b = stats[base].cycles.max(1) as f64;
+                push(
+                    w.name().into(),
+                    stats.iter().map(|s| b / s.cycles.max(1) as f64).collect(),
+                    stats.iter().map(RunStats::remote_ratio).collect(),
+                );
+            }
+            Projection::Structures(picks) => {
+                for a in w
+                    .allocs()
+                    .iter()
+                    .filter(|a| picks.contains(&a.name.as_str()))
+                {
+                    push(
+                        format!("{}/{}", w.name(), a.name),
+                        vec![1.0; stats.len()],
+                        stats
+                            .iter()
+                            .map(|s| s.alloc_stats(a.id).remote_ratio())
+                            .collect(),
+                    );
+                }
+            }
+            Projection::Mpki => push(
+                w.name().into(),
+                stats.iter().map(RunStats::l2_mpki).collect(),
+                stats.iter().map(RunStats::l2tlb_mpki).collect(),
+            ),
+        }
     }
-    Grid {
-        id: id.into(),
-        title: title.into(),
-        rows,
-        cols: configs.iter().map(|c| c.name()).collect(),
-        perf,
-        remote,
-    }
+    g
 }
 
 /// The §3.3 page-size ladder (Fig. 6 columns).
@@ -537,146 +650,79 @@ pub fn size_ladder() -> Vec<ConfigKind> {
         .collect()
 }
 
-/// Figure 1's sweep: the intro workload subset across native page sizes.
-fn fig1_sweep() -> (Vec<SyntheticWorkload>, Vec<ConfigKind>) {
-    let subset = ["STE", "3DC", "LPS", "SC", "SSSP", "DWT", "LUD", "GPT3"];
-    let ws = subset
-        .iter()
-        .map(|n| suite::by_name(n).unwrap_or_else(|| panic!("unknown workload {n}")))
-        .collect();
-    let configs = vec![
-        ConfigKind::Static(PageSize::Size4K),
-        ConfigKind::Static(PageSize::Size64K),
-        ConfigKind::Static(PageSize::Size2M),
-    ];
-    (ws, configs)
+/// `ws` at the harness's threadblock scale, as grid rows.
+fn scaled(h: &Harness, ws: impl IntoIterator<Item = SyntheticWorkload>) -> Vec<Box<dyn Workload>> {
+    ws.into_iter()
+        .map(|w| Box::new(h.prep(&w)) as Box<dyn Workload>)
+        .collect()
+}
+
+/// The named suite workloads at the harness's threadblock scale.
+fn named(h: &Harness, names: &[&str]) -> Vec<Box<dyn Workload>> {
+    scaled(
+        h,
+        names
+            .iter()
+            .map(|n| suite::by_name(n).unwrap_or_else(|| panic!("unknown workload {n}"))),
+    )
 }
 
 /// Figure 1: performance (normalized to 4KB) and remote ratio across
 /// native page sizes, intro subset.
-pub fn fig1(h: &Harness) -> Grid {
-    let (ws, configs) = fig1_sweep();
-    grid_over(
+fn fig1(h: &Harness) -> Figure {
+    Figure::new(
         "fig1",
         "Performance (norm. to 4KB) and remote ratio vs native page size",
-        h,
-        &ws,
-        &configs,
-        0,
+        named(
+            h,
+            &["STE", "3DC", "LPS", "SC", "SSSP", "DWT", "LUD", "GPT3"],
+        ),
+        PageSize::NATIVE.map(ConfigKind::Static),
+        Projection::Speedup(0),
     )
 }
 
 /// Figure 2: 2MB paging with/without remote caching vs 64KB paging, on
 /// the page-size-sensitive subset.
-pub fn fig2(h: &Harness) -> Grid {
-    let subset = ["STE", "3DC", "LPS", "PAF", "SC", "BFS"];
-    let ws: Vec<_> = subset
-        .iter()
-        .map(|n| suite::by_name(n).unwrap_or_else(|| panic!("unknown workload {n}")))
-        .collect();
+fn fig2(h: &Harness) -> Figure {
     let s2m = ConfigKind::Static(PageSize::Size2M);
-    let s64 = ConfigKind::Static(PageSize::Size64K);
-    let row_names: Vec<String> = ws.iter().map(|w| w.name().to_string()).collect();
-    let variants: Vec<String> = ["2MB_No_RC", "2MB+NUBA", "2MB+SAC", "64KB_No_RC"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let cells = CellSpec::grid(&row_names, &variants);
-    let all: Vec<RunStats> = h.sweep_stats("fig2", &cells, |_, s| {
-        let w = &ws[s.row];
-        match s.col {
-            0 => h.try_run(w, s2m),
-            1 => h.try_run_cached(w, s2m, CacheKind::Nuba),
-            2 => h.try_run_cached(w, s2m, CacheKind::Sac),
-            _ => h.try_run(w, s64),
-        }
-    });
-    let mut rows = Vec::new();
-    let mut perf = Vec::new();
-    let mut remote = Vec::new();
-    for (r, w) in ws.iter().enumerate() {
-        let runs = &all[r * 4..(r + 1) * 4];
-        let b = runs[0].cycles.max(1) as f64;
-        perf.push(runs.iter().map(|s| b / s.cycles.max(1) as f64).collect());
-        remote.push(runs.iter().map(RunStats::remote_ratio).collect());
-        rows.push(w.name().to_string());
-    }
-    Grid {
-        id: "fig2".into(),
-        title: "2MB paging with remote caching vs 64KB paging (norm. to 2MB No_RC)".into(),
-        rows,
-        cols: variants,
-        perf,
-        remote,
-    }
+    Figure::new(
+        "fig2",
+        "2MB paging with remote caching vs 64KB paging (norm. to 2MB No_RC)",
+        named(h, &["STE", "3DC", "LPS", "PAF", "SC", "BFS"]),
+        [
+            Column::from(s2m).labelled("2MB_No_RC"),
+            Column::cached(s2m, CacheKind::Nuba).labelled("2MB+NUBA"),
+            Column::cached(s2m, CacheKind::Sac).labelled("2MB+SAC"),
+            Column::from(ConfigKind::Static(PageSize::Size64K)).labelled("64KB_No_RC"),
+        ],
+        Projection::Speedup(0),
+    )
 }
 
 /// Figure 6: the full page-size sweep (4KB..2MB including hypothetical
 /// intermediate sizes), all 15 workloads, normalized to 64KB.
-pub fn fig6(h: &Harness) -> Grid {
-    let ws = suite::all();
-    let configs = size_ladder();
-    let mut g = grid_over(
+fn fig6(h: &Harness) -> Figure {
+    Figure::new(
         "fig6",
-        "Performance (norm. to 64KB) and remote ratio across page sizes",
-        h,
-        &ws,
-        &configs,
-        1,
-    );
-    g.title.push_str(" [incl. hypothetical intermediate sizes]");
-    g
+        "Performance (norm. to 64KB) and remote ratio across page sizes \
+         [incl. hypothetical intermediate sizes]",
+        scaled(h, suite::all()),
+        size_ladder(),
+        Projection::Speedup(1),
+    )
 }
 
-/// Figure 8: per-data-structure remote ratio vs page size, for 3DC and
-/// BFS (two structures each). Rows are `workload/structure`.
-pub fn fig8(h: &Harness) -> Grid {
-    let configs = size_ladder();
-    let picks_by_workload = [
-        ("3DC", ["vol-in", "vol-out"]),
-        ("BFS", ["edges", "frontier"]),
-    ];
-    let ws: Vec<SyntheticWorkload> = picks_by_workload
-        .iter()
-        .map(|(wname, _)| {
-            suite::by_name(wname).unwrap_or_else(|| panic!("unknown workload {wname}"))
-        })
-        .collect();
-    let row_names: Vec<String> = ws.iter().map(|w| w.name().to_string()).collect();
-    let col_names: Vec<String> = configs.iter().map(|c| c.name()).collect();
-    let cells = CellSpec::grid(&row_names, &col_names);
-    let all: Vec<RunStats> =
-        h.sweep_stats("fig8", &cells, |_, s| h.try_run(&ws[s.row], configs[s.col]));
-    let mut rows = Vec::new();
-    let mut remote = Vec::new();
-    for (r, (wname, picks)) in picks_by_workload.iter().enumerate() {
-        let w = &ws[r];
-        let ids: Vec<_> = w
-            .allocs()
-            .iter()
-            .filter(|a| picks.contains(&a.name.as_str()))
-            .map(|a| (a.id, a.name.clone()))
-            .collect();
-        let stats = &all[r * configs.len()..(r + 1) * configs.len()];
-        for (id, name) in ids {
-            rows.push(format!("{wname}/{name}"));
-            remote.push(
-                stats
-                    .iter()
-                    .map(|s| s.alloc_stats(id).remote_ratio())
-                    .collect(),
-            );
-        }
-    }
-    let perf = vec![vec![1.0; configs.len()]; rows.len()];
-    Grid {
-        id: "fig8".into(),
-        title: "Per-structure remote ratio vs page size (3DC, BFS)".into(),
-        rows,
-        cols: configs.iter().map(|c| c.name()).collect(),
-        perf,
-        remote,
-    }
+/// Figure 8: per-data-structure remote ratio vs page size, for 3DC
+/// (`vol-in`, `vol-out`) and BFS (`edges`, `frontier`).
+fn fig8(h: &Harness) -> Figure {
+    Figure::new(
+        "fig8",
+        "Per-structure remote ratio vs page size (3DC, BFS)",
+        named(h, &["3DC", "BFS"]),
+        size_ladder(),
+        Projection::Structures(&["vol-in", "vol-out", "edges", "frontier"]),
+    )
 }
 
 /// Figure 10: proportion of each workload's address range exhibiting
@@ -702,237 +748,277 @@ pub fn fig10() -> Grid {
 
 /// Figure 18: the main evaluation — all 15 workloads under the nine
 /// configurations, normalized to S-64KB.
-pub fn fig18(h: &Harness) -> Grid {
-    grid_over(
+fn fig18(h: &Harness) -> Figure {
+    Figure::new(
         "fig18",
         "Main evaluation: performance (norm. to S-64KB) and remote ratio",
-        h,
-        &suite::all(),
-        &ConfigKind::main_eval(),
-        0,
+        scaled(h, suite::all()),
+        ConfigKind::main_eval(),
+        Projection::Speedup(0),
     )
 }
 
 /// Figure 19: static-analysis-based configurations (norm. to SA-64KB).
-pub fn fig19(h: &Harness) -> Grid {
-    let configs = [
-        ConfigKind::StaticAnalysis(PageSize::Size64K),
-        ConfigKind::StaticAnalysis(PageSize::Size2M),
-        ConfigKind::ClapSa,
-        ConfigKind::ClapSaPlusPlus,
-    ];
-    grid_over(
+fn fig19(h: &Harness) -> Figure {
+    Figure::new(
         "fig19",
         "SA-policy study: performance (norm. to SA-64KB) and remote ratio",
-        h,
-        &suite::all(),
-        &configs,
-        0,
+        scaled(h, suite::all()),
+        [
+            ConfigKind::StaticAnalysis(PageSize::Size64K),
+            ConfigKind::StaticAnalysis(PageSize::Size2M),
+            ConfigKind::ClapSa,
+            ConfigKind::ClapSaPlusPlus,
+        ],
+        Projection::Speedup(0),
     )
 }
 
 /// Figure 20: the kernel-reuse GEMM scenario with migration, normalized
 /// to S-64KB.
-pub fn fig20(h: &Harness) -> Grid {
-    let configs = [
-        ConfigKind::Static(PageSize::Size64K),
-        ConfigKind::GritReal,
-        ConfigKind::Clap,
-        ConfigKind::CNumaReal,
-        ConfigKind::ClapMigration,
-    ];
-    grid_over(
+fn fig20(h: &Harness) -> Figure {
+    Figure::new(
         "fig20",
         "Kernel-reuse GEMM: migration study (norm. to S-64KB)",
-        h,
-        &[suite::gemm_reuse()],
-        &configs,
-        0,
+        scaled(h, [suite::gemm_reuse()]),
+        [
+            ConfigKind::Static(PageSize::Size64K),
+            ConfigKind::GritReal,
+            ConfigKind::Clap,
+            ConfigKind::CNumaReal,
+            ConfigKind::ClapMigration,
+        ],
+        Projection::Speedup(0),
     )
 }
 
 /// Figure 21: remote caching under S-2MB vs under CLAP, normalized to
 /// S-2MB without caching.
-pub fn fig21(h: &Harness) -> Grid {
-    let ws = suite::all();
-    let s2m = ConfigKind::Static(PageSize::Size2M);
-    let row_names: Vec<String> = ws.iter().map(|w| w.name().to_string()).collect();
-    let variants: Vec<String> = [
-        "S-2MB",
-        "S-2MB+NUBA",
-        "S-2MB+SAC",
-        "CLAP",
-        "CLAP+NUBA",
-        "CLAP+SAC",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let cells = CellSpec::grid(&row_names, &variants);
-    let all: Vec<RunStats> = h.sweep_stats("fig21", &cells, |_, s| {
-        let w = &ws[s.row];
-        match s.col {
-            0 => h.try_run(w, s2m),
-            1 => h.try_run_cached(w, s2m, CacheKind::Nuba),
-            2 => h.try_run_cached(w, s2m, CacheKind::Sac),
-            3 => h.try_run(w, ConfigKind::Clap),
-            4 => h.try_run_cached(w, ConfigKind::Clap, CacheKind::Nuba),
-            _ => h.try_run_cached(w, ConfigKind::Clap, CacheKind::Sac),
-        }
-    });
-    let mut rows = Vec::new();
-    let mut perf = Vec::new();
-    let mut remote = Vec::new();
-    for (r, w) in ws.iter().enumerate() {
-        let runs = &all[r * 6..(r + 1) * 6];
-        let b = runs[0].cycles.max(1) as f64;
-        rows.push(w.name().to_string());
-        perf.push(runs.iter().map(|s| b / s.cycles.max(1) as f64).collect());
-        remote.push(runs.iter().map(RunStats::remote_ratio).collect());
-    }
-    Grid {
-        id: "fig21".into(),
-        title: "Remote caching under S-2MB vs under CLAP (norm. to S-2MB)".into(),
-        rows,
-        cols: variants,
-        perf,
-        remote,
-    }
+fn fig21(h: &Harness) -> Figure {
+    let cols = [ConfigKind::Static(PageSize::Size2M), ConfigKind::Clap]
+        .into_iter()
+        .flat_map(|k| {
+            [
+                k.into(),
+                Column::cached(k, CacheKind::Nuba),
+                Column::cached(k, CacheKind::Sac),
+            ]
+        });
+    Figure::new(
+        "fig21",
+        "Remote caching under S-2MB vs under CLAP (norm. to S-2MB)",
+        scaled(h, suite::all()),
+        cols,
+        Projection::Speedup(0),
+    )
+}
+
+/// The Fig. 22 machine: twice the chiplets, the harness's translation
+/// hardware.
+fn eight_chiplet_machine(h: &Harness) -> SimConfig {
+    let mut m = SimConfig::eight_chiplets().scaled(FOOTPRINT_SCALE);
+    m.translation = h.base.translation.clone();
+    m
 }
 
 /// Figure 22: the 8-chiplet scaling study (13 workloads), normalized to
 /// S-64KB.
-pub fn fig22(h: &Harness) -> Grid {
-    let mut h8 = h.clone();
-    h8.base = SimConfig::eight_chiplets().scaled(FOOTPRINT_SCALE);
-    h8.base.translation = h.base.translation.clone();
-    let ws: Vec<SyntheticWorkload> = suite::eight_chiplet_subset()
+fn fig22(h: &Harness) -> Figure {
+    let machine = eight_chiplet_machine(h);
+    let ws = suite::eight_chiplet_subset()
         .into_iter()
-        .map(|w| w.with_tb_scale(2, 1)) // keep 512 SMs fed
-        .collect();
-    let configs = [
+        .map(|w| w.with_tb_scale(2, 1)); // keep 512 SMs fed
+    let kinds = [
         ConfigKind::Static(PageSize::Size64K),
         ConfigKind::Static(PageSize::Size2M),
         ConfigKind::Clap,
     ];
-    grid_over(
+    Figure::new(
         "fig22",
         "8-chiplet MCM: performance (norm. to S-64KB) and remote ratio",
-        &h8,
-        &ws,
-        &configs,
-        0,
+        scaled(h, ws),
+        kinds.map(|k| Column {
+            machine: Some(machine.clone()),
+            ..k.into()
+        }),
+        Projection::Speedup(0),
     )
+}
+
+/// One 8-chiplet cell: `workload` under CLAP on the Fig. 22 machine.
+pub fn fig22_single(h: &Harness, workload: &str) -> RunStats {
+    let w = suite::by_name(workload)
+        .unwrap_or_else(|| panic!("unknown workload {workload}"))
+        .with_tb_scale(2, 1);
+    let col = Column {
+        machine: Some(eight_chiplet_machine(h)),
+        ..ConfigKind::Clap.into()
+    };
+    h.run(&w, col)
 }
 
 /// Ablation study (DESIGN.md): CLAP's design knobs on a representative
 /// subset — the PMM-threshold sensitivity the paper reports in §4.2
 /// (15%/20%/30%) plus OLP and RT knock-outs.
-pub fn ablation(h: &Harness) -> Grid {
-    let subset = ["STE", "LPS", "PAF", "LUD", "GPT3"];
-    let ws: Vec<_> = subset
-        .iter()
-        .map(|n| suite::by_name(n).unwrap_or_else(|| panic!("unknown workload {n}")))
-        .collect();
-    let configs = [
-        ConfigKind::Clap,
-        ConfigKind::ClapPmm(15),
-        ConfigKind::ClapPmm(30),
-        ConfigKind::ClapNoOlp,
-        ConfigKind::ClapNoRt,
-    ];
-    grid_over(
+fn ablation(h: &Harness) -> Figure {
+    Figure::new(
         "ablation",
         "CLAP ablations (norm. to default CLAP: pmm=20%, OLP on, RT on)",
-        h,
-        &ws,
-        &configs,
-        0,
+        named(h, &["STE", "LPS", "PAF", "LUD", "GPT3"]),
+        [
+            ConfigKind::Clap,
+            ConfigKind::ClapPmm(15),
+            ConfigKind::ClapPmm(30),
+            ConfigKind::ClapNoOlp,
+            ConfigKind::ClapNoRt,
+        ],
+        Projection::Speedup(0),
     )
-}
-
-/// The topology study's cells (DESIGN.md §13): tiled-GEMM rows, one
-/// machine per fabric × chiplet-count column.
-struct TopoSweep {
-    gemms: [TiledGemm; 2],
-    cols: Vec<String>,
-    machines: Vec<SimConfig>,
-}
-
-impl TopoSweep {
-    fn new(h: &Harness) -> Self {
-        // The tile grid stands in for the threadblock divisor: quick runs
-        // shrink the GEMM the way `tb_div` shrinks the synthetic workloads
-        // (still ≥ 4 TBs per chiplet at 16 chiplets).
-        let (mt, nt, kt, blk) = if h.tb_div > 1 {
-            (8, 8, 4, 2)
-        } else {
-            (16, 16, 8, 4)
-        };
-        let blocked = TileMapping::Blocked {
-            rows: blk,
-            cols: blk,
-        };
-        let mut cols = Vec::new();
-        let mut machines = Vec::new();
-        for fabric in ["ring", "mesh", "fc"] {
-            for n in [4usize, 8, 16] {
-                let mut base = h.base.clone();
-                base.num_chiplets = n;
-                base.topology = match fabric {
-                    "ring" => TopologyKind::Ring,
-                    "mesh" => TopologyKind::square_mesh(n),
-                    _ => TopologyKind::FullyConnected,
-                };
-                cols.push(format!("{fabric}/{n}"));
-                machines.push(base);
-            }
-        }
-        TopoSweep {
-            gemms: [
-                TiledGemm::new(mt, nt, kt, TileMapping::RowMajor),
-                TiledGemm::new(mt, nt, kt, blocked),
-            ],
-            cols,
-            machines,
-        }
-    }
-
-    fn rows(&self) -> Vec<String> {
-        self.gemms.iter().map(|w| w.name().to_string()).collect()
-    }
 }
 
 /// Topology scaling study (DESIGN.md §13): {ring, 2-D mesh,
 /// fully-connected} × {4, 8, 16} chiplets on the tiled-GEMM workload,
 /// contrasting a row-major tile→TB order (`GEMM-row`) with a
 /// locality-aware blocked order (`GEMM-tile`). Every cell runs under
-/// CLAP; performance is normalized per row to the `ring/4` column, so a
-/// column reads as "what this fabric × package size buys the same
-/// mapping policy".
-pub fn topo(h: &Harness) -> Grid {
-    let sw = TopoSweep::new(h);
-    let row_names = sw.rows();
-    let cells = CellSpec::grid(&row_names, &sw.cols);
-    let all: Vec<RunStats> = h.sweep_stats("topo", &cells, |_, s| {
-        h.try_run_workload(&sw.machines[s.col], &sw.gemms[s.row], ConfigKind::Clap)
-    });
-    let mut perf = Vec::new();
-    let mut remote = Vec::new();
-    for stats in all.chunks(sw.cols.len()) {
-        let b = stats[0].cycles.max(1) as f64;
-        perf.push(stats.iter().map(|s| b / s.cycles.max(1) as f64).collect());
-        remote.push(stats.iter().map(RunStats::remote_ratio).collect());
+/// CLAP, one machine per column; performance is normalized per row to
+/// the `ring/4` column, so a column reads as "what this fabric × package
+/// size buys the same mapping policy".
+fn topo(h: &Harness) -> Figure {
+    // The tile grid stands in for the threadblock divisor: quick runs
+    // shrink the GEMM the way `tb_div` shrinks the synthetic workloads
+    // (still ≥ 4 TBs per chiplet at 16 chiplets).
+    let (mt, nt, kt, blk) = if h.tb_div > 1 {
+        (8, 8, 4, 2)
+    } else {
+        (16, 16, 8, 4)
+    };
+    let blocked = TileMapping::Blocked {
+        rows: blk,
+        cols: blk,
+    };
+    let mut cols = Vec::new();
+    for fabric in ["ring", "mesh", "fc"] {
+        for n in [4usize, 8, 16] {
+            let mut base = h.base.clone();
+            base.num_chiplets = n;
+            base.topology = match fabric {
+                "ring" => TopologyKind::Ring,
+                "mesh" => TopologyKind::square_mesh(n),
+                _ => TopologyKind::FullyConnected,
+            };
+            cols.push(Column {
+                label: format!("{fabric}/{n}"),
+                machine: Some(base),
+                ..ConfigKind::Clap.into()
+            });
+        }
     }
-    Grid {
-        id: "topo".into(),
-        title: "Interconnect scaling: topology x chiplet count on tiled GEMM (norm. to ring/4)"
-            .into(),
-        rows: row_names,
-        cols: sw.cols,
-        perf,
-        remote,
+    Figure::new(
+        "topo",
+        "Interconnect scaling: topology x chiplet count on tiled GEMM (norm. to ring/4)",
+        vec![
+            Box::new(TiledGemm::new(mt, nt, kt, TileMapping::RowMajor)),
+            Box::new(TiledGemm::new(mt, nt, kt, blocked)),
+        ],
+        cols,
+        Projection::Speedup(0),
+    )
+}
+
+/// Table 2: workload characteristics — L2$ MPKI and L2 TLB MPKI under
+/// 4KB/64KB/2MB mappings. `perf` carries L2$ MPKI and `remote` carries
+/// L2 TLB MPKI (three columns each).
+fn table2(h: &Harness) -> Figure {
+    let cols = PageSize::NATIVE.map(ConfigKind::Static);
+    Figure::new(
+        "table2",
+        "Workload characteristics: L2$ MPKI (perf cols) / L2 TLB MPKI (remote cols) at 4KB/64KB/2MB",
+        scaled(h, suite::all()),
+        ["4K", "64K", "2M"]
+            .iter()
+            .zip(cols)
+            .map(|(label, k)| Column::from(k).labelled(label)),
+        Projection::Mpki,
+    )
+}
+
+/// A grid target of the `figures` binary.
+pub struct Target {
+    /// Experiment id ("fig1", "table2", ...).
+    pub id: &'static str,
+    /// The sweep behind the grid; `None` for Fig. 10, a locality survey
+    /// rather than a sweep.
+    figure: Option<fn(&Harness) -> Figure>,
+    /// Whether `figures trace` and `figures timeline` re-run it under a
+    /// probe.
+    pub probed: bool,
+}
+
+const fn sweep(id: &'static str, figure: fn(&Harness) -> Figure, probed: bool) -> Target {
+    Target {
+        id,
+        figure: Some(figure),
+        probed,
     }
+}
+
+/// Every grid target, in the order `figures all` runs them.
+pub const TARGETS: [Target; 13] = [
+    sweep("fig1", fig1, true),
+    sweep("fig2", fig2, false),
+    sweep("fig6", fig6, false),
+    sweep("fig8", fig8, false),
+    Target {
+        id: "fig10",
+        figure: None,
+        probed: false,
+    },
+    sweep("fig18", fig18, true),
+    sweep("fig19", fig19, false),
+    sweep("fig20", fig20, false),
+    sweep("fig21", fig21, false),
+    sweep("fig22", fig22, false),
+    sweep("table2", table2, false),
+    sweep("ablation", ablation, false),
+    sweep("topo", topo, true),
+];
+
+/// Runs grid target `id` (one of [`TARGETS`]) into its grid.
+///
+/// # Panics
+///
+/// Panics if `id` is not a grid target.
+pub fn grid(h: &Harness, id: &str) -> Grid {
+    match TARGETS.iter().find(|t| t.id == id) {
+        Some(Target {
+            figure: Some(f), ..
+        }) => grid_over(h, &f(h)),
+        Some(_) => fig10(),
+        None => panic!("no grid target {id:?}"),
+    }
+}
+
+/// Every cell of `figs` in row-major order on `h`'s workers, labelled
+/// `workload/column`.
+///
+/// # Panics
+///
+/// Panics if a cell fails or aborts.
+fn labelled_cells(h: &Harness, figs: &[Figure]) -> Vec<(String, RunStats)> {
+    let mut cells = Vec::new();
+    for fig in figs {
+        let (rows, cols) = fig.labels();
+        for (i, (out, (), _)) in fig.run_cells::<()>(h).into_iter().enumerate() {
+            let label = format!("{}/{}", rows[i / cols.len()], cols[i % cols.len()]);
+            match out {
+                Ok(RunOutcome::Completed(s) | RunOutcome::Degraded { stats: s, .. }) => {
+                    cells.push((label, s))
+                }
+                other => panic!("cell {label} did not complete: {other:?}"),
+            }
+        }
+    }
+    cells
 }
 
 /// Every analytic-engine cell `tests/goldens/analytic_quick.jsonl` pins,
@@ -942,28 +1028,14 @@ pub fn topo(h: &Harness) -> Grid {
 /// engine whatever `h`'s engine is.
 pub fn analytic_cells(h: &Harness) -> Vec<(String, RunStats)> {
     let h = h.clone().with_engine(EngineKind::Analytic);
-    let stats = |out: Result<RunOutcome, SimError>, label: &str| match out {
-        Ok(RunOutcome::Completed(s)) => s,
-        other => panic!("analytic cell {label} did not complete: {other:?}"),
-    };
-    let mut cells = Vec::new();
-    for w in suite::all() {
-        let w = h.prep(&w);
-        for kind in ConfigKind::analytic_eval() {
-            let label = format!("{}/{}", w.name(), kind.name());
-            let s = stats(h.try_run_workload(&h.base, &w, kind), &label);
-            cells.push((label, s));
-        }
-    }
-    let sw = TopoSweep::new(&h);
-    for w in &sw.gemms {
-        for (col, machine) in sw.cols.iter().zip(&sw.machines) {
-            let label = format!("{}/{col}", w.name());
-            let s = stats(h.try_run_workload(machine, w, ConfigKind::Clap), &label);
-            cells.push((label, s));
-        }
-    }
-    cells
+    let suite = Figure::new(
+        "analytic",
+        "",
+        scaled(&h, suite::all()),
+        ConfigKind::analytic_eval(),
+        Projection::Speedup(0),
+    );
+    labelled_cells(&h, &[suite, topo(&h)])
 }
 
 /// The real-cost migration configurations (§5.2 Fig. 20).
@@ -977,135 +1049,28 @@ pub const MIGRATION_CONFIGS: [ConfigKind; 3] = [
 /// labelled `workload/config`: each suite workload under each of
 /// [`MIGRATION_CONFIGS`], the cells whose epochs migrate pages and shoot
 /// down TLBs at real cost. Cells fan out over `h`'s workers and come back
-/// in submission order. Runs on the cycle engine whatever `h`'s engine is
-/// (none of these configurations has a closed form).
+/// in submission order. None of these configurations has a closed form,
+/// so they run on the cycle engine whatever `h`'s engine is.
 ///
 /// # Panics
 ///
 /// Panics if a cell fails or aborts.
 pub fn migration_cells(h: &Harness) -> Vec<(String, RunStats)> {
-    let ws: Vec<SyntheticWorkload> = suite::all().iter().map(|w| h.prep(w)).collect();
-    let cells: Vec<(usize, ConfigKind)> = (0..ws.len())
-        .flat_map(|r| MIGRATION_CONFIGS.map(|kind| (r, kind)))
-        .collect();
-    h.runner().map(&cells, |_, &(r, kind)| {
-        let label = format!("{}/{}", ws[r].name(), kind.name());
-        let (mut policy, cfg) = kind.build(&h.base);
-        match run_outcome(&cfg, &ws[r], policy.as_mut(), None) {
-            Ok(RunOutcome::Completed(s) | RunOutcome::Degraded { stats: s, .. }) => (label, s),
-            other => panic!("migration cell {label} did not complete: {other:?}"),
-        }
-    })
+    let fig = Figure::new(
+        "migration",
+        "",
+        scaled(h, suite::all()),
+        MIGRATION_CONFIGS,
+        Projection::Speedup(0),
+    );
+    labelled_cells(h, &[fig])
 }
 
-/// The figures `figures trace` and `figures timeline` can re-run.
-pub const PROBED_FIGURES: [&str; 3] = ["fig1", "fig18", "topo"];
-
-/// A figure's sweep, re-runnable cell by cell under any [`Probe`].
-enum FigureSweep {
-    /// Suite workloads (rows) × configurations (columns) on the
-    /// harness's machine.
-    Suite(Vec<SyntheticWorkload>, Vec<ConfigKind>),
-    /// The topology study: CLAP on one machine per column.
-    Topo(TopoSweep),
-}
-
-impl FigureSweep {
-    /// # Panics
-    ///
-    /// Panics if `fig` is not one of [`PROBED_FIGURES`].
-    fn new(h: &Harness, fig: &str) -> Self {
-        match fig {
-            "fig1" => {
-                let (ws, configs) = fig1_sweep();
-                FigureSweep::Suite(ws, configs)
-            }
-            "fig18" => FigureSweep::Suite(suite::all(), ConfigKind::main_eval()),
-            "topo" => FigureSweep::Topo(TopoSweep::new(h)),
-            other => panic!("no probed figure {other:?} (have {PROBED_FIGURES:?})"),
-        }
-    }
-
-    fn labels(&self) -> (Vec<String>, Vec<String>) {
-        match self {
-            FigureSweep::Suite(ws, configs) => (
-                ws.iter().map(|w| w.name().to_string()).collect(),
-                configs.iter().map(|c| c.name()).collect(),
-            ),
-            FigureSweep::Topo(sw) => (sw.rows(), sw.cols.clone()),
-        }
-    }
-
-    /// Re-runs every cell on the harness's workers, each under a fresh
-    /// probe, and returns `(outcome, probe, wall µs)` per cell in
-    /// row-major submission order — identical at any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a fatal simulation error.
-    fn run<P: Probe + Default + Send>(&self, h: &Harness) -> Vec<(RunOutcome, P, u64)> {
-        let (rows, cols) = self.labels();
-        let cells: Vec<(usize, usize)> = (0..rows.len())
-            .flat_map(|r| (0..cols.len()).map(move |c| (r, c)))
-            .collect();
-        h.runner().map(&cells, |_, &(r, c)| {
-            let t0 = Instant::now();
-            let mut probe = P::default();
-            let out = match self {
-                FigureSweep::Suite(ws, configs) => {
-                    h.run_probed(&h.base, &h.prep(&ws[r]), configs[c], &mut probe)
-                }
-                FigureSweep::Topo(sw) => {
-                    h.run_probed(&sw.machines[c], &sw.gemms[r], ConfigKind::Clap, &mut probe)
-                }
-            };
-            let out = out.unwrap_or_else(|e| panic!("{} x {} failed: {e}", rows[r], cols[c]));
-            (out, probe, t0.elapsed().as_micros() as u64)
-        })
-    }
-}
-
-/// Per-configuration merged stage traces of one figure's sweep (what
-/// `figures trace` renders and writes under `results/trace/`).
+/// One figure's sweep re-run under a probe per cell: what `figures
+/// trace` (observing `RunTrace`s) and `figures timeline` (observing
+/// [`RunMetrics`]) render and write.
 #[derive(Clone, Debug)]
-pub struct FigureTrace {
-    /// Figure identifier ("fig1", "fig18", "topo").
-    pub id: String,
-    /// Column (configuration) labels, in sweep order.
-    pub cols: Vec<String>,
-    /// Workload row labels folded into every column's trace.
-    pub rows: Vec<String>,
-    /// `traces[col]`: the aggregate trace of all `rows` cells run under
-    /// column `col` ([`RunTrace::merge_aggregates`] across workloads).
-    pub traces: Vec<RunTrace>,
-}
-
-/// Re-runs figure `fig`'s sweep under a [`RunTrace`] probe per cell and
-/// merges the traces by configuration column. Merged aggregates are
-/// order-independent, so output is identical at every worker count.
-///
-/// # Panics
-///
-/// Panics if `fig` is not one of [`PROBED_FIGURES`].
-pub fn trace_figure(h: &Harness, fig: &str) -> FigureTrace {
-    let sweep = FigureSweep::new(h, fig);
-    let (rows, cols) = sweep.labels();
-    let mut traces = vec![RunTrace::new(); cols.len()];
-    for (i, (_, t, _)) in sweep.run::<RunTrace>(h).iter().enumerate() {
-        traces[i % cols.len()].merge_aggregates(t);
-    }
-    FigureTrace {
-        id: fig.into(),
-        cols,
-        rows,
-        traces,
-    }
-}
-
-/// Chiplet-resolved, time-resolved metrics of one figure's sweep (what
-/// `figures timeline` renders and writes under `results/timeline/`).
-#[derive(Clone, Debug)]
-pub struct MetricsReport {
+pub struct Probed<T> {
     /// Figure identifier ("fig1", "fig18", "topo").
     pub id: String,
     /// Workload row labels, in sweep order.
@@ -1114,19 +1079,19 @@ pub struct MetricsReport {
     pub cols: Vec<String>,
     /// Per-cell run outcomes, row-major (`rows.len() × cols.len()`).
     pub outcomes: Vec<RunOutcome>,
-    /// Per-cell metrics in the same order, interval series intact.
-    pub cells: Vec<RunMetrics>,
+    /// Per-cell observations in the same order.
+    pub cells: Vec<T>,
     /// Per-cell wall time in µs, same order (journaled with the cell).
     pub cell_wall_us: Vec<u64>,
-    /// `merged[col]`: all of column `col`'s cells folded with
-    /// [`RunMetrics::merge_aggregates`] (counters and traffic add;
-    /// per-cell series are dropped and tallied in `dropped_frames`).
-    pub merged: Vec<RunMetrics>,
+    /// `merged[col]`: all of column `col`'s cells folded. The folds are
+    /// associative and commutative, so any worker order lands on the
+    /// same aggregates.
+    pub merged: Vec<T>,
 }
 
-impl MetricsReport {
-    /// The metrics of cell (`row`, `col`).
-    pub fn cell(&self, row: usize, col: usize) -> &RunMetrics {
+impl<T> Probed<T> {
+    /// The observations of cell (`row`, `col`).
+    pub fn cell(&self, row: usize, col: usize) -> &T {
         &self.cells[row * self.cols.len() + col]
     }
 
@@ -1134,7 +1099,9 @@ impl MetricsReport {
     pub fn cell_stats(&self, row: usize, col: usize) -> &RunStats {
         self.outcomes[row * self.cols.len() + col].stats()
     }
+}
 
+impl Probed<RunMetrics> {
     /// One journal record per cell under experiment `exp`, built from
     /// the cell's outcome and stamped with its warmup fraction.
     pub fn journal_records(&self, exp: &str) -> Vec<CellRecord> {
@@ -1157,86 +1124,56 @@ impl MetricsReport {
     }
 }
 
-/// Re-runs figure `fig`'s sweep under a [`MetricsProbe`] per cell and
-/// folds per-cell aggregates by configuration column. Per-cell series
-/// and folded aggregates are identical at every worker count.
+/// Re-runs grid target `id`'s cells on the cycle engine, each under a
+/// fresh probe `P`, on `h`'s workers. `finish` turns a cell's probe into
+/// its observations (a `RunTrace` as is, `MetricsProbe::into_metrics`)
+/// and `fold` merges them by column (`RunTrace::merge_aggregates`,
+/// [`RunMetrics::merge_aggregates`]). Per-cell observations and folds
+/// are identical at every worker count.
 ///
 /// # Panics
 ///
-/// Panics if `fig` is not one of [`PROBED_FIGURES`].
-pub fn timeline_figure(h: &Harness, fig: &str) -> MetricsReport {
-    let sweep = FigureSweep::new(h, fig);
-    let (rows, cols) = sweep.labels();
-    let all = sweep.run::<MetricsProbe>(h);
-    let mut outcomes = Vec::with_capacity(all.len());
-    let mut cells = Vec::with_capacity(all.len());
-    let mut cell_wall_us = Vec::with_capacity(all.len());
-    for (out, p, wall) in all {
-        outcomes.push(out);
-        cells.push(p.into_metrics());
-        cell_wall_us.push(wall);
-    }
-    // Column folds adopt the first cell's shape and add the rest; the
-    // fold is associative and commutative, so any worker order lands on
-    // the same aggregates.
-    let mut merged = vec![RunMetrics::default(); cols.len()];
-    for (i, m) in cells.iter().enumerate() {
-        merged[i % cols.len()].merge_aggregates(m);
-    }
-    MetricsReport {
-        id: fig.into(),
+/// Panics if `id` is not a probed target ([`Target::probed`]) or a cell
+/// fails.
+pub fn rerun<P: Probe + Default + Send, T: Default>(
+    h: &Harness,
+    id: &str,
+    finish: fn(P) -> T,
+    fold: fn(&mut T, &T),
+) -> Probed<T> {
+    let fig = match TARGETS.iter().find(|t| t.id == id && t.probed) {
+        Some(Target {
+            figure: Some(f), ..
+        }) => f(h),
+        _ => panic!("no probed figure {id:?}"),
+    };
+    let h = h.clone().with_engine(EngineKind::Cycle);
+    let (rows, cols) = fig.labels();
+    let mut probed = Probed {
+        id: id.into(),
+        merged: cols.iter().map(|_| T::default()).collect(),
         rows,
         cols,
-        outcomes,
-        cells,
-        cell_wall_us,
-        merged,
+        outcomes: Vec::new(),
+        cells: Vec::new(),
+        cell_wall_us: Vec::new(),
+    };
+    let n = probed.cols.len();
+    for (i, (out, probe, wall)) in fig.run_cells(&h).into_iter().enumerate() {
+        let out = out.unwrap_or_else(|e| {
+            panic!(
+                "{} x {} failed: {e}",
+                probed.rows[i / n],
+                probed.cols[i % n]
+            )
+        });
+        let cell = finish(probe);
+        fold(&mut probed.merged[i % n], &cell);
+        probed.outcomes.push(out);
+        probed.cells.push(cell);
+        probed.cell_wall_us.push(wall);
     }
-}
-
-/// One 8-chiplet cell: `workload` under CLAP on the Fig. 22 machine.
-pub fn fig22_single(h: &Harness, workload: &str) -> RunStats {
-    let mut h8 = h.clone();
-    h8.base = SimConfig::eight_chiplets().scaled(FOOTPRINT_SCALE);
-    let w = suite::by_name(workload)
-        .unwrap_or_else(|| panic!("unknown workload {workload}"))
-        .with_tb_scale(2, 1);
-    h8.run(&w, ConfigKind::Clap)
-}
-
-/// Table 2: workload characteristics — L2$ MPKI and L2 TLB MPKI under
-/// 4KB/64KB/2MB mappings. `perf` carries L2$ MPKI and `remote` carries
-/// L2 TLB MPKI (three columns each).
-pub fn table2(h: &Harness) -> Grid {
-    let configs = [
-        ConfigKind::Static(PageSize::Size4K),
-        ConfigKind::Static(PageSize::Size64K),
-        ConfigKind::Static(PageSize::Size2M),
-    ];
-    let ws = suite::all();
-    let row_names: Vec<String> = ws.iter().map(|w| w.name().to_string()).collect();
-    let col_names: Vec<String> = configs.iter().map(|c| c.name()).collect();
-    let cells = CellSpec::grid(&row_names, &col_names);
-    let all: Vec<RunStats> = h.sweep_stats("table2", &cells, |_, s| {
-        h.try_run(&ws[s.row], configs[s.col])
-    });
-    let mut rows = Vec::new();
-    let mut perf = Vec::new();
-    let mut remote = Vec::new();
-    for (r, w) in ws.iter().enumerate() {
-        let stats = &all[r * configs.len()..(r + 1) * configs.len()];
-        rows.push(w.name().to_string());
-        perf.push(stats.iter().map(RunStats::l2_mpki).collect());
-        remote.push(stats.iter().map(RunStats::l2tlb_mpki).collect());
-    }
-    Grid {
-        id: "table2".into(),
-        title: "Workload characteristics: L2$ MPKI (perf cols) / L2 TLB MPKI (remote cols) at 4KB/64KB/2MB".into(),
-        rows,
-        cols: vec!["4K".into(), "64K".into(), "2M".into()],
-        perf,
-        remote,
-    }
+    probed
 }
 
 /// One row of Table 4: the sizes CLAP selected for a workload's largest
@@ -1337,13 +1274,22 @@ mod tests {
 
     #[test]
     fn parallel_grid_matches_serial() {
-        let ws = [suite::blk(), suite::ste()];
-        let configs = [
-            ConfigKind::Static(PageSize::Size64K),
-            ConfigKind::Static(PageSize::Size2M),
-        ];
-        let serial = grid_over("t", "t", &Harness::quick(), &ws, &configs, 0);
-        let parallel = grid_over("t", "t", &Harness::quick().with_jobs(4), &ws, &configs, 0);
+        let run = |h: &Harness| {
+            let configs = [
+                ConfigKind::Static(PageSize::Size64K),
+                ConfigKind::Static(PageSize::Size2M),
+            ];
+            let fig = Figure::new(
+                "t",
+                "t",
+                named(h, &["BLK", "STE"]),
+                configs,
+                Projection::Speedup(0),
+            );
+            grid_over(h, &fig)
+        };
+        let serial = run(&Harness::quick());
+        let parallel = run(&Harness::quick().with_jobs(4));
         assert_eq!(serial.rows, parallel.rows);
         assert_eq!(serial.perf, parallel.perf, "cells must be bit-identical");
         assert_eq!(serial.remote, parallel.remote);

@@ -1,7 +1,8 @@
 //! Experiment harness for the CLAP reproduction.
 //!
-//! [`experiments`] holds one function per table/figure of the paper's
-//! evaluation; the `figures` binary prints them and writes CSVs.
+//! [`experiments`] holds the paper's evaluation as data — one grid value
+//! per table/figure, run cell by cell through one runner; the `figures`
+//! binary prints the grids and writes CSVs.
 
 #![deny(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]

@@ -6,9 +6,11 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use mcm_sim::{Counter, TraceEventClass, TraceStage, SAMPLE_INTERVAL, WARMUP_EPSILON};
+use mcm_sim::{
+    Counter, RunMetrics, RunTrace, TraceEventClass, TraceStage, SAMPLE_INTERVAL, WARMUP_EPSILON,
+};
 
-use crate::experiments::{FigureTrace, Grid, MetricsReport, Table4Row};
+use crate::experiments::{Grid, Probed, Table4Row};
 use crate::json::Json;
 
 /// Labelled run statistics as JSON lines, one `{"cell", "stats"}`
@@ -291,7 +293,7 @@ pub fn render_table4(rows: &[Table4Row]) -> String {
 
 /// Renders a figure trace as an aligned text table: per configuration,
 /// each stage's share of traced cycles with latency percentiles.
-pub fn render_trace(ft: &FigureTrace) -> String {
+pub fn render_trace(ft: &Probed<RunTrace>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -300,7 +302,7 @@ pub fn render_trace(ft: &FigureTrace) -> String {
         ft.rows.len()
     );
     let col_w = ft.cols.iter().map(String::len).max().unwrap_or(6).max(8);
-    for (c, trace) in ft.cols.iter().zip(&ft.traces) {
+    for (c, trace) in ft.cols.iter().zip(&ft.merged) {
         let total = trace.total_cycles().max(1);
         let _ = writeln!(
             out,
@@ -335,8 +337,8 @@ pub fn render_trace(ft: &FigureTrace) -> String {
 /// The JSON representation of a figure trace: per configuration,
 /// per-stage log2-bucketed latency histograms (one stage per line) plus
 /// the exact event counters.
-pub fn trace_json(ft: &FigureTrace) -> String {
-    let columns = ft.cols.iter().zip(&ft.traces).map(|(c, trace)| {
+pub fn trace_json(ft: &Probed<RunTrace>) -> String {
+    let columns = ft.cols.iter().zip(&ft.merged).map(|(c, trace)| {
         let events = TraceEventClass::ALL
             .iter()
             .map(|class| (class.name(), Json::num(trace.event_count(*class))));
@@ -382,9 +384,9 @@ pub fn trace_json(ft: &FigureTrace) -> String {
 /// `figure;config;stage <cycles>` line per non-empty stage, feedable to
 /// `flamegraph.pl` / `inferno-flamegraph` for a per-figure stage
 /// breakdown.
-pub fn trace_folded(ft: &FigureTrace) -> String {
+pub fn trace_folded(ft: &Probed<RunTrace>) -> String {
     let mut s = String::new();
-    for (c, trace) in ft.cols.iter().zip(&ft.traces) {
+    for (c, trace) in ft.cols.iter().zip(&ft.merged) {
         for stage in TraceStage::ALL {
             let h = trace.hist(stage);
             if h.sum() > 0 {
@@ -395,23 +397,10 @@ pub fn trace_folded(ft: &FigureTrace) -> String {
     s
 }
 
-/// Writes a figure trace to `dir/trace/<id>.json` and
-/// `dir/trace/<id>.folded`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from directory creation or file write.
-pub fn write_trace(ft: &FigureTrace, dir: &Path) -> io::Result<()> {
-    let tdir = dir.join("trace");
-    fs::create_dir_all(&tdir)?;
-    fs::write(tdir.join(format!("{}.json", ft.id)), trace_json(ft))?;
-    fs::write(tdir.join(format!("{}.folded", ft.id)), trace_folded(ft))
-}
-
 /// Renders a metrics report as an aligned text summary: per
 /// configuration column, the folded interconnect traffic, DRAM
 /// imbalance, and the warmup picture across that column's cells.
-pub fn render_timeline(mr: &MetricsReport) -> String {
+pub fn render_timeline(mr: &Probed<RunMetrics>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -465,7 +454,7 @@ pub fn render_timeline(mr: &MetricsReport) -> String {
 /// matrix, then each cell (one per line) with its warmup summary and full
 /// interval series. Frame deltas list only counters that moved during the
 /// interval; absent counter keys read as zero.
-pub fn timeline_json(mr: &MetricsReport) -> String {
+pub fn timeline_json(mr: &Probed<RunMetrics>) -> String {
     let columns = mr.cols.iter().enumerate().map(|(c, label)| {
         let m = &mr.merged[c];
         let n = m.num_chiplets();
@@ -536,7 +525,7 @@ pub fn timeline_json(mr: &MetricsReport) -> String {
 /// The CSV representation of a metrics report, long format: one row per
 /// (configuration, workload, frame, chiplet) with every counter's interval
 /// delta — directly plottable as per-chiplet time series.
-pub fn timeline_csv(mr: &MetricsReport) -> String {
+pub fn timeline_csv(mr: &Probed<RunMetrics>) -> String {
     let mut s = String::new();
     let _ = write!(s, "config,workload,frame,cycle,chiplet");
     for counter in Counter::ALL {
@@ -560,17 +549,20 @@ pub fn timeline_csv(mr: &MetricsReport) -> String {
     s
 }
 
-/// Writes a metrics report to `dir/timeline/<id>.json` and
-/// `dir/timeline/<id>.csv`.
+/// Writes a probed figure's documents (`(extension, text)` pairs) to
+/// `dir/<sub>/<id>.<extension>`: `trace/` holds the JSON histograms and
+/// the folded stacks, `timeline/` the JSON series and the CSV.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from directory creation or file write.
-pub fn write_timeline(mr: &MetricsReport, dir: &Path) -> io::Result<()> {
-    let tdir = dir.join("timeline");
-    fs::create_dir_all(&tdir)?;
-    fs::write(tdir.join(format!("{}.json", mr.id)), timeline_json(mr))?;
-    fs::write(tdir.join(format!("{}.csv", mr.id)), timeline_csv(mr))
+pub fn write_probed(dir: &Path, sub: &str, id: &str, docs: &[(&str, String)]) -> io::Result<()> {
+    let sdir = dir.join(sub);
+    fs::create_dir_all(&sdir)?;
+    for (ext, doc) in docs {
+        fs::write(sdir.join(format!("{id}.{ext}")), doc)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -750,7 +742,7 @@ mod tests {
         assert!(s.contains("missing: 1 cell(s) never journaled: 3"), "{s}");
     }
 
-    fn figure_trace() -> FigureTrace {
+    fn figure_trace() -> Probed<RunTrace> {
         use mcm_sim::{RunTrace, TraceEventKind};
         use mcm_types::{ChipletId, VirtAddr};
         let mut a = RunTrace::new();
@@ -770,11 +762,14 @@ mod tests {
         });
         let mut b = RunTrace::new();
         b.record_sample(TraceStage::Data, 40);
-        FigureTrace {
+        Probed {
             id: "figT".into(),
             cols: vec!["S-64KB".into(), "CLAP".into()],
             rows: vec!["STE".into()],
-            traces: vec![a, b],
+            outcomes: Vec::new(),
+            cells: Vec::new(),
+            cell_wall_us: Vec::new(),
+            merged: vec![a, b],
         }
     }
 
@@ -821,7 +816,9 @@ mod tests {
     #[test]
     fn trace_files_round_trip() {
         let dir = std::env::temp_dir().join("clap-repro-test-trace");
-        write_trace(&figure_trace(), &dir).expect("write");
+        let ft = figure_trace();
+        let docs = [("json", trace_json(&ft)), ("folded", trace_folded(&ft))];
+        write_probed(&dir, "trace", &ft.id, &docs).expect("write");
         let json = std::fs::read_to_string(dir.join("trace/figT.json")).expect("json");
         assert!(json.contains("\"figure\": \"figT\""));
         let folded = std::fs::read_to_string(dir.join("trace/figT.folded")).expect("folded");
@@ -852,14 +849,14 @@ mod tests {
         };
         let want = (id.to_string(), vec![row.to_string()], vec![col.to_string()]);
         let mut ft = figure_trace();
-        (ft.id, ft.rows, ft.cols, ft.traces) = (
+        (ft.id, ft.rows, ft.cols, ft.merged) = (
             id.into(),
             vec![row.into()],
             vec![col.into()],
-            vec![ft.traces.remove(0)],
+            vec![ft.merged.remove(0)],
         );
         assert_eq!(labels(&trace_json(&ft)), want);
-        let mr = MetricsReport {
+        let mr = Probed {
             id: id.into(),
             rows: vec![row.into()],
             cols: vec![col.into()],

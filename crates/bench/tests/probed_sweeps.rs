@@ -5,11 +5,11 @@
 //! root `tests/probe.rs`.)
 
 use mcm_bench::configs::ConfigKind;
-use mcm_bench::experiments::{timeline_figure, Harness};
+use mcm_bench::experiments::{rerun, Harness};
 use mcm_bench::telemetry::Json;
 use mcm_sim::{
-    run_with, RunMetrics, RunOutcome, RunTrace, SimConfig, TopologyKind, TraceEventClass,
-    TraceEventKind,
+    run_with, MetricsProbe, RunMetrics, RunOutcome, RunTrace, SimConfig, TopologyKind,
+    TraceEventClass, TraceEventKind,
 };
 use mcm_types::PageSize;
 use mcm_workloads::{suite, FOOTPRINT_SCALE};
@@ -68,8 +68,16 @@ fn mesh_crossing_hops_match_topology_routing() {
 /// fanned out, and each column fold re-derives from its cells.
 #[test]
 fn timeline_is_identical_serial_and_parallel() {
-    let serial = timeline_figure(&Harness::quick(), "topo");
-    let parallel = timeline_figure(&Harness::quick().with_jobs(4), "topo");
+    let timeline = |h: &Harness| {
+        rerun(
+            h,
+            "topo",
+            MetricsProbe::into_metrics,
+            RunMetrics::merge_aggregates,
+        )
+    };
+    let serial = timeline(&Harness::quick());
+    let parallel = timeline(&Harness::quick().with_jobs(4));
     assert_eq!(serial.cells, parallel.cells, "per-cell metrics diverge");
     assert_eq!(serial.merged, parallel.merged, "column folds diverge");
 

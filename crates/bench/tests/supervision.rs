@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mcm_bench::experiments::{fig1, Harness};
+use mcm_bench::experiments::{grid, Harness};
 use mcm_bench::report::csv_string;
 use mcm_bench::supervise::{Injection, Supervisor, SweepMode};
 use mcm_bench::telemetry::{read_journal_dir, CellOutcome, Telemetry};
@@ -31,7 +31,7 @@ fn injections() -> Vec<Injection> {
 #[test]
 fn keep_going_quarantines_bad_cells_and_resume_restores_the_golden_csv() {
     let dir = temp_dir("supervision-keepgoing");
-    let fresh = csv_string(&fig1(&Harness::quick()));
+    let fresh = csv_string(&grid(&Harness::quick(), "fig1"));
 
     // Pass 1: two poisoned cells. The sweep must finish without any
     // panic escaping and quarantine exactly those two cells.
@@ -45,8 +45,8 @@ fn keep_going_quarantines_bad_cells_and_resume_restores_the_golden_csv() {
         .with_jobs(4)
         .with_telemetry(Arc::clone(&tele))
         .with_supervisor(Arc::clone(&sup));
-    let grid = fig1(&h);
-    assert_eq!(grid.rows.len(), 8, "all workloads must still report");
+    let fig1 = grid(&h, "fig1");
+    assert_eq!(fig1.rows.len(), 8, "all workloads must still report");
 
     let quarantined = sup.quarantined();
     assert_eq!(quarantined.len(), 2, "exactly the two injected cells");
@@ -96,7 +96,7 @@ fn keep_going_quarantines_bad_cells_and_resume_restores_the_golden_csv() {
         .with_jobs(2)
         .with_telemetry(Arc::clone(&tele));
     assert_eq!(
-        csv_string(&fig1(&h)),
+        csv_string(&grid(&h, "fig1")),
         fresh,
         "resume after fixing the bad cells must reproduce the clean CSV"
     );
@@ -111,7 +111,7 @@ fn keep_going_quarantines_bad_cells_and_resume_restores_the_golden_csv() {
 fn fail_fast_propagates_the_injected_panic() {
     let sup = Arc::new(Supervisor::new(SweepMode::FailFast).with_injections(injections()));
     let h = Harness::quick().with_supervisor(Arc::clone(&sup));
-    let caught = catch_unwind(AssertUnwindSafe(|| fig1(&h)));
+    let caught = catch_unwind(AssertUnwindSafe(|| grid(&h, "fig1")));
     assert!(caught.is_err(), "--fail-fast must propagate the failure");
     assert!(
         sup.quarantined().is_empty(),

@@ -8,7 +8,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use clap_repro::bench::experiments::{fig1, Harness};
+use clap_repro::bench::experiments::{grid, Harness};
 use clap_repro::bench::report::csv_string;
 use clap_repro::bench::telemetry::{read_journal_dir, Telemetry};
 
@@ -29,7 +29,7 @@ fn torn_journal_and_corrupt_shard_recover_to_the_golden_csv() {
     let h = Harness::quick()
         .with_jobs(4)
         .with_telemetry(Arc::clone(&tele));
-    assert_eq!(csv_string(&fig1(&h)), FIG1_GOLDEN);
+    assert_eq!(csv_string(&grid(&h, "fig1")), FIG1_GOLDEN);
 
     // Tear the journal: chop the final record in half (no newline).
     let journal = dir.join("journal/fig1.jsonl");
@@ -66,7 +66,7 @@ fn torn_journal_and_corrupt_shard_recover_to_the_golden_csv() {
         .with_jobs(2)
         .with_telemetry(Arc::clone(&tele));
     assert_eq!(
-        csv_string(&fig1(&h)),
+        csv_string(&grid(&h, "fig1")),
         FIG1_GOLDEN,
         "recovered sweep must be byte-identical to the golden CSV"
     );

@@ -35,10 +35,10 @@ fn repeated_runs_are_bit_identical() {
 /// submission order).
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
-    use clap_repro::bench::experiments::fig1;
+    use clap_repro::bench::experiments::grid;
     use clap_repro::bench::report::{csv_string, render_grid};
-    let serial = fig1(&Harness::quick());
-    let parallel = fig1(&Harness::quick().with_jobs(4));
+    let serial = grid(&Harness::quick(), "fig1");
+    let parallel = grid(&Harness::quick().with_jobs(4), "fig1");
     assert_eq!(
         render_grid(&serial),
         render_grid(&parallel),
@@ -56,10 +56,10 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 /// worker-count-invisible as the fixed-machine figures.
 #[test]
 fn topo_sweep_is_byte_identical_to_serial() {
-    use clap_repro::bench::experiments::topo;
+    use clap_repro::bench::experiments::grid;
     use clap_repro::bench::report::csv_string;
-    let serial = topo(&Harness::quick());
-    let parallel = topo(&Harness::quick().with_jobs(4));
+    let serial = grid(&Harness::quick(), "topo");
+    let parallel = grid(&Harness::quick().with_jobs(4), "topo");
     assert_eq!(
         csv_string(&serial),
         csv_string(&parallel),

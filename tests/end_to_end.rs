@@ -3,7 +3,7 @@
 //! that regenerates the figures.
 
 use clap_repro::bench::configs::ConfigKind;
-use clap_repro::bench::experiments::{CacheKind, Harness};
+use clap_repro::bench::experiments::{CacheKind, Column, Harness};
 use clap_repro::types::PageSize;
 use clap_repro::workloads::suite;
 
@@ -100,8 +100,9 @@ fn remote_caching_gains_more_under_clap_than_under_s2m() {
     // S-2MB.
     let h = h();
     let w = suite::ste();
-    let s2m_cached = h.run_cached(&w, ConfigKind::Static(PageSize::Size2M), CacheKind::Nuba);
-    let clap_cached = h.run_cached(&w, ConfigKind::Clap, CacheKind::Nuba);
+    let s2m = ConfigKind::Static(PageSize::Size2M);
+    let s2m_cached = h.run(&w, Column::cached(s2m, CacheKind::Nuba));
+    let clap_cached = h.run(&w, Column::cached(ConfigKind::Clap, CacheKind::Nuba));
     assert!(
         clap_cached.speedup_over(&s2m_cached) > 1.2,
         "CLAP+NUBA {} vs S-2MB+NUBA {}",

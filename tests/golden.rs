@@ -10,8 +10,7 @@
 //! the new goldens alongside the change that explains them.
 
 use clap_repro::bench::experiments::{
-    analytic_cells, fig1, fig18, fig2, fig8, migration_cells, table2, topo, Harness,
-    MIGRATION_CONFIGS,
+    analytic_cells, grid, migration_cells, Harness, MIGRATION_CONFIGS,
 };
 use clap_repro::bench::report::{csv_string, stats_lines};
 
@@ -49,14 +48,14 @@ fn assert_golden(id: &str, got: &str, want: &str) {
 
 #[test]
 fn fig1_quick_grid_matches_golden() {
-    let g = fig1(&Harness::quick());
+    let g = grid(&Harness::quick(), "fig1");
     assert_golden("fig1", &csv_string(&g), FIG1_GOLDEN);
 }
 
 /// The remote-cache columns: NUBA and SAC attached to S-2MB cells.
 #[test]
 fn fig2_quick_grid_matches_golden() {
-    let g = fig2(&Harness::quick().with_jobs(2));
+    let g = grid(&Harness::quick().with_jobs(2), "fig2");
     assert_golden("fig2", &csv_string(&g), FIG2_GOLDEN);
 }
 
@@ -64,20 +63,20 @@ fn fig2_quick_grid_matches_golden() {
 /// its remote ratio across the page-size ladder.
 #[test]
 fn fig8_quick_grid_matches_golden() {
-    let g = fig8(&Harness::quick().with_jobs(2));
+    let g = grid(&Harness::quick().with_jobs(2), "fig8");
     assert_golden("fig8", &csv_string(&g), FIG8_GOLDEN);
 }
 
 /// The MPKI projection: L2$ and L2 TLB MPKI at 4KB/64KB/2MB.
 #[test]
 fn table2_quick_grid_matches_golden() {
-    let g = table2(&Harness::quick().with_jobs(2));
+    let g = grid(&Harness::quick().with_jobs(2), "table2");
     assert_golden("table2", &csv_string(&g), TABLE2_GOLDEN);
 }
 
 #[test]
 fn fig18_quick_grid_matches_golden() {
-    let g = fig18(&Harness::quick());
+    let g = grid(&Harness::quick(), "fig18");
     assert_golden("fig18", &csv_string(&g), FIG18_GOLDEN);
 }
 
@@ -86,7 +85,7 @@ fn fig18_quick_grid_matches_golden() {
 /// columns the scaling study is about.
 #[test]
 fn topo_quick_grid_matches_golden() {
-    let g = topo(&Harness::quick());
+    let g = grid(&Harness::quick(), "topo");
     assert_golden("topo", &csv_string(&g), TOPO_GOLDEN);
     // Spot-pin the scaled columns by name so a column reorder can't
     // silently repoint the golden: 8- and 16-chiplet cells exist for

@@ -27,7 +27,7 @@ fn workload(name: &str) -> SyntheticWorkload {
 fn run_cell<P: Probe>(w: &SyntheticWorkload, kind: ConfigKind, probe: &mut P) -> RunStats {
     let h = Harness::quick();
     let name = w.name();
-    match h.run_probed(h.base_config(), &h.prep(w), kind, probe) {
+    match h.run_cell(&h.prep(w), &kind.into(), probe) {
         Ok(RunOutcome::Aborted { reason, .. }) => panic!("{name} aborted: {reason}"),
         Ok(done) => done.into_stats(),
         Err(e) => panic!("{name} failed: {e}"),

@@ -7,7 +7,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use clap_repro::bench::experiments::{fig1, topo, EngineKind, Harness};
+use clap_repro::bench::experiments::{grid, EngineKind, Harness};
 use clap_repro::bench::report::csv_string;
 use clap_repro::bench::telemetry::{read_journal_dir, CellOutcome, CellRecord, Telemetry};
 
@@ -22,7 +22,7 @@ fn resume_after_crash_is_byte_identical_to_fresh_serial_run() {
     let dir = temp_dir("telemetry-resume");
 
     // The reference: today's purely in-memory serial path.
-    let fresh = csv_string(&fig1(&Harness::quick()));
+    let fresh = csv_string(&grid(&Harness::quick(), "fig1"));
 
     // A telemetered parallel sweep must emit the same bytes while
     // journaling and sharding every cell worker-side.
@@ -31,7 +31,7 @@ fn resume_after_crash_is_byte_identical_to_fresh_serial_run() {
         .with_jobs(4)
         .with_telemetry(Arc::clone(&tele));
     assert_eq!(
-        csv_string(&fig1(&h)),
+        csv_string(&grid(&h, "fig1")),
         fresh,
         "telemetry must not perturb results"
     );
@@ -65,7 +65,7 @@ fn resume_after_crash_is_byte_identical_to_fresh_serial_run() {
         .with_jobs(2)
         .with_telemetry(Arc::clone(&tele));
     assert_eq!(
-        csv_string(&fig1(&h)),
+        csv_string(&grid(&h, "fig1")),
         fresh,
         "resumed sweep must reassemble the exact same bytes"
     );
@@ -114,12 +114,12 @@ fn topo_resume_under_analytic_engine_is_byte_identical() {
     // engine — this also routes the fast-path engine through the full
     // journal/shard pipeline below.
     let quick = || Harness::quick().with_engine(EngineKind::Analytic);
-    let fresh = csv_string(&topo(&quick()));
+    let fresh = csv_string(&grid(&quick(), "topo"));
 
     let tele = Arc::new(Telemetry::new(&dir));
     let h = quick().with_jobs(4).with_telemetry(Arc::clone(&tele));
     assert_eq!(
-        csv_string(&topo(&h)),
+        csv_string(&grid(&h, "topo")),
         fresh,
         "telemetry must not perturb analytic results"
     );
@@ -149,7 +149,7 @@ fn topo_resume_under_analytic_engine_is_byte_identical() {
     let tele = Arc::new(Telemetry::new(&dir).with_resume(true));
     let h = quick().with_jobs(2).with_telemetry(Arc::clone(&tele));
     assert_eq!(
-        csv_string(&topo(&h)),
+        csv_string(&grid(&h, "topo")),
         fresh,
         "resumed topology sweep must reassemble the exact same bytes"
     );
