@@ -123,7 +123,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Options {
+/// Parses the command line (without the program name). `Err` carries
+/// the message to print before the usage line; `--help` carries none.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         quick: false,
         jobs: jobs_from_env(),
@@ -138,124 +140,87 @@ fn parse_args() -> Options {
         engine: EngineKind::Cycle,
         targets: Vec::new(),
     };
-    let mut args = env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => opts.quick = true,
-            "--resume" => opts.resume = true,
-            "--check" => opts.check = true,
-            "--keep-going" => opts.mode = SweepMode::KeepGoing,
-            "--fail-fast" => opts.mode = SweepMode::FailFast,
-            "--progress" => opts.progress = ProgressMode::On,
-            "--retries" => match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => opts.retries = Some(n),
-                _ => {
-                    eprintln!("--retries needs a non-negative integer");
-                    usage();
-                }
-            },
-            "--engine" => match args.next().as_deref().and_then(EngineKind::parse) {
-                Some(e) => opts.engine = e,
-                None => {
-                    eprintln!("--engine wants cycle|analytic");
-                    usage();
-                }
-            },
-            "--inject" => match args.next().map(|v| Injection::parse(&v)) {
-                Some(Ok(i)) => opts.inject.push(i),
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-                None => {
-                    eprintln!("--inject needs exp:cell=panic|budget");
-                    usage();
-                }
-            },
-            "--jobs" => match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => opts.jobs = n,
-                _ => {
-                    eprintln!("--jobs needs a positive integer");
-                    usage();
-                }
-            },
-            "--out" => match args.next() {
-                Some(d) => opts.out_dir = PathBuf::from(d),
-                None => {
-                    eprintln!("--out needs a directory");
-                    usage();
-                }
-            },
-            "--chaos" => opts.chaos_seed = Some(1),
-            "--help" | "-h" => usage(),
-            _ => {
-                if let Some(v) = a.strip_prefix("--jobs=") {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => opts.jobs = n,
-                        _ => {
-                            eprintln!("--jobs needs a positive integer, got {v:?}");
-                            usage();
-                        }
-                    }
-                } else if let Some(v) = a.strip_prefix("--progress=") {
-                    opts.progress = match v {
-                        "on" => ProgressMode::On,
-                        "off" => ProgressMode::Off,
-                        "auto" => ProgressMode::Auto,
-                        _ => {
-                            eprintln!("--progress wants on|off|auto, got {v:?}");
-                            usage();
-                        }
-                    };
-                } else if let Some(v) = a.strip_prefix("--chaos=") {
-                    match v.parse::<u64>() {
-                        Ok(s) => opts.chaos_seed = Some(s),
-                        Err(_) => {
-                            eprintln!("--chaos seed must be an integer, got {v:?}");
-                            usage();
-                        }
-                    }
-                } else if let Some(v) = a.strip_prefix("--engine=") {
-                    match EngineKind::parse(v) {
-                        Some(e) => opts.engine = e,
-                        None => {
-                            eprintln!("--engine wants cycle|analytic, got {v:?}");
-                            usage();
-                        }
-                    }
-                } else if let Some(v) = a.strip_prefix("--retries=") {
-                    match v.parse::<usize>() {
-                        Ok(n) => opts.retries = Some(n),
-                        Err(_) => {
-                            eprintln!("--retries needs a non-negative integer, got {v:?}");
-                            usage();
-                        }
-                    }
-                } else if let Some(v) = a.strip_prefix("--inject=") {
-                    match Injection::parse(v) {
-                        Ok(i) => opts.inject.push(i),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            usage();
-                        }
-                    }
-                } else if a.starts_with("--") {
-                    eprintln!("unknown flag {a:?}");
-                    usage();
-                } else {
-                    opts.targets.push(a);
+        if !a.starts_with("--") {
+            if a == "-h" {
+                return Err(String::new());
+            }
+            opts.targets.push(a);
+            continue;
+        }
+        let (flag, inline) = match a.split_once('=') {
+            Some((flag, v)) => (flag, Some(v.to_string())),
+            None => (a.as_str(), None),
+        };
+        match (flag, inline.as_deref()) {
+            ("--quick", None) => opts.quick = true,
+            ("--resume", None) => opts.resume = true,
+            ("--check", None) => opts.check = true,
+            ("--keep-going", None) => opts.mode = SweepMode::KeepGoing,
+            ("--fail-fast", None) => opts.mode = SweepMode::FailFast,
+            ("--help", None) => return Err(String::new()),
+            ("--progress", None) => opts.progress = ProgressMode::On,
+            ("--progress", Some(v)) => {
+                opts.progress = match v {
+                    "on" => ProgressMode::On,
+                    "off" => ProgressMode::Off,
+                    "auto" => ProgressMode::Auto,
+                    _ => return Err(format!("--progress wants on|off|auto, got {v:?}")),
                 }
             }
+            ("--chaos", None) => opts.chaos_seed = Some(1),
+            ("--chaos", Some(v)) => match v.parse::<u64>() {
+                Ok(seed) => opts.chaos_seed = Some(seed),
+                Err(_) => return Err(format!("--chaos seed must be an integer, got {v:?}")),
+            },
+            ("--jobs" | "--retries" | "--engine" | "--inject" | "--out", _) => {
+                // `--flag=value` names the bad value in its error;
+                // `--flag value` does not.
+                let bad = |msg: &str| match &inline {
+                    Some(v) => format!("{msg}, got {v:?}"),
+                    None => msg.to_string(),
+                };
+                let v = inline.clone().or_else(|| args.next());
+                match flag {
+                    "--jobs" => match v.map(|v| v.parse::<usize>()) {
+                        Some(Ok(n)) if n >= 1 => opts.jobs = n,
+                        _ => return Err(bad("--jobs needs a positive integer")),
+                    },
+                    "--retries" => match v.map(|v| v.parse::<usize>()) {
+                        Some(Ok(n)) => opts.retries = Some(n),
+                        _ => return Err(bad("--retries needs a non-negative integer")),
+                    },
+                    "--engine" => match v.as_deref().and_then(EngineKind::parse) {
+                        Some(e) => opts.engine = e,
+                        None => return Err(bad("--engine wants cycle|analytic")),
+                    },
+                    "--inject" => match v.map(|v| Injection::parse(&v)) {
+                        Some(i) => opts.inject.push(i?),
+                        None => return Err("--inject needs exp:cell=panic|budget".into()),
+                    },
+                    _ => match v {
+                        Some(d) => opts.out_dir = PathBuf::from(d),
+                        None => return Err("--out needs a directory".into()),
+                    },
+                }
+            }
+            _ => return Err(format!("unknown flag {a:?}")),
         }
     }
     if opts.targets.is_empty() {
         opts.targets.push("all".into());
     }
-    opts
+    Ok(opts)
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = parse_args(env::args().skip(1)).unwrap_or_else(|msg| {
+        if !msg.is_empty() {
+            eprintln!("{msg}");
+        }
+        usage()
+    });
     let mut supervisor = Supervisor::new(opts.mode).with_injections(opts.inject.clone());
     if let Some(retries) = opts.retries {
         supervisor = supervisor.with_retries(retries);
@@ -537,19 +502,29 @@ fn probe_chaos(h: &Harness, wname: &str, seed: u64) {
         std::process::exit(2);
     });
     println!("== chaos probe: {wname}, seed {seed}");
-    println!(
-        "{:<18} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}  outcome",
-        "config", "injected", "reject", "fallbk", "stalls", "stale", "audit", "notlb", "cycles"
-    );
+    let header = [
+        "reject", "fallbk", "stalls", "stale", "audit", "notlb", "cycles",
+    ];
+    chaos_row("config", "injected", header.map(String::from), "outcome");
     for kind in ConfigKind::main_eval() {
         let (chaos, out) = h.run_chaos(&w, kind, seed);
-        match out {
+        let (stats, tail) = match &out {
             Ok(RunOutcome::Completed(s)) | Ok(RunOutcome::Degraded { stats: s, .. }) => {
+                let clean = !s.degradation.is_degraded();
+                (
+                    Some(s),
+                    if clean { "clean" } else { "degraded" }.to_string(),
+                )
+            }
+            Ok(RunOutcome::Aborted { reason, stats }) => {
+                (Some(stats), format!("aborted: {reason}"))
+            }
+            Err(e) => (None, format!("failed: {e}")),
+        };
+        let counts = match stats {
+            Some(s) => {
                 let d = &s.degradation;
-                println!(
-                    "{:<18} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}  {}",
-                    kind.name(),
-                    chaos.total(),
+                [
                     d.rejected_directives,
                     d.fallback_remote_frames,
                     d.walk_queue_stalls,
@@ -557,40 +532,23 @@ fn probe_chaos(h: &Harness, wname: &str, seed: u64) {
                     d.audit_violations,
                     d.tlb_class_missing,
                     s.cycles,
-                    if d.is_degraded() { "degraded" } else { "clean" }
-                );
+                ]
+                .map(|n| n.to_string())
             }
-            Ok(RunOutcome::Aborted { reason, stats }) => {
-                let d = &stats.degradation;
-                println!(
-                    "{:<18} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}  aborted: {reason}",
-                    kind.name(),
-                    chaos.total(),
-                    d.rejected_directives,
-                    d.fallback_remote_frames,
-                    d.walk_queue_stalls,
-                    d.stale_tlb_hits,
-                    d.audit_violations,
-                    d.tlb_class_missing,
-                    stats.cycles
-                );
-            }
-            Err(e) => {
-                println!(
-                    "{:<18} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}  failed: {e}",
-                    kind.name(),
-                    chaos.total(),
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-"
-                );
-            }
-        }
+            None => ["-"; 7].map(String::from),
+        };
+        chaos_row(&kind.name(), &chaos.total().to_string(), counts, &tail);
     }
+}
+
+/// One row of the chaos probe's table: config, injections, the seven
+/// counters and the outcome.
+fn chaos_row(config: &str, injected: &str, counts: [String; 7], outcome: &str) {
+    let [reject, fallbk, stalls, stale, audit, notlb, cycles] = counts;
+    println!(
+        "{config:<18} {injected:>9} {reject:>7} {fallbk:>7} {stalls:>7} {stale:>7} \
+         {audit:>7} {notlb:>7} {cycles:>7}  {outcome}"
+    );
 }
 
 fn print_table1(h: &Harness) {
@@ -650,4 +608,99 @@ fn print_table1(h: &Harness) {
     );
     println!("TB & data arrangement  FT-based (contiguous TB scheduling, first-touch placement)");
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn valued_flags_take_both_spellings() {
+        let spaced = [
+            "--jobs",
+            "3",
+            "--engine",
+            "analytic",
+            "--retries",
+            "0",
+            "--inject",
+            "fig1:2=panic",
+            "--out",
+            "d",
+            "fig1",
+        ];
+        let joined = [
+            "--jobs=3",
+            "--engine=analytic",
+            "--retries=0",
+            "--inject=fig1:2=panic",
+            "--out=d",
+            "fig1",
+        ];
+        for args in [&spaced[..], &joined[..]] {
+            let o = parse(args).expect("flags parse");
+            assert_eq!(o.jobs, 3, "{args:?}");
+            assert!(o.engine == EngineKind::Analytic, "{args:?}");
+            assert_eq!(o.retries, Some(0), "{args:?}");
+            assert_eq!(o.inject.len(), 1, "{args:?}");
+            assert_eq!(o.out_dir, PathBuf::from("d"), "{args:?}");
+            assert_eq!(o.targets, ["fig1"], "{args:?}");
+        }
+    }
+
+    #[test]
+    fn optional_values_never_take_the_next_argument() {
+        let o = parse(&["--chaos", "--progress", "probe", "STE"]).expect("parses");
+        assert_eq!(o.chaos_seed, Some(1));
+        assert!(o.progress == ProgressMode::On);
+        assert_eq!(o.targets, ["probe", "STE"]);
+        let o = parse(&["--chaos=7", "--progress=off"]).expect("parses");
+        assert_eq!(o.chaos_seed, Some(7));
+        assert!(o.progress == ProgressMode::Off);
+        assert_eq!(o.targets, ["all"]);
+    }
+
+    #[test]
+    fn bad_values_keep_their_messages() {
+        let err = |args: &[&str]| parse(args).err().expect("must be rejected");
+        assert_eq!(err(&["--jobs", "0"]), "--jobs needs a positive integer");
+        assert_eq!(err(&["--jobs"]), "--jobs needs a positive integer");
+        assert_eq!(
+            err(&["--jobs=0"]),
+            "--jobs needs a positive integer, got \"0\""
+        );
+        assert_eq!(
+            err(&["--retries", "x"]),
+            "--retries needs a non-negative integer"
+        );
+        assert_eq!(
+            err(&["--retries=x"]),
+            "--retries needs a non-negative integer, got \"x\""
+        );
+        assert_eq!(err(&["--engine", "gpu"]), "--engine wants cycle|analytic");
+        assert_eq!(
+            err(&["--engine=gpu"]),
+            "--engine wants cycle|analytic, got \"gpu\""
+        );
+        assert_eq!(err(&["--inject"]), "--inject needs exp:cell=panic|budget");
+        assert!(err(&["--inject=nonsense"]).starts_with("bad injection"));
+        assert!(err(&["--inject", "nonsense"]).starts_with("bad injection"));
+        assert_eq!(err(&["--out"]), "--out needs a directory");
+        assert_eq!(
+            err(&["--progress=loud"]),
+            "--progress wants on|off|auto, got \"loud\""
+        );
+        assert_eq!(
+            err(&["--chaos=x"]),
+            "--chaos seed must be an integer, got \"x\""
+        );
+        assert_eq!(err(&["--quick=1"]), "unknown flag \"--quick=1\"");
+        assert_eq!(err(&["--nope"]), "unknown flag \"--nope\"");
+        assert_eq!(err(&["--help"]), "");
+        assert_eq!(err(&["-h"]), "");
+    }
 }
