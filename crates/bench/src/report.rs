@@ -743,7 +743,7 @@ mod tests {
     }
 
     fn figure_trace() -> Probed<RunTrace> {
-        use mcm_sim::{RunTrace, TraceEventKind};
+        use mcm_sim::TraceEventKind;
         use mcm_types::{ChipletId, VirtAddr};
         let mut a = RunTrace::new();
         a.record_sample(TraceStage::Translate, 10);
@@ -828,7 +828,7 @@ mod tests {
 
     #[test]
     fn labels_with_escapes_round_trip_through_every_document() {
-        use mcm_sim::{RunMetrics, RunOutcome, RunStats};
+        use mcm_sim::{RunOutcome, RunStats};
         let (id, row, col) = ("fig\\x", "W\"1\"", "C\\2\nnew");
         let labels = |doc: &str| -> (String, Vec<String>, Vec<String>) {
             let j = Json::parse(doc).expect("document must be valid JSON");
