@@ -267,22 +267,52 @@ mod tests {
     }
 
     #[test]
+    fn map_payload_isolates_panics_and_finishes_the_rest() {
+        let items: Vec<usize> = (0..16).collect();
+        for jobs in [1, 4] {
+            let out = SweepRunner::new(jobs).map_payload(
+                &items,
+                |i, &x| {
+                    if i == 5 {
+                        panic!("cell five is bad");
+                    }
+                    x * 2
+                },
+                &NOOP_OBSERVER,
+            );
+            assert_eq!(out.len(), items.len(), "jobs={jobs}");
+            for (i, r) in out.into_iter().enumerate() {
+                match r {
+                    Err(p) if i == 5 => {
+                        assert_eq!(panic_message(p.as_ref()), "cell five is bad")
+                    }
+                    Ok(v) if i != 5 => assert_eq!(v, i * 2, "jobs={jobs}"),
+                    _ => panic!("jobs={jobs}: cell {i} has the wrong outcome"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn map_propagates_the_lowest_indexed_panic_after_draining() {
         static COMPLETED: AtomicUsize = AtomicUsize::new(0);
         let items: Vec<usize> = (0..16).collect();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            SweepRunner::new(4).map(&items, |i, &x| {
-                if i == 3 || i == 9 {
-                    panic!("boom {i}");
-                }
-                COMPLETED.fetch_add(1, Ordering::SeqCst);
-                x
-            })
-        }));
-        let payload = caught.expect_err("map must propagate the panic");
-        assert_eq!(panic_message(payload.as_ref()), "boom 3");
-        // The other cells all ran to completion before the propagation.
-        assert_eq!(COMPLETED.load(Ordering::SeqCst), 14);
+        for jobs in [1, 4] {
+            COMPLETED.store(0, Ordering::SeqCst);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                SweepRunner::new(jobs).map(&items, |i, &x| {
+                    if i == 3 || i == 9 {
+                        panic!("boom {i}");
+                    }
+                    COMPLETED.fetch_add(1, Ordering::SeqCst);
+                    x
+                })
+            }));
+            let payload = caught.expect_err("map must propagate the panic");
+            assert_eq!(panic_message(payload.as_ref()), "boom 3", "jobs={jobs}");
+            // The other cells all ran to completion before the propagation.
+            assert_eq!(COMPLETED.load(Ordering::SeqCst), 14, "jobs={jobs}");
+        }
     }
 
     #[test]
