@@ -233,9 +233,15 @@ impl Harness {
     /// are unchanged from before engines existed, so old shards stay
     /// valid.
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprint_on(&self.base)
+    }
+
+    /// [`fingerprint`](Self::fingerprint) with `machine` in place of the
+    /// harness's base machine.
+    fn fingerprint_on(&self, machine: &SimConfig) -> u64 {
         match self.engine {
-            EngineKind::Cycle => telemetry::fnv1a(&format!("{:?}|{}", self.base, self.tb_div)),
-            e => telemetry::fnv1a(&format!("{:?}|{}|{}", self.base, self.tb_div, e.name())),
+            EngineKind::Cycle => telemetry::fnv1a(&format!("{machine:?}|{}", self.tb_div)),
+            e => telemetry::fnv1a(&format!("{machine:?}|{}|{}", self.tb_div, e.name())),
         }
     }
 
@@ -255,6 +261,18 @@ impl Harness {
         specs: &[CellSpec],
         f: impl Fn(usize, &CellSpec) -> Result<RunOutcome, SimError> + Sync,
     ) -> Vec<RunStats> {
+        self.sweep_stats_as(exp, self.fingerprint(), specs, f)
+    }
+
+    /// [`sweep_stats`](Self::sweep_stats) with the cells' shards validated
+    /// against `fingerprint` in place of the harness's.
+    fn sweep_stats_as(
+        &self,
+        exp: &str,
+        fingerprint: u64,
+        specs: &[CellSpec],
+        f: impl Fn(usize, &CellSpec) -> Result<RunOutcome, SimError> + Sync,
+    ) -> Vec<RunStats> {
         let sup = &self.supervisor;
         match &self.telemetry {
             None => self.runner().map(specs, |i, s| {
@@ -265,7 +283,7 @@ impl Harness {
             }),
             Some(t) => {
                 let scope = t
-                    .sweep(exp, specs.len(), self.fingerprint())
+                    .sweep(exp, specs.len(), fingerprint)
                     .with_engine(self.engine.name());
                 let out = self.runner().map_observed(
                     specs,
@@ -528,14 +546,19 @@ enum Projection {
     Mpki,
 }
 
-/// A grid experiment as data: workload rows × columns, and how the
-/// cells' statistics project onto the grid.
-struct Figure {
-    id: &'static str,
-    title: &'static str,
+/// The cells of a sweep: workload rows × columns, run row-major.
+struct Cells {
     /// Workload rows, at the harness's scale.
     rows: Vec<Box<dyn Workload>>,
     cols: Vec<Column>,
+}
+
+/// A grid experiment as data: its cells, and how their statistics
+/// project onto the grid.
+struct Figure {
+    id: &'static str,
+    title: &'static str,
+    cells: Cells,
     projection: Projection,
 }
 
@@ -547,13 +570,38 @@ impl Figure {
         cols: impl IntoIterator<Item = impl Into<Column>>,
         projection: Projection,
     ) -> Figure {
-        let cols = cols.into_iter().map(Into::into).collect();
         Figure {
             id,
             title,
-            rows,
-            cols,
+            cells: Cells::new(rows, cols),
             projection,
+        }
+    }
+}
+
+impl Cells {
+    fn new(
+        rows: Vec<Box<dyn Workload>>,
+        cols: impl IntoIterator<Item = impl Into<Column>>,
+    ) -> Cells {
+        let cols = cols.into_iter().map(Into::into).collect();
+        Cells { rows, cols }
+    }
+
+    /// The fingerprint these cells' shards are validated against on
+    /// `--resume`: `h`'s, rebased onto the columns' machine when they all
+    /// share one (Fig. 22), and folded over every column's when they
+    /// differ (topo), so a change to any column's machine re-runs the
+    /// sweep.
+    fn fingerprint(&self, h: &Harness) -> u64 {
+        let per_col: Vec<u64> = self
+            .cols
+            .iter()
+            .map(|c| h.fingerprint_on(c.machine.as_ref().unwrap_or(&h.base)))
+            .collect();
+        match per_col.split_first() {
+            Some((&first, rest)) if rest.iter().all(|&f| f == first) => first,
+            _ => telemetry::fnv1a(&format!("{per_col:?}")),
         }
     }
 
@@ -588,20 +636,21 @@ impl Figure {
 /// [`Harness::sweep_stats`]) and projects its cells' statistics onto a
 /// grid — the one place sweeps become [`Grid`]s.
 fn grid_over(h: &Harness, fig: &Figure) -> Grid {
-    let (row_names, cols) = fig.labels();
-    let cells = CellSpec::grid(&row_names, &cols);
-    let all = h.sweep_stats(fig.id, &cells, |_, s| {
-        h.run_cell(fig.rows[s.row].as_ref(), &fig.cols[s.col], &mut ())
+    let Cells { rows, cols } = &fig.cells;
+    let (row_names, labels) = fig.cells.labels();
+    let specs = CellSpec::grid(&row_names, &labels);
+    let all = h.sweep_stats_as(fig.id, fig.cells.fingerprint(h), &specs, |_, s| {
+        h.run_cell(rows[s.row].as_ref(), &cols[s.col], &mut ())
     });
     let mut g = Grid {
         id: fig.id.into(),
         title: fig.title.into(),
         rows: Vec::new(),
-        cols,
+        cols: labels,
         perf: Vec::new(),
         remote: Vec::new(),
     };
-    for (w, stats) in fig.rows.iter().zip(all.chunks(fig.cols.len())) {
+    for (w, stats) in rows.iter().zip(all.chunks(cols.len())) {
         let mut push = |row: String, perf: Vec<f64>, remote: Vec<f64>| {
             g.rows.push(row);
             g.perf.push(perf);
@@ -946,18 +995,25 @@ fn table2(h: &Harness) -> Figure {
 pub struct Target {
     /// Experiment id ("fig1", "table2", ...).
     pub id: &'static str,
-    /// The sweep behind the grid; `None` for Fig. 10, a locality survey
-    /// rather than a sweep.
-    figure: Option<fn(&Harness) -> Figure>,
+    source: Source,
     /// Whether `figures trace` and `figures timeline` re-run it under a
     /// probe.
     pub probed: bool,
 }
 
+/// What a [`Target`]'s grid comes from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// A sweep of simulated cells.
+    Sweep(fn(&Harness) -> Figure),
+    /// A computation that simulates nothing (Fig. 10's locality survey).
+    Survey(fn() -> Grid),
+}
+
 const fn sweep(id: &'static str, figure: fn(&Harness) -> Figure, probed: bool) -> Target {
     Target {
         id,
-        figure: Some(figure),
+        source: Source::Sweep(figure),
         probed,
     }
 }
@@ -970,7 +1026,7 @@ pub const TARGETS: [Target; 13] = [
     sweep("fig8", fig8, false),
     Target {
         id: "fig10",
-        figure: None,
+        source: Source::Survey(fig10),
         probed: false,
     },
     sweep("fig18", fig18, true),
@@ -989,26 +1045,24 @@ pub const TARGETS: [Target; 13] = [
 ///
 /// Panics if `id` is not a grid target.
 pub fn grid(h: &Harness, id: &str) -> Grid {
-    match TARGETS.iter().find(|t| t.id == id) {
-        Some(Target {
-            figure: Some(f), ..
-        }) => grid_over(h, &f(h)),
-        Some(_) => fig10(),
+    match TARGETS.iter().find(|t| t.id == id).map(|t| t.source) {
+        Some(Source::Sweep(f)) => grid_over(h, &f(h)),
+        Some(Source::Survey(f)) => f(),
         None => panic!("no grid target {id:?}"),
     }
 }
 
-/// Every cell of `figs` in row-major order on `h`'s workers, labelled
+/// Every cell of `sweeps` in row-major order on `h`'s workers, labelled
 /// `workload/column`.
 ///
 /// # Panics
 ///
 /// Panics if a cell fails or aborts.
-fn labelled_cells(h: &Harness, figs: &[Figure]) -> Vec<(String, RunStats)> {
+fn labelled_cells(h: &Harness, sweeps: &[Cells]) -> Vec<(String, RunStats)> {
     let mut cells = Vec::new();
-    for fig in figs {
-        let (rows, cols) = fig.labels();
-        for (i, (out, (), _)) in fig.run_cells::<()>(h).into_iter().enumerate() {
+    for sweep in sweeps {
+        let (rows, cols) = sweep.labels();
+        for (i, (out, (), _)) in sweep.run_cells::<()>(h).into_iter().enumerate() {
             let label = format!("{}/{}", rows[i / cols.len()], cols[i % cols.len()]);
             match out {
                 Ok(RunOutcome::Completed(s) | RunOutcome::Degraded { stats: s, .. }) => {
@@ -1028,14 +1082,8 @@ fn labelled_cells(h: &Harness, figs: &[Figure]) -> Vec<(String, RunStats)> {
 /// engine whatever `h`'s engine is.
 pub fn analytic_cells(h: &Harness) -> Vec<(String, RunStats)> {
     let h = h.clone().with_engine(EngineKind::Analytic);
-    let suite = Figure::new(
-        "analytic",
-        "",
-        scaled(&h, suite::all()),
-        ConfigKind::analytic_eval(),
-        Projection::Speedup(0),
-    );
-    labelled_cells(&h, &[suite, topo(&h)])
+    let suite = Cells::new(scaled(&h, suite::all()), ConfigKind::analytic_eval());
+    labelled_cells(&h, &[suite, topo(&h).cells])
 }
 
 /// The real-cost migration configurations (§5.2 Fig. 20).
@@ -1056,14 +1104,7 @@ pub const MIGRATION_CONFIGS: [ConfigKind; 3] = [
 ///
 /// Panics if a cell fails or aborts.
 pub fn migration_cells(h: &Harness) -> Vec<(String, RunStats)> {
-    let fig = Figure::new(
-        "migration",
-        "",
-        scaled(h, suite::all()),
-        MIGRATION_CONFIGS,
-        Projection::Speedup(0),
-    );
-    labelled_cells(h, &[fig])
+    labelled_cells(h, &[Cells::new(scaled(h, suite::all()), MIGRATION_CONFIGS)])
 }
 
 /// One figure's sweep re-run under a probe per cell: what `figures
@@ -1141,14 +1182,15 @@ pub fn rerun<P: Probe + Default + Send, T: Default>(
     finish: fn(P) -> T,
     fold: fn(&mut T, &T),
 ) -> Probed<T> {
-    let fig = match TARGETS.iter().find(|t| t.id == id && t.probed) {
+    let cells = match TARGETS.iter().find(|t| t.id == id && t.probed) {
         Some(Target {
-            figure: Some(f), ..
-        }) => f(h),
+            source: Source::Sweep(f),
+            ..
+        }) => f(h).cells,
         _ => panic!("no probed figure {id:?}"),
     };
     let h = h.clone().with_engine(EngineKind::Cycle);
-    let (rows, cols) = fig.labels();
+    let (rows, cols) = cells.labels();
     let mut probed = Probed {
         id: id.into(),
         merged: cols.iter().map(|_| T::default()).collect(),
@@ -1159,7 +1201,7 @@ pub fn rerun<P: Probe + Default + Send, T: Default>(
         cell_wall_us: Vec::new(),
     };
     let n = probed.cols.len();
-    for (i, (out, probe, wall)) in fig.run_cells(&h).into_iter().enumerate() {
+    for (i, (out, probe, wall)) in cells.run_cells(&h).into_iter().enumerate() {
         let out = out.unwrap_or_else(|e| {
             panic!(
                 "{} x {} failed: {e}",
@@ -1270,6 +1312,26 @@ mod tests {
             format!("{:?}", bfs.allocs())
         );
         assert_ne!(replay_key(&reseeded), replay_key(&bfs));
+    }
+
+    #[test]
+    fn column_machines_feed_the_sweep_fingerprint() {
+        let h = Harness::quick();
+        assert_eq!(fig1(&h).cells.fingerprint(&h), h.fingerprint());
+        let mut h8 = h.clone();
+        h8.base = eight_chiplet_machine(&h);
+        assert_eq!(fig22(&h).cells.fingerprint(&h), h8.fingerprint());
+        let mut t = topo(&h);
+        let before = t.cells.fingerprint(&h);
+        assert_ne!(before, h.fingerprint());
+        if let Some(m) = t.cells.cols[4].machine.as_mut() {
+            m.topology = TopologyKind::Ring;
+        }
+        assert_ne!(
+            t.cells.fingerprint(&h),
+            before,
+            "a changed fabric re-runs topo"
+        );
     }
 
     #[test]
