@@ -75,7 +75,7 @@ use mcm_bench::report::{
 use mcm_bench::runner::jobs_from_env;
 use mcm_bench::supervise::{Injection, Supervisor, SweepMode};
 use mcm_bench::telemetry::{self, CellOutcome, Telemetry};
-use mcm_sim::{MetricsProbe, RunMetrics, RunTrace};
+use mcm_sim::{DegradationStats, MetricsProbe, RunMetrics, RunTrace};
 
 /// `--progress` setting.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -493,7 +493,8 @@ fn probe(h: &Harness, wname: &str) {
 }
 
 /// Chaos deep-dive: every main config under seeded fault injection, with
-/// the run's degradation counters instead of performance columns.
+/// the run's degradation counters (one column each, named by field)
+/// instead of performance columns.
 fn probe_chaos(h: &Harness, wname: &str, seed: u64) {
     use mcm_bench::configs::ConfigKind;
     use mcm_sim::RunOutcome;
@@ -502,53 +503,44 @@ fn probe_chaos(h: &Harness, wname: &str, seed: u64) {
         std::process::exit(2);
     });
     println!("== chaos probe: {wname}, seed {seed}");
-    let header = [
-        "reject", "fallbk", "stalls", "stale", "audit", "notlb", "cycles",
-    ];
-    chaos_row("config", "injected", header.map(String::from), "outcome");
+    let header = DegradationStats::default()
+        .counters()
+        .map(|(name, _, _)| name.to_string());
+    chaos_row("config", "injected", &header, "cycles", "outcome");
     for kind in ConfigKind::main_eval() {
         let (chaos, out) = h.run_chaos(&w, kind, seed);
         let (stats, tail) = match &out {
-            Ok(RunOutcome::Completed(s)) | Ok(RunOutcome::Degraded { stats: s, .. }) => {
-                let clean = !s.degradation.is_degraded();
-                (
-                    Some(s),
-                    if clean { "clean" } else { "degraded" }.to_string(),
-                )
-            }
+            Ok(RunOutcome::Completed(s)) => (Some(s), CellOutcome::of(s).to_string()),
             Ok(RunOutcome::Aborted { reason, stats }) => {
                 (Some(stats), format!("aborted: {reason}"))
             }
             Err(e) => (None, format!("failed: {e}")),
         };
-        let counts = match stats {
-            Some(s) => {
-                let d = &s.degradation;
-                [
-                    d.rejected_directives,
-                    d.fallback_remote_frames,
-                    d.walk_queue_stalls,
-                    d.stale_tlb_hits,
-                    d.audit_violations,
-                    d.tlb_class_missing,
-                    s.cycles,
-                ]
-                .map(|n| n.to_string())
-            }
-            None => ["-"; 7].map(String::from),
+        let (counts, cycles) = match stats {
+            Some(s) => (
+                s.degradation.counters().map(|(_, _, n)| n.to_string()),
+                s.cycles.to_string(),
+            ),
+            None => (["-"; DegradationStats::COUNT].map(String::from), "-".into()),
         };
-        chaos_row(&kind.name(), &chaos.total().to_string(), counts, &tail);
+        chaos_row(
+            &kind.name(),
+            &chaos.total().to_string(),
+            &counts,
+            &cycles,
+            &tail,
+        );
     }
 }
 
-/// One row of the chaos probe's table: config, injections, the seven
-/// counters and the outcome.
-fn chaos_row(config: &str, injected: &str, counts: [String; 7], outcome: &str) {
-    let [reject, fallbk, stalls, stale, audit, notlb, cycles] = counts;
-    println!(
-        "{config:<18} {injected:>9} {reject:>7} {fallbk:>7} {stalls:>7} {stale:>7} \
-         {audit:>7} {notlb:>7} {cycles:>7}  {outcome}"
-    );
+/// One row of the chaos probe's table: config, injections, one column per
+/// degradation counter (as wide as its name), cycles and the outcome.
+fn chaos_row(config: &str, injected: &str, counts: &[String], cycles: &str, outcome: &str) {
+    let mut row = format!("{config:<18} {injected:>9}");
+    for ((name, _, _), n) in DegradationStats::default().counters().iter().zip(counts) {
+        row += &format!(" {n:>w$}", w = name.len());
+    }
+    println!("{row} {cycles:>9}  {outcome}");
 }
 
 fn print_table1(h: &Harness) {

@@ -11,9 +11,9 @@
 use clap_core::{survey_mean, survey_workload, Clap};
 use mcm_policies::{Nuba, Sac};
 use mcm_sim::{
-    analytic, run, run_outcome, run_with, ChaosConfig, ChaosPolicy, ChaosStats, Probe,
-    RemoteCacheModel, RunMetrics, RunOutcome, RunStats, SimConfig, SimError, TileMapping,
-    TiledGemm, TopologyKind, Workload, WARMUP_EPSILON,
+    analytic, run_outcome, run_with, ChaosConfig, ChaosPolicy, ChaosStats, Probe, RemoteCacheModel,
+    RunMetrics, RunOutcome, RunStats, SimConfig, SimError, TileMapping, TiledGemm, TopologyKind,
+    Workload, WARMUP_EPSILON,
 };
 use mcm_types::{Fnv1a, PageSize, TbId, WarpId};
 use mcm_workloads::{suite, SyntheticWorkload, FOOTPRINT_SCALE};
@@ -273,48 +273,27 @@ impl Harness {
         specs: &[CellSpec],
         f: impl Fn(usize, &CellSpec) -> Result<RunOutcome, SimError> + Sync,
     ) -> Vec<RunStats> {
-        let sup = &self.supervisor;
-        match &self.telemetry {
-            None => self.runner().map(specs, |i, s| {
-                match sup.supervise(exp, i, &s.workload, &s.config, || f(i, s)) {
+        let scope = self.telemetry.as_ref().map(|t| {
+            t.sweep(exp, specs.len(), fingerprint)
+                .with_engine(self.engine.name())
+        });
+        let out = self.runner().map(specs, |i, s| {
+            let run = || {
+                self.supervisor
+                    .supervise(exp, i, &s.workload, &s.config, || f(i, s))
+            };
+            match &scope {
+                Some(scope) => scope.cell(i, s, run),
+                None => match run() {
                     CellVerdict::Healthy(stats) => stats,
                     CellVerdict::Quarantined { .. } => RunStats::default(),
-                }
-            }),
-            Some(t) => {
-                let scope = t
-                    .sweep(exp, specs.len(), fingerprint)
-                    .with_engine(self.engine.name());
-                let out = self.runner().map_observed(
-                    specs,
-                    |i, s| {
-                        if let Some(stats) = scope.try_restore(i, s) {
-                            return stats;
-                        }
-                        let t0 = Instant::now();
-                        match sup.supervise(exp, i, &s.workload, &s.config, || f(i, s)) {
-                            CellVerdict::Healthy(stats) => {
-                                let wall_us = t0.elapsed().as_micros() as u64;
-                                scope.record_success(i, s, wall_us, stats)
-                            }
-                            CellVerdict::Quarantined {
-                                outcome,
-                                reason,
-                                stats,
-                                ..
-                            } => {
-                                let wall_us = t0.elapsed().as_micros() as u64;
-                                scope.record_failure(i, s, wall_us, outcome, &reason, stats);
-                                RunStats::default()
-                            }
-                        }
-                    },
-                    t.observer(),
-                );
-                scope.finish();
-                out
+                },
             }
+        });
+        if let Some(scope) = scope {
+            scope.finish();
         }
+        out
     }
 
     /// The machine configuration used (before per-config adjustments).
@@ -432,13 +411,9 @@ impl Harness {
     /// entry point for callers that need plain statistics.
     pub fn run(&self, w: &SyntheticWorkload, col: impl Into<Column>) -> RunStats {
         let col = col.into();
-        match self.run_cell(&self.prep(w), &col, &mut ()) {
-            Ok(RunOutcome::Aborted { reason, .. }) => {
-                panic!("{} run aborted: {reason}", col.label)
-            }
-            Ok(done) => done.into_stats(),
-            Err(e) => panic!("{} run failed: {e}", col.label),
-        }
+        self.run_cell(&self.prep(w), &col, &mut ())
+            .and_then(RunOutcome::completed)
+            .unwrap_or_else(|e| panic!("{} run failed: {e}", col.label))
     }
 
     /// Runs `w` under `kind` wrapped in a fault-injecting
@@ -1064,11 +1039,9 @@ fn labelled_cells(h: &Harness, sweeps: &[Cells]) -> Vec<(String, RunStats)> {
         let (rows, cols) = sweep.labels();
         for (i, (out, (), _)) in sweep.run_cells::<()>(h).into_iter().enumerate() {
             let label = format!("{}/{}", rows[i / cols.len()], cols[i % cols.len()]);
-            match out {
-                Ok(RunOutcome::Completed(s) | RunOutcome::Degraded { stats: s, .. }) => {
-                    cells.push((label, s))
-                }
-                other => panic!("cell {label} did not complete: {other:?}"),
+            match out.and_then(RunOutcome::completed) {
+                Ok(s) => cells.push((label, s)),
+                Err(e) => panic!("cell {label} did not complete: {e}"),
             }
         }
     }
@@ -1237,13 +1210,9 @@ pub fn table4(h: &Harness) -> Vec<Table4Row> {
         let (_, cfg) = ConfigKind::Clap.build(h.base_config());
         let prepped = w.clone().with_tb_scale(1, h.tb_div);
         let mut clap = Clap::new();
-        run(&cfg, &prepped, &mut clap, None)
+        run_outcome(&cfg, &prepped, &mut clap, None)
+            .and_then(RunOutcome::completed)
             .unwrap_or_else(|e| panic!("CLAP run of {} failed: {e}", w.name()));
-        if std::env::var_os("CLAP_DEBUG_MMA").is_some() {
-            for a in w.allocs() {
-                eprintln!("[olp] {} {}: {}", w.name(), a.name, clap.debug_olp(a.id));
-            }
-        }
         let mut allocs: Vec<_> = w.allocs().to_vec();
         allocs.sort_by_key(|a| std::cmp::Reverse(a.bytes));
         let sizes = allocs

@@ -226,19 +226,20 @@ pub fn render_status(summaries: &[crate::telemetry::ExpSummary]) -> String {
         }
         for r in &s.degraded_cells {
             let d = &r.stats.degradation;
+            let counts: Vec<String> = d
+                .counters()
+                .into_iter()
+                .filter(|&(_, _, n)| n > 0)
+                .map(|(name, _, n)| format!("{name}={n}"))
+                .collect();
             let _ = writeln!(
                 out,
-                "   degraded: {}/{} cell {} — {} event(s) \
-                 (fallback_frames={}, rejected={}, stalls={}, stale_hits={}, audit={})",
+                "   degraded: {}/{} cell {} — {} event(s) ({})",
                 r.workload,
                 r.config,
                 r.cell,
                 r.degraded_events(),
-                d.fallback_remote_frames,
-                d.rejected_directives,
-                d.walk_queue_stalls,
-                d.stale_tlb_hits,
-                d.audit_violations
+                counts.join(", ")
             );
         }
         for r in &s.quarantined_cells {
@@ -684,6 +685,28 @@ mod tests {
             "{s}"
         );
         assert!(render_status(&[]).contains("no journal records"));
+    }
+
+    #[test]
+    fn status_names_each_nonzero_degradation_counter() {
+        use crate::telemetry::{summarize, CellOutcome, CellRecord, CellSpec};
+        use mcm_sim::RunStats;
+        let spec = CellSpec {
+            row: 0,
+            col: 0,
+            workload: "STE".into(),
+            config: "S-2MB".into(),
+            seed: 0,
+        };
+        // Degraded only by a missing TLB class.
+        let mut stats = RunStats::default();
+        stats.degradation.tlb_class_missing = 4;
+        let r = CellRecord::from_stats("fig1", &spec, 0, 1, 10, CellOutcome::Degraded, stats);
+        let s = render_status(&summarize(&[r]));
+        assert!(
+            s.contains("degraded: STE/S-2MB cell 0 — 4 event(s) (tlb_class_missing=4)\n"),
+            "{s}"
+        );
     }
 
     #[test]

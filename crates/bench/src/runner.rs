@@ -25,31 +25,6 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Lifecycle hooks around every sweep cell, called from the worker thread
-/// that runs the cell (the serial fast path calls them too). The sweep
-/// telemetry's progress reporter hangs off this; the default
-/// implementations are no-ops, so observers pay only for what they use.
-pub trait SweepObserver: Sync {
-    /// A worker is about to run cell `index`.
-    fn cell_started(&self, index: usize) {
-        let _ = index;
-    }
-
-    /// Cell `index` finished and its result slot is filled.
-    fn cell_finished(&self, index: usize) {
-        let _ = index;
-    }
-}
-
-/// The do-nothing observer behind [`SweepRunner::map`].
-#[derive(Clone, Copy, Debug)]
-pub struct NoopObserver;
-
-impl SweepObserver for NoopObserver {}
-
-/// A shared no-op observer instance (avoids allocating one per sweep).
-pub static NOOP_OBSERVER: NoopObserver = NoopObserver;
-
 /// A worker pool for independent sweep cells.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepRunner {
@@ -82,27 +57,10 @@ impl SweepRunner {
     ///
     /// # Panics
     ///
-    /// Propagates the first panic of any cell (as a serial loop would).
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.map_observed(items, f, &NOOP_OBSERVER)
-    }
-
-    /// [`map`](Self::map) with per-cell lifecycle hooks: `obs` is told
-    /// when each cell starts and finishes, from the worker thread running
-    /// it, at every worker count (including the serial fast path). The
-    /// hooks observe only — results are identical to [`map`](Self::map).
-    ///
-    /// # Panics
-    ///
     /// Propagates the lowest-indexed panic of any cell (as a serial loop
     /// would see first) — but only after every other cell has finished, so
-    /// a panic no longer aborts in-flight work.
-    pub fn map_observed<T, R, F>(&self, items: &[T], f: F, obs: &dyn SweepObserver) -> Vec<R>
+    /// a panic never aborts in-flight work.
+    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
@@ -110,7 +68,7 @@ impl SweepRunner {
     {
         let mut out = Vec::with_capacity(items.len());
         let mut first_panic: Option<Box<dyn Any + Send>> = None;
-        for r in self.map_payload(items, f, obs) {
+        for r in self.map_payload(items, f) {
             match r {
                 Ok(r) => out.push(r),
                 Err(p) => {
@@ -126,16 +84,11 @@ impl SweepRunner {
         out
     }
 
-    /// Core of [`map_observed`](Self::map_observed): one
+    /// Core of [`map`](Self::map): one
     /// `Result<R, payload>` per item, in item order. Workers catch each
     /// cell's unwind and keep draining the queue, so one bad cell never
     /// cancels the rest of the sweep.
-    fn map_payload<T, R, F>(
-        &self,
-        items: &[T],
-        f: F,
-        obs: &dyn SweepObserver,
-    ) -> Vec<Result<R, Box<dyn Any + Send>>>
+    fn map_payload<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, Box<dyn Any + Send>>>
     where
         T: Sync,
         R: Send,
@@ -147,12 +100,7 @@ impl SweepRunner {
             return items
                 .iter()
                 .enumerate()
-                .map(|(i, t)| {
-                    obs.cell_started(i);
-                    let r = catch_unwind(AssertUnwindSafe(|| f(i, t)));
-                    obs.cell_finished(i);
-                    r
-                })
+                .map(|(i, t)| catch_unwind(AssertUnwindSafe(|| f(i, t))))
                 .collect();
         }
         let next = AtomicUsize::new(0);
@@ -164,14 +112,11 @@ impl SweepRunner {
                     if i >= items.len() {
                         break;
                     }
-                    obs.cell_started(i);
                     let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
-                    // A slot's lock is only ever taken once per run; a
-                    // poisoned lock could only come from an observer
-                    // panicking mid-store, in which case the stored result
-                    // is still the one we want.
+                    // A slot's lock is only ever taken once per run, after
+                    // the cell's unwind was caught, so it cannot be
+                    // poisoned; recover rather than unwrap regardless.
                     *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
-                    obs.cell_finished(i);
                 });
             }
         });
@@ -270,16 +215,12 @@ mod tests {
     fn map_payload_isolates_panics_and_finishes_the_rest() {
         let items: Vec<usize> = (0..16).collect();
         for jobs in [1, 4] {
-            let out = SweepRunner::new(jobs).map_payload(
-                &items,
-                |i, &x| {
-                    if i == 5 {
-                        panic!("cell five is bad");
-                    }
-                    x * 2
-                },
-                &NOOP_OBSERVER,
-            );
+            let out = SweepRunner::new(jobs).map_payload(&items, |i, &x| {
+                if i == 5 {
+                    panic!("cell five is bad");
+                }
+                x * 2
+            });
             assert_eq!(out.len(), items.len(), "jobs={jobs}");
             for (i, r) in out.into_iter().enumerate() {
                 match r {
@@ -312,34 +253,6 @@ mod tests {
             assert_eq!(panic_message(payload.as_ref()), "boom 3", "jobs={jobs}");
             // The other cells all ran to completion before the propagation.
             assert_eq!(COMPLETED.load(Ordering::SeqCst), 14, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn observer_sees_every_cell_at_any_worker_count() {
-        struct Counting {
-            started: AtomicUsize,
-            finished: AtomicUsize,
-        }
-        impl SweepObserver for Counting {
-            fn cell_started(&self, _index: usize) {
-                self.started.fetch_add(1, Ordering::SeqCst);
-            }
-            fn cell_finished(&self, _index: usize) {
-                self.finished.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let items: Vec<usize> = (0..24).collect();
-        for jobs in [1, 4] {
-            let obs = Counting {
-                started: AtomicUsize::new(0),
-                finished: AtomicUsize::new(0),
-            };
-            let out = SweepRunner::new(jobs).map_observed(&items, |_, &x| x * 2, &obs);
-            let expect: Vec<usize> = items.iter().map(|&x| x * 2).collect();
-            assert_eq!(out, expect, "jobs={jobs}: observation must not perturb");
-            assert_eq!(obs.started.load(Ordering::SeqCst), items.len());
-            assert_eq!(obs.finished.load(Ordering::SeqCst), items.len());
         }
     }
 }

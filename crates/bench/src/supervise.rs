@@ -223,7 +223,7 @@ impl Supervisor {
                 Ok(Ok(RunOutcome::Aborted { reason, stats })) => {
                     (CellOutcome::Aborted, reason.to_string(), stats)
                 }
-                Ok(Ok(done)) => return CellVerdict::Healthy(done.into_stats()),
+                Ok(Ok(RunOutcome::Completed(stats))) => return CellVerdict::Healthy(stats),
                 Ok(Err(e)) => (CellOutcome::Aborted, e.to_string(), RunStats::default()),
                 Err(payload) => {
                     if self.mode == SweepMode::FailFast {

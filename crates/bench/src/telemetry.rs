@@ -24,16 +24,16 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mcm_sim::{AllocAccessStats, Counter, DegradationStats, RunOutcome, RunStats};
+use mcm_sim::{AllocAccessStats, Counter, RunOutcome, RunStats};
 use mcm_types::AllocId;
 
 pub use crate::json::{json_escape, Json};
 use crate::report::ExperimentTiming;
-use crate::runner::SweepObserver;
+use crate::supervise::CellVerdict;
 
 /// Version stamped into every journal record and shard file. Bump it when
 /// the record/shard layout changes: `--resume` treats shards from another
@@ -113,6 +113,9 @@ pub fn stats_json(s: &RunStats) -> Json {
         (id.index().to_string(), Json::obj(counts))
     });
     let d = &s.degradation;
+    let mut degradation: Vec<_> = d.counters().map(|(name, _, n)| (name, Json::num(n))).into();
+    let samples = d.errors.iter().map(|e| Json::str(e.to_string())).collect();
+    degradation.push(("error_samples", Json::Arr(samples)));
     o.extend([
         ("dram_per_chiplet", Json::nums(&s.dram_per_chiplet)),
         (
@@ -126,28 +129,7 @@ pub fn stats_json(s: &RunStats) -> Json {
         ),
         ("blocks_consumed", Json::opt(s.blocks_consumed)),
         ("per_alloc", Json::obj(per_alloc)),
-        (
-            "degradation",
-            Json::obj([
-                (
-                    "fallback_remote_frames",
-                    Json::num(d.fallback_remote_frames),
-                ),
-                ("rejected_directives", Json::num(d.rejected_directives)),
-                ("tlb_class_missing", Json::num(d.tlb_class_missing)),
-                ("walk_queue_stalls", Json::num(d.walk_queue_stalls)),
-                (
-                    "walk_queue_stall_cycles",
-                    Json::num(d.walk_queue_stall_cycles),
-                ),
-                ("stale_tlb_hits", Json::num(d.stale_tlb_hits)),
-                ("audit_violations", Json::num(d.audit_violations)),
-                (
-                    "error_samples",
-                    Json::Arr(d.errors.iter().map(|e| Json::str(e.to_string())).collect()),
-                ),
-            ]),
-        ),
+        ("degradation", Json::obj(degradation)),
     ]);
     Json::obj(o)
 }
@@ -192,20 +174,13 @@ pub fn stats_from_json(j: &Json) -> Result<RunStats, String> {
             v => Some(v.as_usize().ok_or("non-integer blocks_consumed")?),
         },
         per_alloc,
-        degradation: DegradationStats {
-            fallback_remote_frames: u64_field(d, "fallback_remote_frames")?,
-            rejected_directives: u64_field(d, "rejected_directives")?,
-            tlb_class_missing: u64_field(d, "tlb_class_missing")?,
-            walk_queue_stalls: u64_field(d, "walk_queue_stalls")?,
-            walk_queue_stall_cycles: u64_field(d, "walk_queue_stall_cycles")?,
-            stale_tlb_hits: u64_field(d, "stale_tlb_hits")?,
-            audit_violations: u64_field(d, "audit_violations")?,
-            // Typed error samples are not round-tripped; the record keeps
-            // their rendered strings ("error_samples") for humans only.
-            errors: Vec::new(),
-        },
+        // Typed error samples are not round-tripped; the record keeps
+        // their rendered strings ("error_samples") for humans only.
         ..RunStats::default()
     };
+    for (name, v) in s.degradation.counters_mut() {
+        *v = u64_field(d, name)?;
+    }
     for c in Counter::ALL {
         *s.counter_mut(c) = u64_field(j, c.name())?;
     }
@@ -258,7 +233,7 @@ pub enum CellOutcome {
     /// Ran to completion with no degradation events.
     Completed,
     /// Ran to completion but absorbed degradation events
-    /// ([`DegradationStats::is_degraded`]).
+    /// ([`CellOutcome::of`]).
     Degraded,
     /// Not re-run: restored from a valid shard by `--resume`.
     Resumed,
@@ -272,6 +247,20 @@ pub enum CellOutcome {
 }
 
 impl CellOutcome {
+    /// How a cell whose run completed with `stats` finished:
+    /// [`CellOutcome::Degraded`] when the run absorbed degradation events
+    /// ([`DegradationStats::is_degraded`]), [`CellOutcome::Completed`]
+    /// otherwise.
+    ///
+    /// [`DegradationStats::is_degraded`]: mcm_sim::DegradationStats::is_degraded
+    pub fn of(stats: &RunStats) -> CellOutcome {
+        if stats.degradation.is_degraded() {
+            CellOutcome::Degraded
+        } else {
+            CellOutcome::Completed
+        }
+    }
+
     /// Journal spelling ("completed" / "degraded" / "resumed" /
     /// "aborted" / "panicked").
     pub fn as_str(self) -> &'static str {
@@ -390,8 +379,7 @@ impl CellRecord {
         outcome: &RunOutcome,
     ) -> CellRecord {
         let (kind, reason) = match outcome {
-            RunOutcome::Completed(_) => (CellOutcome::Completed, String::new()),
-            RunOutcome::Degraded { .. } => (CellOutcome::Degraded, String::new()),
+            RunOutcome::Completed(stats) => (CellOutcome::of(stats), String::new()),
             RunOutcome::Aborted { reason, .. } => (CellOutcome::Aborted, reason.to_string()),
         };
         let stats = outcome.stats().clone();
@@ -543,21 +531,45 @@ pub fn shard_from_json(s: &str, want_fingerprint: Option<u64>) -> Result<CellRec
 // Live progress
 // ---------------------------------------------------------------------------
 
-/// Lock-free sweep progress counters, fed from the worker threads and
-/// drained by the monitor thread.
-///
-/// Implements [`SweepObserver`], so the
-/// [`SweepRunner`](crate::runner::SweepRunner) bumps `active`/`done`
-/// around every cell regardless of worker count (including serial runs).
+/// One sweep's cell tallies. Its [`SweepScope`] is the only writer (from
+/// the worker threads); the progress line and the sweep's timing read
+/// them.
+#[derive(Debug, Default)]
+struct SweepCounts {
+    exp: String,
+    total: usize,
+    active: AtomicUsize,
+    done: AtomicUsize,
+    degraded: AtomicUsize,
+    resumed: AtomicUsize,
+}
+
+/// A running cell: counted active while alive, done once dropped — also
+/// when the cell unwinds (`--fail-fast`), since the runner still drains
+/// it.
+struct Running<'c>(&'c SweepCounts);
+
+impl<'c> Running<'c> {
+    fn start(counts: &'c SweepCounts) -> Running<'c> {
+        counts.active.fetch_add(1, Ordering::Relaxed);
+        Running(counts)
+    }
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::Relaxed);
+        self.0.done.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The live progress line of one `figures` invocation: it reads the cell
+/// tallies of every sweep opened so far.
 #[derive(Debug)]
 pub struct Progress {
     start: Instant,
-    total: AtomicUsize,
-    done: AtomicUsize,
-    active: AtomicUsize,
-    degraded: AtomicUsize,
-    resumed: AtomicUsize,
-    current: Mutex<String>,
+    /// Every sweep opened so far, in opening order (the last is current).
+    sweeps: Mutex<Vec<Arc<SweepCounts>>>,
     stop: AtomicBool,
 }
 
@@ -565,35 +577,36 @@ impl Progress {
     fn new() -> Progress {
         Progress {
             start: Instant::now(),
-            total: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
-            degraded: AtomicUsize::new(0),
-            resumed: AtomicUsize::new(0),
-            current: Mutex::new(String::new()),
+            sweeps: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
         }
     }
 
-    fn begin_sweep(&self, exp: &str, cells: usize) {
-        self.total.fetch_add(cells, Ordering::Relaxed);
-        let mut cur = self.current.lock().unwrap_or_else(|p| p.into_inner());
-        *cur = exp.to_string();
+    fn sweeps(&self) -> MutexGuard<'_, Vec<Arc<SweepCounts>>> {
+        self.sweeps.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Whether any sweep with cells has opened.
+    fn has_cells(&self) -> bool {
+        self.sweeps().iter().any(|s| s.total > 0)
     }
 
     /// One status line: `done/total cells, rate, ETA, degraded count,
     /// resumed count, active workers`.
     pub fn render_line(&self) -> String {
-        let done = self.done.load(Ordering::Relaxed);
-        let total = self.total.load(Ordering::Relaxed);
-        let degraded = self.degraded.load(Ordering::Relaxed);
-        let resumed = self.resumed.load(Ordering::Relaxed);
-        let active = self.active.load(Ordering::Relaxed);
-        let cur = self
-            .current
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
+        let sweeps = self.sweeps();
+        let sum = |count: fn(&SweepCounts) -> &AtomicUsize| -> usize {
+            sweeps
+                .iter()
+                .map(|s| count(s).load(Ordering::Relaxed))
+                .sum()
+        };
+        let done = sum(|s| &s.done);
+        let degraded = sum(|s| &s.degraded);
+        let resumed = sum(|s| &s.resumed);
+        let active = sum(|s| &s.active);
+        let total: usize = sweeps.iter().map(|s| s.total).sum();
+        let cur = sweeps.last().map_or("", |s| s.exp.as_str());
         let elapsed = self.start.elapsed().as_secs_f64().max(1e-9);
         let rate = done as f64 / elapsed;
         let eta = if done > 0 && total > done {
@@ -606,17 +619,6 @@ impl Progress {
             "[sweep {cur}] {done}/{total} cells, {rate:.2} cells/s, ETA {eta}, \
              {degraded} degraded, {resumed} resumed, {active} active workers"
         )
-    }
-}
-
-impl SweepObserver for Progress {
-    fn cell_started(&self, _index: usize) {
-        self.active.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn cell_finished(&self, _index: usize) {
-        self.active.fetch_sub(1, Ordering::Relaxed);
-        self.done.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -685,7 +687,7 @@ impl Telemetry {
                 since_print += tick;
                 if since_print >= interval {
                     since_print = Duration::ZERO;
-                    if p.total.load(Ordering::Relaxed) > 0 {
+                    if p.has_cells() {
                         eprintln!("{}", p.render_line());
                     }
                 }
@@ -696,18 +698,10 @@ impl Telemetry {
         self
     }
 
-    /// The observer the sweep runner should report cell lifecycles to.
-    pub fn observer(&self) -> &dyn SweepObserver {
-        match &self.progress {
-            Some(p) => p.as_ref(),
-            None => &crate::runner::NOOP_OBSERVER,
-        }
-    }
-
-    /// Opens one sweep's journal and shard directory. Cell completions
-    /// are journaled through the returned scope from the worker threads;
-    /// call [`SweepScope::finish`] when the sweep ends to fold its
-    /// timing into [`Telemetry::experiment_counters`].
+    /// Opens one sweep's journal and shard directory. Every cell runs
+    /// through [`SweepScope::cell`] on the worker threads; call
+    /// [`SweepScope::finish`] when the sweep ends to fold its timing into
+    /// [`Telemetry::experiment_counters`].
     pub fn sweep(&self, exp: &str, total: usize, harness_fingerprint: u64) -> SweepScope<'_> {
         let shard_dir = self.root.join("shards").join(exp);
         let journal = open_journal(&self.root, exp)
@@ -716,18 +710,20 @@ impl Telemetry {
         if let Err(e) = fs::create_dir_all(&shard_dir) {
             eprintln!("warning: telemetry shard dir for {exp} unavailable: {e}");
         }
+        let counts = Arc::new(SweepCounts {
+            exp: exp.to_string(),
+            total,
+            ..SweepCounts::default()
+        });
         if let Some(p) = &self.progress {
-            p.begin_sweep(exp, total);
+            p.sweeps().push(Arc::clone(&counts));
         }
         SweepScope {
             tele: self,
-            exp: exp.to_string(),
+            counts,
             journal: Mutex::new(journal),
             shard_dir,
             harness_fingerprint,
-            total,
-            degraded: AtomicUsize::new(0),
-            resumed: AtomicUsize::new(0),
             cell_walls: Mutex::new(Vec::new()),
             engine: "cycle".to_string(),
             start: Instant::now(),
@@ -747,7 +743,7 @@ impl Telemetry {
     /// line. Idempotent; also runs on drop.
     pub fn finish(&self) {
         if let Some(p) = &self.progress {
-            if !p.stop.swap(true, Ordering::Relaxed) && p.total.load(Ordering::Relaxed) > 0 {
+            if !p.stop.swap(true, Ordering::Relaxed) && p.has_cells() {
                 eprintln!("{}", p.render_line());
             }
         }
@@ -778,19 +774,15 @@ impl Drop for Telemetry {
     }
 }
 
-/// One sweep's journaling scope: shared by the worker threads, which call
-/// [`SweepScope::try_restore`] for every cell and then, for each cell
-/// that had to run, [`SweepScope::record_success`] or
-/// [`SweepScope::record_failure`].
+/// One sweep's journaling scope, shared by the worker threads, which run
+/// every cell through [`SweepScope::cell`]. It is the one place a cell is
+/// counted as active, done, degraded or resumed.
 pub struct SweepScope<'t> {
     tele: &'t Telemetry,
-    exp: String,
+    counts: Arc<SweepCounts>,
     journal: Mutex<Option<fs::File>>,
     shard_dir: PathBuf,
     harness_fingerprint: u64,
-    total: usize,
-    degraded: AtomicUsize,
-    resumed: AtomicUsize,
     /// `(cell index, wall microseconds)` pairs, pushed from the worker
     /// threads in completion order and sorted by index at `finish`.
     cell_walls: Mutex<Vec<(usize, u64)>>,
@@ -820,25 +812,57 @@ impl SweepScope<'_> {
     pub fn cell_fingerprint(&self, index: usize, spec: &CellSpec) -> u64 {
         fnv1a(&format!(
             "{SCHEMA_VERSION}|{}|{index}|{}|{}|{}|{:016x}",
-            self.exp, spec.workload, spec.config, spec.seed, self.harness_fingerprint
+            self.counts.exp, spec.workload, spec.config, spec.seed, self.harness_fingerprint
         ))
+    }
+
+    /// Runs cell `index` of the sweep: restores it from its shard when
+    /// resuming, otherwise calls `run` (the supervised cell) and journals
+    /// its verdict — a healthy cell with its shard, a quarantined one
+    /// without. Returns the statistics the grid uses: decoded from the
+    /// shard encoding, or zeros for a quarantined cell.
+    pub fn cell(
+        &self,
+        index: usize,
+        spec: &CellSpec,
+        run: impl FnOnce() -> CellVerdict,
+    ) -> RunStats {
+        let _running = Running::start(&self.counts);
+        self.try_restore(index, spec).unwrap_or_else(|| {
+            let t0 = Instant::now();
+            let verdict = run();
+            let wall_us = t0.elapsed().as_micros() as u64;
+            match verdict {
+                CellVerdict::Healthy(stats) => self.record_success(index, spec, wall_us, stats),
+                CellVerdict::Quarantined {
+                    outcome,
+                    reason,
+                    stats,
+                    ..
+                } => {
+                    self.record_failure(index, spec, wall_us, outcome, &reason, stats);
+                    RunStats::default()
+                }
+            }
+        })
     }
 
     /// Attempts to restore cell `index` from its shard (resume mode
     /// only). A valid shard is journaled as [`CellOutcome::Resumed`] and
     /// its decoded statistics returned; a missing, corrupt, or stale
     /// shard returns `None` — the caller re-runs the cell.
-    pub fn try_restore(&self, index: usize, spec: &CellSpec) -> Option<RunStats> {
+    fn try_restore(&self, index: usize, spec: &CellSpec) -> Option<RunStats> {
         if !self.tele.resume {
             return None;
         }
+        let exp = &self.counts.exp;
         let fingerprint = self.cell_fingerprint(index, spec);
         let t0 = Instant::now();
         match fs::read_to_string(self.shard_path(index)) {
             Ok(body) => match shard_from_json(&body, Some(fingerprint)) {
                 Ok(shard) => {
                     let wall_us = t0.elapsed().as_micros() as u64;
-                    let (exp, total, resumed) = (&self.exp, self.total, CellOutcome::Resumed);
+                    let (total, resumed) = (self.counts.total, CellOutcome::Resumed);
                     let record = CellRecord::from_stats(
                         exp,
                         spec,
@@ -850,24 +874,18 @@ impl SweepScope<'_> {
                     )
                     .with_engine(&self.engine);
                     self.append_journal(&record.to_json_line());
-                    self.resumed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(p) = &self.tele.progress {
-                        p.resumed.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.counts.resumed.fetch_add(1, Ordering::Relaxed);
                     self.note_cell_wall(index, wall_us);
                     self.note_degradation(&record.stats);
                     return Some(record.stats);
                 }
                 Err(e) => eprintln!(
-                    "[telemetry] re-running {} cell {index} ({}/{}): {e}",
-                    self.exp, spec.workload, spec.config
+                    "[telemetry] re-running {exp} cell {index} ({}/{}): {e}",
+                    spec.workload, spec.config
                 ),
             },
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => eprintln!(
-                "[telemetry] re-running {} cell {index}: unreadable shard: {e}",
-                self.exp
-            ),
+            Err(e) => eprintln!("[telemetry] re-running {exp} cell {index}: unreadable shard: {e}"),
         }
         None
     }
@@ -876,21 +894,17 @@ impl SweepScope<'_> {
     /// statistics decoded back from the shard encoding (so the assembled
     /// grid provably comes from shard data). The record is serialized
     /// once: the journal line is also the shard's `record`.
-    pub fn record_success(
+    fn record_success(
         &self,
         index: usize,
         spec: &CellSpec,
         wall_us: u64,
         stats: RunStats,
     ) -> RunStats {
-        let outcome = if stats.degradation.is_degraded() {
-            CellOutcome::Degraded
-        } else {
-            CellOutcome::Completed
-        };
-        let record =
-            CellRecord::from_stats(&self.exp, spec, index, self.total, wall_us, outcome, stats)
-                .with_engine(&self.engine);
+        let (exp, total) = (&self.counts.exp, self.counts.total);
+        let outcome = CellOutcome::of(&stats);
+        let record = CellRecord::from_stats(exp, spec, index, total, wall_us, outcome, stats)
+            .with_engine(&self.engine);
         let line = record.to_json_line();
         let body = shard_to_json(self.cell_fingerprint(index, spec), &line);
         // Temp-file + rename: a crash mid-write leaves no half-shard that
@@ -899,7 +913,7 @@ impl SweepScope<'_> {
             .write_shard(&self.shard_path(index), &body)
             .map_err(|e| format!("failed to write shard: {e}"))
             .and_then(|()| shard_from_json(&body, None))
-            .map_err(|e| eprintln!("warning: {} cell {index}: {e}", self.exp));
+            .map_err(|e| eprintln!("warning: {exp} cell {index}: {e}"));
         let stats = decoded.map_or(record.stats, |r| r.stats);
         self.append_journal(&line);
         self.note_cell_wall(index, wall_us);
@@ -911,7 +925,7 @@ impl SweepScope<'_> {
     /// [`CellOutcome::Panicked`] with the failure reason, plus whatever
     /// partial statistics the aborted run produced. No shard is written,
     /// so a later `--resume` re-runs the cell once the cause is fixed.
-    pub fn record_failure(
+    fn record_failure(
         &self,
         index: usize,
         spec: &CellSpec,
@@ -920,10 +934,10 @@ impl SweepScope<'_> {
         reason: &str,
         stats: RunStats,
     ) {
-        let record =
-            CellRecord::from_stats(&self.exp, spec, index, self.total, wall_us, outcome, stats)
-                .with_reason(reason)
-                .with_engine(&self.engine);
+        let (exp, total) = (&self.counts.exp, self.counts.total);
+        let record = CellRecord::from_stats(exp, spec, index, total, wall_us, outcome, stats)
+            .with_reason(reason)
+            .with_engine(&self.engine);
         self.append_journal(&record.to_json_line());
         self.note_cell_wall(index, wall_us);
     }
@@ -943,10 +957,7 @@ impl SweepScope<'_> {
 
     fn note_degradation(&self, stats: &RunStats) {
         if stats.degradation.is_degraded() {
-            self.degraded.fetch_add(1, Ordering::Relaxed);
-            if let Some(p) = &self.tele.progress {
-                p.degraded.fetch_add(1, Ordering::Relaxed);
-            }
+            self.counts.degraded.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -954,7 +965,10 @@ impl SweepScope<'_> {
         let mut guard = self.journal.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(file) = guard.as_mut() {
             if let Err(e) = writeln!(file, "{line}") {
-                eprintln!("warning: journal append failed for {}: {e}", self.exp);
+                eprintln!(
+                    "warning: journal append failed for {}: {e}",
+                    self.counts.exp
+                );
                 *guard = None;
             }
         }
@@ -968,12 +982,13 @@ impl SweepScope<'_> {
             .into_inner()
             .unwrap_or_else(|p| p.into_inner());
         walls.sort_unstable_by_key(|&(i, _)| i);
+        let counts = &self.counts;
         let timing = ExperimentTiming {
-            id: self.exp,
+            id: counts.exp.clone(),
             seconds: self.start.elapsed().as_secs_f64(),
-            cells: self.total,
-            degraded: self.degraded.into_inner(),
-            resumed: self.resumed.into_inner(),
+            cells: counts.total,
+            degraded: counts.degraded.load(Ordering::Relaxed),
+            resumed: counts.resumed.load(Ordering::Relaxed),
             cell_wall_us: walls.into_iter().map(|(_, us)| us).collect(),
         };
         self.tele
@@ -1285,6 +1300,7 @@ pub fn summarize(records: &[CellRecord]) -> Vec<ExpSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcm_sim::DegradationStats;
 
     fn sample_stats() -> RunStats {
         let mut per_alloc = std::collections::HashMap::new();
@@ -1386,13 +1402,15 @@ mod tests {
             r.reason
         );
         assert_eq!(r.stats.cycles, s.cycles);
-        let degraded = RunOutcome::Degraded {
-            stats: s.clone(),
-            errors: Vec::new(),
-        };
+        // A completed run is classified by its statistics alone.
+        let degraded = RunOutcome::Completed(s.clone());
         let r = CellRecord::from_outcome("x", &spec(), 0, 1, 1, &degraded);
         assert_eq!((r.outcome, r.reason.as_str()), (CellOutcome::Degraded, ""));
-        let r = CellRecord::from_outcome("x", &spec(), 0, 1, 1, &RunOutcome::Completed(s));
+        let clean = RunStats {
+            degradation: DegradationStats::default(),
+            ..s
+        };
+        let r = CellRecord::from_outcome("x", &spec(), 0, 1, 1, &RunOutcome::Completed(clean));
         assert_eq!(r.outcome, CellOutcome::Completed);
     }
 
@@ -1724,15 +1742,44 @@ mod tests {
     }
 
     #[test]
-    fn progress_counters_render() {
-        let p = Progress::new();
-        p.begin_sweep("fig1", 10);
-        p.cell_started(0);
-        p.cell_finished(0);
-        p.cell_started(1);
-        let line = p.render_line();
-        assert!(line.contains("[sweep fig1] 1/10 cells"), "{line}");
-        assert!(line.contains("1 active workers"), "{line}");
+    fn scope_counts_every_cell_for_progress_and_timing() {
+        let dir = std::env::temp_dir().join("clap-repro-test-telemetry-progress");
+        let _ = fs::remove_dir_all(&dir);
+        let tele = Telemetry::new(&dir).with_progress(Duration::from_secs(3600));
+        let progress = tele.progress.clone().expect("progress is on");
+        let scope = tele.sweep("figP", 3, 42);
+        let healthy = scope.cell(0, &spec(), || CellVerdict::Healthy(sample_stats()));
+        assert_eq!(healthy.cycles, sample_stats().cycles);
+        let quarantined = scope.cell(1, &spec(), || CellVerdict::Quarantined {
+            outcome: CellOutcome::Panicked,
+            reason: "boom".into(),
+            stats: sample_stats(),
+            attempts: 1,
+        });
+        assert_eq!(
+            quarantined,
+            RunStats::default(),
+            "quarantined cells read zero"
+        );
+        // A cell that unwinds (`--fail-fast`) still finishes.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scope.cell(2, &spec(), || panic!("fail-fast"))
+        }));
+        assert!(unwound.is_err());
+        let line = progress.render_line();
+        assert!(line.contains("[sweep figP] 3/3 cells"), "{line}");
+        assert!(line.contains("1 degraded, 0 resumed"), "{line}");
+        assert!(line.contains("0 active workers"), "{line}");
         assert!(line.contains("ETA"), "{line}");
+        scope.finish();
+        // A resumed sweep counts the restored cell once, as resumed.
+        let tele = Telemetry::new(&dir).with_resume(true);
+        let scope = tele.sweep("figP", 3, 42);
+        let restored = scope.cell(0, &spec(), || panic!("a valid shard is not re-run"));
+        assert_eq!(stats_to_json(&restored), stats_to_json(&healthy));
+        scope.finish();
+        let t = &tele.experiment_counters()[0];
+        assert_eq!((t.cells, t.degraded, t.resumed), (3, 1, 1));
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -58,12 +58,10 @@ fn chaos_run(kind: ConfigKind, seed: u64) -> (ChaosStats, Option<RunStats>) {
     cfg.audit_epochs = true; // cross-checks table/TLB/free-list coherence
     let mut chaotic = ChaosPolicy::new(policy, ChaosConfig::with_seed(seed));
     let w = tiny_workload(seed ^ 0x9e37_79b9);
-    match run_outcome(&cfg, &w, &mut chaotic, None) {
-        Ok(RunOutcome::Completed(stats)) | Ok(RunOutcome::Degraded { stats, .. }) => {
-            (chaotic.stats(), Some(stats))
-        }
-        Ok(RunOutcome::Aborted { .. }) | Err(_) => (chaotic.stats(), None),
-    }
+    let stats = run_outcome(&cfg, &w, &mut chaotic, None)
+        .and_then(RunOutcome::completed)
+        .ok();
+    (chaotic.stats(), stats)
 }
 
 proptest! {
@@ -187,8 +185,9 @@ fn over_subscribed_chiplet_falls_back_and_completes() {
     let mut cfg = SimConfig::baseline().scaled(8);
     cfg.pf_blocks_per_chiplet = 2;
     let mut p = PinnedFirstTouch { allocator: None };
-    let stats =
-        mcm_sim::run(&cfg, &w, &mut p, None).expect("over-subscription must degrade, not fail");
+    let stats = run_outcome(&cfg, &w, &mut p, None)
+        .and_then(RunOutcome::completed)
+        .expect("over-subscription must degrade, not fail");
     assert!(
         stats.degradation.fallback_remote_frames > 0,
         "exhausting chiplet 0 must spill frames to remote chiplets"

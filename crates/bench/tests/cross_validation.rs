@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use mcm_bench::configs::ConfigKind;
 use mcm_bench::experiments::{EngineKind, Harness};
-use mcm_sim::{RunStats, TileMapping, TiledGemm, TopologyKind};
+use mcm_sim::{RunOutcome, RunStats, TileMapping, TiledGemm, TopologyKind};
 use mcm_types::PageSize;
 use mcm_workloads::suite;
 
@@ -201,10 +201,9 @@ fn topo_cells(wall: &mut (Duration, Duration)) -> Vec<Cell> {
                         "mesh" => TopologyKind::square_mesh(n),
                         _ => TopologyKind::FullyConnected,
                     };
-                    match h.try_run_workload(&base, w, ConfigKind::Clap) {
-                        Ok(out) => out.into_stats(),
-                        Err(e) => panic!("{fabric}/{n} failed: {e}"),
-                    }
+                    h.try_run_workload(&base, w, ConfigKind::Clap)
+                        .and_then(RunOutcome::completed)
+                        .unwrap_or_else(|e| panic!("{fabric}/{n} failed: {e}"))
                 };
                 let (cycle, analytic) = run_both(&cycle_h, &analytic_h, run, wall);
                 cells.push(Cell {

@@ -20,13 +20,13 @@
 //!
 //! ```
 //! use clap_core::Clap;
-//! use mcm_sim::{run, PagingPolicy, SimConfig};
+//! use mcm_sim::{run_outcome, PagingPolicy, SimConfig};
 //! use mcm_workloads::{suite, FOOTPRINT_SCALE};
 //!
 //! let mut cfg = SimConfig::baseline().scaled(FOOTPRINT_SCALE);
 //! cfg.translation = Clap::translation();
 //! let mut clap = Clap::new();
-//! let stats = run(&cfg, &suite::blk(), &mut clap, None)?;
+//! let stats = run_outcome(&cfg, &suite::blk(), &mut clap, None)?.completed()?;
 //! assert!(stats.mem_insts > 0);
 //! # Ok::<(), mcm_sim::SimError>(())
 //! ```

@@ -297,50 +297,11 @@ impl Clap {
     fn st(&mut self) -> Option<&mut St> {
         self.st.as_mut()
     }
-
-    /// Diagnostic snapshot of a structure's OLP state (for the harness's
-    /// debug output).
-    #[doc(hidden)]
-    pub fn debug_olp(&self, alloc: AllocId) -> String {
-        let Some(a) = self.st.as_ref().and_then(|st| st.per.get(&alloc)) else {
-            return "unknown alloc".into();
-        };
-        format!(
-            "phase={:?} mapped={} touched={} promoted={} releases={} olp_enabled={}",
-            a.phase,
-            a.mapped_pages,
-            a.olp_touched.len(),
-            a.olp_promoted,
-            a.releases,
-            a.olp_enabled
-        )
-    }
 }
 
 impl Default for Clap {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// The chiplet static analysis predicts for the page at `offset` of a
-/// structure (LASP/SUV model, §5.2) — mirrors `mcm_policies`' SA rule.
-fn sa_chiplet(hint: StaticHint, bytes: u64, offset: u64, chiplets: usize) -> ChipletId {
-    match hint {
-        StaticHint::Partitioned { period_bytes } => {
-            let p = if period_bytes == 0 || period_bytes > bytes {
-                bytes
-            } else {
-                period_bytes
-            };
-            let pos = offset % p;
-            ChipletId::new(
-                ((pos as u128 * chiplets as u128 / p as u128) as usize).min(chiplets - 1) as u8,
-            )
-        }
-        StaticHint::Shared | StaticHint::Irregular => {
-            ChipletId::new(((offset / BASE_PAGE_BYTES) % chiplets as u64) as u8)
-        }
     }
 }
 
@@ -357,7 +318,7 @@ fn predict_static_size(hint: StaticHint, bytes: u64, chiplets: usize) -> PageSiz
             for i in 0..32 {
                 tree.set_leaf(
                     i,
-                    sa_chiplet(hint, bytes, i as u64 * BASE_PAGE_BYTES, chiplets),
+                    hint.sa_chiplet(bytes, i as u64 * BASE_PAGE_BYTES, chiplets),
                 );
             }
             select_size([&tree].into_iter(), 0.0).unwrap_or(PageSize::Size64K)
@@ -410,7 +371,7 @@ impl PagingPolicy for Clap {
         }
         self.st = Some(St {
             allocator: FrameAllocator::new(cfg.layout(), cfg.pf_blocks_per_chiplet)
-                .with_scatter(32),
+                .with_scatter(FrameAllocator::DRIVER_SCATTER),
             layout: cfg.layout(),
             num_chiplets,
             rt: RemoteTracker::new(num_chiplets),
@@ -448,7 +409,7 @@ impl PagingPolicy for Clap {
                 _ => BASE_PAGE_BYTES,
             };
             let off = ctx.va.align_down(gran).distance_from(a.base);
-            sa_chiplet(a.hint, a.bytes, off, st.num_chiplets)
+            a.hint.sa_chiplet(a.bytes, off, st.num_chiplets)
         };
         let _ = mode;
 
@@ -488,17 +449,6 @@ impl PagingPolicy for Clap {
                 Some(s) => Phase::Apply(s),
                 None => Phase::OlpFallback,
             };
-            if std::env::var_os("CLAP_DEBUG_MMA").is_some() {
-                let full = a.trees.values().filter(|t| t.is_full()).count();
-                let mut blocks: Vec<(u64, usize)> =
-                    a.trees.iter().map(|(b, t)| (*b, t.mapped())).collect();
-                blocks.sort_unstable();
-                eprintln!(
-                    "[mma] alloc={} mapped={} thr={} trees={} full={} rt={:.2} -> {:?} | first blocks: {:?}",
-                    ctx.alloc, a.mapped_pages, a.threshold_pages, a.trees.len(), full, ratio, a.phase,
-                    &blocks[..blocks.len().min(8)]
-                );
-            }
         }
         Ok(dirs)
     }

@@ -142,6 +142,10 @@ impl FrameAllocator {
         }
     }
 
+    /// The scatter window every driver-modelling policy allocates with
+    /// ([`Self::with_scatter`]).
+    pub const DRIVER_SCATTER: usize = 32;
+
     /// Picks frames pseudo-randomly among the last `window` free-list
     /// entries instead of strict LIFO, modelling real-driver frame scatter
     /// (which defeats accidental physical contiguity; CLAP's reservations

@@ -121,7 +121,7 @@ impl PagingPolicy for CNuma {
     fn begin(&mut self, _allocs: &[AllocInfo], cfg: &SimConfig) {
         self.st = Some(St {
             allocator: FrameAllocator::new(cfg.layout(), cfg.pf_blocks_per_chiplet)
-                .with_scatter(32),
+                .with_scatter(FrameAllocator::DRIVER_SCATTER),
             reservations: ReservationTable::new(),
             layout: cfg.layout(),
             blocks: HashMap::new(),

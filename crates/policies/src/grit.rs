@@ -88,7 +88,7 @@ impl PagingPolicy for Grit {
     fn begin(&mut self, _allocs: &[AllocInfo], cfg: &SimConfig) {
         self.st = Some(St {
             allocator: FrameAllocator::new(cfg.layout(), cfg.pf_blocks_per_chiplet)
-                .with_scatter(32),
+                .with_scatter(FrameAllocator::DRIVER_SCATTER),
             layout: cfg.layout(),
             history: HashMap::new(),
             dirty: HashSet::new(),

@@ -2,7 +2,7 @@
 //! placement (paper configs 1, 2, 5-7, 9 and the SA baselines of §5.2).
 
 use mcm_mem::{FrameAllocator, ReservationTable};
-use mcm_sim::{AllocInfo, Directive, FaultCtx, PagingPolicy, SimConfig, SimError, StaticHint};
+use mcm_sim::{AllocInfo, Directive, FaultCtx, PagingPolicy, SimConfig, SimError};
 use mcm_types::{AllocId, ChipletId, PageSize, PhysLayout, VirtAddr, BASE_PAGE_BYTES};
 
 use crate::mem_to_sim;
@@ -144,30 +144,10 @@ impl StaticPaging {
                 // which is exactly the misalignment effect of §5.2.
                 let gran = self.size.bytes().max(BASE_PAGE_BYTES);
                 let region_off = ctx.va.align_down(gran).distance_from(info.base);
-                Ok(sa_chiplet(info, region_off, st.layout.num_chiplets()))
+                Ok(info
+                    .hint
+                    .sa_chiplet(info.bytes, region_off, st.layout.num_chiplets()))
             }
-        }
-    }
-}
-
-/// The chiplet a static-analysis pass would assign to the page at
-/// `offset` within `info` (LASP/SUV model; §5.2).
-pub(crate) fn sa_chiplet(info: &AllocInfo, offset: u64, chiplets: usize) -> ChipletId {
-    match info.hint {
-        StaticHint::Partitioned { period_bytes } => {
-            let p = if period_bytes == 0 || period_bytes > info.bytes {
-                info.bytes
-            } else {
-                period_bytes
-            };
-            let pos = offset % p;
-            ChipletId::new(
-                ((pos as u128 * chiplets as u128 / p as u128) as usize).min(chiplets - 1) as u8,
-            )
-        }
-        // Shared or unanalysable: interleave 64KB pages round-robin.
-        StaticHint::Shared | StaticHint::Irregular => {
-            ChipletId::new(((offset / BASE_PAGE_BYTES) % chiplets as u64) as u8)
         }
     }
 }
@@ -178,13 +158,9 @@ impl PagingPolicy for StaticPaging {
     }
 
     fn begin(&mut self, allocs: &[AllocInfo], cfg: &SimConfig) {
-        let scatter = std::env::var("CLAP_SCATTER")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(32);
         self.st = Some(St {
             allocator: FrameAllocator::new(cfg.layout(), cfg.pf_blocks_per_chiplet)
-                .with_scatter(scatter),
+                .with_scatter(FrameAllocator::DRIVER_SCATTER),
             reservations: ReservationTable::new(),
             allocs: allocs.to_vec(),
             layout: cfg.layout(),
@@ -282,6 +258,7 @@ fn map_demand_page(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcm_sim::StaticHint;
     use mcm_types::{SmId, TbId};
 
     fn ctx(va: u64, alloc: u16, chiplet: u8) -> FaultCtx {
@@ -436,7 +413,11 @@ mod tests {
             hint: StaticHint::Irregular,
         };
         let c: Vec<usize> = (0..6)
-            .map(|i| sa_chiplet(&info, i * BASE_PAGE_BYTES, 4).index())
+            .map(|i| {
+                info.hint
+                    .sa_chiplet(info.bytes, i * BASE_PAGE_BYTES, 4)
+                    .index()
+            })
             .collect();
         assert_eq!(c, vec![0, 1, 2, 3, 0, 1]);
     }

@@ -3,7 +3,7 @@
 //! paper's motivation (§1, §3.3) rests on.
 
 use mcm_policies::{s2m, s64k, sa_64k, Nuba};
-use mcm_sim::{run, PagingPolicy, RunStats, SimConfig, TranslationConfig};
+use mcm_sim::{run_outcome, PagingPolicy, RunOutcome, RunStats, SimConfig, TranslationConfig};
 use mcm_workloads::{suite, SyntheticWorkload, FOOTPRINT_SCALE};
 
 fn cfg() -> SimConfig {
@@ -14,7 +14,9 @@ fn cfg() -> SimConfig {
 /// shapes are scale-robust.
 fn run_with(w: &SyntheticWorkload, mut policy: impl PagingPolicy) -> RunStats {
     let w = w.clone().with_tb_scale(1, 4);
-    run(&cfg(), &w, &mut policy, None).expect("run succeeds")
+    run_outcome(&cfg(), &w, &mut policy, None)
+        .and_then(RunOutcome::completed)
+        .expect("run succeeds")
 }
 
 #[test]
@@ -145,12 +147,13 @@ fn remote_caching_recovers_part_of_2m_misplacement() {
     let cfgv = cfg();
     let mut nuba = Nuba::for_config(&cfgv);
     let mut pol = s2m();
-    let cached = run(
+    let cached = run_outcome(
         &cfgv,
         &w.clone().with_tb_scale(1, 4),
         &mut pol,
         Some(&mut nuba),
     )
+    .and_then(RunOutcome::completed)
     .expect("run succeeds");
     assert!(cached.remote_cache_hits > 0);
     assert!(
@@ -171,7 +174,9 @@ fn ideal_translation_upper_bounds_static_64k() {
         ..TranslationConfig::baseline()
     };
     let mut pol = mcm_policies::ideal();
-    let ideal = run(&icfg, &w.clone().with_tb_scale(1, 4), &mut pol, None).expect("run succeeds");
+    let ideal = run_outcome(&icfg, &w.clone().with_tb_scale(1, 4), &mut pol, None)
+        .and_then(RunOutcome::completed)
+        .expect("run succeeds");
     // Same placement => same locality; magically bigger TLB reach => fewer
     // walks and at least equal performance.
     assert!((ideal.remote_ratio() - base.remote_ratio()).abs() < 0.02);
@@ -185,7 +190,9 @@ fn eight_chiplet_machine_runs_the_subset() {
     let mut c8 = SimConfig::eight_chiplets().scaled(FOOTPRINT_SCALE);
     c8.epoch_cycles = u64::MAX; // no reactive policies here
     let mut pol = s64k();
-    let s = run(&c8, &w, &mut pol, None).expect("run succeeds");
+    let s = run_outcome(&c8, &w, &mut pol, None)
+        .and_then(RunOutcome::completed)
+        .expect("run succeeds");
     assert!(s.mem_insts > 0);
     assert!(s.remote_ratio() < 0.2);
 }

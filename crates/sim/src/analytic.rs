@@ -84,22 +84,12 @@ impl PlacementModel {
         let sizes = allocs
             .iter()
             .map(|a| {
-                let size = match a.hint {
-                    StaticHint::Partitioned { period_bytes } => {
-                        let p = if period_bytes == 0 || period_bytes > a.bytes {
-                            a.bytes
-                        } else {
-                            period_bytes
-                        };
-                        let span = p / chiplets.max(1) as u64;
-                        if span >= PageSize::Size2M.bytes() {
-                            PageSize::Size2M
-                        } else {
-                            PageSize::Size64K
-                        }
+                let size = match (a.hint, a.hint.period(a.bytes)) {
+                    (StaticHint::Shared, _) => PageSize::Size2M,
+                    (_, Some(p)) if p / chiplets.max(1) as u64 >= PageSize::Size2M.bytes() => {
+                        PageSize::Size2M
                     }
-                    StaticHint::Shared => PageSize::Size2M,
-                    StaticHint::Irregular => PageSize::Size64K,
+                    _ => PageSize::Size64K,
                 };
                 (a.id, size)
             })
@@ -200,30 +190,6 @@ fn ratio(num: u64, den: u64) -> f64 {
         0.0
     } else {
         num as f64 / den as f64
-    }
-}
-
-/// Static-analysis owner of the granule at `offset` within `info` —
-/// the same pure function `mcm_policies`' SA placement applies (kept in
-/// sync by the cross-validation suite, since `sim` cannot depend on
-/// `policies`).
-fn sa_chiplet(info: &AllocInfo, offset: u64, chiplets: usize) -> usize {
-    match info.hint {
-        StaticHint::Partitioned { period_bytes } => {
-            let p = if period_bytes == 0 || period_bytes > info.bytes {
-                info.bytes
-            } else {
-                period_bytes
-            };
-            if p == 0 {
-                return 0;
-            }
-            let pos = offset % p;
-            ((pos as u128 * chiplets as u128 / p as u128) as usize).min(chiplets - 1)
-        }
-        StaticHint::Shared | StaticHint::Irregular => {
-            ((offset / BASE_PAGE_BYTES) % chiplets as u64) as usize
-        }
     }
 }
 
@@ -898,10 +864,10 @@ fn evaluate(
     for (a, am) in mods.iter_mut().enumerate() {
         let gran_shift = am.sub_shift + DEMAND_SHIFT;
         if sa {
-            let base = allocs[a].base.raw();
+            let (base, hint, bytes) = (allocs[a].base.raw(), allocs[a].hint, allocs[a].bytes);
             for g in 0..am.owners.len() {
                 let offset = ((am.gran_base + g as u64) << gran_shift).saturating_sub(base);
-                am.owners[g] = sa_chiplet(&allocs[a], offset, chiplets) as u8;
+                am.owners[g] = hint.sa_chiplet(bytes, offset, chiplets).index() as u8;
             }
         } else {
             let mut best = vec![u64::MAX; am.owners.len()];
@@ -1263,10 +1229,11 @@ mod tests {
         // sub-granules) to the winner's chiplet under this schedule.
         for (a, am) in mods.iter_mut().enumerate() {
             if sa {
+                let (hint, bytes) = (allocs[a].hint, allocs[a].bytes);
                 for g in 0..am.owners.len() {
                     let offset =
                         ((am.gran_base + g as u64) << am.gran_shift).saturating_sub(am.base);
-                    am.owners[g] = sa_chiplet(&allocs[a], offset, chiplets) as u8;
+                    am.owners[g] = hint.sa_chiplet(bytes, offset, chiplets).index() as u8;
                 }
             } else {
                 let sub_shift = am.gran_shift - demand_shift;

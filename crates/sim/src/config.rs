@@ -321,7 +321,7 @@ impl SimConfig {
     }
 
     /// Checks every structural invariant the engine relies on. Called by
-    /// [`run`](crate::run) before anything is built, so a bad
+    /// [`run_with`](crate::run_with) before anything is built, so a bad
     /// configuration fails with a typed
     /// [`SimError::ConfigInvalid`] instead of a panic (or a silent
     /// division by zero) mid-run.

@@ -39,21 +39,15 @@ use crate::trace::{TraceEventKind, TraceStage};
 use crate::workload::Workload;
 use crate::SimError;
 
-/// How a completed run ended (see DESIGN.md, "Error handling &
-/// degradation semantics").
+/// How a run ended (see DESIGN.md, "Error handling & degradation
+/// semantics"). Whether a completed run degraded is a fact of its
+/// statistics: [`DegradationStats::is_degraded`](crate::DegradationStats::is_degraded).
 #[derive(Clone, Debug)]
 pub enum RunOutcome {
-    /// The run completed with no degradation events.
+    /// The run completed, possibly absorbing degradation events along the
+    /// way (rejected directives, capacity fallbacks, walk-queue stalls,
+    /// ...), which [`RunStats::degradation`] counts.
     Completed(RunStats),
-    /// The run completed, but the engine absorbed faults along the way
-    /// (rejected directives, capacity fallbacks, walk-queue stalls, ...).
-    Degraded {
-        /// Full statistics of the (completed) run.
-        stats: RunStats,
-        /// Bounded sample of the typed errors behind the degradation
-        /// counters (a copy of `stats.degradation.errors`).
-        errors: Vec<SimError>,
-    },
     /// The run was cut short by a supervision limit — the cycle budget
     /// ([`SimConfig::max_cycles`]) or the livelock watchdog
     /// ([`SimConfig::stall_window`]). The statistics cover the partial run
@@ -72,9 +66,7 @@ impl RunOutcome {
     /// [`RunOutcome::Aborted`]).
     pub fn stats(&self) -> &RunStats {
         match self {
-            RunOutcome::Completed(s) => s,
-            RunOutcome::Degraded { stats, .. } => stats,
-            RunOutcome::Aborted { stats, .. } => stats,
+            RunOutcome::Completed(stats) | RunOutcome::Aborted { stats, .. } => stats,
         }
     }
 
@@ -82,15 +74,25 @@ impl RunOutcome {
     /// [`RunOutcome::Aborted`]).
     pub fn into_stats(self) -> RunStats {
         match self {
-            RunOutcome::Completed(s) => s,
-            RunOutcome::Degraded { stats, .. } => stats,
-            RunOutcome::Aborted { stats, .. } => stats,
+            RunOutcome::Completed(stats) | RunOutcome::Aborted { stats, .. } => stats,
         }
     }
 
-    /// `true` for [`RunOutcome::Degraded`].
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, RunOutcome::Degraded { .. })
+    /// The statistics of a completed run (degraded or not).
+    ///
+    /// # Errors
+    ///
+    /// An aborted run's [`SimError::BudgetExceeded`] or
+    /// [`SimError::Livelock`] reason.
+    ///
+    /// # Examples
+    ///
+    /// See `examples/quickstart.rs` in the repository root.
+    pub fn completed(self) -> Result<RunStats, SimError> {
+        match self {
+            RunOutcome::Completed(stats) => Ok(stats),
+            RunOutcome::Aborted { reason, .. } => Err(reason),
+        }
     }
 
     /// `true` for [`RunOutcome::Aborted`].
@@ -99,15 +101,18 @@ impl RunOutcome {
     }
 }
 
-/// Runs `workload` to completion under `policy` and returns the statistics.
+/// Runs `workload` under `policy` and reports how the run ended.
 ///
 /// `remote_cache` optionally interposes a NUBA/SAC-style remote-data cache
 /// between local L2 misses and the interconnect.
 ///
 /// Degradation events (rejected directives, capacity fallbacks, stale TLB
 /// coverage, walk-queue stalls) do **not** fail the run; they are counted
-/// in [`RunStats::degradation`]. Use [`run_outcome`] to distinguish clean
-/// from degraded completions.
+/// in [`RunStats::degradation`]. Supervision limits
+/// ([`SimConfig::max_cycles`], [`SimConfig::stall_window`]) surface as
+/// `Ok(RunOutcome::Aborted)` with partial statistics;
+/// [`RunOutcome::completed`] turns them into an `Err` for callers that
+/// want plain statistics.
 ///
 /// # Errors
 ///
@@ -116,34 +121,6 @@ impl RunOutcome {
 ///   it was given.
 /// * Any typed error the policy's fault handler returns (e.g.
 ///   [`SimError::OutOfFrames`] when physical memory is truly exhausted).
-/// * [`SimError::BudgetExceeded`] / [`SimError::Livelock`] when a
-///   supervision limit fires — callers that want the abort's partial
-///   statistics should use [`run_outcome`] and match
-///   [`RunOutcome::Aborted`].
-///
-/// # Examples
-///
-/// See `examples/quickstart.rs` in the repository root.
-pub fn run(
-    cfg: &SimConfig,
-    workload: &dyn Workload,
-    policy: &mut dyn PagingPolicy,
-    remote_cache: Option<&mut dyn RemoteCacheModel>,
-) -> Result<RunStats, SimError> {
-    match run_outcome(cfg, workload, policy, remote_cache)? {
-        RunOutcome::Aborted { reason, .. } => Err(reason),
-        done => Ok(done.into_stats()),
-    }
-}
-
-/// Like [`run`], but reports whether the completed run degraded and with
-/// which errors. Supervision limits ([`SimConfig::max_cycles`],
-/// [`SimConfig::stall_window`]) surface here as `Ok(RunOutcome::Aborted)`
-/// with partial statistics rather than as an `Err`.
-///
-/// # Errors
-///
-/// Configuration errors and unresolvable faults abort the run.
 pub fn run_outcome(
     cfg: &SimConfig,
     workload: &dyn Workload,
@@ -182,10 +159,6 @@ pub fn run_with<P: Probe>(
     let stats = m.finish(policy);
     Ok(match abort {
         Some(reason) => RunOutcome::Aborted { reason, stats },
-        None if stats.degradation.is_degraded() => {
-            let errors = stats.degradation.errors.clone();
-            RunOutcome::Degraded { stats, errors }
-        }
         None => RunOutcome::Completed(stats),
     })
 }

@@ -58,7 +58,7 @@ pub use cache::SetAssocCache;
 pub use chaos::{ChaosConfig, ChaosPolicy, ChaosStats, StateAuditor, Stonewall};
 pub use config::{PtePlacement, SimConfig, TlbEntries, TopologyKind, TranslationConfig};
 pub use dram::Dram;
-pub use engine::{run, run_outcome, run_with, RunOutcome};
+pub use engine::{run_outcome, run_with, RunOutcome};
 pub use error::SimError;
 pub use interconnect::{build_topology, FullyConnected, Mesh2d, Ring, Topology};
 pub use metrics::{imbalance, LinkTraffic, RunMetrics, SampleFrame, WARMUP_EPSILON};

@@ -6,7 +6,7 @@
 //! promote between faults. CLAP and every baseline of §5 implement this
 //! trait.
 
-use mcm_types::{AllocId, ChipletId, PageSize, PhysAddr, SmId, TbId, VirtAddr};
+use mcm_types::{AllocId, ChipletId, PageSize, PhysAddr, SmId, TbId, VirtAddr, BASE_PAGE_BYTES};
 
 use crate::{SimConfig, SimError};
 
@@ -30,6 +30,32 @@ pub enum StaticHint {
     Shared,
     /// Statically unanalysable (pointer chasing, data-dependent).
     Irregular,
+}
+
+impl StaticHint {
+    /// The locality period of a structure of `bytes` bytes under this
+    /// hint: `period_bytes`, or the whole structure when the period is 0
+    /// or longer than it. `None` for shared and irregular structures.
+    pub(crate) fn period(self, bytes: u64) -> Option<u64> {
+        match self {
+            StaticHint::Partitioned { period_bytes: 0 } => Some(bytes),
+            StaticHint::Partitioned { period_bytes } => Some(period_bytes.min(bytes)),
+            StaticHint::Shared | StaticHint::Irregular => None,
+        }
+    }
+
+    /// The chiplet static analysis (the LASP/SUV model of §5.2) assigns
+    /// the page at `offset` of a structure of `bytes` bytes: each period
+    /// splits evenly over the chiplets, and shared or unanalysable
+    /// structures interleave 64KB pages round-robin.
+    pub fn sa_chiplet(self, bytes: u64, offset: u64, chiplets: usize) -> ChipletId {
+        let index = match self.period(bytes) {
+            Some(0) => 0,
+            Some(p) => ((offset % p) as u128 * chiplets as u128 / p as u128) as usize,
+            None => ((offset / BASE_PAGE_BYTES) % chiplets as u64) as usize,
+        };
+        ChipletId::new(index.min(chiplets - 1) as u8)
+    }
 }
 
 /// One GPU memory allocation ("data structure").
@@ -291,6 +317,28 @@ pub trait RemoteCacheModel: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn static_analysis_splits_each_period_over_the_chiplets() {
+        const KB: u64 = 1024;
+        let c = |hint: StaticHint, bytes, offset| hint.sa_chiplet(bytes, offset, 4).index();
+        let every_256k = StaticHint::Partitioned {
+            period_bytes: 256 * KB,
+        };
+        let owners: Vec<usize> = (0..8)
+            .map(|i| c(every_256k, 1 << 30, i * 64 * KB))
+            .collect();
+        assert_eq!(owners, [0, 1, 2, 3, 0, 1, 2, 3]);
+        // A zero or oversized period is the whole structure.
+        let whole = StaticHint::Partitioned { period_bytes: 0 };
+        assert_eq!(c(whole, 1024 * KB, 768 * KB), 3);
+        assert_eq!(c(every_256k, 128 * KB, 64 * KB), 2);
+        // An empty structure has no period to split.
+        assert_eq!(c(whole, 0, 0), 0);
+        // Shared and irregular structures interleave 64KB pages.
+        assert_eq!(c(StaticHint::Shared, 1 << 30, 5 * 64 * KB), 1);
+        assert_eq!(c(StaticHint::Irregular, 1 << 30, 6 * 64 * KB + 1), 2);
+    }
 
     #[test]
     fn alloc_contains_bounds() {

@@ -1,6 +1,6 @@
 //! Pipeline-stage decomposition of the simulation engine.
 //!
-//! The engine's `Machine` (see [`crate::run`]) is a thin orchestrator: it
+//! The engine's `Machine` (see [`crate::run_with`]) is a thin orchestrator: it
 //! owns the event loop and the page table and wires together a handful of
 //! stages with narrow interfaces, each unit-testable in isolation:
 //!

@@ -284,49 +284,59 @@ impl RunStats {
     }
 }
 
-/// Counters for every event the engine absorbed in degraded mode rather
-/// than aborting the run (see DESIGN.md, "Error handling & degradation
-/// semantics"). A run with any of these non-zero completes but is reported
-/// as [`RunOutcome::Degraded`](crate::RunOutcome::Degraded).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DegradationStats {
-    /// Frames placed on a fallback (least-loaded remote) chiplet because
-    /// the preferred chiplet's free lists were exhausted.
-    pub fallback_remote_frames: u64,
-    /// Policy directives the engine rejected and skipped.
-    pub rejected_directives: u64,
-    /// Translations whose leaf size had no TLB class; the walk was charged
-    /// but the entry could not be cached.
-    pub tlb_class_missing: u64,
-    /// Times a page walk stalled because the chiplet's walk queue was full
-    /// (back-pressure instead of unbounded queue growth).
-    pub walk_queue_stalls: u64,
-    /// Total cycles walks spent stalled behind a full walk queue.
-    pub walk_queue_stall_cycles: u64,
-    /// TLB lookups that hit on coverage whose mapping no longer exists;
-    /// the stale entries were invalidated and the access re-walked.
-    pub stale_tlb_hits: u64,
-    /// Coherence violations found by the epoch state audit (only counted
-    /// when [`SimConfig::audit_epochs`](crate::SimConfig::audit_epochs) is
-    /// set).
-    pub audit_violations: u64,
-    /// Bounded sample (first [`Self::MAX_ERROR_SAMPLES`]) of the typed
-    /// errors behind the counters above.
-    pub errors: Vec<SimError>,
+/// Generates [`DegradationStats`] from one `(field, event, doc)` list;
+/// `event` says whether the counter counts degradation events
+/// ([`DegradationStats::events`]) rather than measuring them.
+macro_rules! degradation_table {
+    ($( ($field:ident, $event:literal, $doc:literal), )*) => {
+        /// Counters for every event the engine absorbed in degraded mode
+        /// rather than aborting the run (see DESIGN.md, "Error handling &
+        /// degradation semantics"). A run with any event counter non-zero
+        /// completes but is degraded ([`Self::is_degraded`]).
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct DegradationStats {
+            $( #[doc = $doc] pub $field: u64, )*
+            /// Bounded sample (first [`Self::MAX_ERROR_SAMPLES`]) of the typed
+            /// errors behind the counters above.
+            pub errors: Vec<SimError>,
+        }
+
+        impl DegradationStats {
+            /// Number of counters in the table.
+            pub const COUNT: usize = [$(stringify!($field)),*].len();
+
+            /// Every counter in table order (the JSON key order):
+            /// `(field name, counts as an event, value)`.
+            pub fn counters(&self) -> [(&'static str, bool, u64); Self::COUNT] {
+                [$( (stringify!($field), $event, self.$field) ),*]
+            }
+
+            /// Every counter's field in table order, by name.
+            pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); Self::COUNT] {
+                [$( (stringify!($field), &mut self.$field) ),*]
+            }
+        }
+    };
+}
+
+degradation_table! {
+    (fallback_remote_frames, true, "Frames placed on a fallback (least-loaded remote) chiplet because the preferred chiplet's free lists were exhausted."),
+    (rejected_directives, true, "Policy directives the engine rejected and skipped."),
+    (tlb_class_missing, true, "Translations whose leaf size had no TLB class; the walk was charged but the entry could not be cached."),
+    (walk_queue_stalls, true, "Times a page walk stalled because the chiplet's walk queue was full (back-pressure instead of unbounded queue growth)."),
+    (walk_queue_stall_cycles, false, "Total cycles walks spent stalled behind a full walk queue."),
+    (stale_tlb_hits, true, "TLB lookups that hit on coverage whose mapping no longer exists; the stale entries were invalidated and the access re-walked."),
+    (audit_violations, true, "Coherence violations found by the epoch state audit (only counted when [`SimConfig::audit_epochs`](crate::SimConfig::audit_epochs) is set)."),
 }
 
 impl DegradationStats {
     /// How many concrete errors are retained in [`Self::errors`].
     pub const MAX_ERROR_SAMPLES: usize = 32;
 
-    /// Total degradation events (cycle counters excluded).
+    /// Total degradation events (the event counters' sum).
     pub fn events(&self) -> u64 {
-        self.fallback_remote_frames
-            + self.rejected_directives
-            + self.tlb_class_missing
-            + self.walk_queue_stalls
-            + self.stale_tlb_hits
-            + self.audit_violations
+        let events = self.counters().into_iter().filter(|&(_, event, _)| event);
+        events.map(|(_, _, n)| n).sum()
     }
 
     /// Whether the run degraded at all.
@@ -345,13 +355,9 @@ impl DegradationStats {
     /// Merges another stage's degradation tally into this one: counters
     /// add, error samples stay bounded at [`Self::MAX_ERROR_SAMPLES`].
     pub(crate) fn absorb(&mut self, mut other: DegradationStats) {
-        self.fallback_remote_frames += other.fallback_remote_frames;
-        self.rejected_directives += other.rejected_directives;
-        self.tlb_class_missing += other.tlb_class_missing;
-        self.walk_queue_stalls += other.walk_queue_stalls;
-        self.walk_queue_stall_cycles += other.walk_queue_stall_cycles;
-        self.stale_tlb_hits += other.stale_tlb_hits;
-        self.audit_violations += other.audit_violations;
+        for ((_, v), (_, _, n)) in self.counters_mut().into_iter().zip(other.counters()) {
+            *v += n;
+        }
         for e in other.errors.drain(..) {
             self.record(e);
         }

@@ -4,7 +4,7 @@
 //! validation.
 
 use mcm_sim::{
-    run, run_outcome, AllocInfo, Directive, FaultCtx, KernelDesc, PagingPolicy, RemoteCacheModel,
+    run_outcome, AllocInfo, Directive, FaultCtx, KernelDesc, PagingPolicy, RemoteCacheModel,
     RemoteServe, RunOutcome, SimConfig, SimError, StaticHint, Stonewall, TranslationConfig,
     WalkEvent, Workload,
 };
@@ -130,7 +130,9 @@ fn small_cfg() -> SimConfig {
 fn accounting_adds_up() {
     let w = Stub::new(16 * MB, 64, 32);
     let mut p = Ft64::new();
-    let s = run(&small_cfg(), &w, &mut p, None).expect("runs");
+    let s = run_outcome(&small_cfg(), &w, &mut p, None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert_eq!(s.mem_insts, 64 * 2 * 32);
     assert_eq!(s.warp_insts, s.mem_insts * 4);
     // Faulted accesses retry, re-running translation once.
@@ -166,13 +168,16 @@ fn line_reuse_scales_instruction_counts_only() {
         }
     }
     let base = Stub::new(16 * MB, 64, 32);
-    let plain = run(&small_cfg(), &base, &mut Ft64::new(), None).expect("runs");
-    let reused = run(
+    let plain = run_outcome(&small_cfg(), &base, &mut Ft64::new(), None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
+    let reused = run_outcome(
         &small_cfg(),
         &Reuse(Stub::new(16 * MB, 64, 32)),
         &mut Ft64::new(),
         None,
     )
+    .and_then(RunOutcome::completed)
     .expect("runs");
     assert_eq!(reused.mem_insts, plain.mem_insts * 8);
     assert_eq!(reused.warp_insts, plain.warp_insts * 8);
@@ -215,8 +220,12 @@ impl PagingPolicy for Promote2M {
 fn promotion_cuts_walks() {
     let w = Stub::new(128 * MB, 64, 64);
     let cfg = small_cfg().scaled(8);
-    let small = run(&cfg, &w, &mut Ft64::new(), None).expect("runs");
-    let big = run(&cfg, &w, &mut Promote2M, None).expect("runs");
+    let small = run_outcome(&cfg, &w, &mut Ft64::new(), None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
+    let big = run_outcome(&cfg, &w, &mut Promote2M, None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert!(big.promotions > 0);
     assert!(
         big.l2tlb_misses < small.l2tlb_misses,
@@ -248,8 +257,12 @@ fn clap_coalescing_cuts_walks_for_contiguous_frames() {
     let plain_cfg = small_cfg().scaled(8);
     let mut coal_cfg = small_cfg().scaled(8);
     coal_cfg.translation = TranslationConfig::with_clap_coalescing();
-    let plain = run(&plain_cfg, &w, &mut Contig, None).expect("runs");
-    let coal = run(&coal_cfg, &w, &mut Contig, None).expect("runs");
+    let plain = run_outcome(&plain_cfg, &w, &mut Contig, None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
+    let coal = run_outcome(&coal_cfg, &w, &mut Contig, None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert!(coal.coalesced_fills > 0);
     assert!(
         (coal.l2tlb_misses as f64) < plain.l2tlb_misses as f64 * 0.75,
@@ -310,7 +323,9 @@ fn migration_moves_pages_and_charges_costs() {
         migrated: false,
         ideal: true,
     };
-    let si = run(&cfg, &w, &mut ideal, None).expect("runs");
+    let si = run_outcome(&cfg, &w, &mut ideal, None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert!(si.migrations > 0);
     assert_eq!(si.shootdowns, 0, "ideal migration charges nothing");
 
@@ -319,7 +334,9 @@ fn migration_moves_pages_and_charges_costs() {
         migrated: false,
         ideal: false,
     };
-    let sr = run(&cfg, &w, &mut real, None).expect("runs");
+    let sr = run_outcome(&cfg, &w, &mut real, None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert_eq!(sr.migrations, si.migrations);
     assert!(sr.shootdowns > 0, "real migration pays shootdowns");
     assert!(sr.cycles >= si.cycles);
@@ -361,11 +378,15 @@ impl PagingPolicy for AllRemote {
 fn remote_cache_intercepts_remote_misses() {
     let w = Stub::new(8 * MB, 16, 64);
     let cfg = small_cfg();
-    let plain = run(&cfg, &w, &mut AllRemote(0), None).expect("runs");
+    let plain = run_outcome(&cfg, &w, &mut AllRemote(0), None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert!(plain.remote_ratio() > 0.5);
     assert_eq!(plain.remote_cache_hits, 0);
     let mut cache = AlwaysHit(0);
-    let cached = run(&cfg, &w, &mut AllRemote(0), Some(&mut cache)).expect("runs");
+    let cached = run_outcome(&cfg, &w, &mut AllRemote(0), Some(&mut cache))
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert!(cached.remote_cache_hits > 0);
     // The meaningful invariant: intercepted misses never cross the
     // interconnect.
@@ -423,7 +444,9 @@ fn multi_kernel_runs_and_notifies() {
     }
     let w = TwoKernels(Stub::new(8 * MB, 16, 32));
     let mut p = CountKernels(Ft64::new(), 0);
-    let s = run(&small_cfg(), &w, &mut p, None).expect("runs");
+    let s = run_outcome(&small_cfg(), &w, &mut p, None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert_eq!(p.1, 2, "one kernel-end callback per kernel");
     // Kernel 1 re-touches mapped pages: no second faults.
     assert_eq!(s.mem_insts, 2 * 16 * 2 * 32);
@@ -442,7 +465,9 @@ fn policy_that_ignores_faults_is_rejected() {
         }
     }
     let w = Stub::new(8 * MB, 16, 32);
-    let err = run(&small_cfg(), &w, &mut Lazy, None).expect_err("must fail");
+    let err = run_outcome(&small_cfg(), &w, &mut Lazy, None)
+        .and_then(RunOutcome::completed)
+        .expect_err("must fail");
     assert!(err.to_string().contains("did not map"));
 }
 
@@ -467,7 +492,9 @@ fn double_mapping_is_rejected() {
     let w = Stub::new(8 * MB, 16, 32);
     // A duplicate Map is a degradation, not a fatal error: the run completes
     // and the rejection is recorded in the per-run stats.
-    let s = run(&small_cfg(), &w, &mut DoubleMap, None).expect("runs degraded");
+    let s = run_outcome(&small_cfg(), &w, &mut DoubleMap, None)
+        .and_then(RunOutcome::completed)
+        .expect("runs degraded");
     assert!(s.degradation.rejected_directives >= 1);
     assert!(s
         .degradation
@@ -480,7 +507,9 @@ fn double_mapping_is_rejected() {
 fn cycle_budget_aborts_with_partial_stats() {
     let w = Stub::new(16 * MB, 64, 32);
     // Establish how long the run actually takes, then cap well below it.
-    let full = run(&small_cfg(), &w, &mut Ft64::new(), None).expect("runs");
+    let full = run_outcome(&small_cfg(), &w, &mut Ft64::new(), None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     let cap = full.cycles / 2;
     assert!(cap > 0);
     let mut cfg = small_cfg();
@@ -505,13 +534,17 @@ fn cycle_budget_aborts_with_partial_stats() {
     tight.max_cycles = Some(1);
     let out = run_outcome(&tight, &w, &mut Ft64::new(), None).expect("aborts via outcome");
     assert!(out.is_aborted());
-    // The plain `run` entry point surfaces the abort as an error.
-    let err = run(&cfg, &w, &mut Ft64::new(), None).expect_err("run() errors on abort");
+    // `completed` surfaces the abort as an error.
+    let err = run_outcome(&cfg, &w, &mut Ft64::new(), None)
+        .and_then(RunOutcome::completed)
+        .expect_err("completed() errors on abort");
     assert!(matches!(err, SimError::BudgetExceeded { .. }));
     // A generous budget changes nothing.
     let mut roomy = small_cfg();
     roomy.max_cycles = Some(full.cycles * 2);
-    let s = run(&roomy, &w, &mut Ft64::new(), None).expect("runs");
+    let s = run_outcome(&roomy, &w, &mut Ft64::new(), None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert_eq!(s.cycles, full.cycles);
 }
 
@@ -544,7 +577,9 @@ fn stonewall_livelock_trips_the_stall_watchdog() {
     // A healthy run under the same watchdog is untouched.
     let mut healthy = small_cfg();
     healthy.stall_window = Some(u64::MAX / 2);
-    let s = run(&healthy, &w, &mut Ft64::new(), None).expect("runs");
+    let s = run_outcome(&healthy, &w, &mut Ft64::new(), None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert!(s.mem_insts > 0);
 }
 
@@ -568,6 +603,8 @@ fn walk_events_reach_the_policy() {
     }
     let w = Stub::new(16 * MB, 64, 64);
     let mut p = CountWalks(Ft64::new(), 0);
-    let s = run(&small_cfg(), &w, &mut p, None).expect("runs");
+    let s = run_outcome(&small_cfg(), &w, &mut p, None)
+        .and_then(RunOutcome::completed)
+        .expect("runs");
     assert_eq!(p.1, s.walks + s.walk_mshr_hits);
 }

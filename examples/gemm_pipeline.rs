@@ -9,7 +9,7 @@
 
 use clap_repro::bench::configs::ConfigKind;
 use clap_repro::clap::Clap;
-use clap_repro::sim::{run, SimConfig, Workload};
+use clap_repro::sim::{run_outcome, SimConfig, Workload};
 use clap_repro::workloads::{suite, FOOTPRINT_SCALE};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for w in [suite::vit(), suite::res50(), suite::gpt3()] {
         let (_, cfg) = ConfigKind::Clap.build(&base);
         let mut clap = Clap::new();
-        run(&cfg, &w, &mut clap, None)?;
+        run_outcome(&cfg, &w, &mut clap, None)?.completed()?;
         let sizes: Vec<String> = w
             .allocs()
             .iter()
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ConfigKind::ClapMigration,
     ] {
         let (mut policy, cfg) = kind.build(&base);
-        let s = run(&cfg, &w, policy.as_mut(), None)?;
+        let s = run_outcome(&cfg, &w, policy.as_mut(), None)?.completed()?;
         rows.push((kind.name(), s));
     }
     let base_cycles = rows[0].1.cycles as f64;

@@ -8,7 +8,7 @@
 
 use clap_repro::clap::{Clap, LocalityTree};
 use clap_repro::policies::{s2m, s64k};
-use clap_repro::sim::{run, RunStats, SimConfig};
+use clap_repro::sim::{run_outcome, RunStats, SimConfig};
 use clap_repro::types::{ChipletId, PageSize};
 use clap_repro::workloads::{KernelSpec, Part, Pattern, WorkloadBuilder, FOOTPRINT_SCALE};
 
@@ -65,16 +65,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let mut small = s64k();
-    let base = run(&cfg, &workload, &mut small, None)?;
+    let base = run_outcome(&cfg, &workload, &mut small, None)?.completed()?;
     print("S-64KB", &base, &base);
 
     let mut large = s2m();
-    let big = run(&cfg, &workload, &mut large, None)?;
+    let big = run_outcome(&cfg, &workload, &mut large, None)?.completed()?;
     print("S-2MB", &big, &base);
 
     cfg.translation = Clap::translation();
     let mut clap = Clap::new();
-    let smart = run(&cfg, &workload, &mut clap, None)?;
+    let smart = run_outcome(&cfg, &workload, &mut clap, None)?.completed()?;
     print("CLAP", &smart, &base);
 
     println!("\nCLAP's per-structure choices:");

@@ -118,6 +118,18 @@ grep -q '"outcome":"resumed"' "$smoke/tele/journal/fig1.jsonl"
 ./target/release/figures --out "$smoke/tele" status | grep -q "fig1"
 ./target/release/figures --out "$smoke/tele" status --check > /dev/null
 
+echo "== progress smoke (resumed fig1 with --progress=on: the final progress line counts the restored cells)"
+./target/release/figures --quick --jobs 2 --progress=on --resume --out "$smoke/tele" fig1 \
+  2> "$smoke/progress.err" > /dev/null
+grep '^\[sweep fig1\]' "$smoke/progress.err" | tail -n 1 | grep -q "24/24 cells.* 24 resumed"
+
+echo "== chaos probe smoke (figures probe --chaos STE: exits 0, one row per main config)"
+./target/release/figures --quick probe --chaos STE > "$smoke/chaos.out"
+test "$(tail -n +3 "$smoke/chaos.out" | wc -l)" -eq 9
+for config in S-64KB S-2MB Ideal_C-NUMA Ideal_C-NUMA+inter GRIT MGvm F-Barre CLAP Ideal; do
+  grep -q "^$config " "$smoke/chaos.out"
+done
+
 echo "== supervision smoke (injected panic + budget abort quarantine; resume reproduces golden)"
 # One panicking and one budget-exceeding cell: the sweep must finish the
 # other 22 cells, journal the quarantine with per-class reasons, keep

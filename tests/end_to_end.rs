@@ -176,7 +176,8 @@ fn eight_chiplet_margin_over_s2m_widens() {
         clap_repro::sim::SimConfig::eight_chiplets().scaled(clap_repro::workloads::FOOTPRINT_SCALE);
     cfg8.translation = clap_repro::sim::TranslationConfig::baseline();
     let mut pol = clap_repro::policies::s2m();
-    let s2m8 = clap_repro::sim::run(&cfg8, &w8.with_tb_scale(1, 4), &mut pol, None)
+    let s2m8 = clap_repro::sim::run_outcome(&cfg8, &w8.with_tb_scale(1, 4), &mut pol, None)
+        .and_then(clap_repro::sim::RunOutcome::completed)
         .expect("8-chiplet run");
     let margin8 = s2m8.cycles as f64 / clap8.cycles as f64;
     assert!(

@@ -27,11 +27,9 @@ fn workload(name: &str) -> SyntheticWorkload {
 fn run_cell<P: Probe>(w: &SyntheticWorkload, kind: ConfigKind, probe: &mut P) -> RunStats {
     let h = Harness::quick();
     let name = w.name();
-    match h.run_cell(&h.prep(w), &kind.into(), probe) {
-        Ok(RunOutcome::Aborted { reason, .. }) => panic!("{name} aborted: {reason}"),
-        Ok(done) => done.into_stats(),
-        Err(e) => panic!("{name} failed: {e}"),
-    }
+    h.run_cell(&h.prep(w), &kind.into(), probe)
+        .and_then(RunOutcome::completed)
+        .unwrap_or_else(|e| panic!("{name} failed: {e}"))
 }
 
 /// Runs the cell under every probe, checks the probes do not perturb

@@ -3,7 +3,7 @@
 
 use clap_repro::bench::configs::ConfigKind;
 use clap_repro::clap::Clap;
-use clap_repro::sim::{run, Workload};
+use clap_repro::sim::{run_outcome, RunOutcome, Workload};
 use clap_repro::types::PageSize;
 use clap_repro::workloads::{suite, SyntheticWorkload};
 
@@ -13,7 +13,9 @@ fn selections(w: &SyntheticWorkload) -> Vec<(String, Option<PageSize>)> {
     let (_, cfg) = ConfigKind::Clap.build(&base);
     let scaled = w.clone().with_tb_scale(1, 4);
     let mut clap = Clap::new();
-    run(&cfg, &scaled, &mut clap, None).expect("run succeeds");
+    run_outcome(&cfg, &scaled, &mut clap, None)
+        .and_then(RunOutcome::completed)
+        .expect("run succeeds");
     w.allocs()
         .iter()
         .map(|a| (a.name.clone(), clap.effective_size(a.id)))
@@ -86,7 +88,9 @@ fn lud_reaches_2m_through_olp_despite_failed_analysis() {
     let (_, cfg) = ConfigKind::Clap.build(&base);
     let scaled = w.clone().with_tb_scale(1, 4);
     let mut clap = Clap::new();
-    run(&cfg, &scaled, &mut clap, None).expect("run succeeds");
+    run_outcome(&cfg, &scaled, &mut clap, None)
+        .and_then(RunOutcome::completed)
+        .expect("run succeeds");
     let id = w.allocs()[0].id;
     assert!(clap.used_olp_fallback(id), "MMA must fail for LUD");
     assert_eq!(clap.effective_size(id), Some(PageSize::Size2M));
