@@ -20,15 +20,14 @@
 //!    hardware (§4.6) turns into large-page reach; 2MB regions promote to
 //!    true 2MB pages.
 
-use std::collections::{HashMap, HashSet};
-
 use mcm_mem::{FrameAllocator, MemError, ReservationTable};
 use mcm_sim::{
-    AllocInfo, Directive, FaultCtx, PagingPolicy, SimConfig, SimError, StaticHint,
-    TranslationConfig, WalkEvent,
+    check_sampled_chiplets, AllocInfo, ChipletHistogram, Directive, FaultCtx, PagingPolicy,
+    SimConfig, SimError, StaticHint, TranslationConfig, WalkEvent, MAX_SAMPLED_CHIPLETS,
 };
 use mcm_types::{
-    AllocId, ChipletId, PageSize, PhysAddr, PhysLayout, VirtAddr, BASE_PAGE_BYTES, VA_BLOCK_BYTES,
+    AllocId, ChipletId, FastMap, FastSet, PageSize, PhysAddr, PhysLayout, VirtAddr,
+    BASE_PAGE_BYTES, VA_BLOCK_BYTES,
 };
 
 use crate::rt::RemoteTracker;
@@ -40,8 +39,6 @@ pub const PMM_THRESHOLD: f64 = 0.20;
 /// OLP disables for a structure once this fraction of its VA blocks
 /// release their 2MB reservation (§4.2; 5%).
 pub const OLP_RELEASE_LIMIT: f64 = 0.05;
-
-const MAX_CHIPLETS: usize = 8;
 
 /// Lifts an allocator/reservation failure into the simulator's typed error
 /// space so a fault that cannot be resolved aborts the *run*, not the
@@ -90,15 +87,15 @@ struct AllocState {
     phase: Phase,
     threshold_pages: u64,
     mapped_pages: u64,
-    trees: HashMap<u64, LocalityTree>,
+    trees: FastMap<u64, LocalityTree>,
     reservations: ReservationTable,
     /// VA blocks holding an *OLP* (speculative) 2MB reservation.
-    olp_blocks: HashSet<u64>,
+    olp_blocks: FastSet<u64>,
     /// VA blocks whose OLP reservation was released — never re-reserved.
-    released_blocks: HashSet<u64>,
+    released_blocks: FastSet<u64>,
     /// VA blocks that went through OLP mapping at all (for outcome
     /// reporting).
-    olp_touched: HashSet<u64>,
+    olp_touched: FastSet<u64>,
     /// Of those, blocks OLP successfully promoted to 2MB.
     olp_promoted: u32,
     releases: u32,
@@ -115,7 +112,7 @@ impl AllocState {
 #[derive(Debug)]
 struct ReuseBlock {
     alloc: AllocId,
-    counts: Vec<[u32; MAX_CHIPLETS]>,
+    counts: Vec<ChipletHistogram>,
 }
 
 #[derive(Debug)]
@@ -124,17 +121,17 @@ struct St {
     layout: PhysLayout,
     num_chiplets: usize,
     rt: RemoteTracker,
-    per: HashMap<AllocId, AllocState>,
+    per: FastMap<AllocId, AllocState>,
     /// Current frame of every mapped 64KB page (also valid inside
     /// promoted 2MB leaves).
-    frames: HashMap<u64, PhysAddr>,
+    frames: FastMap<u64, PhysAddr>,
     /// VA blocks currently promoted to a 2MB leaf.
-    promoted: HashSet<u64>,
+    promoted: FastSet<u64>,
     kernel: usize,
     /// Migration extension: per-block accessor histograms for structures
     /// reused by a later kernel.
-    reuse: HashMap<u64, ReuseBlock>,
-    reuse_dirty: HashSet<u64>,
+    reuse: FastMap<u64, ReuseBlock>,
+    reuse_dirty: FastSet<u64>,
 }
 
 /// The CLAP policy (paper config 8) and its variants.
@@ -333,7 +330,7 @@ impl PagingPolicy for Clap {
 
     fn begin(&mut self, allocs: &[AllocInfo], cfg: &SimConfig) {
         let num_chiplets = cfg.num_chiplets;
-        let mut per = HashMap::new();
+        let mut per = FastMap::default();
         for a in allocs {
             let runtime = match self.mode {
                 Mode::Profile => true,
@@ -357,11 +354,11 @@ impl PagingPolicy for Clap {
                     threshold_pages: ((total_pages as f64 * self.pmm_threshold).ceil() as u64)
                         .max(1),
                     mapped_pages: 0,
-                    trees: HashMap::new(),
+                    trees: FastMap::default(),
                     reservations: ReservationTable::new(),
-                    olp_blocks: HashSet::new(),
-                    released_blocks: HashSet::new(),
-                    olp_touched: HashSet::new(),
+                    olp_blocks: FastSet::default(),
+                    released_blocks: FastSet::default(),
+                    olp_touched: FastSet::default(),
                     olp_promoted: 0,
                     releases: 0,
                     olp_enabled: self.olp,
@@ -376,11 +373,11 @@ impl PagingPolicy for Clap {
             num_chiplets,
             rt: RemoteTracker::new(num_chiplets),
             per,
-            frames: HashMap::new(),
-            promoted: HashSet::new(),
+            frames: FastMap::default(),
+            promoted: FastSet::default(),
             kernel: 0,
-            reuse: HashMap::new(),
-            reuse_dirty: HashSet::new(),
+            reuse: FastMap::default(),
+            reuse_dirty: FastSet::default(),
         });
     }
 
@@ -392,6 +389,9 @@ impl PagingPolicy for Clap {
                 reason: "on_fault before begin()".into(),
             });
         };
+        if self.migration {
+            check_sampled_chiplets(self.name, st.num_chiplets)?;
+        }
         let Some(a) = st.per.get_mut(&ctx.alloc) else {
             return Err(SimError::PolicyViolation {
                 reason: format!("fault for unknown allocation {}", ctx.alloc),
@@ -487,10 +487,12 @@ impl PagingPolicy for Clap {
         let block = ev.va.raw() / VA_BLOCK_BYTES;
         let e = st.reuse.entry(block).or_insert_with(|| ReuseBlock {
             alloc: ev.alloc,
-            counts: vec![[0; MAX_CHIPLETS]; 32],
+            counts: vec![[0; MAX_SAMPLED_CHIPLETS]; 32],
         });
         let page = (ev.va.raw() % VA_BLOCK_BYTES / BASE_PAGE_BYTES) as usize;
-        e.counts[page][ev.requester.index() % MAX_CHIPLETS] += 1;
+        // Mapped pages exist only on a machine `on_fault` accepted, whose
+        // chiplets the histogram holds.
+        e.counts[page][ev.requester.index()] += 1;
         st.reuse_dirty.insert(block);
     }
 
@@ -588,7 +590,7 @@ impl PagingPolicy for Clap {
             }
             if let Some(rb) = st.reuse.get_mut(&block) {
                 for c in &mut rb.counts {
-                    *c = [0; MAX_CHIPLETS];
+                    *c = [0; MAX_SAMPLED_CHIPLETS];
                 }
             }
         }
@@ -622,8 +624,8 @@ impl PagingPolicy for Clap {
 #[allow(clippy::too_many_arguments)]
 fn olp_map(
     allocator: &mut FrameAllocator,
-    frames: &mut HashMap<u64, PhysAddr>,
-    promoted: &mut HashSet<u64>,
+    frames: &mut FastMap<u64, PhysAddr>,
+    promoted: &mut FastSet<u64>,
     a: &mut AllocState,
     alloc: AllocId,
     va: VirtAddr,
@@ -719,8 +721,8 @@ fn olp_map(
 #[allow(clippy::too_many_arguments)]
 fn apply_map(
     allocator: &mut FrameAllocator,
-    frames: &mut HashMap<u64, PhysAddr>,
-    promoted: &mut HashSet<u64>,
+    frames: &mut FastMap<u64, PhysAddr>,
+    promoted: &mut FastSet<u64>,
     a: &mut AllocState,
     alloc: AllocId,
     va: VirtAddr,
@@ -1041,5 +1043,41 @@ mod tests {
             panic!("expected Map")
         };
         assert_eq!(PhysLayout::new(4).chiplet_of(pa).index(), 3);
+    }
+
+    /// CLAP's migration extension keeps per-page accessor histograms of
+    /// 8 chiplets, so it refuses a 16-chiplet machine (valid under
+    /// `validate()`) with a typed error at the first fault. Plain CLAP
+    /// keeps no histograms and places pages on 16 chiplets as usual (the
+    /// topology study runs it there).
+    #[test]
+    fn migration_refuses_more_chiplets_than_the_histogram() {
+        let mut cfg = cfg();
+        cfg.num_chiplets = 16;
+        cfg.validate()
+            .expect("16 chiplets on a ring are a valid machine");
+        let allocs = [alloc_info(0, 2 * MB, 64 * MB, StaticHint::Irregular)];
+        let va = 2 * MB;
+
+        let mut m = Clap::new().with_migration();
+        m.begin(&allocs, &cfg);
+        let e = m.on_fault(&ctx(va, 0, 12)).unwrap_err();
+        assert!(matches!(e, SimError::ConfigInvalid { .. }), "{e:?}");
+        m.on_kernel_end(0, 1_000);
+        for req in [3, 8, 12, 15] {
+            m.on_access(&WalkEvent {
+                va: VirtAddr::new(va),
+                alloc: AllocId::new(0),
+                requester: ChipletId::new(req),
+                data_chiplet: ChipletId::new(0),
+                cycle: 2_000,
+            });
+        }
+        assert!(m.on_epoch(3_000).is_empty());
+
+        let mut plain = Clap::new();
+        plain.begin(&allocs, &cfg);
+        let dirs = plain.on_fault(&ctx(va, 0, 12)).unwrap();
+        assert!(!dirs.is_empty(), "plain CLAP maps the page");
     }
 }

@@ -12,17 +12,18 @@
 //! Migration is free when `ideal` (as the paper assumes for configs 3-4);
 //! Fig. 20 re-enables real costs.
 
-use std::collections::{HashMap, HashSet};
-
 use mcm_mem::{FrameAllocator, ReservationTable};
-use mcm_sim::{AllocInfo, Directive, FaultCtx, PagingPolicy, SimConfig, SimError, WalkEvent};
+use mcm_sim::{
+    check_sampled_chiplets, AllocInfo, ChipletHistogram, Directive, FaultCtx, PagingPolicy,
+    SimConfig, SimError, WalkEvent, MAX_SAMPLED_CHIPLETS,
+};
 use mcm_types::{
-    AllocId, ChipletId, PageSize, PhysAddr, PhysLayout, VirtAddr, BASE_PAGE_BYTES, VA_BLOCK_BYTES,
+    AllocId, ChipletId, FastMap, FastSet, PageSize, PhysAddr, PhysLayout, VirtAddr,
+    BASE_PAGE_BYTES, VA_BLOCK_BYTES,
 };
 
 use crate::mem_to_sim;
 
-const MAX_CHIPLETS: usize = 8;
 const PAGES_PER_BLOCK: usize = 32;
 
 /// The Ideal C-NUMA policy.
@@ -51,7 +52,7 @@ struct BlockState {
     /// Current mapping granularity (2MB right after promotion).
     granularity: PageSize,
     /// Per 64KB page, per chiplet access counts.
-    counts: Vec<[u32; MAX_CHIPLETS]>,
+    counts: Vec<ChipletHistogram>,
     /// Current frame backing each 64KB page (valid once demoted; while the
     /// block is a single 2MB leaf, entry `i` is `base_frame + i * 64KB`).
     frames: Vec<PhysAddr>,
@@ -63,8 +64,8 @@ struct St {
     reservations: ReservationTable,
     layout: PhysLayout,
     /// Promoted blocks eligible for splitting, by VA-block index.
-    blocks: HashMap<u64, BlockState>,
-    dirty: HashSet<u64>,
+    blocks: FastMap<u64, BlockState>,
+    dirty: FastSet<u64>,
 }
 
 impl CNuma {
@@ -124,8 +125,8 @@ impl PagingPolicy for CNuma {
                 .with_scatter(FrameAllocator::DRIVER_SCATTER),
             reservations: ReservationTable::new(),
             layout: cfg.layout(),
-            blocks: HashMap::new(),
-            dirty: HashSet::new(),
+            blocks: FastMap::default(),
+            dirty: FastSet::default(),
         });
     }
 
@@ -136,6 +137,7 @@ impl PagingPolicy for CNuma {
                 reason: "on_fault before begin()".into(),
             });
         };
+        check_sampled_chiplets(self.name, st.layout.num_chiplets())?;
         let region = ctx.va.align_down(VA_BLOCK_BYTES);
         if st.reservations.covering(ctx.va).is_none() {
             let (frame, served) = st
@@ -161,7 +163,7 @@ impl PagingPolicy for CNuma {
                     base: region,
                     alloc: ctx.alloc,
                     granularity: PageSize::Size2M,
-                    counts: vec![[0; MAX_CHIPLETS]; PAGES_PER_BLOCK],
+                    counts: vec![[0; MAX_SAMPLED_CHIPLETS]; PAGES_PER_BLOCK],
                     frames: (0..PAGES_PER_BLOCK as u64)
                         .map(|i| r.pa + i * BASE_PAGE_BYTES)
                         .collect(),
@@ -186,7 +188,9 @@ impl PagingPolicy for CNuma {
         let block = ev.va.raw() / VA_BLOCK_BYTES;
         if let Some(b) = st.blocks.get_mut(&block) {
             let page = (ev.va.raw() % VA_BLOCK_BYTES / BASE_PAGE_BYTES) as usize;
-            b.counts[page][ev.requester.index() % MAX_CHIPLETS] += 1;
+            // Blocks exist only on a machine `on_fault` accepted, whose
+            // chiplets the histogram holds.
+            b.counts[page][ev.requester.index()] += 1;
             st.dirty.insert(block);
         }
     }
@@ -261,7 +265,7 @@ impl PagingPolicy for CNuma {
             for r in 0..PAGES_PER_BLOCK / pages_per_region {
                 let lo = r * pages_per_region;
                 let hi = lo + pages_per_region;
-                let mut agg = [0u64; MAX_CHIPLETS];
+                let mut agg = [0u64; MAX_SAMPLED_CHIPLETS];
                 for c in &b.counts[lo..hi] {
                     for (a, x) in agg.iter_mut().zip(c.iter()) {
                         *a += *x as u64;
@@ -301,7 +305,7 @@ impl PagingPolicy for CNuma {
                 }
             }
             for c in &mut b.counts {
-                *c = [0; MAX_CHIPLETS];
+                *c = [0; MAX_SAMPLED_CHIPLETS];
             }
         }
         dirs
@@ -445,5 +449,29 @@ mod tests {
         // The regions are now local; further epochs do not descend.
         hammer(&mut c);
         assert!(c.on_epoch(2_000).is_empty());
+    }
+
+    /// C-NUMA refuses a 16-chiplet machine (it passes `validate()`, but
+    /// the access histograms hold 8 chiplets) with a typed error at the
+    /// first fault; nothing it samples afterwards panics or migrates.
+    #[test]
+    fn more_chiplets_than_the_histogram_are_rejected() {
+        let mut cfg = SimConfig::baseline();
+        cfg.num_chiplets = 16;
+        cfg.validate()
+            .expect("16 chiplets on a ring are a valid machine");
+        for mut c in [
+            CNuma::new(),
+            CNuma::with_intermediate_sizes().with_real_migration(),
+        ] {
+            c.begin(&[], &cfg);
+            let base = 2u64 << 20;
+            let e = c.on_fault(&ctx(base, 12)).unwrap_err();
+            assert!(matches!(e, SimError::ConfigInvalid { .. }), "{e:?}");
+            for i in 0..32u64 {
+                c.on_access(&ev(base + i * BASE_PAGE_BYTES, 12));
+            }
+            assert!(c.on_epoch(1_000).is_empty());
+        }
     }
 }

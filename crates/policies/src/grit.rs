@@ -7,15 +7,16 @@
 //! migrations as free ("ideal"); Fig. 20 re-runs it with real costs —
 //! toggle with [`Grit::with_real_migration`].
 
-use std::collections::{HashMap, HashSet};
-
 use mcm_mem::FrameAllocator;
-use mcm_sim::{AllocInfo, Directive, FaultCtx, PagingPolicy, SimConfig, SimError, WalkEvent};
-use mcm_types::{AllocId, ChipletId, PageSize, PhysAddr, PhysLayout, VirtAddr, BASE_PAGE_BYTES};
+use mcm_sim::{
+    check_sampled_chiplets, AllocInfo, ChipletHistogram, Directive, FaultCtx, PagingPolicy,
+    SimConfig, SimError, WalkEvent,
+};
+use mcm_types::{
+    AllocId, ChipletId, FastMap, FastSet, PageSize, PhysAddr, PhysLayout, VirtAddr, BASE_PAGE_BYTES,
+};
 
 use crate::mem_to_sim;
-
-const MAX_CHIPLETS: usize = 8;
 
 /// The GRIT policy (64KB first-touch placement + history-driven migration).
 ///
@@ -42,11 +43,11 @@ struct St {
     allocator: FrameAllocator,
     layout: PhysLayout,
     /// Per-64KB-page access counts by requester chiplet.
-    history: HashMap<u64, [u32; MAX_CHIPLETS]>,
+    history: FastMap<u64, ChipletHistogram>,
     /// Pages touched since the last epoch.
-    dirty: HashSet<u64>,
+    dirty: FastSet<u64>,
     /// Current frame of each mapped page (for freeing on migration).
-    frames: HashMap<u64, (PhysAddr, AllocId)>,
+    frames: FastMap<u64, (PhysAddr, AllocId)>,
 }
 
 impl Grit {
@@ -90,9 +91,9 @@ impl PagingPolicy for Grit {
             allocator: FrameAllocator::new(cfg.layout(), cfg.pf_blocks_per_chiplet)
                 .with_scatter(FrameAllocator::DRIVER_SCATTER),
             layout: cfg.layout(),
-            history: HashMap::new(),
-            dirty: HashSet::new(),
-            frames: HashMap::new(),
+            history: FastMap::default(),
+            dirty: FastSet::default(),
+            frames: FastMap::default(),
         });
     }
 
@@ -102,6 +103,7 @@ impl PagingPolicy for Grit {
                 reason: "on_fault before begin()".into(),
             });
         };
+        check_sampled_chiplets("GRIT", st.layout.num_chiplets())?;
         let (frame, _) = st
             .allocator
             .alloc_frame_or_fallback(ctx.requester, PageSize::Size64K, ctx.alloc)
@@ -124,8 +126,17 @@ impl PagingPolicy for Grit {
             return;
         };
         let vpn = ev.va.raw() >> 16;
-        let h = st.history.entry(vpn).or_default();
-        h[ev.requester.index() % MAX_CHIPLETS] += 1;
+        // Only a machine `on_fault` accepted maps pages; ignore samples from
+        // chiplets a histogram cannot hold rather than alias them.
+        let Some(n) = st
+            .history
+            .entry(vpn)
+            .or_default()
+            .get_mut(ev.requester.index())
+        else {
+            return;
+        };
+        *n += 1;
         st.dirty.insert(vpn);
     }
 
@@ -273,6 +284,34 @@ mod tests {
         g.on_fault(&ctx(va, 0)).unwrap();
         for _ in 0..3 {
             g.on_access(&ev(va, 2));
+        }
+        assert!(g.on_epoch(1000).is_empty());
+    }
+
+    /// A 16-chiplet machine that passes `validate()`: more chiplets than
+    /// the access histograms hold.
+    fn sixteen_chiplets() -> SimConfig {
+        let mut cfg = SimConfig::baseline();
+        cfg.num_chiplets = 16;
+        cfg.validate()
+            .expect("16 chiplets on a ring are a valid machine");
+        cfg
+    }
+
+    /// GRIT refuses a machine whose chiplets its histograms cannot tell
+    /// apart with a typed error at the first fault, instead of aliasing
+    /// chiplet 12 onto chiplet 4 and panicking at the next epoch.
+    #[test]
+    fn more_chiplets_than_the_histogram_are_rejected() {
+        let mut g = Grit::new().with_real_migration();
+        g.begin(&[], &sixteen_chiplets());
+        let va = 2u64 << 20;
+        let e = g.on_fault(&ctx(va, 12)).unwrap_err();
+        assert!(matches!(e, SimError::ConfigInvalid { .. }), "{e:?}");
+        for chiplet in [3, 8, 12, 15] {
+            for _ in 0..20 {
+                g.on_access(&ev(va, chiplet));
+            }
         }
         assert!(g.on_epoch(1000).is_empty());
     }

@@ -56,6 +56,16 @@ impl Dram {
         }
     }
 
+    /// Heap bytes the channels' bucket windows hold (see
+    /// [`BucketedResource::bucket_bytes`]).
+    pub fn bucket_bytes(&self) -> usize {
+        self.channels
+            .iter()
+            .flatten()
+            .map(BucketedResource::bucket_bytes)
+            .sum()
+    }
+
     /// Issues one line access to the chiplet owning `pa` at time `now`.
     /// Returns the completion time (queueing + service + access latency).
     pub fn access(&mut self, pa: PhysAddr, now: u64) -> u64 {

@@ -617,8 +617,16 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
 
     /// Folds the registry, the per-allocation tallies, the stages'
     /// degradation tallies and the policy's allocator figures into the
-    /// run's statistics, and hands the final registry to the probe.
+    /// run's statistics, and hands the final registry and the bucket
+    /// windows' size to the probe.
     fn finish(self, policy: &mut dyn PagingPolicy) -> RunStats {
+        let ports: usize = self
+            .sm_port
+            .iter()
+            .map(BucketedResource::bucket_bytes)
+            .sum();
+        self.probe
+            .bucket_bytes(ports + self.translate.bucket_bytes() + self.data.bucket_bytes());
         let mut stats = RunStats {
             cycles: self.cycles,
             blocks_consumed: policy.blocks_consumed(),

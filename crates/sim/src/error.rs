@@ -62,8 +62,11 @@ pub enum SimError {
         /// In-flight walks queued when the overflow was detected.
         depth: usize,
     },
-    /// The simulator configuration failed [`SimConfig::validate`]
-    /// (crate::SimConfig::validate); the run never started.
+    /// The simulator configuration failed
+    /// [`SimConfig::validate`](crate::SimConfig::validate), and the run
+    /// never started; or a policy cannot run on the configured machine and
+    /// refused its first fault (see
+    /// [`check_sampled_chiplets`](crate::check_sampled_chiplets)).
     ConfigInvalid {
         /// Which invariant the configuration violates.
         reason: String,

@@ -58,6 +58,10 @@ pub trait Topology: Send {
     /// Drops link occupancy before cycle `t`: no transfer will start
     /// before it again (see [`BucketedResource::forget_before`]).
     fn forget_before(&mut self, t: u64);
+
+    /// Heap bytes the links' bucket windows hold (see
+    /// [`BucketedResource::bucket_bytes`]).
+    fn bucket_bytes(&self) -> usize;
 }
 
 /// Builds the interconnect described by `cfg` (shape from
@@ -195,6 +199,14 @@ impl Topology for Ring {
             link.forget_before(t);
         }
     }
+
+    fn bucket_bytes(&self) -> usize {
+        self.links
+            .iter()
+            .flatten()
+            .map(BucketedResource::bucket_bytes)
+            .sum()
+    }
 }
 
 /// A 2D mesh of `rows × cols` chiplets with dimension-ordered (XY)
@@ -313,6 +325,10 @@ impl Topology for Mesh2d {
             link.forget_before(t);
         }
     }
+
+    fn bucket_bytes(&self) -> usize {
+        self.links.iter().map(BucketedResource::bucket_bytes).sum()
+    }
 }
 
 /// A fully-connected (all-to-all) package: every ordered chiplet pair has
@@ -395,6 +411,10 @@ impl Topology for FullyConnected {
         for link in &mut self.links {
             link.forget_before(t);
         }
+    }
+
+    fn bucket_bytes(&self) -> usize {
+        self.links.iter().map(BucketedResource::bucket_bytes).sum()
     }
 }
 

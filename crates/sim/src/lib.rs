@@ -64,8 +64,8 @@ pub use interconnect::{build_topology, FullyConnected, Mesh2d, Ring, Topology};
 pub use metrics::{imbalance, LinkTraffic, RunMetrics, SampleFrame, WARMUP_EPSILON};
 pub use page_table::{PageTable, Pte, PTES_PER_LINE};
 pub use policy::{
-    AllocInfo, Directive, FaultCtx, PagingPolicy, RemoteCacheModel, RemoteServe, StaticHint,
-    WalkEvent,
+    check_sampled_chiplets, AllocInfo, ChipletHistogram, Directive, FaultCtx, PagingPolicy,
+    RemoteCacheModel, RemoteServe, StaticHint, WalkEvent, MAX_SAMPLED_CHIPLETS,
 };
 pub use probe::{MetricsProbe, Probe, SAMPLE_INTERVAL};
 pub use resources::{BucketedResource, Server, BUCKET_CYCLES};

@@ -160,6 +160,33 @@ pub enum Directive {
     },
 }
 
+/// Most chiplets the sampling policies' per-page accessor histograms tell
+/// apart: GRIT, C-NUMA and CLAP's migration extension keep one
+/// [`ChipletHistogram`] per sampled page.
+pub const MAX_SAMPLED_CHIPLETS: usize = 8;
+
+/// Accesses to one page by requester chiplet.
+pub type ChipletHistogram = [u32; MAX_SAMPLED_CHIPLETS];
+
+/// Checks that a sampling policy named `policy` can tell apart the
+/// `num_chiplets` chiplets of its machine. Policies call it from
+/// [`PagingPolicy::on_fault`], the first callback that can fail.
+///
+/// # Errors
+///
+/// [`SimError::ConfigInvalid`] when the machine has more than
+/// [`MAX_SAMPLED_CHIPLETS`] chiplets.
+pub fn check_sampled_chiplets(policy: &str, num_chiplets: usize) -> Result<(), SimError> {
+    if num_chiplets <= MAX_SAMPLED_CHIPLETS {
+        return Ok(());
+    }
+    Err(SimError::ConfigInvalid {
+        reason: format!(
+            "{policy} samples at most {MAX_SAMPLED_CHIPLETS} chiplets, the machine has {num_chiplets}"
+        ),
+    })
+}
+
 /// A driver-side paging policy under test.
 ///
 /// Implementations own their physical-frame bookkeeping (typically an

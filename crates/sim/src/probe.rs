@@ -61,6 +61,12 @@ pub trait Probe {
     /// The run ended at cycle `end` with the final registry `counters`.
     #[inline(always)]
     fn finish(&mut self, _end: u64, _counters: &Counters) {}
+
+    /// At the end of the run: the heap bytes the machine's bucketed
+    /// resources hold (SM ports, page walkers, DRAM channels, links).
+    /// Their windows never give capacity back, so this is the run's peak.
+    #[inline(always)]
+    fn bucket_bytes(&mut self, _bytes: usize) {}
 }
 
 /// The unobserved run.

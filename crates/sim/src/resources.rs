@@ -77,19 +77,21 @@ pub struct BucketedResource {
     /// Absolute index of the first stored bucket: everything before it
     /// was dropped by [`forget_before`](Self::forget_before).
     base: usize,
-    /// Service cycles already booked per bucket, from `base` on.
-    used: Vec<u32>,
+    /// One word per bucket, from `base` on. A word below `capacity` is
+    /// the service cycles booked in a bucket that still has room. A word
+    /// at or above `capacity` marks a full bucket and is a skip pointer:
+    /// bucket `b`'s next maybe-free bucket is `b + 1 + (word - capacity)`
+    /// (union-find "next maybe-free" chains, path-compressed on
+    /// traversal). A booking that fills its bucket leaves exactly
+    /// `capacity`, which already reads as "next is `b + 1`". Booked
+    /// capacity never drains, so fullness is monotone and pointers only
+    /// move forward; distances stay valid when a prefix is dropped. Under
+    /// saturation a request would otherwise rescan thousands of full
+    /// buckets between `now` and the service frontier; the skip chain
+    /// makes that amortized O(1) with an identical result (full buckets
+    /// contribute nothing to a booking).
+    words: Vec<u32>,
     capacity: u32,
-    /// Skip pointers over known-full buckets, path-compressed on
-    /// traversal (union-find "next maybe-free" chains), stored from
-    /// `base` on and holding absolute bucket indices. Booked capacity
-    /// never drains, so fullness is monotone and pointers only move
-    /// forward. Invariant: `jump[b - base] == b` iff bucket `b` is not
-    /// full. Under saturation a request would otherwise rescan thousands
-    /// of full buckets between `now` and the service frontier; the skip
-    /// chain makes that amortized O(1) with an identical result (full
-    /// buckets contribute nothing to a booking).
-    jump: Vec<u32>,
     /// `log2(units)` when the unit count is a power of two (every shipped
     /// configuration: ports, walkers, DRAM channels, links), else
     /// `u32::MAX`. The in-bucket start offset is
@@ -108,15 +110,20 @@ impl BucketedResource {
         assert!(units > 0, "a resource needs at least one unit");
         BucketedResource {
             base: 0,
-            used: Vec::new(),
+            words: Vec::new(),
             capacity: units as u32 * BUCKET_CYCLES as u32,
-            jump: Vec::new(),
             unit_shift: if units.is_power_of_two() {
                 units.trailing_zeros()
             } else {
                 u32::MAX
             },
         }
+    }
+
+    /// Heap bytes the bucket window holds: its allocated capacity, which
+    /// never shrinks, so this is also the window's peak so far.
+    pub fn bucket_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u32>()
     }
 
     /// In-bucket start offset for a booking when `used` cycles are already
@@ -131,33 +138,36 @@ impl BucketedResource {
         raw.min(BUCKET_CYCLES - 1)
     }
 
-    /// Grows the bucket arrays to cover absolute bucket `bucket`.
+    /// The bucket after full bucket `b`, whose word is `word`, on its skip
+    /// chain.
+    #[inline]
+    fn next_of(&self, b: usize, word: u32) -> usize {
+        b + 1 + (word - self.capacity) as usize
+    }
+
+    /// Grows the window to cover absolute bucket `bucket`.
     #[inline]
     fn ensure(&mut self, bucket: usize) {
         let i = bucket - self.base;
-        if i >= self.used.len() {
-            let new_len = i + 256;
-            self.used.resize(new_len, 0);
-            let stored = self.base + self.jump.len();
-            self.jump
-                .extend(stored as u32..(self.base + new_len) as u32);
+        if i >= self.words.len() {
+            self.words.resize(i + 256, 0);
         }
     }
 
     /// Follows the skip chain from absolute bucket `from` to the first
     /// maybe-free bucket, compressing the traversed path. The result may
-    /// point one past the stored arrays (caller re-ensures capacity).
+    /// point one past the window (caller re-ensures capacity).
     #[inline]
     fn skip_full(&mut self, from: usize) -> usize {
-        let (base, end) = (self.base, self.base + self.jump.len());
+        let (base, end) = (self.base, self.base + self.words.len());
         let mut b = from;
-        while b < end && self.jump[b - base] as usize != b {
-            b = self.jump[b - base] as usize;
+        while b < end && self.words[b - base] >= self.capacity {
+            b = self.next_of(b, self.words[b - base]);
         }
         let mut c = from;
-        while c < b.min(end) && self.jump[c - base] as usize != c {
-            let next = self.jump[c - base] as usize;
-            self.jump[c - base] = b as u32;
+        while c < b.min(end) && self.words[c - base] >= self.capacity {
+            let next = self.next_of(c, self.words[c - base]);
+            self.words[c - base] = self.capacity + (b - c - 1) as u32;
             c = next;
         }
         b
@@ -181,21 +191,18 @@ impl BucketedResource {
             "booking at cycle {now} before the kept window (bucket {})",
             self.base
         );
-        // Fast path: the request's own bucket is stored, is not full, and
-        // absorbs the whole booking — the overwhelmingly common case for
-        // short services on an uncongested resource. Identical to one
-        // iteration of the general loop below.
+        // Fast path: the request's own bucket is stored and absorbs the
+        // whole booking — the overwhelmingly common case for short
+        // services on an uncongested resource. A full bucket's word is at
+        // least `capacity`, so one comparison rules it out too. Identical
+        // to one iteration of the general loop below.
         let i = bucket.wrapping_sub(self.base);
-        if i < self.used.len()
-            && self.jump[i] as usize == bucket
-            && self.used[i] as u64 + service <= self.capacity as u64
-        {
-            let start = (bucket as u64 * BUCKET_CYCLES + self.offset(self.used[i])).max(now);
-            self.used[i] += service as u32;
-            if self.used[i] >= self.capacity {
-                self.jump[i] = bucket as u32 + 1;
+        if let Some(&used) = self.words.get(i) {
+            if used as u64 + service <= self.capacity as u64 {
+                let start = (bucket as u64 * BUCKET_CYCLES + self.offset(used)).max(now);
+                self.words[i] = used + service as u32;
+                return start;
             }
-            return start;
         }
         let mut bucket = bucket.max(self.base);
         let mut remaining = service;
@@ -209,18 +216,15 @@ impl BucketedResource {
                 bucket = target;
                 continue;
             }
-            // Invariant: an identity pointer means spare capacity.
+            // `skip_full` stopped here, so the bucket has room.
             let i = bucket - self.base;
-            let free = self.capacity - self.used[i];
-            let take = remaining.min(free as u64) as u32;
+            let used = self.words[i];
+            let take = remaining.min((self.capacity - used) as u64) as u32;
             if start.is_none() {
-                start = Some((bucket as u64 * BUCKET_CYCLES + self.offset(self.used[i])).max(now));
+                start = Some((bucket as u64 * BUCKET_CYCLES + self.offset(used)).max(now));
             }
-            self.used[i] += take;
+            self.words[i] = used + take;
             remaining -= take as u64;
-            if self.used[i] >= self.capacity {
-                self.jump[i] = bucket as u32 + 1;
-            }
             if remaining == 0 {
                 // `start` was set when the first units were taken.
                 return start.unwrap_or(now);
@@ -239,13 +243,10 @@ impl BucketedResource {
             "probe at cycle {now} before the kept window"
         );
         loop {
-            let i = bucket.wrapping_sub(self.base);
-            if i >= self.used.len() || self.used[i] < self.capacity {
-                return (bucket as u64 * BUCKET_CYCLES).max(now);
+            match self.words.get(bucket.wrapping_sub(self.base)) {
+                Some(&word) if word >= self.capacity => bucket = self.next_of(bucket, word),
+                _ => return (bucket as u64 * BUCKET_CYCLES).max(now),
             }
-            // Full buckets carry a forward pointer (`acquire` set it when
-            // the bucket filled).
-            bucket = (self.jump[i] as usize).max(bucket + 1);
         }
     }
 
@@ -256,12 +257,11 @@ impl BucketedResource {
     /// proportional to how far bookings run ahead of `t`.
     pub fn forget_before(&mut self, t: u64) {
         let drop = ((t / BUCKET_CYCLES) as usize).saturating_sub(self.base);
-        if drop == 0 || drop * 2 < self.used.len() {
+        if drop == 0 || drop * 2 < self.words.len() {
             return;
         }
-        let stored = drop.min(self.used.len());
-        self.used.drain(..stored);
-        self.jump.drain(..stored);
+        let stored = drop.min(self.words.len());
+        self.words.drain(..stored);
         self.base += drop;
     }
 }
@@ -380,7 +380,7 @@ mod tests {
                     // Forget first: after an idle stretch the floor is past
                     // everything stored.
                     if forget == 0 {
-                        let (before, stored) = (windowed.base, windowed.used.len());
+                        let (before, stored) = (windowed.base, windowed.words.len());
                         windowed.forget_before(floor);
                         forgets += 1;
                         drains += (windowed.base != before) as usize;
@@ -392,12 +392,12 @@ mod tests {
                         }
                         // The highest bucket holding a booking bounds the
                         // stored span (`ensure` pads 256 buckets past it).
-                        let hi = plain.used.iter().rposition(|&u| u > 0).unwrap_or(0);
+                        let hi = plain.words.iter().rposition(|&u| u > 0).unwrap_or(0);
                         let ahead = (hi + 257).saturating_sub((floor / BUCKET_CYCLES) as usize);
                         assert!(
-                            windowed.used.len() <= 2 * ahead,
+                            windowed.words.len() <= 2 * ahead,
                             "case {case}: span {} for {ahead} buckets ahead",
-                            windowed.used.len()
+                            windowed.words.len()
                         );
                     }
                     let now = floor + if lead % 50 == 0 { lead * 4 } else { lead };
@@ -420,10 +420,10 @@ mod tests {
                     );
                 }
                 assert!(
-                    windowed.used.len() * 3 < plain.used.len(),
+                    windowed.words.len() * 3 < plain.words.len(),
                     "case {case}: kept {} of {} buckets",
-                    windowed.used.len(),
-                    plain.used.len()
+                    windowed.words.len(),
+                    plain.words.len()
                 );
             }
         }
@@ -432,6 +432,198 @@ mod tests {
             "{drains} of {forgets} forgets dropped a prefix"
         );
         assert!(cleared > 0, "no forget dropped the whole stored span");
+    }
+
+    /// The two-word bucket window this module kept before one word per
+    /// bucket: booked cycles in `used`, absolute skip pointers in `jump`
+    /// (`jump[b - base] == b` iff bucket `b` is not full). Kept as the
+    /// oracle the one-word encoding must book exactly like.
+    struct TwoWordResource {
+        base: usize,
+        used: Vec<u32>,
+        jump: Vec<u32>,
+        capacity: u32,
+        units: u64,
+    }
+
+    impl TwoWordResource {
+        fn new(units: usize) -> Self {
+            TwoWordResource {
+                base: 0,
+                used: Vec::new(),
+                jump: Vec::new(),
+                capacity: units as u32 * BUCKET_CYCLES as u32,
+                units: units as u64,
+            }
+        }
+
+        fn offset(&self, used: u32) -> u64 {
+            (used as u64 / self.units).min(BUCKET_CYCLES - 1)
+        }
+
+        fn ensure(&mut self, bucket: usize) {
+            let i = bucket - self.base;
+            if i >= self.used.len() {
+                let new_len = i + 256;
+                self.used.resize(new_len, 0);
+                let stored = self.base + self.jump.len();
+                self.jump
+                    .extend(stored as u32..(self.base + new_len) as u32);
+            }
+        }
+
+        fn skip_full(&mut self, from: usize) -> usize {
+            let (base, end) = (self.base, self.base + self.jump.len());
+            let mut b = from;
+            while b < end && self.jump[b - base] as usize != b {
+                b = self.jump[b - base] as usize;
+            }
+            let mut c = from;
+            while c < b.min(end) && self.jump[c - base] as usize != c {
+                let next = self.jump[c - base] as usize;
+                self.jump[c - base] = b as u32;
+                c = next;
+            }
+            b
+        }
+
+        fn acquire(&mut self, now: u64, service: u64) -> u64 {
+            if service == 0 {
+                return now;
+            }
+            let mut bucket = (now / BUCKET_CYCLES) as usize;
+            let mut remaining = service;
+            let mut start: Option<u64> = None;
+            loop {
+                self.ensure(bucket);
+                let target = self.skip_full(bucket);
+                if target != bucket {
+                    bucket = target;
+                    continue;
+                }
+                let i = bucket - self.base;
+                let take = remaining.min((self.capacity - self.used[i]) as u64) as u32;
+                if start.is_none() {
+                    start =
+                        Some((bucket as u64 * BUCKET_CYCLES + self.offset(self.used[i])).max(now));
+                }
+                self.used[i] += take;
+                remaining -= take as u64;
+                if self.used[i] >= self.capacity {
+                    self.jump[i] = bucket as u32 + 1;
+                }
+                if remaining == 0 {
+                    return start.unwrap_or(now);
+                }
+                bucket += 1;
+            }
+        }
+
+        fn next_free(&self, now: u64) -> u64 {
+            let mut bucket = (now / BUCKET_CYCLES) as usize;
+            loop {
+                let i = bucket - self.base;
+                if i >= self.used.len() || self.used[i] < self.capacity {
+                    return (bucket as u64 * BUCKET_CYCLES).max(now);
+                }
+                bucket = (self.jump[i] as usize).max(bucket + 1);
+            }
+        }
+
+        fn forget_before(&mut self, t: u64) {
+            let drop = ((t / BUCKET_CYCLES) as usize).saturating_sub(self.base);
+            if drop == 0 || drop * 2 < self.used.len() {
+                return;
+            }
+            let stored = drop.min(self.used.len());
+            self.used.drain(..stored);
+            self.jump.drain(..stored);
+            self.base += drop;
+        }
+    }
+
+    /// The one-word window books, probes and forgets exactly like the
+    /// two-word window it replaced, and stores the same state: each
+    /// bucket's word decodes to the oracle's booked cycles when it has
+    /// room, and to the oracle's skip target when it is full. Random
+    /// streams at 1 and 16 units mix short services with multi-bucket
+    /// ones, leads far past the floor, saturating bursts that fill long
+    /// prefixes (so skip chains form and compress), and idle stretches
+    /// that jump the floor past the whole window. The test checks that
+    /// its random cases covered each of those.
+    #[test]
+    fn one_word_buckets_book_like_two_word_buckets() {
+        use proptest::collection::vec;
+        use proptest::{seed_for, Strategy, TestRng};
+
+        // (kind, floor step, lead over the floor, service)
+        let steps = vec((0u8..32, 0u64..400, 0u64..30_000, 1u64..64), 2_000);
+        let (mut spans, mut far, mut long_skips, mut idles) = (0usize, 0usize, 0usize, 0usize);
+        for units in [1usize, 16] {
+            let cap = units as u64 * BUCKET_CYCLES;
+            for case in 0..48 {
+                let mut rng = TestRng::new(seed_for("one_word_buckets", case));
+                let mut one = BucketedResource::new(units);
+                let mut two = TwoWordResource::new(units);
+                let mut floor = 0u64;
+                for (kind, step, lead, service) in steps.generate(&mut rng) {
+                    floor += match kind {
+                        // An idle stretch of ~3K buckets.
+                        0 => 200_000,
+                        _ => step,
+                    };
+                    if kind == 0 || kind % 8 == 1 {
+                        let past_window =
+                            (floor / BUCKET_CYCLES) as usize > one.base + one.words.len();
+                        idles += (kind == 0 && past_window) as usize;
+                        one.forget_before(floor);
+                        two.forget_before(floor);
+                        assert_eq!(one.base, two.base, "case {case}");
+                    }
+                    let (now, service) = match kind {
+                        // Far lead: like a page walk booked ~1.5M cycles
+                        // past the clock.
+                        2 => (floor + 1_500_000 + lead, service),
+                        // Multi-bucket service.
+                        3..=5 => (floor + lead, service * cap / 8),
+                        // Saturating burst at the floor: fills a long
+                        // prefix later requests must skip.
+                        6 => (floor, 40 * cap),
+                        _ => (floor + lead / 16, service),
+                    };
+                    far += (kind == 2) as usize;
+                    spans += (service > cap) as usize;
+                    let want = two.next_free(floor);
+                    assert_eq!(one.next_free(floor), want, "case {case}: probe {floor}");
+                    long_skips += (want >= floor + 32 * BUCKET_CYCLES) as usize;
+                    assert_eq!(
+                        one.acquire(now, service),
+                        two.acquire(now, service),
+                        "case {case}, {units} units: acquire({now}, {service})"
+                    );
+                }
+                assert_eq!(one.words.len(), two.used.len(), "case {case}");
+                for (i, &word) in one.words.iter().enumerate() {
+                    let b = one.base + i;
+                    if word < one.capacity {
+                        assert_eq!((word, two.jump[i] as usize), (two.used[i], b), "bucket {b}");
+                    } else {
+                        assert_eq!(two.used[i], two.capacity, "bucket {b}");
+                        assert_eq!(one.next_of(b, word), two.jump[i] as usize, "bucket {b}");
+                    }
+                }
+            }
+        }
+        assert!(spans > 10_000, "{spans} multi-bucket services");
+        assert!(far > 3_000, "{far} far leads");
+        assert!(
+            long_skips > 10_000,
+            "{long_skips} probes skipped a saturated prefix"
+        );
+        assert!(
+            idles > 50,
+            "{idles} idle stretches dropped the whole window"
+        );
     }
 
     #[test]

@@ -272,6 +272,11 @@ impl<'r> DataPath<'r> {
         self.interconnect.forget_before(t);
     }
 
+    /// Heap bytes the DRAM channels' and links' bucket windows hold.
+    pub fn bucket_bytes(&self) -> usize {
+        self.dram.bucket_bytes() + self.interconnect.bucket_bytes()
+    }
+
     /// The run-level interconnect and DRAM totals: `(transfers, link
     /// queue cycles, DRAM queue cycles)`.
     pub(crate) fn run_totals(&self) -> (u64, u64, u64) {

@@ -16,7 +16,9 @@ use crate::probe::Probe;
 use crate::trace::TraceEventKind;
 use crate::workload::{tb_chiplet, KernelDesc, Workload};
 
-/// A monotone radix heap of `(ready_cycle, warp_id)` wake-up events.
+/// A monotone radix heap of `(ready_cycle, key)` wake-up events, where a
+/// warp's key is `(start_seq << 32) | slot`: the order it started in
+/// above the context slot it occupies (see [`KernelSchedule`]).
 ///
 /// The engine clock never runs backwards: every push is at or after the
 /// cycle last popped (a batch reschedules at its completion plus the
@@ -24,25 +26,26 @@ use crate::workload::{tb_chiplet, KernelDesc, Workload};
 /// threadblock starts at the retire cycle plus its jitter, which may be
 /// 0). Keys therefore live in buckets by the highest bit in which their
 /// cycle differs from the last popped cycle `last`. Events at `last`
-/// itself sit in [`Self::now`] by descending warp id, so same-cycle
-/// wake-ups leave in warp-id order; `later[b]` holds cycles that agree
+/// itself sit in [`Self::now`] by descending key, so same-cycle
+/// wake-ups leave in warp start order; `later[b]` holds cycles that agree
 /// with `last` above bit `b` and differ at it. A pop that finds `now`
 /// empty takes the lowest non-empty bucket, advances `last` to its
 /// smallest cycle and redistributes its events into strictly lower
 /// buckets, so an event moves at most 64 times however many warps wait.
 ///
 /// Each live warp is enqueued at most once, so keys are distinct and the
-/// pops are exactly the ascending `(cycle, warp)` sequence any min-queue
+/// pops are exactly the ascending `(cycle, key)` sequence any min-queue
 /// pops: the simulated schedule does not depend on the queue's shape.
 /// Buckets keep their capacity, so steady-state pushes do not allocate.
 struct WakeQueue {
     /// Cycle of the most recent pop: nothing may be pushed before it.
     last: u64,
-    /// Warps waking at `last`, by descending id (the next one is last).
-    now: Vec<u32>,
+    /// Keys of the warps waking at `last`, descending (the next one is
+    /// last).
+    now: Vec<u64>,
     /// `later[b]`: events whose cycle first differs from `last` at bit
     /// `b` (and is therefore greater).
-    later: [Vec<(u64, u32)>; 64],
+    later: [Vec<(u64, u64)>; 64],
     /// Bit `b` set iff `later[b]` is non-empty.
     occupied: u64,
 }
@@ -59,7 +62,7 @@ impl Default for WakeQueue {
 }
 
 impl WakeQueue {
-    fn push(&mut self, t: u64, wid: u32) {
+    fn push(&mut self, t: u64, key: u64) {
         debug_assert!(
             t >= self.last,
             "wake-up at cycle {t} before the clock ({})",
@@ -67,16 +70,16 @@ impl WakeQueue {
         );
         let diff = t ^ self.last;
         if diff == 0 {
-            let at = self.now.partition_point(|&w| w > wid);
-            self.now.insert(at, wid);
+            let at = self.now.partition_point(|&k| k > key);
+            self.now.insert(at, key);
         } else {
             let b = 63 - diff.leading_zeros() as usize;
-            self.later[b].push((t, wid));
+            self.later[b].push((t, key));
             self.occupied |= 1 << b;
         }
     }
 
-    fn pop(&mut self) -> Option<(u64, usize)> {
+    fn pop(&mut self) -> Option<(u64, u64)> {
         if self.now.is_empty() {
             if self.occupied == 0 {
                 return None;
@@ -85,13 +88,13 @@ impl WakeQueue {
             self.occupied &= !(1 << b);
             let mut events = std::mem::take(&mut self.later[b]);
             self.last = events.iter().map(|&(t, _)| t).min()?;
-            for &(t, wid) in &events {
+            for &(t, key) in &events {
                 let diff = t ^ self.last;
                 if diff == 0 {
-                    self.now.push(wid);
+                    self.now.push(key);
                 } else {
                     let c = 63 - diff.leading_zeros() as usize;
-                    self.later[c].push((t, wid));
+                    self.later[c].push((t, key));
                     self.occupied |= 1 << c;
                 }
             }
@@ -99,9 +102,16 @@ impl WakeQueue {
             self.later[b] = events;
             self.now.sort_unstable_by(|a, b| b.cmp(a));
         }
-        let wid = self.now.pop()?;
-        Some((self.last, wid as usize))
+        let key = self.now.pop()?;
+        Some((self.last, key))
     }
+}
+
+/// Deterministic per-warp start jitter in `0..64` cycles: warps of
+/// concurrently launched TBs do not start in threadblock order, so
+/// first-touch races at equal progress are unbiased.
+fn start_jitter(tb: TbId, w: u32) -> u64 {
+    (tb.index() as u64 * 131 + w as u64 * 17).wrapping_mul(0x9E37_79B9) % 64
 }
 
 /// One warp's progress through its access stream.
@@ -114,20 +124,36 @@ pub struct WarpCtx {
     pub accesses: Vec<VirtAddr>,
     /// Index of the next unissued access.
     pub next: usize,
+    /// Start slot of the warp's threadblock in the schedule's live-warp
+    /// counts.
+    tb_slot: u32,
+    /// The warp's start order within the kernel: the high half of its
+    /// wake-up key.
+    seq: u32,
 }
 
 /// The warp schedule of one kernel launch.
+///
+/// Warps are addressed by *slot*: the index of their context in
+/// `warps`. A retired warp's slot goes onto a free list and the next warp
+/// to start takes it, so `warps` holds at most the resident warps, not
+/// every warp the kernel ever started. Slots are reused in any order, so
+/// the wake-up key puts the warp's start sequence above its slot:
+/// same-cycle wake-ups leave in start order, exactly as if every warp had
+/// a slot of its own.
 pub struct KernelSchedule {
     kd: KernelDesc,
     /// Queued (not yet started) threadblocks per SM.
     sm_queue: Vec<VecDeque<TbId>>,
     warps: Vec<WarpCtx>,
-    /// Pending `(ready_cycle, warp_id)` wake-ups.
+    /// Slots of retired warps, free for the next warps to start.
+    free_slots: Vec<u32>,
+    /// Warps started so far: the next warp's start sequence.
+    started: u32,
+    /// Pending `(ready_cycle, (start_seq << 32) | slot)` wake-ups.
     queue: WakeQueue,
     /// Live warps per started threadblock, indexed by start slot.
     tb_live_warps: Vec<u32>,
-    /// Start slot of each warp's threadblock.
-    warp_tb_slot: Vec<usize>,
 }
 
 impl KernelSchedule {
@@ -151,9 +177,10 @@ impl KernelSchedule {
             kd,
             sm_queue: vec![VecDeque::new(); sms],
             warps: Vec::new(),
+            free_slots: Vec::new(),
+            started: 0,
             queue: WakeQueue::default(),
             tb_live_warps: Vec::new(),
-            warp_tb_slot: Vec::new(),
         };
         if kd.num_tbs == 0 {
             return sched;
@@ -199,36 +226,50 @@ impl KernelSchedule {
             tb,
             cycle: at,
         });
-        let slot = self.tb_live_warps.len();
+        let tb_slot = self.tb_live_warps.len() as u32;
         self.tb_live_warps.push(self.kd.warps_per_tb);
         for w in 0..self.kd.warps_per_tb {
             let mut accesses = pool.pop().unwrap_or_default();
             workload.warp_accesses_into(k, tb, WarpId::new(w), &mut accesses);
-            let id = self.warps.len();
-            self.warps.push(WarpCtx {
+            let ctx = WarpCtx {
                 sm,
                 tb,
                 accesses,
                 next: 0,
-            });
-            self.warp_tb_slot.push(slot);
-            // Deterministic per-warp jitter: warps of concurrently launched
-            // TBs do not start in threadblock order, so first-touch races
-            // at equal progress are unbiased.
-            let jitter = (tb.index() as u64 * 131 + w as u64 * 17).wrapping_mul(0x9E37_79B9) % 64;
-            self.queue.push(at + jitter, id as u32);
+                tb_slot,
+                seq: self.started,
+            };
+            self.started += 1;
+            let slot = match self.free_slots.pop() {
+                Some(slot) => {
+                    self.warps[slot as usize] = ctx;
+                    slot
+                }
+                None => {
+                    self.warps.push(ctx);
+                    (self.warps.len() - 1) as u32
+                }
+            };
+            self.push(slot as usize, at + start_jitter(tb, w));
         }
     }
 
-    /// Pops the next ready warp: `(ready_cycle, warp_id)`. `None` once
-    /// every warp retired.
-    pub fn pop(&mut self) -> Option<(u64, usize)> {
-        self.queue.pop()
+    /// Enqueues the warp in `slot` to wake at `at`.
+    fn push(&mut self, slot: usize, at: u64) {
+        let key = ((self.warps[slot].seq as u64) << 32) | slot as u64;
+        self.queue.push(at, key);
     }
 
-    /// Re-enqueues warp `wid` to continue at `at`.
+    /// Pops the next ready warp: `(ready_cycle, slot)`. Same-cycle
+    /// wake-ups leave in warp start order. `None` once every warp retired.
+    pub fn pop(&mut self) -> Option<(u64, usize)> {
+        let (t, key) = self.queue.pop()?;
+        Some((t, key as u32 as usize))
+    }
+
+    /// Re-enqueues the warp in slot `wid` to continue at `at`.
     pub fn reschedule(&mut self, wid: usize, at: u64) {
-        self.queue.push(at, wid as u32);
+        self.push(wid, at);
     }
 
     /// The next up-to-`warp_mlp` accesses warp `wid` keeps in flight (GPU
@@ -270,9 +311,11 @@ impl KernelSchedule {
         let mut stream = std::mem::take(&mut self.warps[wid].accesses);
         stream.clear();
         pool.push(stream);
-        let slot = self.warp_tb_slot[wid];
-        self.tb_live_warps[slot] -= 1;
-        if self.tb_live_warps[slot] == 0 {
+        // Free the slot first: the threadblock that starts next may take it.
+        self.free_slots.push(wid as u32);
+        let tb_slot = self.warps[wid].tb_slot as usize;
+        self.tb_live_warps[tb_slot] -= 1;
+        if self.tb_live_warps[tb_slot] == 0 {
             let sm = self.warps[wid].sm;
             if let Some(next_tb) = self.sm_queue[sm].pop_front() {
                 self.start_tb(workload, k, sm, next_tb, t, pool, probe);
@@ -405,7 +448,7 @@ mod tests {
             while !self.live.insert(wid) {
                 wid = (wid + 1) % 8192;
             }
-            self.q.push(t, wid);
+            self.q.push(t, wid as u64);
             self.oracle.push(std::cmp::Reverse((t, wid)));
             wid
         }
@@ -415,7 +458,7 @@ mod tests {
             let want = self
                 .oracle
                 .pop()
-                .map(|std::cmp::Reverse((t, w))| (t, w as usize));
+                .map(|std::cmp::Reverse((t, w))| (t, w as u64));
             assert_eq!(self.q.pop(), want, "case {case}");
             let Some((t, w)) = want else { return false };
             self.live.remove(&(w as u32));
@@ -489,6 +532,126 @@ mod tests {
             "no same-cycle push below a popped id"
         );
         assert!(reused > 0, "no queue was reused after draining empty");
+    }
+
+    /// 64 TBs of four warps with one to five accesses each: 256 warps,
+    /// of which at most 16 are resident on the two SMs of [`cfg`] with 8
+    /// warp slots per SM.
+    struct ManyWarps;
+    impl Workload for ManyWarps {
+        fn name(&self) -> &str {
+            "many"
+        }
+        fn allocs(&self) -> &[AllocInfo] {
+            &[]
+        }
+        fn num_kernels(&self) -> usize {
+            1
+        }
+        fn kernel(&self, _k: usize) -> KernelDesc {
+            KernelDesc {
+                num_tbs: 64,
+                warps_per_tb: 4,
+                insts_per_mem: 1,
+                line_reuse: 1,
+            }
+        }
+        fn warp_accesses(&self, _k: usize, tb: TbId, warp: WarpId) -> Vec<VirtAddr> {
+            let (t, w) = (tb.index() as u64, warp.index() as u64);
+            (0..1 + (t * 3 + w) % 5)
+                .map(|i| VirtAddr::new((t * 64 + w * 8 + i) * 128))
+                .collect()
+        }
+    }
+
+    /// Records each threadblock start.
+    #[derive(Default)]
+    struct TbStarts(Vec<(TbId, u64)>);
+    impl Probe for TbStarts {
+        fn event(&mut self, kind: TraceEventKind) {
+            if let TraceEventKind::TbStart { tb, cycle, .. } = kind {
+                self.0.push((tb, cycle));
+            }
+        }
+    }
+
+    /// A never-recycling reference schedule: every warp ever started keeps
+    /// its start sequence, and wake-ups leave as ascending `(cycle, seq)`.
+    #[derive(Default)]
+    struct Reference {
+        seq_of: std::collections::HashMap<(usize, u32), u64>,
+        queue: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
+        seen_starts: usize,
+    }
+
+    impl Reference {
+        /// Starts the warps of every threadblock start not seen yet.
+        fn absorb(&mut self, starts: &TbStarts, warps_per_tb: u32) {
+            for &(tb, cycle) in &starts.0[self.seen_starts..] {
+                for w in 0..warps_per_tb {
+                    let seq = self.seq_of.len() as u64;
+                    self.seq_of.insert((tb.index(), w), seq);
+                    self.queue
+                        .push(std::cmp::Reverse((cycle + start_jitter(tb, w), seq)));
+                }
+            }
+            self.seen_starts = starts.0.len();
+        }
+    }
+
+    /// With 16 warps resident out of 256, retired warps' slots are reused
+    /// by later threadblocks in whatever order they free up, yet the
+    /// schedule pops exactly the `(cycle, start order)` sequence of a
+    /// reference that never recycles, through same-cycle ties where slot
+    /// order and start order disagree. The context table never grows past
+    /// the resident warps.
+    #[test]
+    fn recycled_slots_pop_in_start_order() {
+        let mut c = cfg();
+        c.max_warps_per_sm = 8;
+        let (w, resident) = (ManyWarps, 16);
+        let mut pool = Vec::new();
+        let mut starts = TbStarts::default();
+        let mut s = KernelSchedule::new(&c, &w, 0, 0, &mut pool, &mut starts);
+        let mut reference = Reference::default();
+        reference.absorb(&starts, 4);
+        let (mut ties, mut reordered, mut peak) = (0usize, 0usize, 0usize);
+        let mut prev: Option<(u64, usize)> = None;
+        while let Some((t, slot)) = s.pop() {
+            peak = peak.max(s.warps.len());
+            assert!(s.warps.len() <= resident, "{} warp slots", s.warps.len());
+            let (_sm, tb, batch) = s.batch(&c, slot);
+            let warp = (batch[0].raw() / 128 % 64 / 8) as u32;
+            let seq = reference.seq_of[&(tb.index(), warp)];
+            assert_eq!(
+                reference.queue.pop(),
+                Some(std::cmp::Reverse((t, seq))),
+                "slot {slot}"
+            );
+            if let Some((_, prev_slot)) = prev.filter(|&(pt, _)| pt == t) {
+                ties += 1;
+                reordered += (slot < prev_slot) as usize;
+            }
+            prev = Some((t, slot));
+            s.advance(slot, 1);
+            if s.warp_finished(slot) {
+                s.retire_warp(&w, 0, slot, t, &mut pool, &mut starts);
+                reference.absorb(&starts, 4);
+            } else {
+                // Delays of 0-2 cycles: many warps wake on one cycle.
+                let at = t + (seq + t) % 3;
+                s.reschedule(slot, at);
+                reference.queue.push(std::cmp::Reverse((at, seq)));
+            }
+        }
+        assert!(reference.queue.is_empty(), "the schedule dropped warps");
+        assert_eq!(reference.seq_of.len(), 256, "every warp started");
+        assert_eq!(peak, resident, "the resident warps fill their slots");
+        assert!(ties > 200, "{ties} same-cycle wake-ups");
+        assert!(
+            reordered > 30,
+            "{reordered} ties left a lower slot after a higher one"
+        );
     }
 
     #[test]

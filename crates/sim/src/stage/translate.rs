@@ -457,6 +457,14 @@ impl TranslateStage {
         }
     }
 
+    /// Heap bytes the page walkers' bucket windows hold.
+    pub fn bucket_bytes(&self) -> usize {
+        self.walkers
+            .iter()
+            .map(BucketedResource::bucket_bytes)
+            .sum()
+    }
+
     /// Drops TLB coverage of the page containing `va` from every L1 and
     /// L2 TLB (the invalidation half of a shootdown; the driver stage
     /// charges the cost).

@@ -13,9 +13,10 @@
 //!   these paths; Fx hashing is a single round of xor + rotate + multiply
 //!   per word with good avalanche behaviour on dense keys.
 //!
-//! [`FastMap`] is the drop-in `HashMap` alias using [`FxHasher64`].
+//! [`FastMap`] and [`FastSet`] are the drop-in `HashMap` and `HashSet`
+//! aliases using [`FxHasher64`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a 64-bit hash — the stable fingerprint used by sweep telemetry
@@ -129,6 +130,9 @@ pub type BuildFxHasher = BuildHasherDefault<FxHasher64>;
 /// A `HashMap` using [`FxHasher64`] — the workspace's hot-path map for
 /// integer keys.
 pub type FastMap<K, V> = HashMap<K, V, BuildFxHasher>;
+
+/// A `HashSet` using [`FxHasher64`], the set form of [`FastMap`].
+pub type FastSet<K> = HashSet<K, BuildFxHasher>;
 
 /// Mixes a 64-bit key into a table index hash directly (the standalone
 /// form of [`FxHasher64`] for hand-rolled open-addressing tables):

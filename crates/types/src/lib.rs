@@ -33,7 +33,7 @@ mod layout;
 mod page;
 
 pub use address::{PhysAddr, VirtAddr};
-pub use hash::{fnv1a, fx_mix, BuildFxHasher, FastMap, Fnv1a, FxHasher64};
+pub use hash::{fnv1a, fx_mix, BuildFxHasher, FastMap, FastSet, Fnv1a, FxHasher64};
 pub use ids::{AllocId, ChipletId, SmId, TbId, WarpId};
 pub use layout::{PhysLayout, CHANNEL_INTERLEAVE_BYTES};
 pub use page::{PageSize, PageSizeIter, BASE_PAGE_BYTES, VA_BLOCK_BYTES};
