@@ -497,7 +497,7 @@ fn probe(h: &Harness, wname: &str) {
 /// instead of performance columns.
 fn probe_chaos(h: &Harness, wname: &str, seed: u64) {
     use mcm_bench::configs::ConfigKind;
-    use mcm_sim::RunOutcome;
+    use mcm_sim::{run_outcome, ChaosConfig, ChaosPolicy, RunOutcome};
     let w = mcm_workloads::suite::by_name(wname).unwrap_or_else(|| {
         eprintln!("unknown workload {wname}");
         std::process::exit(2);
@@ -507,8 +507,12 @@ fn probe_chaos(h: &Harness, wname: &str, seed: u64) {
         .counters()
         .map(|(name, _, _)| name.to_string());
     chaos_row("config", "injected", &header, "cycles", "outcome");
+    let w = h.prep(&w);
     for kind in ConfigKind::main_eval() {
-        let (chaos, out) = h.run_chaos(&w, kind, seed);
+        let (policy, mut cfg) = kind.build(h.base_config());
+        cfg.audit_epochs = true;
+        let mut chaos = ChaosPolicy::new(policy, ChaosConfig::with_seed(seed));
+        let out = run_outcome(&cfg, &w, &mut chaos, None);
         let (stats, tail) = match &out {
             Ok(RunOutcome::Completed(s)) => (Some(s), CellOutcome::of(s).to_string()),
             Ok(RunOutcome::Aborted { reason, stats }) => {
@@ -525,7 +529,7 @@ fn probe_chaos(h: &Harness, wname: &str, seed: u64) {
         };
         chaos_row(
             &kind.name(),
-            &chaos.total().to_string(),
+            &chaos.stats().total().to_string(),
             &counts,
             &cycles,
             &tail,

@@ -11,9 +11,8 @@
 use clap_core::{survey_mean, survey_workload, Clap};
 use mcm_policies::{Nuba, Sac};
 use mcm_sim::{
-    analytic, run_outcome, run_with, ChaosConfig, ChaosPolicy, ChaosStats, Probe, RemoteCacheModel,
-    RunMetrics, RunOutcome, RunStats, SimConfig, SimError, TileMapping, TiledGemm, TopologyKind,
-    Workload, WARMUP_EPSILON,
+    analytic, run_outcome, run_with, Probe, RemoteCacheModel, RunMetrics, RunOutcome, RunStats,
+    SimConfig, SimError, TileMapping, TiledGemm, TopologyKind, Workload, WARMUP_EPSILON,
 };
 use mcm_types::{Fnv1a, PageSize, TbId, WarpId};
 use mcm_workloads::{suite, SyntheticWorkload, FOOTPRINT_SCALE};
@@ -392,8 +391,10 @@ impl Harness {
         if let Some(pm) = model {
             // Predict against the per-config machine (translation
             // flags, TLB classes), exactly what the simulator runs.
-            let stats = self.replay_for(w).predict(&cfg, &pm)?;
-            return Ok(RunOutcome::Completed(stats.into_run_stats()));
+            return self
+                .replay_for(w)
+                .predict(&cfg, &pm)
+                .map(RunOutcome::Completed);
         }
         let mut cache = col.cache.map(|c| c.model(&cfg));
         let cache = cache
@@ -414,24 +415,6 @@ impl Harness {
         self.run_cell(&self.prep(w), &col, &mut ())
             .and_then(RunOutcome::completed)
             .unwrap_or_else(|e| panic!("{} run failed: {e}", col.label))
-    }
-
-    /// Runs `w` under `kind` wrapped in a fault-injecting
-    /// [`ChaosPolicy`], with epoch auditing enabled. Returns the
-    /// injection counters and the (possibly degraded) outcome — a typed
-    /// error, never a panic.
-    pub fn run_chaos(
-        &self,
-        w: &SyntheticWorkload,
-        kind: ConfigKind,
-        seed: u64,
-    ) -> (ChaosStats, Result<RunOutcome, SimError>) {
-        let (policy, mut cfg) = kind.build(&self.base);
-        cfg.audit_epochs = true;
-        let mut chaotic = ChaosPolicy::new(policy, ChaosConfig::with_seed(seed));
-        let w = self.prep(w);
-        let out = run_outcome(&cfg, &w, &mut chaotic, None);
-        (chaotic.stats(), out)
     }
 }
 

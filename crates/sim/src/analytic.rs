@@ -11,9 +11,10 @@
 //!   touch or static analysis, mirroring `mcm_policies`' placement rules),
 //!   and an access is remote exactly when the granule's owner differs from
 //!   the requesting threadblock's chiplet.
-//! - **Interconnect transfers / average hops** — remote lines filtered
-//!   through an L2-capacity working-set model, routed over the run's
-//!   [`Topology`](crate::interconnect::Topology) via its pure `hops`.
+//! - **Interconnect transfers** — remote lines filtered through an
+//!   L2-capacity working-set model; their hop distances over the run's
+//!   [`Topology`](crate::interconnect::Topology) (its pure `hops`) enter
+//!   the cycle estimate.
 //! - **L1/L2 TLB miss rates** — an independent-reference reach model:
 //!   with `u` distinct translation units against `e` entries, misses are
 //!   compulsory (`u`) when the footprint fits and `n·(u−e)/u` when it
@@ -32,7 +33,6 @@
 //! per-metric error against the simulator. See DESIGN.md §14 for the
 //! equations and the error-band methodology.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use mcm_types::{AllocId, PageSize, TbId, VirtAddr, WarpId, BASE_PAGE_BYTES};
@@ -107,89 +107,6 @@ impl PlacementModel {
                 .map(|(_, s)| *s)
                 .unwrap_or(PageSize::Size64K),
         }
-    }
-}
-
-/// The analytic engine's prediction — the figure-of-merit subset of
-/// [`RunStats`].
-#[derive(Clone, Debug, Default)]
-pub struct AnalyticStats {
-    /// Memory instructions (line accesses × reuse), as the engine counts
-    /// them.
-    pub mem_insts: u64,
-    /// Warp instructions issued (`insts_per_mem` per memory instruction).
-    pub warp_insts: u64,
-    /// Memory instructions whose granule is owned by a remote chiplet.
-    pub remote_insts: u64,
-    /// Demand faults: distinct 64KB granules touched (demand granularity
-    /// is 64KB at every page size).
-    pub faults: u64,
-    /// Page walks: L2 TLB misses plus the faulting first walk per granule.
-    pub walks: u64,
-    /// L1 TLB hits (includes the per-instruction reuse credited without
-    /// lookup, as in the engine).
-    pub l1tlb_hits: u64,
-    /// L1 TLB misses under the independent-reference reach model.
-    pub l1tlb_misses: u64,
-    /// L2 TLB hits.
-    pub l2tlb_hits: u64,
-    /// L2 TLB misses under the independent-reference reach model.
-    pub l2tlb_misses: u64,
-    /// Remote line transfers after the L2-capacity working-set filter.
-    pub interconnect_transfers: u64,
-    /// Mean topology hops per transfer.
-    pub avg_hops: f64,
-    /// Coarse cycle estimate (issue + latency + bandwidth + fault bounds).
-    /// Useful only for normalized comparisons between analytic cells —
-    /// the cross-validation suite pins no error band on it.
-    pub cycles: u64,
-    /// Per-structure access/remote counts.
-    pub per_alloc: HashMap<AllocId, AllocAccessStats>,
-}
-
-impl AnalyticStats {
-    /// Remote access ratio of memory instructions.
-    pub fn remote_ratio(&self) -> f64 {
-        ratio(self.remote_insts, self.mem_insts)
-    }
-
-    /// L1 TLB miss rate over all lookups.
-    pub fn l1tlb_miss_rate(&self) -> f64 {
-        ratio(self.l1tlb_misses, self.l1tlb_hits + self.l1tlb_misses)
-    }
-
-    /// L2 TLB miss rate over L2 lookups.
-    pub fn l2tlb_miss_rate(&self) -> f64 {
-        ratio(self.l2tlb_misses, self.l2tlb_hits + self.l2tlb_misses)
-    }
-
-    /// Projects the prediction onto [`RunStats`] so analytic cells flow
-    /// through the same grids, telemetry records and CSV writers as
-    /// simulated ones. Fields the model does not predict stay zero.
-    pub fn into_run_stats(self) -> RunStats {
-        RunStats {
-            cycles: self.cycles,
-            mem_insts: self.mem_insts,
-            warp_insts: self.warp_insts,
-            remote_insts: self.remote_insts,
-            faults: self.faults,
-            walks: self.walks,
-            l1tlb_hits: self.l1tlb_hits,
-            l1tlb_misses: self.l1tlb_misses,
-            l2tlb_hits: self.l2tlb_hits,
-            l2tlb_misses: self.l2tlb_misses,
-            interconnect_transfers: self.interconnect_transfers,
-            per_alloc: self.per_alloc,
-            ..RunStats::default()
-        }
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
     }
 }
 
@@ -399,6 +316,28 @@ impl Replay {
     /// engine does ([`tb_chiplet`]). The first prediction at a machine
     /// shape folds the streams; later ones at that shape reuse the fold.
     ///
+    /// The model fills these [`RunStats`] fields:
+    ///
+    /// - `mem_insts` (line accesses × reuse), `warp_insts`
+    ///   (`insts_per_mem` per memory instruction) and `remote_insts`
+    ///   (memory instructions whose granule a remote chiplet owns);
+    /// - `faults`: distinct 64KB granules touched (demand granularity is
+    ///   64KB at every page size);
+    /// - `walks`: L2 TLB misses plus the faulting first walk per granule;
+    /// - `l1tlb_hits`/`l1tlb_misses` and `l2tlb_hits`/`l2tlb_misses` under
+    ///   the independent-reference reach model (L1 hits include the
+    ///   per-instruction reuse credited without lookup, as in the engine);
+    /// - `interconnect_transfers`: remote lines after the L2-capacity
+    ///   working-set filter;
+    /// - `cycles`: a coarse estimate (issue + latency + bandwidth + fault
+    ///   bounds), useful only for normalized comparisons between analytic
+    ///   cells — the cross-validation suite pins no error band on it;
+    /// - `per_alloc`: per-structure access and remote counts.
+    ///
+    /// Every other field keeps its default: the cache, walk-timing,
+    /// migration and DRAM counters, `dram_per_chiplet`, the queue cycles,
+    /// `blocks_consumed` and `degradation`.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::ConfigInvalid`] when `cfg` fails validation.
@@ -406,7 +345,7 @@ impl Replay {
         &self,
         cfg: &SimConfig,
         placement: &PlacementModel,
-    ) -> Result<AnalyticStats, SimError> {
+    ) -> Result<RunStats, SimError> {
         let shape = Shape::of(cfg)?;
         let fold = {
             let mut folds = self.folds.lock().unwrap_or_else(PoisonError::into_inner);
@@ -437,7 +376,7 @@ impl Replay {
         cfg: &SimConfig,
         placement: &PlacementModel,
         schedule: impl Fn(TbId, u32) -> usize,
-    ) -> Result<AnalyticStats, SimError> {
+    ) -> Result<RunStats, SimError> {
         let fold = Fold::build(self, Shape::of(cfg)?, schedule);
         Ok(evaluate(cfg, self, &fold, placement))
     }
@@ -834,12 +773,7 @@ impl AllocModel {
 /// The reach models over a fold: resolves every placement granule's
 /// owner, then walks the groups (per SM) and footprints (per chiplet).
 /// `cfg` has passed [`Shape::of`] and `fold` was built at its shape.
-fn evaluate(
-    cfg: &SimConfig,
-    replay: &Replay,
-    fold: &Fold,
-    placement: &PlacementModel,
-) -> AnalyticStats {
+fn evaluate(cfg: &SimConfig, replay: &Replay, fold: &Fold, placement: &PlacementModel) -> RunStats {
     let chiplets = cfg.num_chiplets;
     let spc = cfg.sms_per_chiplet;
     let topo = build_topology(cfg);
@@ -886,9 +820,9 @@ fn evaluate(
         }
     }
 
-    let mut st = AnalyticStats {
+    let mut st = RunStats {
         warp_insts: fold.warp_insts,
-        ..AnalyticStats::default()
+        ..RunStats::default()
     };
     let mut elems: u64 = 0;
     // Lookups and distinct translation units per (SM, class) and
@@ -1007,12 +941,6 @@ fn evaluate(
                 ) as f64;
         }
     }
-    st.avg_hops = if st.interconnect_transfers == 0 {
-        0.0
-    } else {
-        hop_sum / st.interconnect_transfers as f64
-    };
-
     st.cycles = estimate_cycles(cfg, &st, elems, &owner_elems, hop_sum);
     st
 }
@@ -1023,7 +951,7 @@ fn evaluate(
 /// never cross-validated against simulated cycles.
 fn estimate_cycles(
     cfg: &SimConfig,
-    st: &AnalyticStats,
+    st: &RunStats,
     elems: u64,
     owner_elems: &[u64],
     hop_sum: f64,
@@ -1160,7 +1088,7 @@ mod tests {
         replay: &Replay,
         placement: &PlacementModel,
         schedule: impl Fn(TbId, u32) -> usize,
-    ) -> AnalyticStats {
+    ) -> RunStats {
         let chiplets = cfg.num_chiplets;
         let topo = build_topology(cfg);
         let allocs = &replay.allocs;
@@ -1182,7 +1110,7 @@ mod tests {
         let line_shift = cfg.line_bytes.trailing_zeros();
         let sa = matches!(placement, PlacementModel::StaticAnalysis { .. });
 
-        let mut st = AnalyticStats::default();
+        let mut st = RunStats::default();
         let mut elems: u64 = 0;
         // Lazily-allocated distinct-unit bitsets per (SM, structure) and
         // (chiplet, structure), and distinct remote lines per
@@ -1403,12 +1331,6 @@ mod tests {
                     ) as f64;
             }
         }
-        st.avg_hops = if st.interconnect_transfers == 0 {
-            0.0
-        } else {
-            hop_sum / st.interconnect_transfers as f64
-        };
-
         st.cycles = estimate_cycles(cfg, &st, elems, &owner_elems, hop_sum);
         st
     }
@@ -1515,19 +1437,6 @@ mod tests {
         }
     }
 
-    /// Exact equality of two predictions: every `RunStats` field the
-    /// projection carries, plus `avg_hops` to the bit.
-    fn same(a: &AnalyticStats, b: &AnalyticStats) -> Result<(), String> {
-        if a.avg_hops.to_bits() != b.avg_hops.to_bits() {
-            return Err(format!("avg_hops {} vs {}", a.avg_hops, b.avg_hops));
-        }
-        let (ra, rb) = (a.clone().into_run_stats(), b.clone().into_run_stats());
-        if ra != rb {
-            return Err(format!("{ra:?}\nvs\n{rb:?}"));
-        }
-        Ok(())
-    }
-
     /// A configuration drawn from `seed`: 2–16 chiplets, 1–4 SMs each,
     /// 64/128/256B lines, and any of the translation-reach variants.
     fn random_cfg(seed: u64) -> SimConfig {
@@ -1564,7 +1473,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Fold + evaluate reproduces the per-access scan exactly, for
+        /// Fold + evaluate reproduces the per-access scan exactly (every
+        /// `RunStats` field, so `cycles` pins the hop sum too), for
         /// random workloads (unaligned structures sharing a granule, and
         /// GEMMs), schedules, placement models, chiplet counts, SM
         /// counts and line sizes.
@@ -1582,13 +1492,13 @@ mod tests {
             let default = |tb: TbId, n: u32| tb_chiplet(tb, n, chiplets);
             let want = predict_reference(&cfg, &replay, &pm, default);
             let got = replay.predict(&cfg, &pm).unwrap();
-            prop_assert!(same(&got, &want).is_ok(), "default schedule: {:?}", same(&got, &want));
+            prop_assert!(got == want, "default schedule: {got:?}\nvs\n{want:?}");
             // Arbitrary schedules, out-of-range chiplets included (both
             // paths clamp them to the last chiplet).
             let arbitrary = |tb: TbId, _: u32| (mix(seed ^ tb.index() as u64) % (chiplets as u64 + 2)) as usize;
             let want = predict_reference(&cfg, &replay, &pm, arbitrary);
             let got = replay.predict_scheduled(&cfg, &pm, arbitrary).unwrap();
-            prop_assert!(same(&got, &want).is_ok(), "arbitrary schedule: {:?}", same(&got, &want));
+            prop_assert!(got == want, "arbitrary schedule: {got:?}\nvs\n{want:?}");
         }
     }
 
@@ -1616,7 +1526,7 @@ mod tests {
             ] {
                 let memo = replay.predict(cfg, &pm).unwrap();
                 let fresh = Replay::capture(&w).predict(cfg, &pm).unwrap();
-                same(&memo, &fresh).unwrap();
+                assert_eq!(memo, fresh);
             }
         }
         assert_eq!(replay.folds.lock().unwrap().len(), 2);
@@ -1678,7 +1588,6 @@ mod tests {
             .unwrap();
         assert_eq!(s.remote_insts, 0);
         assert_eq!(s.interconnect_transfers, 0);
-        assert_eq!(s.avg_hops, 0.0);
     }
 
     #[test]

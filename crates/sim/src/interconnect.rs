@@ -52,9 +52,6 @@ pub trait Topology: Send {
     /// Total cycles transfers spent queueing for busy links.
     fn queue_cycles(&self) -> u64;
 
-    /// Average hops per transfer.
-    fn avg_hops(&self) -> f64;
-
     /// Drops link occupancy before cycle `t`: no transfer will start
     /// before it again (see [`BucketedResource::forget_before`]).
     fn forget_before(&mut self, t: u64);
@@ -102,7 +99,6 @@ pub struct Ring {
     hop_latency: u64,
     service: u64,
     transfers: u64,
-    hop_count: u64,
     queue_cycles: u64,
 }
 
@@ -117,7 +113,6 @@ impl Ring {
             hop_latency,
             service,
             transfers: 0,
-            hop_count: 0,
             queue_cycles: 0,
         }
     }
@@ -162,7 +157,6 @@ impl Topology for Ring {
             (1usize, self.n - fwd)
         };
         self.transfers += 1;
-        self.hop_count += hops as u64;
         let mut t = now;
         let mut pos = a;
         for _ in 0..hops {
@@ -184,14 +178,6 @@ impl Topology for Ring {
 
     fn queue_cycles(&self) -> u64 {
         self.queue_cycles
-    }
-
-    fn avg_hops(&self) -> f64 {
-        if self.transfers == 0 {
-            0.0
-        } else {
-            self.hop_count as f64 / self.transfers as f64
-        }
     }
 
     fn forget_before(&mut self, t: u64) {
@@ -224,7 +210,6 @@ pub struct Mesh2d {
     hop_latency: u64,
     service: u64,
     transfers: u64,
-    hop_count: u64,
     queue_cycles: u64,
 }
 
@@ -246,7 +231,6 @@ impl Mesh2d {
             hop_latency,
             service,
             transfers: 0,
-            hop_count: 0,
             queue_cycles: 0,
         }
     }
@@ -289,7 +273,6 @@ impl Topology for Mesh2d {
         let (mut r, mut c) = (src.index() / self.cols, src.index() % self.cols);
         let (dr, dc) = (dst.index() / self.cols, dst.index() % self.cols);
         self.transfers += 1;
-        self.hop_count += (r.abs_diff(dr) + c.abs_diff(dc)) as u64;
         let mut t = now;
         while c != dc {
             let dir = if dc > c { EAST } else { WEST };
@@ -310,14 +293,6 @@ impl Topology for Mesh2d {
 
     fn queue_cycles(&self) -> u64 {
         self.queue_cycles
-    }
-
-    fn avg_hops(&self) -> f64 {
-        if self.transfers == 0 {
-            0.0
-        } else {
-            self.hop_count as f64 / self.transfers as f64
-        }
     }
 
     fn forget_before(&mut self, t: u64) {
@@ -399,14 +374,6 @@ impl Topology for FullyConnected {
         self.queue_cycles
     }
 
-    fn avg_hops(&self) -> f64 {
-        if self.transfers == 0 {
-            0.0
-        } else {
-            1.0
-        }
-    }
-
     fn forget_before(&mut self, t: u64) {
         for link in &mut self.links {
             link.forget_before(t);
@@ -438,7 +405,6 @@ mod tests {
         assert_eq!(r.transfer(ChipletId::new(0), ChipletId::new(2), 100), 172);
         // 0 -> 3: one hop the short way (dir 1).
         assert_eq!(r.transfer(ChipletId::new(0), ChipletId::new(3), 200), 236);
-        assert!((r.avg_hops() - 4.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -515,7 +481,6 @@ mod tests {
         assert_eq!(m.transfer(ChipletId::new(0), ChipletId::new(3), 0), 72);
         assert_eq!(m.transfer(ChipletId::new(1), ChipletId::new(1), 50), 50);
         assert_eq!(m.transfers(), 1);
-        assert!((m.avg_hops() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -540,7 +505,6 @@ mod tests {
         assert_eq!(f.transfer(ChipletId::new(2), ChipletId::new(2), 9), 9);
         assert_eq!(f.transfers(), 3);
         assert_eq!(f.queue_cycles(), 10);
-        assert!((f.avg_hops() - 1.0).abs() < 1e-9);
         assert_eq!(f.hops(ChipletId::new(1), ChipletId::new(2)), 1);
         assert_eq!(f.hops(ChipletId::new(1), ChipletId::new(1)), 0);
     }

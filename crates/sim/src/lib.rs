@@ -53,7 +53,7 @@ mod tlb;
 pub mod trace;
 mod workload;
 
-pub use analytic::{AnalyticStats, PlacementModel};
+pub use analytic::PlacementModel;
 pub use cache::SetAssocCache;
 pub use chaos::{ChaosConfig, ChaosPolicy, ChaosStats, StateAuditor, Stonewall};
 pub use config::{PtePlacement, SimConfig, TlbEntries, TopologyKind, TranslationConfig};

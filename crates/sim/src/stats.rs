@@ -282,6 +282,13 @@ impl RunStats {
     pub fn alloc_stats(&self, id: AllocId) -> AllocAccessStats {
         self.per_alloc.get(&id).copied().unwrap_or_default()
     }
+
+    /// Identity. The benchmark package (`perfbench/`) calls it on
+    /// [`Replay::predict`](crate::analytic::Replay::predict)'s result,
+    /// and this keeps that call compiling.
+    pub fn into_run_stats(self) -> RunStats {
+        self
+    }
 }
 
 /// Generates [`DegradationStats`] from one `(field, event, doc)` list;

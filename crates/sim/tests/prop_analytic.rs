@@ -84,7 +84,8 @@ proptest! {
     /// Rotating every chiplet label leaves all placement and translation
     /// counters unchanged under first-touch ownership: the owner of each
     /// granule is relabeled exactly like its consumers. (Hop distances
-    /// are *not* label-invariant on a mesh, so `avg_hops` is exempt.)
+    /// are *not* label-invariant on a mesh, so `cycles`, which sums
+    /// them, is exempt.)
     #[test]
     fn first_touch_prediction_is_relabeling_invariant(
         w in gemm_strategy(),

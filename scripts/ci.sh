@@ -19,6 +19,13 @@ cargo test --workspace -q
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark is a package of its own that calls the workspace's public
+# API; building and testing it here catches an API break before a
+# benchmark run does.
+echo "== perfbench build + unit tests"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
 
