@@ -38,10 +38,10 @@ cargo build --release -p mcm-bench --bin figures
 cmp "$smoke/default/fig1.csv" tests/goldens/fig1_quick.csv
 cmp "$smoke/default/fig18.csv" tests/goldens/fig18_quick.csv
 
-echo "== trace subcommand smoke (JSON + folded stacks land in the out dir)"
+echo "== trace subcommand smoke (JSON + folded stacks land in the out dir; stacks vs golden)"
 ./target/release/figures --quick --jobs 2 --out "$smoke/trace-out" trace fig1
 test -s "$smoke/trace-out/trace/fig1.json"
-test -s "$smoke/trace-out/trace/fig1.folded"
+cmp "$smoke/trace-out/trace/fig1.folded" tests/goldens/fig1_trace_quick.folded
 
 echo "== timeline smoke (figures timeline topo: outputs land, journal carries imbalance, status sees it)"
 # JSON validity and matrix-vs-stats reconciliation are pinned by the

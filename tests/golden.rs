@@ -1,7 +1,7 @@
 //! Golden-file regression tests: the quick-grid fig1, fig2, fig8, fig18,
-//! table2 and topo CSVs, the analytic engine's quick cells and the
-//! real-cost migration cells must match the checked-in goldens **byte for
-//! byte**.
+//! table2 and topo CSVs, the analytic engine's quick cells, the
+//! real-cost migration cells and the fig1 stage trace must match the
+//! checked-in goldens **byte for byte**.
 //!
 //! The simulator is deterministic, the sweep runner collects results in
 //! submission order, and the CSV emitter formats with fixed precision —
@@ -10,9 +10,10 @@
 //! the new goldens alongside the change that explains them.
 
 use clap_repro::bench::experiments::{
-    analytic_cells, grid, migration_cells, Harness, MIGRATION_CONFIGS,
+    analytic_cells, grid, migration_cells, rerun, Harness, MIGRATION_CONFIGS,
 };
-use clap_repro::bench::report::{csv_string, stats_lines};
+use clap_repro::bench::report::{csv_string, stats_lines, trace_folded};
+use clap_repro::sim::RunTrace;
 
 const FIG1_GOLDEN: &str = include_str!("goldens/fig1_quick.csv");
 const FIG2_GOLDEN: &str = include_str!("goldens/fig2_quick.csv");
@@ -22,6 +23,7 @@ const TABLE2_GOLDEN: &str = include_str!("goldens/table2_quick.csv");
 const TOPO_GOLDEN: &str = include_str!("goldens/topo_quick.csv");
 const ANALYTIC_GOLDEN: &str = include_str!("goldens/analytic_quick.jsonl");
 const MIGRATION_GOLDEN: &str = include_str!("goldens/migration_quick.jsonl");
+const FIG1_TRACE_GOLDEN: &str = include_str!("goldens/fig1_trace_quick.folded");
 
 fn assert_golden(id: &str, got: &str, want: &str) {
     if got == want {
@@ -115,4 +117,19 @@ fn migration_quick_cells_match_golden() {
     let cells = migration_cells(&Harness::quick().with_jobs(2));
     assert_eq!(cells.len(), 15 * MIGRATION_CONFIGS.len());
     assert_golden("migration", &stats_lines(&cells), MIGRATION_GOLDEN);
+}
+
+/// The stage breakdown `figures trace fig1` writes as folded stacks: per
+/// column, the cycle total of each of the five stage histograms, merged
+/// over the column's workloads. Any change to where a traced run's
+/// latency is sampled shows up here.
+#[test]
+fn fig1_quick_trace_matches_golden() {
+    let ft = rerun(
+        &Harness::quick().with_jobs(2),
+        "fig1",
+        |t: RunTrace| t,
+        RunTrace::merge_aggregates,
+    );
+    assert_golden("fig1 trace", &trace_folded(&ft), FIG1_TRACE_GOLDEN);
 }
