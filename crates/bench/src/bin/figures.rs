@@ -18,9 +18,9 @@
 //! results are printed and CSVs written to `results/`, along with
 //! per-experiment wall-clock timings in `results/bench_timings.json`.
 //!
-//! `--jobs N` (or the `MCM_JOBS` environment variable; default: available
-//! parallelism) fans each experiment's independent sweep cells out over N
-//! worker threads. Output is byte-identical for every worker count.
+//! `--jobs N` (default: available parallelism) fans each experiment's
+//! independent sweep cells out over N worker threads. Output is
+//! byte-identical for every worker count.
 //!
 //! `--engine cycle|analytic` picks the prediction backend: `cycle`
 //! (default) is the cycle-approximate simulator, `analytic` replaces each
@@ -50,10 +50,10 @@
 //! runs stay silent).
 //!
 //! Sweeps run supervised: a cell that panics or aborts (run budget,
-//! livelock, or any typed engine error) is retried with the same seed
-//! (`--retries N`, default 1) and then quarantined — journaled with its
-//! failure reason, its grid slot zeroed — while every other cell
-//! completes and keeps its shard (`--keep-going`, the default). The run
+//! livelock, or any typed engine error) is quarantined — journaled with
+//! its failure reason, its grid slot zeroed — while every other cell
+//! completes and keeps its shard. A failed cell is not re-run: the
+//! simulator is deterministic, so it would fail the same way. The run
 //! then exits 1 with a per-class summary; a later `--resume` re-runs
 //! exactly the quarantined cells. `--fail-fast` propagates the first
 //! failure instead (the debugging mode). `--inject exp:cell=panic|budget`
@@ -72,7 +72,6 @@ use mcm_bench::report::{
     timeline_json, trace_folded, trace_json, write_csv, write_probed, write_timings,
     ExperimentTiming,
 };
-use mcm_bench::runner::jobs_from_env;
 use mcm_bench::supervise::{Injection, Supervisor, SweepMode};
 use mcm_bench::telemetry::{self, CellOutcome, Telemetry};
 use mcm_sim::{DegradationStats, MetricsProbe, RunMetrics, RunTrace};
@@ -97,10 +96,8 @@ struct Options {
     progress: ProgressMode,
     /// `status --check`: validate every journal line and shard.
     check: bool,
-    /// Sweep failure policy (`--keep-going` default / `--fail-fast`).
+    /// Sweep failure policy (quarantine by default, `--fail-fast`).
     mode: SweepMode,
-    /// Per-cell retry bound override (`--retries N`).
-    retries: Option<usize>,
     /// Deliberate failure injections (`--inject exp:cell=panic|budget`).
     inject: Vec<Injection>,
     /// Prediction engine (`--engine cycle|analytic`).
@@ -113,7 +110,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: figures [--quick] [--jobs N] [--out DIR] [--resume] \
          [--progress[=on|off|auto]] [--chaos[=SEED]] \
-         [--keep-going|--fail-fast] [--retries N] \
+         [--fail-fast] \
          [--engine cycle|analytic] \
          [--inject exp:cell=panic|budget] [TARGET ...]\n\
          targets: all fig1 fig2 fig6 fig8 fig10 fig18 fig19 fig20 fig21 fig22 \
@@ -128,14 +125,13 @@ fn usage() -> ! {
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         quick: false,
-        jobs: jobs_from_env(),
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
         out_dir: PathBuf::from("results"),
         chaos_seed: None,
         resume: false,
         progress: ProgressMode::Auto,
         check: false,
         mode: SweepMode::KeepGoing,
-        retries: None,
         inject: Vec::new(),
         engine: EngineKind::Cycle,
         targets: Vec::new(),
@@ -157,7 +153,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
             ("--quick", None) => opts.quick = true,
             ("--resume", None) => opts.resume = true,
             ("--check", None) => opts.check = true,
-            ("--keep-going", None) => opts.mode = SweepMode::KeepGoing,
             ("--fail-fast", None) => opts.mode = SweepMode::FailFast,
             ("--help", None) => return Err(String::new()),
             ("--progress", None) => opts.progress = ProgressMode::On,
@@ -174,7 +169,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                 Ok(seed) => opts.chaos_seed = Some(seed),
                 Err(_) => return Err(format!("--chaos seed must be an integer, got {v:?}")),
             },
-            ("--jobs" | "--retries" | "--engine" | "--inject" | "--out", _) => {
+            ("--jobs" | "--engine" | "--inject" | "--out", _) => {
                 // `--flag=value` names the bad value in its error;
                 // `--flag value` does not.
                 let bad = |msg: &str| match &inline {
@@ -186,10 +181,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                     "--jobs" => match v.map(|v| v.parse::<usize>()) {
                         Some(Ok(n)) if n >= 1 => opts.jobs = n,
                         _ => return Err(bad("--jobs needs a positive integer")),
-                    },
-                    "--retries" => match v.map(|v| v.parse::<usize>()) {
-                        Some(Ok(n)) => opts.retries = Some(n),
-                        _ => return Err(bad("--retries needs a non-negative integer")),
                     },
                     "--engine" => match v.as_deref().and_then(EngineKind::parse) {
                         Some(e) => opts.engine = e,
@@ -221,11 +212,7 @@ fn main() {
         }
         usage()
     });
-    let mut supervisor = Supervisor::new(opts.mode).with_injections(opts.inject.clone());
-    if let Some(retries) = opts.retries {
-        supervisor = supervisor.with_retries(retries);
-    }
-    let supervisor = Arc::new(supervisor);
+    let supervisor = Arc::new(Supervisor::new(opts.mode).with_injections(opts.inject.clone()));
     let h = if opts.quick {
         Harness::quick()
     } else {
@@ -343,8 +330,8 @@ fn main() {
         );
         for q in &quarantined {
             eprintln!(
-                "  {} cell {} ({}/{}) — {} after {} attempt(s): {}",
-                q.exp, q.cell, q.workload, q.config, q.outcome, q.attempts, q.reason
+                "  {} cell {} ({}/{}) — {}: {}",
+                q.exp, q.cell, q.workload, q.config, q.outcome, q.reason
             );
         }
         std::process::exit(1);
@@ -621,8 +608,6 @@ mod tests {
             "3",
             "--engine",
             "analytic",
-            "--retries",
-            "0",
             "--inject",
             "fig1:2=panic",
             "--out",
@@ -632,7 +617,6 @@ mod tests {
         let joined = [
             "--jobs=3",
             "--engine=analytic",
-            "--retries=0",
             "--inject=fig1:2=panic",
             "--out=d",
             "fig1",
@@ -641,7 +625,6 @@ mod tests {
             let o = parse(args).expect("flags parse");
             assert_eq!(o.jobs, 3, "{args:?}");
             assert!(o.engine == EngineKind::Analytic, "{args:?}");
-            assert_eq!(o.retries, Some(0), "{args:?}");
             assert_eq!(o.inject.len(), 1, "{args:?}");
             assert_eq!(o.out_dir, PathBuf::from("d"), "{args:?}");
             assert_eq!(o.targets, ["fig1"], "{args:?}");
@@ -669,14 +652,6 @@ mod tests {
             err(&["--jobs=0"]),
             "--jobs needs a positive integer, got \"0\""
         );
-        assert_eq!(
-            err(&["--retries", "x"]),
-            "--retries needs a non-negative integer"
-        );
-        assert_eq!(
-            err(&["--retries=x"]),
-            "--retries needs a non-negative integer, got \"x\""
-        );
         assert_eq!(err(&["--engine", "gpu"]), "--engine wants cycle|analytic");
         assert_eq!(
             err(&["--engine=gpu"]),
@@ -696,6 +671,10 @@ mod tests {
         );
         assert_eq!(err(&["--quick=1"]), "unknown flag \"--quick=1\"");
         assert_eq!(err(&["--nope"]), "unknown flag \"--nope\"");
+        // Failed cells are never re-run, and keeping going is the only
+        // non-fail-fast mode: neither takes a flag.
+        assert_eq!(err(&["--retries", "1"]), "unknown flag \"--retries\"");
+        assert_eq!(err(&["--keep-going"]), "unknown flag \"--keep-going\"");
         assert_eq!(err(&["--help"]), "");
         assert_eq!(err(&["-h"]), "");
     }

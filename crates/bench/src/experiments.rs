@@ -112,8 +112,8 @@ pub struct Harness {
     /// Sweep telemetry sink (journal/shards/progress); `None` keeps the
     /// purely in-memory path, byte-identical to before telemetry existed.
     telemetry: Option<Arc<Telemetry>>,
-    /// Per-cell failure policy: panic isolation, bounded retry, and
-    /// quarantine (default: keep-going, one retry, no injections).
+    /// Per-cell failure policy: panic isolation and quarantine (default:
+    /// keep-going, no injections).
     supervisor: Arc<Supervisor>,
     /// Backend evaluating sweep cells (default: the cycle simulator).
     engine: EngineKind,
@@ -192,9 +192,8 @@ impl Harness {
         self
     }
 
-    /// Replaces the sweep failure policy (mode, retry bound,
-    /// injections). The default keeps going: failed cells are retried
-    /// once with the same seed, then quarantined with zeroed statistics
+    /// Replaces the sweep failure policy (mode, injections). The default
+    /// keeps going: failed cells are quarantined with zeroed statistics
     /// while the rest of the sweep completes.
     pub fn with_supervisor(mut self, supervisor: Arc<Supervisor>) -> Self {
         self.supervisor = supervisor;
@@ -246,7 +245,7 @@ impl Harness {
 
     /// Runs one sweep of statistics-producing cells: fans `f` over
     /// `specs` with the harness's workers, supervising every cell
-    /// (panic isolation, bounded retry, quarantine — see
+    /// (panic isolation and quarantine — see
     /// [`Supervisor::supervise`]) and — when telemetry is attached —
     /// journaling each cell and writing/restoring its shard from the
     /// worker thread at cell completion.

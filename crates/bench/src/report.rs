@@ -6,9 +6,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use mcm_sim::{
-    Counter, RunMetrics, RunTrace, TraceEventClass, TraceStage, SAMPLE_INTERVAL, WARMUP_EPSILON,
-};
+use mcm_sim::{Counter, RunMetrics, RunTrace, TraceStage, SAMPLE_INTERVAL, WARMUP_EPSILON};
 
 use crate::experiments::{Grid, Probed, Table4Row};
 use crate::json::Json;
@@ -305,14 +303,7 @@ pub fn render_trace(ft: &Probed<RunTrace>) -> String {
     let col_w = ft.cols.iter().map(String::len).max().unwrap_or(6).max(8);
     for (c, trace) in ft.cols.iter().zip(&ft.merged) {
         let total = trace.total_cycles().max(1);
-        let _ = writeln!(
-            out,
-            "{c:col_w$}  total {} cycles, {} events ({} buffered, {} dropped)",
-            trace.total_cycles(),
-            trace.events_seen,
-            trace.events.len(),
-            trace.dropped_events
-        );
+        let _ = writeln!(out, "{c:col_w$}  total {} cycles", trace.total_cycles());
         for stage in TraceStage::ALL {
             let h = trace.hist(stage);
             if h.count() == 0 {
@@ -336,13 +327,9 @@ pub fn render_trace(ft: &Probed<RunTrace>) -> String {
 }
 
 /// The JSON representation of a figure trace: per configuration,
-/// per-stage log2-bucketed latency histograms (one stage per line) plus
-/// the exact event counters.
+/// per-stage log2-bucketed latency histograms (one stage per line).
 pub fn trace_json(ft: &Probed<RunTrace>) -> String {
     let columns = ft.cols.iter().zip(&ft.merged).map(|(c, trace)| {
-        let events = TraceEventClass::ALL
-            .iter()
-            .map(|class| (class.name(), Json::num(trace.event_count(*class))));
         let stages = TraceStage::ALL.iter().map(|stage| {
             let h = trace.hist(*stage);
             let buckets = h.nonzero_buckets().map(|(lo, hi, n)| {
@@ -364,9 +351,6 @@ pub fn trace_json(ft: &Probed<RunTrace>) -> String {
         Json::obj([
             ("config", Json::str(c)),
             ("total_cycles", Json::num(trace.total_cycles())),
-            ("events_seen", Json::num(trace.events_seen)),
-            ("dropped_events", Json::num(trace.dropped_events)),
-            ("events", Json::obj(events)),
             ("stages", Json::Arr(stages.collect())),
         ])
     });
@@ -504,8 +488,6 @@ pub fn timeline_json(mr: &Probed<RunMetrics>) -> String {
             ("config", Json::str(label)),
             ("num_chiplets", Json::num(n)),
             ("sample_interval", Json::num(SAMPLE_INTERVAL)),
-            ("merged_cells", Json::num(m.merged_cells)),
-            ("dropped_frames", Json::num(m.dropped_frames)),
             ("dram_imbalance", Json::ratio(m.dram_imbalance())),
             ("counters", Json::obj(counters)),
             ("traffic", Json::Arr(links)),
@@ -766,24 +748,11 @@ mod tests {
     }
 
     fn figure_trace() -> Probed<RunTrace> {
-        use mcm_sim::TraceEventKind;
-        use mcm_types::{ChipletId, VirtAddr};
-        let mut a = RunTrace::new();
+        let mut a = RunTrace::default();
         a.record_sample(TraceStage::Translate, 10);
         a.record_sample(TraceStage::Translate, 300);
         a.record_sample(TraceStage::Data, 90);
-        a.record_event(TraceEventKind::Crossing {
-            src: ChipletId::new(0),
-            dst: ChipletId::new(1),
-            hops: 1,
-            cycle: 5,
-        });
-        a.record_event(TraceEventKind::L2TlbMiss {
-            va: VirtAddr::new(0),
-            chiplet: ChipletId::new(0),
-            cycle: 2,
-        });
-        let mut b = RunTrace::new();
+        let mut b = RunTrace::default();
         b.record_sample(TraceStage::Data, 40);
         Probed {
             id: "figT".into(),
@@ -803,7 +772,6 @@ mod tests {
         assert!(s.contains("S-64KB"));
         assert!(s.contains("translate"));
         assert!(s.contains("total 400 cycles"));
-        assert!(s.contains("2 events"));
         // CLAP column has no translate samples: stage line absent there.
         assert!(s.contains("total 40 cycles"));
     }
@@ -814,8 +782,6 @@ mod tests {
         assert!(s.contains("\"figure\": \"figT\""));
         assert!(s.contains("\"config\": \"S-64KB\""));
         assert!(s.contains("\"total_cycles\": 400"));
-        assert!(s.contains("\"crossing\": 1"));
-        assert!(s.contains("\"l2tlb_miss\": 1"));
         // 300 lands in the [256, 512) log2 bucket.
         // Bucket bounds are closed: the 300-cycle sample lands in the
         // [256, 511] log2 bucket.

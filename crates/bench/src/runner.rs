@@ -134,22 +134,6 @@ impl SweepRunner {
     }
 }
 
-/// Worker count from the environment: `MCM_JOBS` if set and valid,
-/// otherwise the machine's available parallelism.
-pub fn jobs_from_env() -> usize {
-    if let Ok(v) = std::env::var("MCM_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("warning: ignoring invalid MCM_JOBS={v:?} (want a positive integer)");
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,19 +1,18 @@
-//! Sweep supervision: per-cell failure isolation, bounded retry, and
-//! quarantine.
+//! Sweep supervision: per-cell failure isolation and quarantine.
 //!
 //! The [`SweepRunner`](crate::runner::SweepRunner) guarantees a panicking
 //! cell cannot take down its worker thread; this module decides what to
-//! *do* with the failure. Each cell attempt is classified as healthy
-//! (completed or degraded), aborted (a typed
-//! [`RunOutcome::Aborted`]/[`SimError`] — run budget, livelock, or any
-//! engine error), or panicked. Failed cells are retried with the same
-//! seed up to a bounded count; persistent failures are quarantined — the
-//! sweep substitutes zeroed statistics, journals the failure, and keeps
-//! going — so one poisoned cell never costs the rest of a long sweep.
+//! *do* with the failure. Each cell is classified as healthy (completed
+//! or degraded), aborted (a typed [`RunOutcome::Aborted`]/[`SimError`] —
+//! run budget, livelock, or any engine error), or panicked. A failed cell
+//! is quarantined — the sweep substitutes zeroed statistics, journals the
+//! failure, and keeps going — so one poisoned cell never costs the rest
+//! of a long sweep. Failed cells are not retried: the simulator is
+//! deterministic, so a second run of the same cell fails the same way.
 //!
 //! In [`SweepMode::FailFast`] the first failure propagates immediately
-//! (no retry, no quarantine) — the debugging mode. [`SweepMode::KeepGoing`]
-//! is the default for sweeps.
+//! (no quarantine) — the debugging mode. [`SweepMode::KeepGoing`] is the
+//! default for sweeps.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -26,8 +25,7 @@ use crate::telemetry::CellOutcome;
 /// How a sweep reacts to a failing cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepMode {
-    /// Retry then quarantine failing cells and finish the rest (the
-    /// default for sweeps; `figures --keep-going`).
+    /// Quarantine failing cells and finish the rest (the default).
     KeepGoing,
     /// Propagate the first failure immediately (`figures --fail-fast`).
     FailFast,
@@ -79,8 +77,7 @@ impl Injection {
     }
 }
 
-/// One quarantined cell: identity, failure class, and the reason of the
-/// final attempt.
+/// One quarantined cell: identity, failure class, and the reason.
 #[derive(Clone, Debug)]
 pub struct QuarantineRecord {
     /// Experiment id.
@@ -93,10 +90,8 @@ pub struct QuarantineRecord {
     pub config: String,
     /// [`CellOutcome::Aborted`] or [`CellOutcome::Panicked`].
     pub outcome: CellOutcome,
-    /// The abort reason or panic message of the final attempt.
+    /// The abort reason or panic message.
     pub reason: String,
-    /// Attempts made before quarantining.
-    pub attempts: usize,
 }
 
 /// What one supervised cell produced.
@@ -104,27 +99,23 @@ pub struct QuarantineRecord {
 pub enum CellVerdict {
     /// The cell completed (possibly degraded); use its statistics.
     Healthy(RunStats),
-    /// Every attempt failed; the cell is quarantined. `stats` holds the
-    /// partial statistics of the final aborted attempt (zeros for
-    /// panics).
+    /// The cell failed and is quarantined. `stats` holds the partial
+    /// statistics of an aborted run (zeros for panics).
     Quarantined {
         /// [`CellOutcome::Aborted`] or [`CellOutcome::Panicked`].
         outcome: CellOutcome,
-        /// The final attempt's abort reason or panic message.
+        /// The abort reason or panic message.
         reason: String,
-        /// Partial statistics of the final aborted attempt.
+        /// Partial statistics of the aborted run.
         stats: RunStats,
-        /// Attempts made.
-        attempts: usize,
     },
 }
 
-/// The per-sweep failure policy: mode, retry bound, injections, and the
-/// accumulated quarantine list. Shared across worker threads.
+/// The per-sweep failure policy: mode, injections, and the accumulated
+/// quarantine list. Shared across worker threads.
 #[derive(Debug)]
 pub struct Supervisor {
     mode: SweepMode,
-    retries: usize,
     inject: Vec<Injection>,
     quarantined: Mutex<Vec<QuarantineRecord>>,
 }
@@ -136,24 +127,13 @@ impl Default for Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor with the default retry bound (one retry — the
-    /// simulator is deterministic, so a retry only rescues host-level
-    /// transients, not simulated aborts).
+    /// A supervisor in `mode` with no injections.
     pub fn new(mode: SweepMode) -> Supervisor {
         Supervisor {
             mode,
-            retries: 1,
             inject: Vec::new(),
             quarantined: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Sets the retry bound (`retries + 1` attempts per cell; 0 = no
-    /// retry).
-    #[must_use]
-    pub fn with_retries(mut self, retries: usize) -> Supervisor {
-        self.retries = retries;
-        self
     }
 
     /// Adds deliberate failure injections.
@@ -177,89 +157,60 @@ impl Supervisor {
     }
 
     /// Runs one cell under supervision: catches panics, classifies the
-    /// outcome, retries failures with the same seed up to the bound, and
-    /// quarantines persistent ones (recording them for the end-of-run
-    /// summary).
+    /// outcome, and quarantines a failure (recording it for the
+    /// end-of-run summary).
     ///
     /// # Panics
     ///
-    /// In [`SweepMode::FailFast`], the first failed attempt propagates:
-    /// a caught panic is resumed, a typed abort becomes a panic carrying
-    /// its reason. The sweep runner forwards it after draining in-flight
-    /// cells.
+    /// In [`SweepMode::FailFast`], a failure propagates: a caught panic
+    /// is resumed, a typed abort becomes a panic carrying its reason. The
+    /// sweep runner forwards it after draining in-flight cells.
     pub fn supervise(
         &self,
         exp: &str,
         cell: usize,
         workload: &str,
         config: &str,
-        f: impl Fn() -> Result<RunOutcome, SimError>,
+        f: impl FnOnce() -> Result<RunOutcome, SimError>,
     ) -> CellVerdict {
         let inject = self
             .inject
             .iter()
             .find(|i| i.exp == exp && i.cell == cell)
             .map(|i| i.kind);
-        let attempts_max = match self.mode {
-            SweepMode::KeepGoing => self.retries + 1,
-            // Fail-fast is the debugging mode: surface the very first
-            // failure, don't mask it behind retries.
-            SweepMode::FailFast => 1,
+        let caught = catch_unwind(AssertUnwindSafe(|| match inject {
+            Some(InjectKind::Panic) => panic!("injected panic"),
+            Some(InjectKind::Budget) => Ok(RunOutcome::Aborted {
+                reason: SimError::BudgetExceeded {
+                    cycles: 0,
+                    max_cycles: 0,
+                },
+                stats: RunStats::default(),
+            }),
+            None => f(),
+        }));
+        let (outcome, reason, stats) = match caught {
+            Ok(Ok(RunOutcome::Completed(stats))) => return CellVerdict::Healthy(stats),
+            Ok(Ok(RunOutcome::Aborted { reason, stats })) => {
+                (CellOutcome::Aborted, reason.to_string(), stats)
+            }
+            Ok(Err(e)) => (CellOutcome::Aborted, e.to_string(), RunStats::default()),
+            Err(payload) => {
+                if self.mode == SweepMode::FailFast {
+                    resume_unwind(payload);
+                }
+                (
+                    CellOutcome::Panicked,
+                    panic_message(payload.as_ref()),
+                    RunStats::default(),
+                )
+            }
         };
-        let mut last = None;
-        for attempt in 1..=attempts_max {
-            let caught = catch_unwind(AssertUnwindSafe(|| match inject {
-                Some(InjectKind::Panic) => panic!("injected panic"),
-                Some(InjectKind::Budget) => Ok(RunOutcome::Aborted {
-                    reason: SimError::BudgetExceeded {
-                        cycles: 0,
-                        max_cycles: 0,
-                    },
-                    stats: RunStats::default(),
-                }),
-                None => f(),
-            }));
-            let (outcome, reason, stats) = match caught {
-                Ok(Ok(RunOutcome::Aborted { reason, stats })) => {
-                    (CellOutcome::Aborted, reason.to_string(), stats)
-                }
-                Ok(Ok(RunOutcome::Completed(stats))) => return CellVerdict::Healthy(stats),
-                Ok(Err(e)) => (CellOutcome::Aborted, e.to_string(), RunStats::default()),
-                Err(payload) => {
-                    if self.mode == SweepMode::FailFast {
-                        resume_unwind(payload);
-                    }
-                    (
-                        CellOutcome::Panicked,
-                        panic_message(payload.as_ref()),
-                        RunStats::default(),
-                    )
-                }
-            };
-            if self.mode == SweepMode::FailFast {
-                panic!("{exp} cell {cell} ({workload}/{config}) aborted: {reason}");
-            }
-            if attempt < attempts_max {
-                eprintln!(
-                    "[supervise] {exp} cell {cell} ({workload}/{config}) {}: {reason}; \
-                     retrying with the same seed ({attempt}/{attempts_max} attempts)",
-                    outcome.as_str()
-                );
-            }
-            last = Some((outcome, reason, stats));
+        if self.mode == SweepMode::FailFast {
+            panic!("{exp} cell {cell} ({workload}/{config}) aborted: {reason}");
         }
-        let (outcome, reason, stats) = last.unwrap_or_else(|| {
-            // attempts_max >= 1, so the loop always classified at least
-            // one failed attempt before falling through.
-            (
-                CellOutcome::Aborted,
-                "supervisor made no attempts".to_string(),
-                RunStats::default(),
-            )
-        });
         eprintln!(
-            "[supervise] quarantined {exp} cell {cell} ({workload}/{config}) after \
-             {attempts_max} attempt(s): {} — {reason}",
+            "[supervise] quarantined {exp} cell {cell} ({workload}/{config}): {} — {reason}",
             outcome.as_str()
         );
         self.quarantined
@@ -272,13 +223,11 @@ impl Supervisor {
                 config: config.to_string(),
                 outcome,
                 reason: reason.clone(),
-                attempts: attempts_max,
             });
         CellVerdict::Quarantined {
             outcome,
             reason,
             stats,
-            attempts: attempts_max,
         }
     }
 }
@@ -329,24 +278,24 @@ mod tests {
     }
 
     #[test]
-    fn panicking_cell_is_retried_then_quarantined() {
-        let sup = Supervisor::new(SweepMode::KeepGoing).with_retries(2);
+    fn panicking_cell_is_quarantined_after_one_run() {
+        let sup = Supervisor::new(SweepMode::KeepGoing);
         let calls = AtomicUsize::new(0);
         let v = sup.supervise("figX", 5, "STE", "CLAP", || {
             calls.fetch_add(1, Ordering::Relaxed);
             panic!("cell five exploded");
         });
-        assert_eq!(calls.load(Ordering::Relaxed), 3, "retries + 1 attempts");
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "a failed cell is not re-run"
+        );
         match v {
             CellVerdict::Quarantined {
-                outcome,
-                reason,
-                attempts,
-                ..
+                outcome, reason, ..
             } => {
                 assert_eq!(outcome, CellOutcome::Panicked);
                 assert_eq!(reason, "cell five exploded");
-                assert_eq!(attempts, 3);
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
@@ -357,23 +306,8 @@ mod tests {
     }
 
     #[test]
-    fn transient_panic_is_rescued_by_retry() {
-        let sup = Supervisor::new(SweepMode::KeepGoing);
-        let calls = AtomicUsize::new(0);
-        let v = sup.supervise("figX", 1, "STE", "CLAP", || {
-            if calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("transient");
-            }
-            Ok(RunOutcome::Completed(RunStats::default()))
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
-        assert!(matches!(v, CellVerdict::Healthy(_)));
-        assert!(sup.quarantined().is_empty());
-    }
-
-    #[test]
     fn typed_abort_quarantines_with_partial_stats() {
-        let sup = Supervisor::new(SweepMode::KeepGoing).with_retries(0);
+        let sup = Supervisor::new(SweepMode::KeepGoing);
         let v = sup.supervise("figX", 2, "LPS", "S-2MB", || {
             let partial = RunStats {
                 mem_insts: 41,
@@ -392,26 +326,22 @@ mod tests {
                 outcome,
                 reason,
                 stats,
-                attempts,
             } => {
                 assert_eq!(outcome, CellOutcome::Aborted);
                 assert!(reason.contains("livelock"), "{reason}");
                 assert_eq!(stats.mem_insts, 41, "partial stats preserved");
-                assert_eq!(attempts, 1);
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
     }
 
     #[test]
-    fn injected_failures_fire_per_attempt() {
-        let sup = Supervisor::new(SweepMode::KeepGoing)
-            .with_retries(1)
-            .with_injections(vec![Injection {
-                exp: "figX".into(),
-                cell: 3,
-                kind: InjectKind::Budget,
-            }]);
+    fn injected_failures_replace_the_cell() {
+        let sup = Supervisor::new(SweepMode::KeepGoing).with_injections(vec![Injection {
+            exp: "figX".into(),
+            cell: 3,
+            kind: InjectKind::Budget,
+        }]);
         let calls = AtomicUsize::new(0);
         // The injected cell never reaches f.
         let v = sup.supervise("figX", 3, "SC", "CLAP", || {
@@ -446,7 +376,7 @@ mod tests {
             })
         }));
         assert!(caught.is_err());
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "no retries in fail-fast");
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert!(sup.quarantined().is_empty());
         // A typed abort also propagates, carrying its reason.
         let caught = catch_unwind(AssertUnwindSafe(|| {

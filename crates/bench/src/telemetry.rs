@@ -838,7 +838,6 @@ impl SweepScope<'_> {
                     outcome,
                     reason,
                     stats,
-                    ..
                 } => {
                     self.record_failure(index, spec, wall_us, outcome, &reason, stats);
                     RunStats::default()
@@ -1754,7 +1753,6 @@ mod tests {
             outcome: CellOutcome::Panicked,
             reason: "boom".into(),
             stats: sample_stats(),
-            attempts: 1,
         });
         assert_eq!(
             quarantined,

@@ -1,21 +1,18 @@
 //! The probed figure sweeps behind `figures trace` and `figures timeline`:
-//! crossing events carry the topology's routing, and timeline sweeps are
-//! deterministic across worker counts and serialize to valid output.
+//! the traffic matrix carries the topology's routing, and timeline sweeps
+//! are deterministic across worker counts and serialize to valid output.
 //! (Per-cell reconciliation of the probes against `RunStats` lives in the
 //! root `tests/probe.rs`.)
 
 use mcm_bench::configs::ConfigKind;
 use mcm_bench::experiments::{rerun, Harness};
 use mcm_bench::telemetry::Json;
-use mcm_sim::{
-    run_with, MetricsProbe, RunMetrics, RunOutcome, RunTrace, SimConfig, TopologyKind,
-    TraceEventClass, TraceEventKind,
-};
+use mcm_sim::{run_with, MetricsProbe, RunMetrics, RunOutcome, SimConfig, TopologyKind};
 use mcm_types::PageSize;
 use mcm_workloads::{suite, FOOTPRINT_SCALE};
 
-/// Crossing events must carry the hop count the topology's routing
-/// assigns to their (src, dst) pair — hand-checked here on a 2×2 mesh,
+/// The traffic matrix must carry the hop count the topology's routing
+/// assigns to each (src, dst) pair — hand-checked here on a 2×2 mesh,
 /// where chiplets 0 and 3 (and 1 and 2) sit diagonal (2 hops) and every
 /// other distinct pair is adjacent (1 hop).
 #[test]
@@ -24,37 +21,40 @@ fn mesh_crossing_hops_match_topology_routing() {
     base.topology = TopologyKind::Mesh2d { rows: 2, cols: 2 };
     let w = suite::by_name("STE").unwrap().with_tb_scale(1, 4);
     let (mut policy, cfg) = ConfigKind::Static(PageSize::Size64K).build(&base);
-    let mut trace = RunTrace::new();
-    let stats = match run_with(&cfg, &w, policy.as_mut(), None, &mut trace) {
+    let mut probe = MetricsProbe::default();
+    let stats = match run_with(&cfg, &w, policy.as_mut(), None, &mut probe) {
         Ok(RunOutcome::Completed(s)) if !s.degradation.is_degraded() => s,
         other => panic!("expected a clean run, got {other:?}"),
     };
+    let m = probe.into_metrics();
+    assert_eq!(m.num_chiplets(), 4);
     assert_eq!(
-        trace.event_count(TraceEventClass::Crossing),
+        m.transfers(),
         stats.interconnect_transfers,
-        "crossing events vs interconnect_transfers on a mesh"
+        "matrix total vs interconnect_transfers on a mesh"
     );
-    let mut crossings = 0usize;
-    let mut diagonal = 0usize;
-    for ev in &trace.events {
-        if let TraceEventKind::Crossing { src, dst, hops, .. } = ev.kind {
-            crossings += 1;
-            assert_ne!(src, dst, "same-chiplet transfers are not crossings");
+    let mut diagonal = 0;
+    for src in 0..4 {
+        for dst in 0..4 {
+            let link = m.traffic(src, dst);
             // XY routing on a 2×2 grid: Manhattan distance, no wraparound.
-            let (sr, sc) = (src.index() / 2, src.index() % 2);
-            let (dr, dc) = (dst.index() / 2, dst.index() % 2);
-            let expect = (sr.abs_diff(dr) + sc.abs_diff(dc)) as u32;
+            let (sr, sc) = (src / 2, src % 2);
+            let (dr, dc) = (dst / 2, dst % 2);
+            let expect = (sr.abs_diff(dr) + sc.abs_diff(dc)) as u64;
             assert_eq!(
-                hops, expect,
-                "crossing {src}->{dst} carries {hops} hops, routing says {expect}"
+                link.hops,
+                link.transfers * expect,
+                "{src}->{dst}: {} transfers routed {} hops, routing says {expect} each",
+                link.transfers,
+                link.hops
             );
-            if hops == 2 {
-                diagonal += 1;
+            if expect == 2 {
+                diagonal += link.transfers;
             }
         }
     }
     assert!(
-        crossings > 0,
+        m.transfers() > 0,
         "STE under static 64KB paging crosses chiplets"
     );
     assert!(
@@ -87,11 +87,7 @@ fn timeline_is_identical_serial_and_parallel() {
             again.merge_aggregates(serial.cell(r, c));
         }
         assert_eq!(&again, merged, "column {c} fold is not a plain re-fold");
-        assert_eq!(merged.merged_cells, serial.rows.len() as u64);
-        let kept_frames: u64 = (0..serial.rows.len())
-            .map(|r| serial.cell(r, c).series().len() as u64)
-            .sum();
-        assert_eq!(merged.dropped_frames, kept_frames);
+        assert!(merged.series().is_empty(), "column {c} fold kept a series");
     }
 
     // The journal records carry each cell's outcome.

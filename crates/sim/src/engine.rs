@@ -35,7 +35,7 @@ use crate::stage::driver::Driver;
 use crate::stage::sched::KernelSchedule;
 use crate::stage::translate::{TranslateStage, Translation};
 use crate::stats::{AllocAccessStats, Counter, Counters, RunStats};
-use crate::trace::{TraceEventKind, TraceStage};
+use crate::trace::TraceStage;
 use crate::workload::Workload;
 use crate::SimError;
 
@@ -285,10 +285,6 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
         for k in 0..workload.num_kernels() {
             now = self.run_kernel(workload, k, now, policy)?;
             let dirs = policy.on_kernel_end(k, now);
-            self.probe.event(TraceEventKind::EpochDirectives {
-                epoch: now,
-                directives: dirs.len() as u32,
-            });
             self.driver.apply_directives(
                 self.cfg,
                 &mut self.page_table,
@@ -316,14 +312,7 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
         start: u64,
         policy: &mut dyn PagingPolicy,
     ) -> Result<u64, SimError> {
-        let mut sched = KernelSchedule::new(
-            self.cfg,
-            workload,
-            k,
-            start,
-            &mut self.stream_pool,
-            self.probe,
-        );
+        let mut sched = KernelSchedule::new(self.cfg, workload, k, start, &mut self.stream_pool);
         let kd = *sched.kernel();
         self.reuse = kd.line_reuse.max(1) as u64;
         let issue_gap = kd.insts_per_mem as u64;
@@ -361,10 +350,6 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
             while t >= self.next_epoch {
                 let epoch = self.next_epoch;
                 let dirs = policy.on_epoch(epoch);
-                self.probe.event(TraceEventKind::EpochDirectives {
-                    epoch,
-                    directives: dirs.len() as u32,
-                });
                 self.driver.apply_directives(
                     self.cfg,
                     &mut self.page_table,
@@ -467,7 +452,7 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
                     continue;
                 }
             }
-            sched.retire_warp(workload, k, wid, t, &mut self.stream_pool, self.probe);
+            sched.retire_warp(workload, k, wid, t, &mut self.stream_pool);
         }
         sched.recycle(&mut self.stream_pool);
         Ok(end)

@@ -71,7 +71,5 @@ pub use probe::{MetricsProbe, Probe, SAMPLE_INTERVAL};
 pub use resources::{BucketedResource, Server, BUCKET_CYCLES};
 pub use stats::{AllocAccessStats, Counter, Counters, DegradationStats, RunStats};
 pub use tlb::Tlb;
-pub use trace::{
-    LatencyHistogram, RunTrace, TraceEvent, TraceEventClass, TraceEventKind, TraceStage,
-};
+pub use trace::{LatencyHistogram, RunTrace, TraceStage};
 pub use workload::{tb_chiplet, KernelDesc, TileMapping, TiledGemm, Workload};

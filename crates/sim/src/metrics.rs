@@ -74,12 +74,6 @@ pub struct RunMetrics {
     pub(crate) series: Vec<SampleFrame>,
     /// Traffic matrix, src-major (`src * num_chiplets + dst`).
     traffic: Vec<LinkTraffic>,
-    /// Cells folded into this aggregate via [`Self::merge_aggregates`]
-    /// (1 for a freshly captured run).
-    pub merged_cells: u64,
-    /// Series frames discarded by merges (time series are per-run; a
-    /// cross-cell merge keeps only the aggregate state).
-    pub dropped_frames: u64,
 }
 
 impl RunMetrics {
@@ -89,8 +83,6 @@ impl RunMetrics {
             counters: Counters::new(num_chiplets),
             series: Vec::new(),
             traffic: vec![LinkTraffic::default(); num_chiplets * num_chiplets],
-            merged_cells: 1,
-            dropped_frames: 0,
         }
     }
 
@@ -150,21 +142,17 @@ impl RunMetrics {
 
     /// Folds another cell's metrics into this one: counters and the
     /// traffic matrix merge exactly; `other`'s time series is *not*
-    /// concatenated (interval clocks are per-run) — its frames are
-    /// accounted in [`Self::dropped_frames`]. Associative and commutative
-    /// on the aggregate state. An empty (default) accumulator adopts
-    /// `other`'s shape.
+    /// concatenated (interval clocks are per-run). Associative and
+    /// commutative on the aggregate state. An empty (default) accumulator
+    /// adopts `other`'s shape.
     pub fn merge_aggregates(&mut self, other: &RunMetrics) {
         if self.traffic.is_empty() {
             self.traffic = vec![LinkTraffic::default(); other.traffic.len()];
-            self.merged_cells = 0;
         }
         self.counters.absorb(&other.counters);
         for (t, o) in self.traffic.iter_mut().zip(other.traffic.iter()) {
             t.add(o);
         }
-        self.merged_cells += other.merged_cells;
-        self.dropped_frames += other.dropped_frames + other.series.len() as u64;
     }
 
     /// The remote-access ratio of each closed interval:
@@ -290,15 +278,13 @@ mod tests {
         a.merge_aggregates(&b);
         assert_eq!(a.count(0, Counter::DramAccesses), 10);
         assert_eq!(a.transfers(), 1);
-        assert_eq!(a.merged_cells, 2);
         assert_eq!(a.series.len(), 1, "other's frames are not spliced in");
-        assert_eq!(a.dropped_frames, 1);
         // Merging into a default accumulator adopts the shape.
         let mut acc = RunMetrics::default();
         acc.merge_aggregates(&a);
         assert_eq!(acc.num_chiplets(), 2);
         assert_eq!(acc.count(0, Counter::DramAccesses), 10);
-        assert_eq!(acc.merged_cells, 2);
+        assert!(acc.series.is_empty(), "a merge keeps no series");
     }
 
     /// A frame with `local`/`remote` access deltas on chiplet 0.

@@ -3,24 +3,24 @@
 //! Counting is not a probe's job — every build counts each event once,
 //! in the always-on [`Counters`] registry that [`RunStats`](crate::RunStats)
 //! is folded from. A [`Probe`] observes what the counters cannot hold:
-//! stage-latency samples, the structured event stream, interconnect
-//! crossings with their source and destination, and the simulated clock.
-//! The engine is generic over the probe, so each implementation gets its
-//! own monomorphized copy of the hot path; every hook has an empty default
-//! body, and the unit probe `()` compiles to the unobserved engine.
+//! stage-latency samples, interconnect crossings with their source and
+//! destination, and the simulated clock. The engine is generic over the
+//! probe, so each implementation gets its own monomorphized copy of the
+//! hot path; every hook has an empty default body, and the unit probe
+//! `()` compiles to the unobserved engine.
 //!
 //! Two probes ship with the crate: [`RunTrace`] (per-stage latency
-//! histograms and the bounded event stream) and [`MetricsProbe`]
-//! (interval sampling of the registry plus the cross-chiplet traffic
-//! matrix). Neither can perturb a run: hooks receive values, or shared
-//! references to the topology and registry, never the machine.
+//! histograms) and [`MetricsProbe`] (interval sampling of the registry
+//! plus the cross-chiplet traffic matrix). Neither can perturb a run:
+//! hooks receive values, or shared references to the topology and
+//! registry, never the machine.
 
 use mcm_types::ChipletId;
 
 use crate::interconnect::Topology;
 use crate::metrics::{RunMetrics, SampleFrame};
 use crate::stats::Counters;
-use crate::trace::{RunTrace, TraceEventKind, TraceStage};
+use crate::trace::{RunTrace, TraceStage};
 
 /// An observer of one simulation run. Every hook defaults to doing
 /// nothing; see the [module docs](self).
@@ -29,10 +29,6 @@ pub trait Probe {
     #[inline(always)]
     fn sample(&mut self, _stage: TraceStage, _latency: u64) {}
 
-    /// One structured event.
-    #[inline(always)]
-    fn event(&mut self, _kind: TraceEventKind) {}
-
     /// The topology's link-queue level just before a transfer; passed
     /// back to the matching [`Probe::crossing`] as `queue_before`.
     #[inline(always)]
@@ -40,15 +36,14 @@ pub trait Probe {
         0
     }
 
-    /// One completed cross-chiplet transfer `src → dst` that started at
-    /// cycle `at`. Same-chiplet transfers are free and never reported.
+    /// One completed cross-chiplet transfer `src → dst`. Same-chiplet
+    /// transfers are free and never reported.
     #[inline(always)]
     fn crossing(
         &mut self,
         _topo: &dyn Topology,
         _src: ChipletId,
         _dst: ChipletId,
-        _at: u64,
         _queue_before: u64,
     ) {
     }
@@ -72,34 +67,11 @@ pub trait Probe {
 /// The unobserved run.
 impl Probe for () {}
 
-/// Stage tracing: latency samples feed the per-stage histograms, events
-/// and crossings the bounded event stream.
+/// Stage tracing: latency samples feed the per-stage histograms.
 impl Probe for RunTrace {
     #[inline(always)]
     fn sample(&mut self, stage: TraceStage, latency: u64) {
         self.record_sample(stage, latency);
-    }
-
-    #[inline(always)]
-    fn event(&mut self, kind: TraceEventKind) {
-        self.record_event(kind);
-    }
-
-    #[inline(always)]
-    fn crossing(
-        &mut self,
-        topo: &dyn Topology,
-        src: ChipletId,
-        dst: ChipletId,
-        at: u64,
-        _queue_before: u64,
-    ) {
-        self.record_event(TraceEventKind::Crossing {
-            src,
-            dst,
-            hops: topo.hops(src, dst),
-            cycle: at,
-        });
     }
 }
 
@@ -160,14 +132,7 @@ impl Probe for MetricsProbe {
     }
 
     #[inline(always)]
-    fn crossing(
-        &mut self,
-        topo: &dyn Topology,
-        src: ChipletId,
-        dst: ChipletId,
-        _at: u64,
-        queue_before: u64,
-    ) {
+    fn crossing(&mut self, topo: &dyn Topology, src: ChipletId, dst: ChipletId, queue_before: u64) {
         self.fit(topo.num_chiplets());
         let queued = topo.queue_cycles() - queue_before;
         self.m

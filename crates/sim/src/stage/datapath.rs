@@ -153,7 +153,7 @@ impl<'r> DataPath<'r> {
     fn cross<P: Probe>(&mut self, src: ChipletId, dst: ChipletId, at: u64, probe: &mut P) -> u64 {
         let q0 = probe.queue_probe(self.interconnect.as_ref());
         let done = self.interconnect.transfer(src, dst, at);
-        probe.crossing(self.interconnect.as_ref(), src, dst, at, q0);
+        probe.crossing(self.interconnect.as_ref(), src, dst, q0);
         done
     }
 

@@ -17,7 +17,6 @@ use crate::resources::Server;
 use crate::stage::datapath::DataPath;
 use crate::stage::translate::TranslateStage;
 use crate::stats::{Counter, Counters, DegradationStats};
-use crate::trace::TraceEventKind;
 use crate::SimError;
 
 /// The driver stage of one machine.
@@ -126,15 +125,7 @@ impl Driver {
                 reason: format!("fault handler did not map {va}"),
             });
         }
-        let resume = at + cfg.fault_latency;
-        probe.event(TraceEventKind::FaultResolved {
-            va: page,
-            chiplet,
-            directives: dirs.len() as u32,
-            raised: at,
-            resume,
-        });
-        Ok(resume)
+        Ok(at + cfg.fault_latency)
     }
 
     /// Applies a directive batch, skipping (and recording) invalid

@@ -12,8 +12,6 @@ use std::collections::VecDeque;
 use mcm_types::{TbId, VirtAddr, WarpId};
 
 use crate::config::SimConfig;
-use crate::probe::Probe;
-use crate::trace::TraceEventKind;
 use crate::workload::{tb_chiplet, KernelDesc, Workload};
 
 /// A monotone radix heap of `(ready_cycle, key)` wake-up events, where a
@@ -163,13 +161,12 @@ impl KernelSchedule {
     /// `pool` recycles per-warp access-stream buffers across warps and
     /// kernels (DESIGN.md §15): starting warps pop a cleared buffer
     /// instead of allocating, retiring warps push theirs back.
-    pub fn new<P: Probe>(
+    pub fn new(
         cfg: &SimConfig,
         workload: &dyn Workload,
         k: usize,
         start: u64,
         pool: &mut Vec<Vec<VirtAddr>>,
-        probe: &mut P,
     ) -> Self {
         let kd = workload.kernel(k);
         let sms = cfg.total_sms();
@@ -197,7 +194,7 @@ impl KernelSchedule {
         for sm in 0..sms {
             for _ in 0..concurrent_tbs {
                 if let Some(tb) = sched.sm_queue[sm].pop_front() {
-                    sched.start_tb(workload, k, sm, tb, start, pool, probe);
+                    sched.start_tb(workload, k, sm, tb, start, pool);
                 }
             }
         }
@@ -210,8 +207,7 @@ impl KernelSchedule {
     }
 
     /// Launches `tb`'s warps on `sm` at cycle `at`.
-    #[allow(clippy::too_many_arguments)]
-    fn start_tb<P: Probe>(
+    fn start_tb(
         &mut self,
         workload: &dyn Workload,
         k: usize,
@@ -219,13 +215,7 @@ impl KernelSchedule {
         tb: TbId,
         at: u64,
         pool: &mut Vec<Vec<VirtAddr>>,
-        probe: &mut P,
     ) {
-        probe.event(TraceEventKind::TbStart {
-            sm: sm as u32,
-            tb,
-            cycle: at,
-        });
         let tb_slot = self.tb_live_warps.len() as u32;
         self.tb_live_warps.push(self.kd.warps_per_tb);
         for w in 0..self.kd.warps_per_tb {
@@ -298,14 +288,13 @@ impl KernelSchedule {
 
     /// Retires warp `wid` at cycle `t`; when it was its threadblock's last
     /// live warp, the SM's next queued threadblock (if any) starts at `t`.
-    pub fn retire_warp<P: Probe>(
+    pub fn retire_warp(
         &mut self,
         workload: &dyn Workload,
         k: usize,
         wid: usize,
         t: u64,
         pool: &mut Vec<Vec<VirtAddr>>,
-        probe: &mut P,
     ) {
         // A retired warp never batches again: recycle its stream buffer.
         let mut stream = std::mem::take(&mut self.warps[wid].accesses);
@@ -318,7 +307,7 @@ impl KernelSchedule {
         if self.tb_live_warps[tb_slot] == 0 {
             let sm = self.warps[wid].sm;
             if let Some(next_tb) = self.sm_queue[sm].pop_front() {
-                self.start_tb(workload, k, sm, next_tb, t, pool, probe);
+                self.start_tb(workload, k, sm, next_tb, t, pool);
             }
         }
     }
@@ -381,7 +370,7 @@ mod tests {
     fn tbs_spread_over_chiplets_and_warps_drain() {
         let c = cfg();
         let w = TinyWorkload;
-        let mut s = KernelSchedule::new(&c, &w, 0, 0, &mut Vec::new(), &mut ());
+        let mut s = KernelSchedule::new(&c, &w, 0, 0, &mut Vec::new());
         assert_eq!(s.kernel().num_tbs, 2);
         let mut sms_seen = std::collections::HashSet::new();
         let mut popped = 0usize;
@@ -394,7 +383,7 @@ mod tests {
             if !s.warp_finished(wid) {
                 s.reschedule(wid, t + 1);
             } else {
-                s.retire_warp(&w, 0, wid, t, &mut Vec::new(), &mut ());
+                s.retire_warp(&w, 0, wid, t, &mut Vec::new());
             }
         }
         assert_eq!(sms_seen.len(), 2, "both chiplets' SMs must host TBs");
@@ -405,8 +394,8 @@ mod tests {
     fn start_jitter_is_deterministic_and_bounded() {
         let c = cfg();
         let w = TinyWorkload;
-        let mut a = KernelSchedule::new(&c, &w, 0, 1_000, &mut Vec::new(), &mut ());
-        let mut b = KernelSchedule::new(&c, &w, 0, 1_000, &mut Vec::new(), &mut ());
+        let mut a = KernelSchedule::new(&c, &w, 0, 1_000, &mut Vec::new());
+        let mut b = KernelSchedule::new(&c, &w, 0, 1_000, &mut Vec::new());
         loop {
             let (ea, eb) = (a.pop(), b.pop());
             assert_eq!(ea, eb, "schedule must be deterministic");
@@ -564,15 +553,9 @@ mod tests {
         }
     }
 
-    /// Records each threadblock start.
-    #[derive(Default)]
-    struct TbStarts(Vec<(TbId, u64)>);
-    impl Probe for TbStarts {
-        fn event(&mut self, kind: TraceEventKind) {
-            if let TraceEventKind::TbStart { tb, cycle, .. } = kind {
-                self.0.push((tb, cycle));
-            }
-        }
+    /// The [`ManyWarps`] warp whose stream starts with `first`.
+    fn many_warps_id(first: VirtAddr) -> u32 {
+        (first.raw() / 128 % 64 / 8) as u32
     }
 
     /// A never-recycling reference schedule: every warp ever started keeps
@@ -581,21 +564,24 @@ mod tests {
     struct Reference {
         seq_of: std::collections::HashMap<(usize, u32), u64>,
         queue: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-        seen_starts: usize,
     }
 
     impl Reference {
-        /// Starts the warps of every threadblock start not seen yet.
-        fn absorb(&mut self, starts: &TbStarts, warps_per_tb: u32) {
-            for &(tb, cycle) in &starts.0[self.seen_starts..] {
-                for w in 0..warps_per_tb {
-                    let seq = self.seq_of.len() as u64;
-                    self.seq_of.insert((tb.index(), w), seq);
-                    self.queue
-                        .push(std::cmp::Reverse((cycle + start_jitter(tb, w), seq)));
-                }
+        /// Starts, at cycle `at`, every warp the schedule started since the
+        /// last call: those whose start sequence is past the starts seen.
+        /// Their sequences must continue the seen ones without a gap.
+        fn absorb(&mut self, s: &KernelSchedule, at: u64) {
+            let seen = self.seq_of.len() as u64;
+            let mut new: Vec<_> = s.warps.iter().filter(|w| w.seq as u64 >= seen).collect();
+            new.sort_by_key(|w| w.seq);
+            for (i, w) in new.into_iter().enumerate() {
+                let seq = w.seq as u64;
+                assert_eq!(seq, seen + i as u64, "start sequences are gap-free");
+                let id = many_warps_id(w.accesses[0]);
+                self.seq_of.insert((w.tb.index(), id), seq);
+                self.queue
+                    .push(std::cmp::Reverse((at + start_jitter(w.tb, id), seq)));
             }
-            self.seen_starts = starts.0.len();
         }
     }
 
@@ -611,18 +597,16 @@ mod tests {
         c.max_warps_per_sm = 8;
         let (w, resident) = (ManyWarps, 16);
         let mut pool = Vec::new();
-        let mut starts = TbStarts::default();
-        let mut s = KernelSchedule::new(&c, &w, 0, 0, &mut pool, &mut starts);
+        let mut s = KernelSchedule::new(&c, &w, 0, 0, &mut pool);
         let mut reference = Reference::default();
-        reference.absorb(&starts, 4);
+        reference.absorb(&s, 0);
         let (mut ties, mut reordered, mut peak) = (0usize, 0usize, 0usize);
         let mut prev: Option<(u64, usize)> = None;
         while let Some((t, slot)) = s.pop() {
             peak = peak.max(s.warps.len());
             assert!(s.warps.len() <= resident, "{} warp slots", s.warps.len());
             let (_sm, tb, batch) = s.batch(&c, slot);
-            let warp = (batch[0].raw() / 128 % 64 / 8) as u32;
-            let seq = reference.seq_of[&(tb.index(), warp)];
+            let seq = reference.seq_of[&(tb.index(), many_warps_id(batch[0]))];
             assert_eq!(
                 reference.queue.pop(),
                 Some(std::cmp::Reverse((t, seq))),
@@ -635,8 +619,8 @@ mod tests {
             prev = Some((t, slot));
             s.advance(slot, 1);
             if s.warp_finished(slot) {
-                s.retire_warp(&w, 0, slot, t, &mut pool, &mut starts);
-                reference.absorb(&starts, 4);
+                s.retire_warp(&w, 0, slot, t, &mut pool);
+                reference.absorb(&s, t);
             } else {
                 // Delays of 0-2 cycles: many warps wake on one cycle.
                 let at = t + (seq + t) % 3;
@@ -680,7 +664,7 @@ mod tests {
             }
         }
         let c = cfg();
-        let mut s = KernelSchedule::new(&c, &EmptyWorkload, 0, 0, &mut Vec::new(), &mut ());
+        let mut s = KernelSchedule::new(&c, &EmptyWorkload, 0, 0, &mut Vec::new());
         assert!(s.pop().is_none());
     }
 }

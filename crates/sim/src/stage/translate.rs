@@ -20,7 +20,7 @@ use crate::resources::BucketedResource;
 use crate::stage::datapath::DataPath;
 use crate::stats::{Counter, Counters, DegradationStats};
 use crate::tlb::Tlb;
-use crate::trace::{TraceEventKind, TraceStage};
+use crate::trace::TraceStage;
 use crate::SimError;
 
 /// Outcome of translating one virtual address.
@@ -312,14 +312,9 @@ impl TranslateStage {
             });
         }
         ctr.bump(chiplet, Counter::L2tlbMisses);
-        probe.event(TraceEventKind::L2TlbMiss {
-            va,
-            chiplet,
-            cycle: tt,
-        });
         match self.page_walk(cfg, pt, data, chiplet, va, tt, gmmu_free, ctr, probe)? {
             Translation::Done { pte, done, .. } => {
-                self.fill_l2(pt, cfg, chiplet, va, pte, done, ctr, probe);
+                self.fill_l2(pt, cfg, chiplet, va, pte, ctr);
                 self.last_l1 = self.fill_l1(pt, cfg, sm, va, pte);
                 Ok(Translation::Done {
                     pte,
@@ -387,12 +382,6 @@ impl TranslateStage {
         ctr.bump(chiplet, Counter::Walks);
         ctr.add(chiplet, Counter::WalkCycles, tw - t);
         probe.sample(TraceStage::Walk, tw - t);
-        probe.event(TraceEventKind::WalkComplete {
-            va,
-            chiplet,
-            issued: t,
-            done: tw,
-        });
         Ok(Translation::Done {
             pte,
             done: tw,
@@ -542,29 +531,20 @@ impl TranslateStage {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn fill_l2<P: Probe>(
+    fn fill_l2(
         &mut self,
         pt: &PageTable,
         cfg: &SimConfig,
         chiplet: ChipletId,
         va: VirtAddr,
         pte: Pte,
-        cycle: u64,
         ctr: &mut Counters,
-        probe: &mut P,
     ) {
         match self.fill_mask(pt, cfg, va, pte) {
             Some((class, mask)) => {
                 if mask.count_ones() > 1 {
                     ctr.bump(chiplet, Counter::CoalescedFills);
                 }
-                probe.event(TraceEventKind::TlbFill {
-                    va,
-                    chiplet,
-                    pages: mask.count_ones(),
-                    cycle,
-                });
                 self.l2_tlb[chiplet.index()][class].fill(va, mask);
             }
             None => self.note_missing_class(pte.size),

@@ -1,21 +1,19 @@
-//! Stage-boundary tracing: per-stage latency histograms and a bounded
-//! structured event stream.
+//! Stage-boundary tracing: per-stage latency histograms.
 //!
 //! [`RunTrace`] is a [`Probe`](crate::Probe): pass one to
-//! [`run_with`](crate::run_with) and the engine's stage seams
-//! (`stage::{translate, datapath, driver, sched}` plus the `Machine` event
-//! loop) feed it samples and events. Runs without it pay nothing — the
-//! engine is monomorphized per probe — and tracing never changes results.
+//! [`run_with`](crate::run_with) and the engine's stage seams (the
+//! `translate` stage's page walks plus the `Machine` event loop's
+//! scheduler, translation, data-path and fault latencies) feed it
+//! samples. Runs without it pay nothing — the engine is monomorphized per
+//! probe — and tracing never changes results. Counts are the
+//! always-on registry's job, not the trace's.
 //!
-//! Every histogram total reconciles exactly with a
-//! [`RunStats`](crate::RunStats) counter (walk samples == page walks,
-//! crossing events == interconnect transfers, ...); `tests/probe.rs`
-//! asserts this.
+//! Every histogram reconciles exactly with a [`RunStats`](crate::RunStats)
+//! counter (walk samples == page walks, translate cycles ==
+//! translation cycles, ...); `tests/probe.rs` asserts this.
 
-mod event;
 mod hist;
 
-pub use event::{TraceEvent, TraceEventClass, TraceEventKind};
 pub use hist::LatencyHistogram;
 
 /// The pipeline stages whose boundary latencies are histogrammed.
@@ -65,64 +63,16 @@ impl TraceStage {
     }
 }
 
-/// How many buffered events a [`RunTrace`] retains by default. The
-/// per-kind counters and the histograms keep counting past the cap; only
-/// the structured sample stream is bounded.
-pub const DEFAULT_EVENT_CAP: usize = 4096;
-
-/// The trace of one run: per-stage latency histograms, exact per-kind
-/// event counters, and a bounded event stream with per-run sequence
-/// numbers.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The trace of one run: one latency histogram per [`TraceStage`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunTrace {
     hists: [LatencyHistogram; TraceStage::ALL.len()],
-    /// The buffered event stream, in recording (= sequence) order. At
-    /// most `cap` events are retained; later events still bump
-    /// [`events_seen`](Self::events_seen) and the per-kind counters.
-    pub events: Vec<TraceEvent>,
-    counts: [u64; TraceEventClass::ALL.len()],
-    /// Total events recorded, including those dropped once the buffer
-    /// filled.
-    pub events_seen: u64,
-    /// Events not retained in [`events`](Self::events) (buffer full, or
-    /// discarded by a cross-cell histogram merge).
-    pub dropped_events: u64,
-    cap: usize,
-}
-
-impl Default for RunTrace {
-    /// An empty trace retaining up to [`DEFAULT_EVENT_CAP`] events.
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl RunTrace {
-    /// An empty trace retaining up to [`DEFAULT_EVENT_CAP`] events.
-    pub fn new() -> Self {
-        Self::with_event_cap(DEFAULT_EVENT_CAP)
-    }
-
-    /// An empty trace retaining up to `cap` buffered events.
-    pub fn with_event_cap(cap: usize) -> Self {
-        RunTrace {
-            hists: Default::default(),
-            events: Vec::new(),
-            counts: [0; TraceEventClass::ALL.len()],
-            events_seen: 0,
-            dropped_events: 0,
-            cap,
-        }
-    }
-
     /// The latency histogram of `stage`.
     pub fn hist(&self, stage: TraceStage) -> &LatencyHistogram {
         &self.hists[stage.index()]
-    }
-
-    /// Exact number of `class` events recorded (dropped ones included).
-    pub fn event_count(&self, class: TraceEventClass) -> u64 {
-        self.counts[class.index()]
     }
 
     /// Records one stage-latency sample.
@@ -131,33 +81,12 @@ impl RunTrace {
         self.hists[stage.index()].record(latency);
     }
 
-    /// Records one event, assigning the next sequence number. Once the
-    /// buffer holds `cap` events the event is counted but not retained.
-    #[inline]
-    pub fn record_event(&mut self, kind: TraceEventKind) {
-        let seq = self.events_seen;
-        self.events_seen += 1;
-        self.counts[kind.class().index()] += 1;
-        if self.events.len() < self.cap {
-            self.events.push(TraceEvent { seq, kind });
-        } else {
-            self.dropped_events += 1;
-        }
-    }
-
-    /// Folds another cell's trace into this one: histograms and per-kind
-    /// counters merge exactly; `other`'s buffered events are *not*
-    /// concatenated (sequence numbers are per-run) — they are accounted
-    /// as dropped. Associative and commutative on the aggregate state.
+    /// Folds another cell's trace into this one: the histograms merge
+    /// exactly. Associative and commutative.
     pub fn merge_aggregates(&mut self, other: &RunTrace) {
         for (h, o) in self.hists.iter_mut().zip(other.hists.iter()) {
             h.merge(o);
         }
-        for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *c += o;
-        }
-        self.events_seen += other.events_seen;
-        self.dropped_events += other.dropped_events + other.events.len() as u64;
     }
 
     /// Sum of every stage histogram's cycle total — the denominator of
@@ -170,20 +99,10 @@ impl RunTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcm_types::ChipletId;
-
-    fn crossing_event(cycle: u64) -> TraceEventKind {
-        TraceEventKind::Crossing {
-            src: ChipletId::new(0),
-            dst: ChipletId::new(1),
-            hops: 1,
-            cycle,
-        }
-    }
 
     #[test]
     fn samples_land_in_the_right_stage() {
-        let mut t = RunTrace::new();
+        let mut t = RunTrace::default();
         t.record_sample(TraceStage::Walk, 100);
         t.record_sample(TraceStage::Walk, 50);
         t.record_sample(TraceStage::Data, 7);
@@ -195,35 +114,17 @@ mod tests {
     }
 
     #[test]
-    fn event_stream_is_bounded_but_counters_are_exact() {
-        let mut t = RunTrace::with_event_cap(2);
-        for i in 0..5 {
-            t.record_event(crossing_event(i));
-        }
-        assert_eq!(t.events.len(), 2);
-        assert_eq!(t.events_seen, 5);
-        assert_eq!(t.dropped_events, 3);
-        assert_eq!(t.event_count(TraceEventClass::Crossing), 5);
-        // Sequence numbers are gap-free for the retained prefix.
-        assert_eq!(t.events[0].seq, 0);
-        assert_eq!(t.events[1].seq, 1);
-    }
-
-    #[test]
-    fn merge_aggregates_folds_hists_and_counts() {
-        let mut a = RunTrace::new();
-        let mut b = RunTrace::new();
+    fn merge_aggregates_folds_hists() {
+        let mut a = RunTrace::default();
+        let mut b = RunTrace::default();
         a.record_sample(TraceStage::Translate, 10);
         b.record_sample(TraceStage::Translate, 20);
-        b.record_event(crossing_event(1));
+        b.record_sample(TraceStage::Fault, 3000);
         a.merge_aggregates(&b);
         assert_eq!(a.hist(TraceStage::Translate).count(), 2);
         assert_eq!(a.hist(TraceStage::Translate).sum(), 30);
-        assert_eq!(a.event_count(TraceEventClass::Crossing), 1);
-        assert_eq!(a.events_seen, 1);
-        // b's buffered event is not spliced in, only accounted.
-        assert!(a.events.is_empty());
-        assert_eq!(a.dropped_events, 1);
+        assert_eq!(a.hist(TraceStage::Fault).count(), 1);
+        assert_eq!(a.total_cycles(), 3030);
     }
 
     #[test]
