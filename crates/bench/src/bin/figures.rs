@@ -41,10 +41,11 @@
 //! nothing for either.
 //!
 //! Every experiment sweep is journaled as it runs: one JSONL record per
-//! cell under `<out>/journal/<exp>.jsonl` and the cell's full statistics
-//! under `<out>/shards/<exp>/<cell>.json`, written worker-side at cell
-//! completion. `--resume` restores cells whose shard validates (schema
-//! version + configuration fingerprint) instead of re-running them;
+//! cell, carrying its full statistics and configuration fingerprint,
+//! under `<out>/journal/<exp>.jsonl`, written worker-side at cell
+//! completion. `--resume` restores cells whose latest healthy record
+//! validates (schema version + configuration fingerprint) instead of
+//! re-running them;
 //! `status` summarizes a journal; `--progress` controls the live stderr
 //! reporter (`auto` = on when stderr is a terminal — so tests and piped
 //! runs stay silent).
@@ -52,7 +53,7 @@
 //! Sweeps run supervised: a cell that panics or aborts (run budget,
 //! livelock, or any typed engine error) is quarantined — journaled with
 //! its failure reason, its grid slot zeroed — while every other cell
-//! completes and keeps its shard. A failed cell is not re-run: the
+//! completes and keeps its record. A failed cell is not re-run: the
 //! simulator is deterministic, so it would fail the same way. The run
 //! then exits 1 with a per-class summary; a later `--resume` re-runs
 //! exactly the quarantined cells. `--fail-fast` propagates the first
@@ -90,11 +91,11 @@ struct Options {
     out_dir: PathBuf,
     /// Chaos seed for `probe --chaos[=SEED]`.
     chaos_seed: Option<u64>,
-    /// Restore valid shards instead of re-running their cells.
+    /// Restore cells from their journal records instead of re-running them.
     resume: bool,
     /// Live progress reporter setting.
     progress: ProgressMode,
-    /// `status --check`: validate every journal line and shard.
+    /// `status --check`: validate every journal line and cell coverage.
     check: bool,
     /// Sweep failure policy (quarantine by default, `--fail-fast`).
     mode: SweepMode,
@@ -240,10 +241,10 @@ fn main() {
         }
     }
 
-    // Experiment sweeps run with telemetry attached: per-cell journal and
-    // shard writes (and shard restores when resuming), plus the optional
-    // live progress reporter. Telemetry observes only — CSVs stay
-    // byte-identical to the untelemetered path.
+    // Experiment sweeps run with telemetry attached: per-cell journal
+    // appends (and restores from the journal when resuming), plus the
+    // optional live progress reporter. Telemetry observes only — CSVs
+    // stay byte-identical to the untelemetered path.
     let progress_on = match opts.progress {
         ProgressMode::On => true,
         ProgressMode::Off => false,
@@ -313,7 +314,7 @@ fn main() {
         opts.jobs
     );
     // Quarantined cells mean the grids above contain zeroed slots: every
-    // healthy cell kept its shard, so a later `--resume` re-runs exactly
+    // healthy cell kept its record, so a later `--resume` re-runs exactly
     // the quarantined ones — but this run's CSVs are not trustworthy, so
     // exit nonzero with a per-class summary.
     let quarantined = supervisor.quarantined();
@@ -325,7 +326,7 @@ fn main() {
         let panicked = quarantined.len() - aborted;
         eprintln!(
             "[figures] {} cell(s) quarantined ({aborted} aborted, {panicked} panicked); \
-             healthy cells kept their shards — fix the cause and re-run with --resume",
+             healthy cells kept their records — fix the cause and re-run with --resume",
             quarantined.len()
         );
         for q in &quarantined {
@@ -343,9 +344,9 @@ fn main() {
 /// quarantined cells. Torn journal tails (a crash mid-append) are
 /// salvaged: the valid prefix is summarized and the tail reported as a
 /// warning, as are lines from another schema version. With `--check`,
-/// additionally validate every journal line and every shard file and
-/// require full cell coverage (every declared cell has a journal record),
-/// exiting non-zero on malformed, incomplete, or absent telemetry.
+/// additionally require every interior journal line to parse and full
+/// cell coverage (every declared cell has a journal record), exiting
+/// non-zero on malformed, incomplete, or absent telemetry.
 fn run_status(out_dir: &Path, check: bool) {
     let journal = telemetry::read_journal_dir(&out_dir.join("journal"));
     let summaries = telemetry::summarize(&journal.records);
@@ -365,28 +366,21 @@ fn run_status(out_dir: &Path, check: bool) {
     if !check {
         return;
     }
-    let (checked, shard_errors) = telemetry::check_shards(&out_dir.join("shards"));
-    for e in &shard_errors {
-        eprintln!("bad shard: {e}");
-    }
     let missing: usize = summaries.iter().map(|s| s.missing.len()).sum();
     println!(
-        "checked {} journal record(s) and {} shard(s): {} journal error(s), \
-         {} shard error(s), {} missing cell(s)",
+        "checked {} journal record(s): {} journal error(s), {} missing cell(s)",
         journal.records.len(),
-        checked,
         journal.errors.len(),
-        shard_errors.len(),
         missing
     );
-    if journal.records.len() + checked == 0 {
+    if journal.records.is_empty() {
         eprintln!(
             "status --check: no telemetry found under {}",
             out_dir.display()
         );
         std::process::exit(1);
     }
-    if !journal.errors.is_empty() || !shard_errors.is_empty() || missing > 0 {
+    if !journal.errors.is_empty() || missing > 0 {
         std::process::exit(1);
     }
 }

@@ -109,7 +109,7 @@ pub struct Harness {
     tb_div: u32,
     /// Worker threads independent sweep cells fan out over (1 = serial).
     jobs: usize,
-    /// Sweep telemetry sink (journal/shards/progress); `None` keeps the
+    /// Sweep telemetry sink (journal/progress); `None` keeps the
     /// purely in-memory path, byte-identical to before telemetry existed.
     telemetry: Option<Arc<Telemetry>>,
     /// Per-cell failure policy: panic isolation and quarantine (default:
@@ -185,8 +185,8 @@ impl Harness {
     }
 
     /// Attaches a sweep telemetry sink: every statistics-producing sweep
-    /// journals its cells and writes per-cell result shards as workers
-    /// complete them (and restores valid shards when resume is on).
+    /// journals its cells as workers complete them (and, when resume is
+    /// on, restores cells from their journal records). Does no I/O.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -227,9 +227,8 @@ impl Harness {
     /// the machine configuration, the threadblock divisor and (when not
     /// the default cycle simulator) the engine. The worker count is
     /// deliberately excluded — resume works across `--jobs` settings
-    /// because results don't depend on them. Cycle-engine fingerprints
-    /// are unchanged from before engines existed, so old shards stay
-    /// valid.
+    /// because results don't depend on them. Every journal record of a
+    /// sweep cell carries a fingerprint derived from this one.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint_on(&self.base)
     }
@@ -247,8 +246,9 @@ impl Harness {
     /// `specs` with the harness's workers, supervising every cell
     /// (panic isolation and quarantine — see
     /// [`Supervisor::supervise`]) and — when telemetry is attached —
-    /// journaling each cell and writing/restoring its shard from the
-    /// worker thread at cell completion.
+    /// journaling each cell from the worker thread at cell completion, or
+    /// restoring it from its journal record when resuming. Every cell's
+    /// `RunStats` is returned.
     ///
     /// Quarantined cells yield zeroed [`RunStats`]; their grid slots are
     /// meaningless, which is why the `figures` binary exits nonzero
@@ -262,8 +262,8 @@ impl Harness {
         self.sweep_stats_as(exp, self.fingerprint(), specs, f)
     }
 
-    /// [`sweep_stats`](Self::sweep_stats) with the cells' shards validated
-    /// against `fingerprint` in place of the harness's.
+    /// [`sweep_stats`](Self::sweep_stats) with the cells' records
+    /// fingerprinted with `fingerprint` in place of the harness's.
     fn sweep_stats_as(
         &self,
         exp: &str,
@@ -545,11 +545,11 @@ impl Cells {
         Cells { rows, cols }
     }
 
-    /// The fingerprint these cells' shards are validated against on
-    /// `--resume`: `h`'s, rebased onto the columns' machine when they all
-    /// share one (Fig. 22), and folded over every column's when they
-    /// differ (topo), so a change to any column's machine re-runs the
-    /// sweep.
+    /// The fingerprint these cells' journal records carry and are
+    /// matched against on `--resume`: `h`'s, rebased onto the columns'
+    /// machine when they all share one (Fig. 22), and folded over every
+    /// column's when they differ (topo), so a change to any column's
+    /// machine re-runs the sweep.
     fn fingerprint(&self, h: &Harness) -> u64 {
         let per_col: Vec<u64> = self
             .cols

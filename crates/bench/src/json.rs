@@ -1,8 +1,8 @@
 //! The one JSON codec of `mcm-bench`: a value model, a parser and a
 //! writer with two layouts. Every document the crate writes (journal
-//! lines, shards, `bench_timings.json`, trace and timeline files) is built
-//! as a [`Json`] value and written by [`Json::compact`] or
-//! [`Json::pretty`]; every document it reads goes through [`Json::parse`].
+//! lines, `bench_timings.json`, trace and timeline files) is built as a
+//! [`Json`] value and written by [`Json::compact`] or [`Json::pretty`];
+//! every document it reads goes through [`Json::parse`].
 //! The workspace deliberately has no serde dependency.
 
 use std::fmt::{self, Write as _};
@@ -27,10 +27,6 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; insertion order preserved.
     Obj(Vec<(String, Json)>),
-    /// Already-serialized JSON text, written verbatim (lets one encoding
-    /// be embedded in a larger document without writing it twice; the
-    /// parser never produces it).
-    Raw(String),
 }
 
 impl Json {
@@ -115,7 +111,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(text) | Json::Raw(text) => out.push_str(text),
+            Json::Num(text) => out.push_str(text),
             Json::Str(s) => write_str(out, s),
             Json::Arr(items) => write_seq(out, depth, pretty, ('[', ']'), items, |out, v| {
                 v.write(out, depth + 1, pretty);

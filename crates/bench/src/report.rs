@@ -115,7 +115,8 @@ pub struct ExperimentTiming {
     pub cells: usize,
     /// Of those, cells whose statistics carried degradation events.
     pub degraded: usize,
-    /// Cells restored from shards by `--resume` instead of re-run.
+    /// Cells restored from their journal records by `--resume` instead
+    /// of re-run.
     pub resumed: usize,
     /// Per-cell wall-clock microseconds in cell-index order (empty when
     /// the experiment has no journaled sweep).

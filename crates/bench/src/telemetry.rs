@@ -1,24 +1,24 @@
-//! Sweep-level observability: a per-cell JSONL run journal, per-cell
-//! result shards (bounded memory, resumable sweeps), and a live progress
+//! Sweep-level observability: a per-cell JSONL run journal, which is
+//! also the record store `--resume` restores from, and a live progress
 //! reporter.
 //!
 //! The simulator's probes (`mcm_sim::Probe`) watch *inside* one run;
 //! this module watches *across* a sweep. As each [`SweepRunner`](crate::runner::SweepRunner)
 //! cell completes, the worker thread appends one [`CellRecord`] to
-//! `<out>/journal/<exp>.jsonl` and writes the cell's full statistics to
-//! `<out>/shards/<exp>/<cell>.json`. The experiment's grid is assembled
-//! from the *decoded* shards — never from an end-of-sweep accumulation —
-//! so memory stays bounded at any worker count, a crash loses only the
-//! in-flight cells, and `figures --resume` re-runs exactly the missing
-//! or stale ones (validated by schema version + configuration
-//! fingerprint). Nothing here perturbs results: every counter a figure
-//! reads round-trips exactly through the shard encoding (all integer
-//! fields), and `scripts/ci.sh` `cmp`s resumed output against the
-//! goldens byte for byte.
+//! `<out>/journal/<exp>.jsonl`: the cell's identity, outcome, full
+//! statistics and configuration fingerprint. The experiment's grid is
+//! assembled from the statistics *decoded* from that journal line, so a
+//! crash loses only the in-flight cells, and `figures --resume` re-runs
+//! exactly the cells with no matching record (validated by schema
+//! version + configuration fingerprint). Nothing here perturbs results:
+//! every counter a figure reads round-trips exactly through the record
+//! encoding (all integer fields), and `scripts/ci.sh` `cmp`s resumed
+//! output against the goldens byte for byte.
 //!
 //! Every document goes through the crate's one JSON codec
 //! ([`crate::json`]).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -35,21 +35,22 @@ pub use crate::json::{json_escape, Json};
 use crate::report::ExperimentTiming;
 use crate::supervise::CellVerdict;
 
-/// Version stamped into every journal record and shard file. Bump it when
-/// the record/shard layout changes: `--resume` treats shards from another
-/// schema as stale and re-runs their cells, and [`read_journal_dir`]
-/// skips (and counts) journal lines from another schema. v2: the `ring_*`
+/// Version stamped into every journal record. Bump it when the record
+/// layout changes: [`read_journal_dir`] skips (and counts) lines from
+/// another schema, so `--resume` re-runs their cells. v2: the `ring_*`
 /// statistics were renamed `interconnect_*` when the interconnect grew
-/// non-ring topologies. v3: a record carries the cell's full [`RunStats`]
-/// and a shard is `{schema, fingerprint, record}`.
-pub const SCHEMA_VERSION: u32 = 3;
+/// non-ring topologies. v3: a record carries the cell's full
+/// [`RunStats`]. v4: a sweep record carries its cell fingerprint, and
+/// the journal is the only per-cell store.
+pub const SCHEMA_VERSION: u32 = 4;
 
-/// FNV-1a 64-bit hash — the stable fingerprint behind shard validation
-/// (deliberately not `DefaultHasher`, whose output may change across
-/// toolchains; resumed sweeps must recognize shards written by an earlier
-/// process). The implementation lives in `mcm_types` so the simulator's
-/// hot-path hashing (slab page table, walk MSHRs) and the telemetry
-/// fingerprints share one hand-rolled hasher family.
+/// FNV-1a 64-bit hash — the stable fingerprint `--resume` matches
+/// records against (deliberately not `DefaultHasher`, whose output may
+/// change across toolchains; resumed sweeps must recognize records
+/// written by an earlier process). The implementation lives in
+/// `mcm_types` so the simulator's hot-path hashing (slab page table, walk
+/// MSHRs) and the telemetry fingerprints share one hand-rolled hasher
+/// family.
 pub use mcm_types::fnv1a;
 
 /// Renders a microsecond wall-clock count for humans (`870µs`, `3.4ms`,
@@ -188,7 +189,7 @@ pub fn stats_from_json(j: &Json) -> Result<RunStats, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Cells, journal records, shards
+// Cells and journal records
 // ---------------------------------------------------------------------------
 
 /// Identity of one sweep cell, fixed before it runs: which workload row,
@@ -235,14 +236,14 @@ pub enum CellOutcome {
     /// Ran to completion but absorbed degradation events
     /// ([`CellOutcome::of`]).
     Degraded,
-    /// Not re-run: restored from a valid shard by `--resume`.
+    /// Not re-run: restored from its journal record by `--resume`.
     Resumed,
     /// Quarantined: every attempt ended in a typed abort
     /// ([`RunOutcome::Aborted`](mcm_sim::RunOutcome::Aborted) or a
-    /// [`SimError`](mcm_sim::SimError)). No shard is written.
+    /// [`SimError`](mcm_sim::SimError)). Never restored.
     Aborted,
     /// Quarantined: every attempt panicked (caught by the sweep
-    /// supervisor). No shard is written.
+    /// supervisor). Never restored.
     Panicked,
 }
 
@@ -303,7 +304,7 @@ impl fmt::Display for CellOutcome {
 
 /// One journal line: a cell's identity, wall-clock, outcome and full run
 /// statistics — what `figures status`, the enriched `bench_timings.json`
-/// and (inside a shard) `--resume` are built from.
+/// and `--resume` are built from.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellRecord {
     /// Schema version the record was written under.
@@ -320,11 +321,16 @@ pub struct CellRecord {
     pub workload: String,
     /// Seed of the run.
     pub seed: u64,
-    /// Wall-clock microseconds the cell took (shard validation time for
+    /// Wall-clock microseconds the cell took (record lookup time for
     /// resumed cells).
     pub wall_us: u64,
     /// How the cell finished.
     pub outcome: CellOutcome,
+    /// The cell fingerprint `--resume` matches against
+    /// ([`SweepScope::cell_fingerprint`]); written as 16 hex digits.
+    /// `None` (omitted from the line) on records written outside a sweep
+    /// scope, which are never restored.
+    pub fingerprint: Option<u64>,
     /// The run's statistics (partial for an aborted run, zero for a
     /// panicked one).
     pub stats: RunStats,
@@ -361,6 +367,7 @@ impl CellRecord {
             seed: spec.seed,
             wall_us,
             outcome,
+            fingerprint: None,
             stats,
             warmup_frac: None,
             reason: String::new(),
@@ -400,6 +407,13 @@ impl CellRecord {
         self
     }
 
+    /// Stamps the record with its cell fingerprint.
+    #[must_use]
+    pub fn with_fingerprint(mut self, fingerprint: u64) -> CellRecord {
+        self.fingerprint = Some(fingerprint);
+        self
+    }
+
     /// Attaches the warmup-knee summary of a timeline cell.
     #[must_use]
     pub fn with_warmup_frac(mut self, frac: Option<f64>) -> CellRecord {
@@ -435,6 +449,9 @@ impl CellRecord {
             ("wall_us", Json::num(self.wall_us)),
             ("outcome", Json::str(self.outcome.as_str())),
         ];
+        if let Some(fp) = self.fingerprint {
+            o.push(("fingerprint", Json::str(format!("{fp:016x}"))));
+        }
         if self.engine != "cycle" {
             o.push(("engine", Json::str(&self.engine)));
         }
@@ -473,6 +490,14 @@ impl CellRecord {
             seed: u64_field(j, "seed")?,
             wall_us: u64_field(j, "wall_us")?,
             outcome: CellOutcome::parse(&str_field(j, "outcome")?)?,
+            fingerprint: j
+                .get("fingerprint")
+                .map(|v| {
+                    v.as_str()
+                        .and_then(|s| u64::from_str_radix(s, 16).ok())
+                        .ok_or("non-hex fingerprint")
+                })
+                .transpose()?,
             stats: stats_from_json(field(j, "stats")?)?,
             warmup_frac: j.get("warmup_frac").and_then(Json::as_f64),
             reason: opt_str("reason", "").to_string(),
@@ -488,43 +513,6 @@ impl CellRecord {
     pub fn parse_line(line: &str) -> Result<CellRecord, String> {
         CellRecord::from_json(&Json::parse(line)?)
     }
-}
-
-/// Serializes one shard file: the cell's journal line (already
-/// serialized, written verbatim), stamped with the schema version and the
-/// cell fingerprint `--resume` validates against.
-pub fn shard_to_json(fingerprint: u64, record_line: &str) -> String {
-    Json::obj([
-        ("schema", Json::num(SCHEMA_VERSION)),
-        ("fingerprint", Json::str(format!("{fingerprint:016x}"))),
-        ("record", Json::Raw(record_line.to_string())),
-    ])
-    .pretty(1)
-}
-
-/// Decodes a shard document. `want_fingerprint` is checked when given
-/// (`--resume`); the schema version always is.
-///
-/// # Errors
-///
-/// Returns why the shard cannot be used (parse failure, schema mismatch,
-/// stale fingerprint) — `--resume` re-runs such cells.
-pub fn shard_from_json(s: &str, want_fingerprint: Option<u64>) -> Result<CellRecord, String> {
-    let j = Json::parse(s)?;
-    let schema = u64_field(&j, "schema")?;
-    if schema != u64::from(SCHEMA_VERSION) {
-        return Err(format!(
-            "schema {schema} != current {SCHEMA_VERSION} (stale shard)"
-        ));
-    }
-    let fp = str_field(&j, "fingerprint")?;
-    let fp = u64::from_str_radix(&fp, 16).map_err(|_| format!("bad fingerprint {fp:?}"))?;
-    if let Some(want) = want_fingerprint.filter(|&want| want != fp) {
-        return Err(format!(
-            "fingerprint {fp:016x} != expected {want:016x} (configuration changed)"
-        ));
-    }
-    CellRecord::from_json(field(&j, "record")?)
 }
 
 // ---------------------------------------------------------------------------
@@ -627,8 +615,8 @@ impl Progress {
 // ---------------------------------------------------------------------------
 
 /// The sweep-telemetry sink of one `figures` invocation: owns the output
-/// root (`<out>/journal`, `<out>/shards`), the resume flag, the optional
-/// progress monitor thread, and the per-experiment timings.
+/// root (`<out>/journal`), the resume flag, the optional progress monitor
+/// thread, and the per-experiment timings.
 ///
 /// Telemetry I/O failures never abort a sweep — a warning is printed and
 /// the computed statistics are used directly.
@@ -651,8 +639,9 @@ impl fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// A sink writing journals and shards under `root` (typically the
-    /// `results/` output directory). No progress monitor, no resume.
+    /// A sink writing journals under `root` (typically the `results/`
+    /// output directory). No progress monitor, no resume. Does no I/O:
+    /// each sweep opens its own journal.
     pub fn new(root: &Path) -> Telemetry {
         Telemetry {
             root: root.to_path_buf(),
@@ -663,9 +652,9 @@ impl Telemetry {
         }
     }
 
-    /// Enables resume: cells whose shard exists and validates (schema
-    /// version + configuration fingerprint) are restored instead of
-    /// re-run.
+    /// Enables resume: cells whose journal holds a record with a matching
+    /// schema version and configuration fingerprint are restored instead
+    /// of re-run.
     pub fn with_resume(mut self, resume: bool) -> Telemetry {
         self.resume = resume;
         self
@@ -698,18 +687,21 @@ impl Telemetry {
         self
     }
 
-    /// Opens one sweep's journal and shard directory. Every cell runs
-    /// through [`SweepScope::cell`] on the worker threads; call
+    /// Opens one sweep's journal; when resuming, first reads it once
+    /// (after a torn tail is repaired, before the first append) for the
+    /// records cells can be restored from. Every cell runs through
+    /// [`SweepScope::cell`] on the worker threads; call
     /// [`SweepScope::finish`] when the sweep ends to fold its timing into
     /// [`Telemetry::experiment_counters`].
     pub fn sweep(&self, exp: &str, total: usize, harness_fingerprint: u64) -> SweepScope<'_> {
-        let shard_dir = self.root.join("shards").join(exp);
         let journal = open_journal(&self.root, exp)
             .map_err(|e| eprintln!("warning: telemetry journal for {exp} unavailable: {e}"))
             .ok();
-        if let Err(e) = fs::create_dir_all(&shard_dir) {
-            eprintln!("warning: telemetry shard dir for {exp} unavailable: {e}");
-        }
+        let restorable = if self.resume {
+            restorable_records(&journal_path(&self.root, exp))
+        } else {
+            HashMap::new()
+        };
         let counts = Arc::new(SweepCounts {
             exp: exp.to_string(),
             total,
@@ -722,7 +714,7 @@ impl Telemetry {
             tele: self,
             counts,
             journal: Mutex::new(journal),
-            shard_dir,
+            restorable,
             harness_fingerprint,
             cell_walls: Mutex::new(Vec::new()),
             engine: "cycle".to_string(),
@@ -781,7 +773,9 @@ pub struct SweepScope<'t> {
     tele: &'t Telemetry,
     counts: Arc<SweepCounts>,
     journal: Mutex<Option<fs::File>>,
-    shard_dir: PathBuf,
+    /// Statistics of the latest restorable journal record per
+    /// `(cell, fingerprint)`; empty unless resuming.
+    restorable: HashMap<(usize, u64), RunStats>,
     harness_fingerprint: u64,
     /// `(cell index, wall microseconds)` pairs, pushed from the worker
     /// threads in completion order and sorted by index at `finish`.
@@ -801,14 +795,9 @@ impl SweepScope<'_> {
         self
     }
 
-    /// The shard path of cell `index`.
-    pub fn shard_path(&self, index: usize) -> PathBuf {
-        self.shard_dir.join(format!("{index:05}.json"))
-    }
-
-    /// The fingerprint cell `index` is validated against on resume: the
-    /// schema version, the sweep/cell identity, and the harness
-    /// configuration fingerprint.
+    /// The fingerprint cell `index` is stamped with and matched against
+    /// on resume: the schema version, the sweep/cell identity, and the
+    /// harness configuration fingerprint.
     pub fn cell_fingerprint(&self, index: usize, spec: &CellSpec) -> u64 {
         fnv1a(&format!(
             "{SCHEMA_VERSION}|{}|{index}|{}|{}|{}|{:016x}",
@@ -816,11 +805,11 @@ impl SweepScope<'_> {
         ))
     }
 
-    /// Runs cell `index` of the sweep: restores it from its shard when
-    /// resuming, otherwise calls `run` (the supervised cell) and journals
-    /// its verdict — a healthy cell with its shard, a quarantined one
-    /// without. Returns the statistics the grid uses: decoded from the
-    /// shard encoding, or zeros for a quarantined cell.
+    /// Runs cell `index` of the sweep: restores it from its journal
+    /// record when resuming, otherwise calls `run` (the supervised cell)
+    /// and journals its verdict. Returns the statistics the grid uses:
+    /// decoded from the journal encoding, or zeros for a quarantined
+    /// cell.
     pub fn cell(
         &self,
         index: usize,
@@ -828,117 +817,99 @@ impl SweepScope<'_> {
         run: impl FnOnce() -> CellVerdict,
     ) -> RunStats {
         let _running = Running::start(&self.counts);
-        self.try_restore(index, spec).unwrap_or_else(|| {
-            let t0 = Instant::now();
-            let verdict = run();
-            let wall_us = t0.elapsed().as_micros() as u64;
-            match verdict {
-                CellVerdict::Healthy(stats) => self.record_success(index, spec, wall_us, stats),
-                CellVerdict::Quarantined {
-                    outcome,
-                    reason,
-                    stats,
-                } => {
-                    self.record_failure(index, spec, wall_us, outcome, &reason, stats);
-                    RunStats::default()
-                }
-            }
-        })
-    }
-
-    /// Attempts to restore cell `index` from its shard (resume mode
-    /// only). A valid shard is journaled as [`CellOutcome::Resumed`] and
-    /// its decoded statistics returned; a missing, corrupt, or stale
-    /// shard returns `None` — the caller re-runs the cell.
-    fn try_restore(&self, index: usize, spec: &CellSpec) -> Option<RunStats> {
-        if !self.tele.resume {
-            return None;
-        }
-        let exp = &self.counts.exp;
         let fingerprint = self.cell_fingerprint(index, spec);
-        let t0 = Instant::now();
-        match fs::read_to_string(self.shard_path(index)) {
-            Ok(body) => match shard_from_json(&body, Some(fingerprint)) {
-                Ok(shard) => {
-                    let wall_us = t0.elapsed().as_micros() as u64;
-                    let (total, resumed) = (self.counts.total, CellOutcome::Resumed);
-                    let record = CellRecord::from_stats(
-                        exp,
-                        spec,
-                        index,
-                        total,
-                        wall_us,
-                        resumed,
-                        shard.stats,
-                    )
-                    .with_engine(&self.engine);
-                    self.append_journal(&record.to_json_line());
-                    self.counts.resumed.fetch_add(1, Ordering::Relaxed);
-                    self.note_cell_wall(index, wall_us);
-                    self.note_degradation(&record.stats);
-                    return Some(record.stats);
-                }
-                Err(e) => eprintln!(
-                    "[telemetry] re-running {exp} cell {index} ({}/{}): {e}",
-                    spec.workload, spec.config
-                ),
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => eprintln!("[telemetry] re-running {exp} cell {index}: unreadable shard: {e}"),
+        if let Some(stats) = self.try_restore(index, spec, fingerprint) {
+            return stats;
         }
-        None
+        let t0 = Instant::now();
+        let verdict = run();
+        let wall_us = t0.elapsed().as_micros() as u64;
+        match verdict {
+            CellVerdict::Healthy(stats) => {
+                self.record_success(index, spec, fingerprint, wall_us, stats)
+            }
+            // A quarantined record is journaled with its reason and
+            // partial statistics but never restored, so a later
+            // `--resume` re-runs the cell once the cause is fixed.
+            CellVerdict::Quarantined {
+                outcome,
+                reason,
+                stats,
+            } => {
+                let record = self.record(index, spec, fingerprint, wall_us, outcome, stats);
+                self.append_journal(&record.with_reason(&reason).to_json_line());
+                self.note_cell_wall(index, wall_us);
+                RunStats::default()
+            }
+        }
     }
 
-    /// Journals a freshly-run cell and writes its shard, returning the
-    /// statistics decoded back from the shard encoding (so the assembled
-    /// grid provably comes from shard data). The record is serialized
-    /// once: the journal line is also the shard's `record`.
+    /// The journal record of cell `index`, stamped with this sweep's
+    /// engine and the cell's fingerprint.
+    fn record(
+        &self,
+        index: usize,
+        spec: &CellSpec,
+        fingerprint: u64,
+        wall_us: u64,
+        outcome: CellOutcome,
+        stats: RunStats,
+    ) -> CellRecord {
+        let (exp, total) = (&self.counts.exp, self.counts.total);
+        CellRecord::from_stats(exp, spec, index, total, wall_us, outcome, stats)
+            .with_engine(&self.engine)
+            .with_fingerprint(fingerprint)
+    }
+
+    /// Restores cell `index` when the journal read at resume holds a
+    /// record with its fingerprint: journals it as
+    /// [`CellOutcome::Resumed`] (with the fingerprint, so a later resume
+    /// finds it too) and returns its statistics. `None` means the caller
+    /// re-runs the cell.
+    fn try_restore(&self, index: usize, spec: &CellSpec, fingerprint: u64) -> Option<RunStats> {
+        let t0 = Instant::now();
+        let stats = self.restorable.get(&(index, fingerprint))?.clone();
+        let wall_us = t0.elapsed().as_micros() as u64;
+        let record = self.record(
+            index,
+            spec,
+            fingerprint,
+            wall_us,
+            CellOutcome::Resumed,
+            stats,
+        );
+        self.append_journal(&record.to_json_line());
+        self.counts.resumed.fetch_add(1, Ordering::Relaxed);
+        self.note_cell_wall(index, wall_us);
+        self.note_degradation(&record.stats);
+        Some(record.stats)
+    }
+
+    /// Journals a freshly-run cell and returns the statistics decoded
+    /// from the journal line it serialized, whether or not the append
+    /// succeeded, so fresh and resumed grids come from one encoding.
     fn record_success(
         &self,
         index: usize,
         spec: &CellSpec,
+        fingerprint: u64,
         wall_us: u64,
         stats: RunStats,
     ) -> RunStats {
-        let (exp, total) = (&self.counts.exp, self.counts.total);
         let outcome = CellOutcome::of(&stats);
-        let record = CellRecord::from_stats(exp, spec, index, total, wall_us, outcome, stats)
-            .with_engine(&self.engine);
+        let record = self.record(index, spec, fingerprint, wall_us, outcome, stats);
         let line = record.to_json_line();
-        let body = shard_to_json(self.cell_fingerprint(index, spec), &line);
-        // Temp-file + rename: a crash mid-write leaves no half-shard that
-        // could masquerade as a completed cell.
-        let decoded = self
-            .write_shard(&self.shard_path(index), &body)
-            .map_err(|e| format!("failed to write shard: {e}"))
-            .and_then(|()| shard_from_json(&body, None))
-            .map_err(|e| eprintln!("warning: {exp} cell {index}: {e}"));
-        let stats = decoded.map_or(record.stats, |r| r.stats);
         self.append_journal(&line);
         self.note_cell_wall(index, wall_us);
+        let stats = CellRecord::parse_line(&line).map_or_else(
+            |e| {
+                eprintln!("warning: {} cell {index}: {e}", self.counts.exp);
+                record.stats
+            },
+            |r| r.stats,
+        );
         self.note_degradation(&stats);
         stats
-    }
-
-    /// Journals a quarantined cell: outcome [`CellOutcome::Aborted`] or
-    /// [`CellOutcome::Panicked`] with the failure reason, plus whatever
-    /// partial statistics the aborted run produced. No shard is written,
-    /// so a later `--resume` re-runs the cell once the cause is fixed.
-    fn record_failure(
-        &self,
-        index: usize,
-        spec: &CellSpec,
-        wall_us: u64,
-        outcome: CellOutcome,
-        reason: &str,
-        stats: RunStats,
-    ) {
-        let (exp, total) = (&self.counts.exp, self.counts.total);
-        let record = CellRecord::from_stats(exp, spec, index, total, wall_us, outcome, stats)
-            .with_reason(reason)
-            .with_engine(&self.engine);
-        self.append_journal(&record.to_json_line());
-        self.note_cell_wall(index, wall_us);
     }
 
     fn note_cell_wall(&self, index: usize, wall_us: u64) {
@@ -946,12 +917,6 @@ impl SweepScope<'_> {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .push((index, wall_us));
-    }
-
-    fn write_shard(&self, path: &Path, body: &str) -> std::io::Result<()> {
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, body)?;
-        fs::rename(&tmp, path)
     }
 
     fn note_degradation(&self, stats: &RunStats) {
@@ -1031,9 +996,8 @@ pub fn repair_torn_tail(path: &Path) -> std::io::Result<u64> {
 /// journal stays a valid JSONL prefix and new records don't concatenate
 /// onto the torn tail.
 fn open_journal(root: &Path, exp: &str) -> std::io::Result<fs::File> {
-    let dir = root.join("journal");
-    fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{exp}.jsonl"));
+    fs::create_dir_all(root.join("journal"))?;
+    let path = journal_path(root, exp);
     let dropped = repair_torn_tail(&path)?;
     if dropped > 0 {
         eprintln!("warning: {exp} journal had a torn final record; dropped {dropped} byte(s)");
@@ -1041,10 +1005,15 @@ fn open_journal(root: &Path, exp: &str) -> std::io::Result<fs::File> {
     fs::OpenOptions::new().create(true).append(true).open(&path)
 }
 
+fn journal_path(root: &Path, exp: &str) -> PathBuf {
+    root.join("journal").join(format!("{exp}.jsonl"))
+}
+
 /// Appends pre-built records to `<root>/journal/<exp>.jsonl`. Used by
 /// runs (like `figures timeline`) that journal outside a [`Telemetry`]
 /// sweep scope; re-runs append, and [`summarize`] keeps the latest record
-/// per cell.
+/// per cell. Their records carry no fingerprint, so `--resume` never
+/// restores from them.
 ///
 /// # Errors
 ///
@@ -1079,11 +1048,12 @@ pub struct JournalRead {
 }
 
 /// Reads every `*.jsonl` journal under `dir` (sorted by file name) and
-/// parses its records. Malformed interior lines become [`JournalRead::errors`]
-/// instead of aborting the read; a malformed *final* line with no
-/// trailing newline is a torn tail from a crash mid-append — the valid
-/// prefix is kept and the tail reported in [`JournalRead::salvaged`].
-/// Lines from another schema are counted in [`JournalRead::stale`].
+/// parses its records. Malformed interior lines become
+/// [`JournalRead::errors`] instead of aborting the read; a malformed
+/// *final* line with no trailing newline is a torn tail from a crash
+/// mid-append — the valid prefix is kept and the tail reported in
+/// [`JournalRead::salvaged`]. Lines from another schema are counted in
+/// [`JournalRead::stale`].
 pub fn read_journal_dir(dir: &Path) -> JournalRead {
     let mut out = JournalRead::default();
     let mut files: Vec<PathBuf> = match fs::read_dir(dir) {
@@ -1095,79 +1065,62 @@ pub fn read_journal_dir(dir: &Path) -> JournalRead {
     };
     files.sort();
     for path in files {
-        let body = match fs::read_to_string(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                out.errors.push(format!("{}: {e}", path.display()));
-                continue;
-            }
-        };
-        let torn_tail = !body.is_empty() && !body.ends_with('\n');
-        let last = body.lines().count();
-        for (n, line) in body.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let record =
-                Json::parse(line).and_then(|j| match j.get("schema").and_then(Json::as_u64) {
-                    Some(v) if v != u64::from(SCHEMA_VERSION) => Ok(None),
-                    _ => CellRecord::from_json(&j).map(Some),
-                });
-            match record {
-                Ok(Some(r)) => out.records.push(r),
-                Ok(None) => out.stale += 1,
-                Err(e) if torn_tail && n + 1 == last => out.salvaged.push(format!(
-                    "{}:{}: torn final record ({e}); salvaged the {} line(s) before it",
-                    path.display(),
-                    n + 1,
-                    n
-                )),
-                Err(e) => out
-                    .errors
-                    .push(format!("{}:{}: {e}", path.display(), n + 1)),
-            }
-        }
+        read_journal_file(&path, &mut out);
     }
     out
 }
 
-/// Walks every shard under `dir` (`<exp>/<cell>.json`), validating that
-/// each decodes under the current schema. Returns the number of
-/// shards checked and the list of failures.
-pub fn check_shards(dir: &Path) -> (usize, Vec<String>) {
-    let mut checked = 0;
-    let mut errors = Vec::new();
-    let mut exp_dirs: Vec<PathBuf> = match fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect(),
-        Err(_) => return (checked, errors),
+/// The per-file half of [`read_journal_dir`], which `--resume` also reads
+/// its sweep's journal with.
+fn read_journal_file(path: &Path, out: &mut JournalRead) {
+    let body = match fs::read_to_string(path) {
+        Ok(b) => b,
+        Err(e) => {
+            out.errors.push(format!("{}: {e}", path.display()));
+            return;
+        }
     };
-    exp_dirs.sort();
-    for exp_dir in exp_dirs {
-        let mut shards: Vec<PathBuf> = match fs::read_dir(&exp_dir) {
-            Ok(entries) => entries
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.extension().is_some_and(|x| x == "json"))
-                .collect(),
-            Err(e) => {
-                errors.push(format!("{}: {e}", exp_dir.display()));
-                continue;
-            }
-        };
-        shards.sort();
-        for path in shards {
-            checked += 1;
-            let verdict = fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|body| shard_from_json(&body, None));
-            if let Err(e) = verdict {
-                errors.push(format!("{}: {e}", path.display()));
-            }
+    let torn_tail = !body.is_empty() && !body.ends_with('\n');
+    let last = body.lines().count();
+    for (n, line) in body.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let record = Json::parse(line).and_then(|j| match j.get("schema").and_then(Json::as_u64) {
+            Some(v) if v != u64::from(SCHEMA_VERSION) => Ok(None),
+            _ => CellRecord::from_json(&j).map(Some),
+        });
+        match record {
+            Ok(Some(r)) => out.records.push(r),
+            Ok(None) => out.stale += 1,
+            Err(e) if torn_tail && n + 1 == last => out.salvaged.push(format!(
+                "{}:{}: torn final record ({e}); salvaged the {} line(s) before it",
+                path.display(),
+                n + 1,
+                n
+            )),
+            Err(e) => out
+                .errors
+                .push(format!("{}:{}: {e}", path.display(), n + 1)),
         }
     }
-    (checked, errors)
+}
+
+/// The restore index of one sweep's journal: the statistics of the latest
+/// record per `(cell, fingerprint)` whose outcome is completed, degraded
+/// or resumed. Records without a fingerprint never enter it; unreadable
+/// lines are reported and skipped, so their cells re-run.
+fn restorable_records(path: &Path) -> HashMap<(usize, u64), RunStats> {
+    let mut read = JournalRead::default();
+    read_journal_file(path, &mut read);
+    for e in &read.errors {
+        eprintln!("[telemetry] resume skips {e}");
+    }
+    read.records
+        .into_iter()
+        .filter(|r| !r.outcome.is_quarantined())
+        .filter_map(|r| Some(((r.cell, r.fingerprint?), r.stats)))
+        .collect()
 }
 
 /// One experiment's journal summary (what `figures status` renders).
@@ -1454,6 +1407,7 @@ mod tests {
             record(5, 24, 99, CellOutcome::Aborted).with_reason("livelock at cycle \"77\"\n"),
             timeline.clone(),
             record(5, 24, 1234, CellOutcome::Completed).with_engine("analytic"),
+            record(5, 24, 1234, CellOutcome::Completed).with_fingerprint(0xabcd),
         ];
         for r in &cases {
             let line = r.to_json_line();
@@ -1463,8 +1417,6 @@ mod tests {
             assert_eq!(parsed.degraded_events(), s.degradation.events());
             // The derived imbalance is written for raw-journal readers.
             assert!(line.contains(r#""imbalance":1.000000"#), "{line}");
-            let body = shard_to_json(0xabcd, &line);
-            assert_eq!(shard_from_json(&body, Some(0xabcd)).as_ref(), Ok(r));
         }
         // The compact spellings the CI smokes grep for.
         assert!(cases[2].to_json_line().contains(r#""outcome":"resumed""#));
@@ -1473,34 +1425,14 @@ mod tests {
             .contains(r#""warmup_frac":0.250000"#));
         assert!(cases[5].to_json_line().contains(r#""engine":"analytic""#));
         assert!(!cases[0].to_json_line().contains("engine"));
-        // A schema-2 shard (record and stats side by side) is stale.
-        let old = format!(
-            "{{\n  \"schema\": 2,\n  \"fingerprint\": \"000000000000abcd\",\n  \
-             \"record\": {{\"schema\":2,\"exp\":\"figX\",\"cell\":5,\"total\":24,\
-             \"config\":\"S-64KB\",\"workload\":\"STE\",\"seed\":0,\"wall_us\":1234,\
-             \"outcome\":\"completed\",\"cycles\":{}}},\n  \"stats\": {}\n}}",
-            s.cycles,
-            stats_to_json(&s)
-        );
-        assert!(Json::parse(&old).is_ok());
-        let err = shard_from_json(&old, Some(0xabcd)).expect_err("schema 2");
-        assert!(err.contains("stale shard"), "{err}");
-    }
-
-    #[test]
-    fn shard_round_trip_validates_fingerprint_and_schema() {
-        let r = record(5, 24, 1234, CellOutcome::Completed);
-        let body = shard_to_json(0xabcd, &r.to_json_line());
-        assert_eq!(shard_from_json(&body, Some(0xabcd)), Ok(r.clone()));
-        assert_eq!(shard_from_json(&body, None), Ok(r));
-        // Stale fingerprint → rejected (configuration changed).
-        let err = shard_from_json(&body, Some(0xdead)).expect_err("stale");
-        assert!(err.contains("fingerprint"));
-        // Stale schema → rejected.
-        let old = body.replace(&format!("\"schema\": {SCHEMA_VERSION},"), "\"schema\": 0,");
-        assert!(shard_from_json(&old, Some(0xabcd))
-            .expect_err("schema")
-            .contains("schema"));
+        assert!(cases[6]
+            .to_json_line()
+            .contains(r#""outcome":"completed","fingerprint":"000000000000abcd","#));
+        assert!(!cases[0].to_json_line().contains("fingerprint"));
+        // A fingerprint that is not hex is a malformed record.
+        let bad = cases[6].to_json_line().replace("000000000000abcd", "xyz");
+        let err = CellRecord::parse_line(&bad).expect_err("bad fingerprint");
+        assert!(err.contains("fingerprint"), "{err}");
     }
 
     #[test]
@@ -1546,26 +1478,40 @@ mod tests {
         assert_eq!(sum.slowest[0], rerun);
     }
 
+    /// Runs cell 0 of a one-cell `figX` sweep under `tele`, returning its
+    /// statistics and whether `run` was called.
+    fn run_one(tele: &Telemetry, harness_fingerprint: u64) -> (RunStats, bool) {
+        let scope = tele.sweep("figX", 1, harness_fingerprint);
+        let mut ran = false;
+        let stats = scope.cell(0, &spec(), || {
+            ran = true;
+            CellVerdict::Healthy(sample_stats())
+        });
+        scope.finish();
+        (stats, ran)
+    }
+
     #[test]
-    fn scope_journals_and_shards_then_resumes() {
+    fn scope_journals_then_resumes_from_the_journal() {
         let dir = std::env::temp_dir().join("clap-repro-test-telemetry-scope");
         let _ = fs::remove_dir_all(&dir);
         let tele = Telemetry::new(&dir);
-        let specs = [spec()];
-        let scope = tele.sweep("figX", specs.len(), 42);
-        assert!(scope.try_restore(0, &specs[0]).is_none(), "resume is off");
-        let out = scope.record_success(0, &specs[0], 10, sample_stats());
+        let (out, ran) = run_one(&tele, 42);
+        assert!(ran);
         assert_eq!(out.cycles, sample_stats().cycles);
-        scope.finish();
-        assert!(dir.join("shards/figX/00000.json").is_file());
         let journal = read_journal_dir(&dir.join("journal"));
         assert!(journal.errors.is_empty(), "{:?}", journal.errors);
         assert!(journal.salvaged.is_empty(), "{:?}", journal.salvaged);
         let records = journal.records;
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].outcome, CellOutcome::Degraded);
-        let (checked, shard_errors) = check_shards(&dir.join("shards"));
-        assert_eq!((checked, shard_errors.len()), (1, 0), "{shard_errors:?}");
+        let fingerprint = tele.sweep("figX", 1, 42).cell_fingerprint(0, &spec());
+        assert_eq!(records[0].fingerprint, Some(fingerprint));
+        assert_eq!(
+            fs::read_dir(&dir).expect("out dir").count(),
+            1,
+            "the journal is the only store"
+        );
         let timings = tele.experiment_counters();
         assert_eq!(timings.len(), 1);
         let t = &timings[0];
@@ -1573,23 +1519,28 @@ mod tests {
             (t.id.as_str(), t.cells, t.degraded, t.resumed),
             ("figX", 1, 1, 0)
         );
-        assert_eq!(t.cell_wall_us, vec![10], "one wall-time entry per cell");
-        // Resume: the shard restores the cell, so nothing re-runs it.
+        assert_eq!(t.cell_wall_us.len(), 1, "one wall-time entry per cell");
+        // Resume: the journal record restores the cell, so nothing re-runs
+        // it — twice, since the resumed record carries the fingerprint.
+        for _ in 0..2 {
+            let tele = Telemetry::new(&dir).with_resume(true);
+            let (resumed, ran) = run_one(&tele, 42);
+            assert!(!ran, "a restorable record is not re-run");
+            assert_eq!(stats_to_json(&resumed), stats_to_json(&out));
+            assert_eq!(tele.experiment_counters()[0].resumed, 1);
+        }
+        let last = read_journal_dir(&dir.join("journal")).records.pop();
+        let last = last.expect("resumed record");
+        assert_eq!(
+            (last.outcome, last.fingerprint),
+            (CellOutcome::Resumed, Some(fingerprint))
+        );
+        // A different harness fingerprint (a changed configuration)
+        // re-runs the cell.
         let tele = Telemetry::new(&dir).with_resume(true);
-        let scope = tele.sweep("figX", specs.len(), 42);
-        let resumed = scope
-            .try_restore(0, &specs[0])
-            .expect("cell must be restored");
-        assert_eq!(stats_to_json(&resumed), stats_to_json(&out));
-        scope.finish();
-        assert_eq!(tele.experiment_counters()[0].resumed, 1);
-        // A different harness fingerprint marks the shard stale.
-        let tele = Telemetry::new(&dir).with_resume(true);
-        let scope = tele.sweep("figX", specs.len(), 43);
-        assert!(scope.try_restore(0, &specs[0]).is_none(), "stale shard");
-        let fresh = scope.record_success(0, &specs[0], 10, sample_stats());
+        let (fresh, ran) = run_one(&tele, 43);
+        assert!(ran, "a mismatched fingerprint re-runs");
         assert_eq!(fresh.cycles, sample_stats().cycles);
-        scope.finish();
         assert_eq!(tele.experiment_counters()[0].resumed, 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1694,7 +1645,7 @@ mod tests {
         // on a fresh line.
         let tele = Telemetry::new(&dir);
         let scope = tele.sweep("figT", 2, 42);
-        let _ = scope.record_success(1, &spec(), 10, sample_stats());
+        scope.cell(1, &spec(), || CellVerdict::Healthy(sample_stats()));
         scope.finish();
         let read = read_journal_dir(&journal_dir);
         assert_eq!(read.records.len(), 2);
@@ -1718,25 +1669,65 @@ mod tests {
     }
 
     #[test]
-    fn record_failure_journals_without_a_shard() {
-        let dir = std::env::temp_dir().join("clap-repro-test-telemetry-failure");
+    fn unrestorable_records_re_run() {
+        let dir = std::env::temp_dir().join("clap-repro-test-telemetry-unrestorable");
         let _ = fs::remove_dir_all(&dir);
         let tele = Telemetry::new(&dir);
-        let scope = tele.sweep("figF", 1, 42);
-        scope.record_failure(
-            0,
-            &spec(),
-            25,
-            CellOutcome::Panicked,
-            "injected panic",
-            RunStats::default(),
-        );
+        let scope = tele.sweep("figF", 3, 42);
+        // Cell 0: quarantined.
+        scope.cell(0, &spec(), || CellVerdict::Quarantined {
+            outcome: CellOutcome::Panicked,
+            reason: "injected panic".into(),
+            stats: RunStats::default(),
+        });
+        let fp2 = scope.cell_fingerprint(2, &spec());
         scope.finish();
-        assert!(!dir.join("shards/figF/00000.json").exists());
+        let healthy = |i| {
+            CellRecord::from_stats(
+                "figF",
+                &spec(),
+                i,
+                3,
+                5,
+                CellOutcome::Completed,
+                sample_stats(),
+            )
+        };
+        // Cell 1: a healthy record without a fingerprint (as a timeline
+        // run journals). Cell 2: a healthy record of schema v3.
+        let v3 = healthy(2)
+            .with_fingerprint(fp2)
+            .to_json_line()
+            .replace(&format!("\"schema\":{SCHEMA_VERSION},"), "\"schema\":3,");
+        append_journal_records(&dir, "figF", &[healthy(1)]).expect("append");
+        let path = dir.join("journal/figF.jsonl");
+        let mut f = fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .expect("open");
+        writeln!(f, "{v3}").expect("append");
         let read = read_journal_dir(&dir.join("journal"));
-        assert_eq!(read.records.len(), 1);
+        assert_eq!(
+            (read.records.len(), read.stale),
+            (2, 1),
+            "the v3 line is skipped"
+        );
         assert_eq!(read.records[0].outcome, CellOutcome::Panicked);
         assert_eq!(read.records[0].reason, "injected panic");
+        assert_eq!(read.records[1].fingerprint, None);
+        // Resume restores none of the three cells.
+        let tele = Telemetry::new(&dir).with_resume(true);
+        let scope = tele.sweep("figF", 3, 42);
+        let mut ran = Vec::new();
+        for i in 0..3 {
+            scope.cell(i, &spec(), || {
+                ran.push(i);
+                CellVerdict::Healthy(sample_stats())
+            });
+        }
+        scope.finish();
+        assert_eq!(ran, [0, 1, 2]);
+        assert_eq!(tele.experiment_counters()[0].resumed, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1773,7 +1764,7 @@ mod tests {
         // A resumed sweep counts the restored cell once, as resumed.
         let tele = Telemetry::new(&dir).with_resume(true);
         let scope = tele.sweep("figP", 3, 42);
-        let restored = scope.cell(0, &spec(), || panic!("a valid shard is not re-run"));
+        let restored = scope.cell(0, &spec(), || panic!("a restorable record is not re-run"));
         assert_eq!(stats_to_json(&restored), stats_to_json(&healthy));
         scope.finish();
         let t = &tele.experiment_counters()[0];

@@ -4,8 +4,8 @@
 //! once, in the per-chiplet [`Counters`] registry. The counter table below
 //! declares each such counter once and generates the [`Counter`] ids, the
 //! matching [`RunStats`] fields, and the accessors the fold
-//! ([`RunStats::fold`]) and the shard codec iterate over — so per-chiplet
-//! rows sum to the run-level totals by construction.
+//! ([`RunStats::fold`]) and the journal's stats codec iterate over — so
+//! per-chiplet rows sum to the run-level totals by construction.
 
 use std::collections::HashMap;
 

@@ -4,9 +4,10 @@
 //! toolchains:
 //!
 //! * [`fnv1a`] — FNV-1a over bytes. The bench telemetry layer fingerprints
-//!   configurations with it so resumed sweeps recognize shards written by
-//!   an earlier process (`DefaultHasher` output may change between
-//!   toolchains). [`Fnv1a`] is the same hash as a streaming `Hasher`.
+//!   configurations with it so resumed sweeps recognize journal records
+//!   written by an earlier process (`DefaultHasher` output may change
+//!   between toolchains). [`Fnv1a`] is the same hash as a streaming
+//!   `Hasher`.
 //! * [`FxHasher64`] — an Fx-style multiply-xor hasher for hot-path hash
 //!   maps keyed by small integers (page-table VPNs, walk-MSHR page keys).
 //!   SipHash, the `std` default, costs more than the table probe itself on
@@ -20,8 +21,8 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a 64-bit hash — the stable fingerprint used by sweep telemetry
-/// (shard validation) and anywhere else a toolchain-independent digest of
-/// a string is needed.
+/// (matching journal records on resume) and anywhere else a
+/// toolchain-independent digest of a string is needed.
 pub fn fnv1a(s: &str) -> u64 {
     let mut h = Fnv1a::default();
     h.write(s.as_bytes());

@@ -112,18 +112,29 @@ echo "== parallel-sweep determinism smoke (figures fig1, jobs 1 vs 4)"
 cmp "$smoke/j1/fig1.csv" "$smoke/j4/fig1.csv"
 cmp "$smoke/j1.out" "$smoke/j4.out"
 
-echo "== telemetry smoke (interrupted-then-resumed fig1 vs golden; journal/shard well-formedness)"
+echo "== telemetry smoke (interrupted-then-resumed fig1 vs golden; journal well-formedness)"
 ./target/release/figures --quick --jobs 2 --progress=off --out "$smoke/tele" fig1
 test -s "$smoke/tele/journal/fig1.jsonl"
-# Simulate a crash: lose the CSV and a subset of the shards, then resume.
-rm "$smoke/tele/fig1.csv" "$smoke/tele/shards/fig1/00000.json" "$smoke/tele/shards/fig1/00007.json"
+# Simulate a crash: lose the CSV and the journal records of cells 0 and 7,
+# then resume.
+rm "$smoke/tele/fig1.csv"
+grep -v -e '"cell":0,' -e '"cell":7,' "$smoke/tele/journal/fig1.jsonl" > "$smoke/kept.jsonl"
+mv "$smoke/kept.jsonl" "$smoke/tele/journal/fig1.jsonl"
 ./target/release/figures --quick --jobs 2 --progress=off --resume --out "$smoke/tele" fig1
 cmp "$smoke/tele/fig1.csv" tests/goldens/fig1_quick.csv
-grep -q '"outcome":"resumed"' "$smoke/tele/journal/fig1.jsonl"
+test "$(grep -c '"outcome":"resumed"' "$smoke/tele/journal/fig1.jsonl")" -eq 22
 # status must summarize the journal; --check validates every journal line
-# and every shard (non-zero exit on any malformed record).
+# and cell coverage (non-zero exit on a malformed record or a missing cell).
 ./target/release/figures --out "$smoke/tele" status | grep -q "fig1"
 ./target/release/figures --out "$smoke/tele" status --check > /dev/null
+# ...and fails on a corrupt interior record.
+cp -r "$smoke/tele" "$smoke/tele-bad"
+sed -i '2s/.*/{"cell":7,"truncat/' "$smoke/tele-bad/journal/fig1.jsonl"
+if ./target/release/figures --out "$smoke/tele-bad" status --check > /dev/null 2> "$smoke/bad.err"; then
+  echo "status --check must fail on a corrupt interior journal record" >&2
+  exit 1
+fi
+grep -q "malformed journal line" "$smoke/bad.err"
 
 echo "== progress smoke (resumed fig1 with --progress=on: the final progress line counts the restored cells)"
 ./target/release/figures --quick --jobs 2 --progress=on --resume --out "$smoke/tele" fig1 \
@@ -140,7 +151,7 @@ done
 echo "== supervision smoke (injected panic + budget abort quarantine; resume reproduces golden)"
 # One panicking and one budget-exceeding cell: the sweep must finish the
 # other 22 cells, journal the quarantine with per-class reasons, keep
-# the healthy shards, and exit nonzero.
+# the healthy records, and exit nonzero.
 if ./target/release/figures --quick --jobs 2 --progress=off --out "$smoke/sup" \
     --inject fig1:2=panic --inject fig1:5=budget fig1 2> "$smoke/sup.err"; then
   echo "expected nonzero exit when cells are quarantined" >&2
@@ -149,9 +160,14 @@ fi
 grep -q "quarantined" "$smoke/sup.err"
 grep -q '"outcome":"panicked"' "$smoke/sup/journal/fig1.jsonl"
 grep -q '"outcome":"aborted"' "$smoke/sup/journal/fig1.jsonl"
-test -s "$smoke/sup/shards/fig1/00001.json"   # healthy neighbours kept their shards
-test ! -e "$smoke/sup/shards/fig1/00002.json" # quarantined cells have none...
-test ! -e "$smoke/sup/shards/fig1/00005.json" # ...so --resume re-runs exactly them
+# Healthy neighbours kept a restorable record; quarantined cells have
+# none, so --resume re-runs exactly them.
+grep '"cell":1,' "$smoke/sup/journal/fig1.jsonl" | grep -q '"outcome":"completed"'
+if grep -e '"cell":2,' -e '"cell":5,' "$smoke/sup/journal/fig1.jsonl" \
+    | grep -q '"outcome":"completed"'; then
+  echo "a quarantined cell must have no completed record" >&2
+  exit 1
+fi
 # Injections removed: resume re-runs only the quarantined cells and the
 # assembled CSV is byte-identical to the golden.
 ./target/release/figures --quick --jobs 2 --progress=off --resume --out "$smoke/sup" fig1

@@ -1,8 +1,9 @@
 //! Crash-consistency: a sweep interrupted mid-write leaves a torn
-//! journal tail and possibly a corrupt shard. Recovery must salvage the
-//! valid journal prefix, repair the tail on the next sweep, skip the
-//! corrupt shard (re-running only that cell), and still assemble a CSV
-//! byte-identical to the checked-in golden.
+//! journal tail, and a damaged disk may corrupt an interior record.
+//! Recovery must salvage the valid journal prefix, repair the tail on the
+//! next sweep, skip the corrupt record (re-running only the two damaged
+//! cells), and still assemble a CSV byte-identical to the checked-in
+//! golden.
 
 use std::fs;
 use std::path::PathBuf;
@@ -10,7 +11,7 @@ use std::sync::Arc;
 
 use clap_repro::bench::experiments::{grid, Harness};
 use clap_repro::bench::report::csv_string;
-use clap_repro::bench::telemetry::{read_journal_dir, Telemetry};
+use clap_repro::bench::telemetry::{read_journal_dir, CellRecord, Telemetry};
 
 const FIG1_GOLDEN: &str = include_str!("goldens/fig1_quick.csv");
 
@@ -21,7 +22,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn torn_journal_and_corrupt_shard_recover_to_the_golden_csv() {
+fn torn_journal_and_corrupt_record_recover_to_the_golden_csv() {
     let dir = temp_dir("crash-recovery");
 
     // A full telemetered run, then simulate a crash mid-write.
@@ -31,36 +32,36 @@ fn torn_journal_and_corrupt_shard_recover_to_the_golden_csv() {
         .with_telemetry(Arc::clone(&tele));
     assert_eq!(csv_string(&grid(&h, "fig1")), FIG1_GOLDEN);
 
-    // Tear the journal: chop the final record in half (no newline).
+    // Workers append in completion order; put the records in cell order
+    // so the final line is cell 23's and cell 7's is an interior line.
     let journal = dir.join("journal/fig1.jsonl");
     let body = fs::read_to_string(&journal).expect("journal");
-    assert!(body.ends_with('\n'));
-    let keep = body.len() - 40;
-    fs::write(&journal, &body.as_bytes()[..keep]).expect("truncate");
+    let mut lines: Vec<&str> = body.lines().collect();
+    lines.sort_by_key(|l| CellRecord::parse_line(l).expect("record").cell);
+    assert_eq!(lines.len(), 24);
+    // Corrupt cell 7's record in place, and tear the final record: chop
+    // it in half (no newline).
+    lines[7] = "{\"cell\":7,\"truncat";
+    let body = lines.join("\n");
+    fs::write(&journal, &body.as_bytes()[..body.len() - 40]).expect("damage");
 
-    // Corrupt one shard in place (interrupted rename/flush).
-    let bad_shard = dir.join("shards/fig1/00007.json");
-    assert!(bad_shard.exists());
-    fs::write(&bad_shard, b"{\"cell\":7,\"truncat").expect("corrupt");
-
-    // Reading the torn journal salvages the valid prefix: the damaged
-    // final line is reported as salvage, not as a hard error.
+    // Reading the damaged journal salvages the valid prefix: the torn
+    // final line is reported as salvage, the corrupt interior line as an
+    // error.
     let read = read_journal_dir(&dir.join("journal"));
-    assert!(
-        read.errors.is_empty(),
-        "a torn tail is salvage, not an error: {:?}",
-        read.errors
-    );
+    assert_eq!(read.errors.len(), 1, "{:?}", read.errors);
+    assert!(read.errors[0].contains(":8:"), "{:?}", read.errors);
     assert_eq!(
         read.salvaged.len(),
         1,
         "one torn record: {:?}",
         read.salvaged
     );
-    assert_eq!(read.records.len(), 23, "all complete lines survive");
+    assert_eq!(read.records.len(), 22, "all intact lines survive");
 
-    // Resume: the next sweep repairs the tail, restores every healthy
-    // shard, re-runs only the corrupt cell, and reassembles the golden.
+    // Resume: the next sweep repairs the tail, restores every intact
+    // record, re-runs only the two damaged cells, and reassembles the
+    // golden.
     let tele = Arc::new(Telemetry::new(&dir).with_resume(true));
     let h = Harness::quick()
         .with_jobs(2)
@@ -73,14 +74,16 @@ fn torn_journal_and_corrupt_shard_recover_to_the_golden_csv() {
     let counters = tele.experiment_counters();
     assert_eq!(counters[0].cells, 24);
     assert_eq!(
-        counters[0].resumed, 23,
-        "only the corrupt shard's cell re-runs"
+        counters[0].resumed, 22,
+        "only the torn and the corrupt cell re-run"
     );
 
-    // The repaired journal now parses clean end to end.
+    // The repaired journal has no torn tail; the corrupt interior line
+    // stays, and is still the one error.
     let read = read_journal_dir(&dir.join("journal"));
-    assert!(read.errors.is_empty(), "{:?}", read.errors);
+    assert_eq!(read.errors.len(), 1, "{:?}", read.errors);
     assert!(read.salvaged.is_empty(), "{:?}", read.salvaged);
+    assert_eq!(read.records.len(), 22 + 24);
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,8 @@
 //! stable artefacts.
 
 use clap_repro::bench::configs::ConfigKind;
-use clap_repro::bench::experiments::Harness;
+use clap_repro::bench::experiments::{grid, Harness};
+use clap_repro::bench::report::csv_string;
 use clap_repro::types::PageSize;
 use clap_repro::workloads::suite;
 
@@ -30,23 +31,16 @@ fn repeated_runs_are_bit_identical() {
 }
 
 /// The parallel sweep runner must be invisible in the results: the same
-/// experiment run serially and with 4 workers renders and serializes to
-/// byte-identical output (cells are independent and collected in
-/// submission order).
+/// experiment run with 4 workers serializes to the serial run's golden
+/// bytes (cells are independent and collected in submission order).
+/// `tests/golden.rs` pins the serial grids; `scripts/ci.sh` compares the
+/// rendered tables of `--jobs 1` and `--jobs 4` runs.
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
-    use clap_repro::bench::experiments::grid;
-    use clap_repro::bench::report::{csv_string, render_grid};
-    let serial = grid(&Harness::quick(), "fig1");
     let parallel = grid(&Harness::quick().with_jobs(4), "fig1");
     assert_eq!(
-        render_grid(&serial),
-        render_grid(&parallel),
-        "rendered table must not depend on the worker count"
-    );
-    assert_eq!(
-        csv_string(&serial),
         csv_string(&parallel),
+        include_str!("goldens/fig1_quick.csv"),
         "CSV bytes must not depend on the worker count"
     );
 }
@@ -56,13 +50,10 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 /// worker-count-invisible as the fixed-machine figures.
 #[test]
 fn topo_sweep_is_byte_identical_to_serial() {
-    use clap_repro::bench::experiments::grid;
-    use clap_repro::bench::report::csv_string;
-    let serial = grid(&Harness::quick(), "topo");
     let parallel = grid(&Harness::quick().with_jobs(4), "topo");
     assert_eq!(
-        csv_string(&serial),
         csv_string(&parallel),
+        include_str!("goldens/topo_quick.csv"),
         "topo CSV bytes must not depend on the worker count"
     );
 }

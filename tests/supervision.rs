@@ -1,8 +1,8 @@
 //! Sweep supervision end-to-end: a sweep with one panicking and one
 //! budget-exceeding cell must finish every other cell, journal the
-//! quarantined ones (without shards), keep the healthy shards, and —
-//! once the injections are removed — `--resume` into a CSV that is
-//! byte-identical to a clean run.
+//! quarantined ones (with no restorable record), keep the healthy
+//! records, and — once the injections are removed — `--resume` into a
+//! CSV that is byte-identical to the golden.
 
 use std::fs;
 use std::path::PathBuf;
@@ -12,6 +12,8 @@ use clap_repro::bench::experiments::{grid, Harness};
 use clap_repro::bench::report::csv_string;
 use clap_repro::bench::supervise::{Injection, Supervisor, SweepMode};
 use clap_repro::bench::telemetry::{read_journal_dir, CellOutcome, Telemetry};
+
+const FIG1_GOLDEN: &str = include_str!("goldens/fig1_quick.csv");
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("clap-repro-test-{tag}"));
@@ -29,7 +31,6 @@ fn injections() -> Vec<Injection> {
 #[test]
 fn keep_going_quarantines_bad_cells_and_resume_restores_the_golden_csv() {
     let dir = temp_dir("supervision-keepgoing");
-    let fresh = csv_string(&grid(&Harness::quick(), "fig1"));
 
     // Pass 1: two poisoned cells. The sweep must finish without any
     // panic escaping and quarantine exactly those two cells.
@@ -56,17 +57,23 @@ fn keep_going_quarantines_bad_cells_and_resume_restores_the_golden_csv() {
         assert!(!q.reason.is_empty(), "quarantine must record a reason");
     }
 
-    // Healthy cells kept their shards; quarantined cells must NOT have
-    // one, so a resume naturally re-runs them.
-    let shard_dir = dir.join("shards/fig1");
-    let shards = fs::read_dir(&shard_dir).expect("shard dir").count();
-    assert_eq!(shards, 22, "24 cells minus 2 quarantined");
-    assert!(!shard_dir.join("00002.json").exists());
-    assert!(!shard_dir.join("00005.json").exists());
-
-    // The journal records the failures with their reasons.
+    // Healthy cells kept a restorable record (a healthy outcome stamped
+    // with the cell fingerprint); quarantined cells must NOT have one, so
+    // a resume naturally re-runs them.
     let read = read_journal_dir(&dir.join("journal"));
     assert!(read.errors.is_empty(), "journal errors: {:?}", read.errors);
+    let mut restorable: Vec<usize> = read
+        .records
+        .iter()
+        .filter(|r| !r.outcome.is_quarantined() && r.fingerprint.is_some())
+        .map(|r| r.cell)
+        .collect();
+    restorable.sort_unstable();
+    restorable.dedup();
+    assert_eq!(restorable.len(), 22, "24 cells minus 2 quarantined");
+    assert!(!restorable.contains(&2) && !restorable.contains(&5));
+
+    // The journal records the failures with their reasons.
     let panicked: Vec<_> = read
         .records
         .iter()
@@ -83,19 +90,22 @@ fn keep_going_quarantines_bad_cells_and_resume_restores_the_golden_csv() {
     assert!(aborted[0].reason.contains("budget"));
 
     // Pass 2: injections removed, resume. Only the two quarantined
-    // cells re-run; the assembled CSV is byte-identical to a clean run.
+    // cells re-run; the assembled CSV is byte-identical to the golden.
     let tele = Arc::new(Telemetry::new(&dir).with_resume(true));
     let h = Harness::quick()
         .with_jobs(2)
         .with_telemetry(Arc::clone(&tele));
     assert_eq!(
         csv_string(&grid(&h, "fig1")),
-        fresh,
+        FIG1_GOLDEN,
         "resume after fixing the bad cells must reproduce the clean CSV"
     );
     let counters = tele.experiment_counters();
     assert_eq!(counters[0].cells, 24);
-    assert_eq!(counters[0].resumed, 22, "healthy shards restored, 2 re-run");
+    assert_eq!(
+        counters[0].resumed, 22,
+        "healthy records restored, 2 re-run"
+    );
 
     let _ = fs::remove_dir_all(&dir);
 }

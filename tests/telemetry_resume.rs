@@ -1,15 +1,17 @@
-//! Sweep telemetry end-to-end: journaled/sharded sweeps produce CSVs
+//! Sweep telemetry end-to-end: journaled sweeps produce CSVs
 //! byte-identical to the plain in-memory path, and `--resume` after a
-//! simulated crash (a subset of shards deleted) reassembles the exact
-//! same bytes while re-running only the missing cells.
+//! simulated crash (the journal records of a subset of cells lost)
+//! reassembles the exact same bytes while re-running only the lost cells.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use clap_repro::bench::experiments::{grid, EngineKind, Harness};
 use clap_repro::bench::report::csv_string;
 use clap_repro::bench::telemetry::{read_journal_dir, CellOutcome, CellRecord, Telemetry};
+
+const FIG1_GOLDEN: &str = include_str!("goldens/fig1_quick.csv");
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("clap-repro-test-{tag}"));
@@ -17,22 +19,38 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Simulates a crash partway through: rewrites `journal` without the
+/// records of every third cell (the first included). Returns how many
+/// records it dropped.
+fn drop_every_third_cell(journal: &Path) -> usize {
+    let body = fs::read_to_string(journal).expect("journal");
+    let kept: String = body
+        .lines()
+        .filter(|l| {
+            !CellRecord::parse_line(l)
+                .expect("record")
+                .cell
+                .is_multiple_of(3)
+        })
+        .map(|l| format!("{l}\n"))
+        .collect();
+    fs::write(journal, &kept).expect("rewrite journal");
+    body.lines().count() - kept.lines().count()
+}
+
 #[test]
 fn resume_after_crash_is_byte_identical_to_fresh_serial_run() {
     let dir = temp_dir("telemetry-resume");
 
-    // The reference: today's purely in-memory serial path.
-    let fresh = csv_string(&grid(&Harness::quick(), "fig1"));
-
-    // A telemetered parallel sweep must emit the same bytes while
-    // journaling and sharding every cell worker-side.
+    // A telemetered parallel sweep must emit the golden bytes while
+    // journaling every cell worker-side.
     let tele = Arc::new(Telemetry::new(&dir));
     let h = Harness::quick()
         .with_jobs(4)
         .with_telemetry(Arc::clone(&tele));
     assert_eq!(
         csv_string(&grid(&h, "fig1")),
-        fresh,
+        FIG1_GOLDEN,
         "telemetry must not perturb results"
     );
     let counters = tele.experiment_counters();
@@ -41,22 +59,8 @@ fn resume_after_crash_is_byte_identical_to_fresh_serial_run() {
     assert_eq!(counters[0].cells, 24, "8 workloads x 3 page sizes");
     assert_eq!(counters[0].resumed, 0);
 
-    // Simulate a crash partway through: delete a subset of the shards
-    // (including the first and last cell).
-    let shard_dir = dir.join("shards/fig1");
-    let mut shards: Vec<PathBuf> = fs::read_dir(&shard_dir)
-        .expect("shard dir")
-        .map(|e| e.expect("entry").path())
-        .collect();
-    shards.sort();
-    assert_eq!(shards.len(), 24);
-    let mut deleted = 0;
-    for (i, p) in shards.iter().enumerate() {
-        if i % 3 == 0 {
-            fs::remove_file(p).expect("delete shard");
-            deleted += 1;
-        }
-    }
+    let deleted = drop_every_third_cell(&dir.join("journal/fig1.jsonl"));
+    assert_eq!(deleted, 8);
 
     // Resume at a different worker count: only the missing cells re-run,
     // and the assembled CSV is still byte-identical.
@@ -66,7 +70,7 @@ fn resume_after_crash_is_byte_identical_to_fresh_serial_run() {
         .with_telemetry(Arc::clone(&tele));
     assert_eq!(
         csv_string(&grid(&h, "fig1")),
-        fresh,
+        FIG1_GOLDEN,
         "resumed sweep must reassemble the exact same bytes"
     );
     let counters = tele.experiment_counters();
@@ -74,10 +78,11 @@ fn resume_after_crash_is_byte_identical_to_fresh_serial_run() {
     assert_eq!(
         counters[0].resumed,
         24 - deleted,
-        "every surviving shard must be restored, every deleted one re-run"
+        "every surviving record must be restored, every dropped one re-run"
     );
 
-    // The journal records both passes: 24 fresh + (restored + re-run).
+    // The journal holds both passes: the 16 surviving records, then
+    // (restored + re-run).
     let read = read_journal_dir(&dir.join("journal"));
     assert!(
         read.errors.is_empty(),
@@ -90,7 +95,7 @@ fn resume_after_crash_is_byte_identical_to_fresh_serial_run() {
         read.salvaged
     );
     let records = read.records;
-    assert_eq!(records.len(), 48);
+    assert_eq!(records.len(), 24 - deleted + 24);
     let resumed = records
         .iter()
         .filter(|r| r.outcome == CellOutcome::Resumed)
@@ -112,7 +117,7 @@ fn topo_resume_under_analytic_engine_is_byte_identical() {
 
     // Reference: serial in-memory topology sweep under the analytic
     // engine — this also routes the fast-path engine through the full
-    // journal/shard pipeline below.
+    // journal pipeline below.
     let quick = || Harness::quick().with_engine(EngineKind::Analytic);
     let fresh = csv_string(&grid(&quick(), "topo"));
 
@@ -129,22 +134,10 @@ fn topo_resume_under_analytic_engine_is_byte_identical() {
     assert_eq!(counters[0].cells, 18, "2 mappings x 3 fabrics x 3 sizes");
     assert_eq!(counters[0].resumed, 0);
 
-    // Crash simulation: drop every third shard, then resume at a
-    // different worker count.
-    let shard_dir = dir.join("shards/topo");
-    let mut shards: Vec<PathBuf> = fs::read_dir(&shard_dir)
-        .expect("shard dir")
-        .map(|e| e.expect("entry").path())
-        .collect();
-    shards.sort();
-    assert_eq!(shards.len(), 18);
-    let mut deleted = 0;
-    for (i, p) in shards.iter().enumerate() {
-        if i % 3 == 0 {
-            fs::remove_file(p).expect("delete shard");
-            deleted += 1;
-        }
-    }
+    // Crash simulation: drop the records of every third cell, then
+    // resume at a different worker count.
+    let deleted = drop_every_third_cell(&dir.join("journal/topo.jsonl"));
+    assert_eq!(deleted, 6);
 
     let tele = Arc::new(Telemetry::new(&dir).with_resume(true));
     let h = quick().with_jobs(2).with_telemetry(Arc::clone(&tele));
@@ -161,7 +154,7 @@ fn topo_resume_under_analytic_engine_is_byte_identical() {
     let read = read_journal_dir(&dir.join("journal"));
     assert!(read.errors.is_empty(), "malformed: {:?}", read.errors);
     assert!(read.salvaged.is_empty(), "torn tails: {:?}", read.salvaged);
-    assert_eq!(read.records.len(), 36);
+    assert_eq!(read.records.len(), 18 - deleted + 18);
     for r in &read.records {
         assert_eq!(r.engine, "analytic", "journal must tag the engine");
     }
