@@ -19,8 +19,9 @@
 //! per-experiment wall-clock timings in `results/bench_timings.json`.
 //!
 //! `--jobs N` (default: available parallelism) fans each experiment's
-//! independent sweep cells out over N worker threads. Output is
-//! byte-identical for every worker count.
+//! independent sweep cells out over N worker threads; under the analytic
+//! engine, each workload's capture and fold also split over N threads.
+//! Output is byte-identical for every worker count.
 //!
 //! `--engine cycle|analytic` picks the prediction backend: `cycle`
 //! (default) is the cycle-approximate simulator, `analytic` replaces each
@@ -45,7 +46,8 @@
 //! under `<out>/journal/<exp>.jsonl`, written worker-side at cell
 //! completion. `--resume` restores cells whose latest healthy record
 //! validates (schema version + configuration fingerprint) instead of
-//! re-running them;
+//! re-running them, and first moves malformed journal lines into
+//! `<out>/journal/<exp>.rejected`, so their cells re-run;
 //! `status` summarizes a journal; `--progress` controls the live stderr
 //! reporter (`auto` = on when stderr is a terminal — so tests and piped
 //! runs stay silent).
@@ -343,7 +345,8 @@ fn main() {
 /// directory — per-experiment completion, slowest cells, degraded and
 /// quarantined cells. Torn journal tails (a crash mid-append) are
 /// salvaged: the valid prefix is summarized and the tail reported as a
-/// warning, as are lines from another schema version. With `--check`,
+/// warning, as are lines from another schema version and the
+/// `<exp>.rejected` files a resume moved malformed lines into. With `--check`,
 /// additionally require every interior journal line to parse and full
 /// cell coverage (every declared cell has a journal record), exiting
 /// non-zero on malformed, incomplete, or absent telemetry.
@@ -359,6 +362,9 @@ fn run_status(out_dir: &Path, check: bool) {
             "warning: skipped {} journal record(s) written under another schema version",
             journal.stale
         );
+    }
+    for r in &journal.rejected {
+        eprintln!("warning: a resume moved malformed journal lines aside: {r}");
     }
     for e in &journal.errors {
         eprintln!("malformed journal line: {e}");

@@ -305,9 +305,11 @@ impl Harness {
     }
 
     /// The captured access-stream replay for `w`, reusing the cached one
-    /// when the workload's identity matches. A poisoned lock is
-    /// recovered: the cache holds at worst a stale entry, and a key
-    /// mismatch just re-captures.
+    /// when the workload's identity matches. A miss captures on `jobs`
+    /// threads ([`analytic::Replay::capture_with`]), which the replay's
+    /// folds use too: the other workers are waiting on this lock for the
+    /// same workload anyway. A poisoned lock is recovered: the cache
+    /// holds at worst a stale entry, and a key mismatch just re-captures.
     fn replay_for<W: Workload + ?Sized>(&self, w: &W) -> Arc<analytic::Replay> {
         let key = replay_key(w);
         let mut slot = match self.replay_cache.lock() {
@@ -319,7 +321,10 @@ impl Harness {
                 return Arc::clone(replay);
             }
         }
-        let replay = Arc::new(analytic::Replay::capture(w));
+        // Release the outgoing replay before capturing its successor:
+        // the cache need not keep it alive through the capture.
+        *slot = None;
+        let replay = Arc::new(analytic::Replay::capture_with(w, self.jobs));
         *slot = Some((key, Arc::clone(&replay)));
         replay
     }
@@ -1239,6 +1244,44 @@ mod tests {
         let h = Harness::quick();
         let s = h.run(&suite::blk(), ConfigKind::Static(PageSize::Size64K));
         assert!(s.mem_insts > 0);
+    }
+
+    /// Every quick suite replay, captured and folded on 1, 2 and 3
+    /// threads, predicts the same statistics under every analytic
+    /// placement, and under an arbitrary schedule with CLAP. Some kernel
+    /// has a threadblock count 3 does not divide, so some parts differ in
+    /// length.
+    #[test]
+    fn quick_suite_predictions_are_identical_at_every_thread_count() {
+        let h = Harness::quick();
+        let base = h.base_config();
+        let mut uneven = false;
+        for w in suite::all() {
+            let w = h.prep(&w);
+            uneven |= (0..w.num_kernels()).any(|k| w.kernel(k).num_tbs % 3 != 0);
+            let replays = [1, 2, 3].map(|t| analytic::Replay::capture_with(&w, t));
+            for kind in ConfigKind::analytic_eval() {
+                let (_, cfg) = kind.build(base);
+                let pm = kind.placement_model(w.allocs(), cfg.num_chiplets);
+                let pm = pm.expect("analytic configurations have a placement model");
+                let want = replays[0].predict(&cfg, &pm).expect("valid machine");
+                for r in &replays[1..] {
+                    let got = r.predict(&cfg, &pm).expect("valid machine");
+                    assert_eq!(got, want, "{} under {}, {r:?}", w.name(), kind.name());
+                }
+                if kind != ConfigKind::Clap {
+                    continue;
+                }
+                let chiplets = cfg.num_chiplets;
+                let odd = |tb: TbId, n: u32| (tb.index() * 7 + n as usize) % chiplets;
+                let want = replays[0].predict_scheduled(&cfg, &pm, odd);
+                for r in &replays[1..] {
+                    let got = r.predict_scheduled(&cfg, &pm, odd);
+                    assert_eq!(got, want, "{} scheduled, {r:?}", w.name());
+                }
+            }
+        }
+        assert!(uneven, "no quick kernel splits unevenly over 3 threads");
     }
 
     #[test]

@@ -687,14 +687,15 @@ impl Telemetry {
         self
     }
 
-    /// Opens one sweep's journal; when resuming, first reads it once
-    /// (after a torn tail is repaired, before the first append) for the
-    /// records cells can be restored from. Every cell runs through
+    /// Opens one sweep's journal; when resuming, first moves its
+    /// malformed interior lines aside ([`reject_malformed_lines`]) and
+    /// reads it once (after a torn tail is repaired, before the first
+    /// append) for the records cells can be restored from. Every cell runs through
     /// [`SweepScope::cell`] on the worker threads; call
     /// [`SweepScope::finish`] when the sweep ends to fold its timing into
     /// [`Telemetry::experiment_counters`].
     pub fn sweep(&self, exp: &str, total: usize, harness_fingerprint: u64) -> SweepScope<'_> {
-        let journal = open_journal(&self.root, exp)
+        let journal = open_journal(&self.root, exp, self.resume)
             .map_err(|e| eprintln!("warning: telemetry journal for {exp} unavailable: {e}"))
             .ok();
         let restorable = if self.resume {
@@ -994,15 +995,76 @@ pub fn repair_torn_tail(path: &Path) -> std::io::Result<u64> {
 /// directory. A crash mid-append leaves a torn final record (no trailing
 /// newline): it is truncated back to the last complete line first, so the
 /// journal stays a valid JSONL prefix and new records don't concatenate
-/// onto the torn tail.
-fn open_journal(root: &Path, exp: &str) -> std::io::Result<fs::File> {
+/// onto the torn tail. With `reject`, malformed interior lines are then
+/// moved aside ([`reject_malformed_lines`]); failing to move them only
+/// warns, and the lines stay.
+fn open_journal(root: &Path, exp: &str, reject: bool) -> std::io::Result<fs::File> {
     fs::create_dir_all(root.join("journal"))?;
     let path = journal_path(root, exp);
     let dropped = repair_torn_tail(&path)?;
     if dropped > 0 {
         eprintln!("warning: {exp} journal had a torn final record; dropped {dropped} byte(s)");
     }
+    if reject {
+        match reject_malformed_lines(&path) {
+            Ok(moved) => {
+                for m in moved {
+                    eprintln!("warning: moved malformed journal line {m}");
+                }
+            }
+            Err(e) => eprintln!("warning: could not move malformed {exp} journal lines: {e}"),
+        }
+    }
     fs::OpenOptions::new().create(true).append(true).open(&path)
+}
+
+/// Moves the malformed lines of the journal at `path` (a torn tail
+/// already repaired) into `<exp>.rejected` beside it, and replaces the
+/// journal with its remaining lines. A resumed sweep re-runs the cells
+/// those lines belonged to, so afterwards `status --check` accepts the
+/// journal again, and `status` warns that the rejected file exists. The
+/// lines are appended to the rejected file before the journal is
+/// replaced (a new file renamed over it), so a crash loses none; at
+/// worst a line is rejected twice. Returns one `file:line: error` entry
+/// per moved line.
+///
+/// # Errors
+///
+/// Propagates I/O errors other than the journal not existing.
+fn reject_malformed_lines(path: &Path) -> std::io::Result<Vec<String>> {
+    let body = match fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let (mut kept, mut rejected, mut moved) = (Vec::new(), Vec::new(), Vec::new());
+    for (n, line) in body.split_inclusive(|&b| b == b'\n').enumerate() {
+        let parsed = std::str::from_utf8(line)
+            .map_err(|e| e.to_string())
+            .and_then(|l| match l.trim_end_matches(['\r', '\n']) {
+                "" => Ok(None),
+                l => parse_journal_line(l),
+            });
+        match parsed {
+            Ok(_) => kept.extend_from_slice(line),
+            Err(e) => {
+                rejected.extend_from_slice(line);
+                moved.push(format!("{}:{}: {e}", path.display(), n + 1));
+            }
+        }
+    }
+    if moved.is_empty() {
+        return Ok(moved);
+    }
+    fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path.with_extension("rejected"))?
+        .write_all(&rejected)?;
+    let fresh = path.with_extension("jsonl.tmp");
+    fs::write(&fresh, &kept)?;
+    fs::rename(&fresh, path)?;
+    Ok(moved)
 }
 
 fn journal_path(root: &Path, exp: &str) -> PathBuf {
@@ -1023,7 +1085,7 @@ pub fn append_journal_records(
     exp: &str,
     records: &[CellRecord],
 ) -> std::io::Result<()> {
-    let mut f = open_journal(root, exp)?;
+    let mut f = open_journal(root, exp, false)?;
     for r in records {
         writeln!(f, "{}", r.to_json_line())?;
     }
@@ -1045,6 +1107,9 @@ pub struct JournalRead {
     /// Lines written under another [`SCHEMA_VERSION`] (an older journal),
     /// skipped. A warning, not a check failure.
     pub stale: usize,
+    /// `<exp>.rejected` files (`file: N line(s)`): malformed lines a
+    /// resume moved out of a journal. A warning, not a check failure.
+    pub rejected: Vec<String>,
 }
 
 /// Reads every `*.jsonl` journal under `dir` (sorted by file name) and
@@ -1053,19 +1118,26 @@ pub struct JournalRead {
 /// *final* line with no trailing newline is a torn tail from a crash
 /// mid-append — the valid prefix is kept and the tail reported in
 /// [`JournalRead::salvaged`]. Lines from another schema are counted in
-/// [`JournalRead::stale`].
+/// [`JournalRead::stale`], and `*.rejected` files are listed in
+/// [`JournalRead::rejected`].
 pub fn read_journal_dir(dir: &Path) -> JournalRead {
     let mut out = JournalRead::default();
     let mut files: Vec<PathBuf> = match fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-            .collect(),
+        Ok(entries) => entries.filter_map(|e| e.ok().map(|e| e.path())).collect(),
         Err(_) => return out,
     };
     files.sort();
     for path in files {
-        read_journal_file(&path, &mut out);
+        match path.extension().and_then(|x| x.to_str()) {
+            Some("jsonl") => read_journal_file(&path, &mut out),
+            Some("rejected") => {
+                let lines =
+                    fs::read(&path).map_or(0, |b| b.iter().filter(|&&c| c == b'\n').count());
+                out.rejected
+                    .push(format!("{}: {lines} line(s)", path.display()));
+            }
+            _ => {}
+        }
     }
     out
 }
@@ -1086,11 +1158,7 @@ fn read_journal_file(path: &Path, out: &mut JournalRead) {
         if line.trim().is_empty() {
             continue;
         }
-        let record = Json::parse(line).and_then(|j| match j.get("schema").and_then(Json::as_u64) {
-            Some(v) if v != u64::from(SCHEMA_VERSION) => Ok(None),
-            _ => CellRecord::from_json(&j).map(Some),
-        });
-        match record {
+        match parse_journal_line(line) {
             Ok(Some(r)) => out.records.push(r),
             Ok(None) => out.stale += 1,
             Err(e) if torn_tail && n + 1 == last => out.salvaged.push(format!(
@@ -1103,6 +1171,16 @@ fn read_journal_file(path: &Path, out: &mut JournalRead) {
                 .errors
                 .push(format!("{}:{}: {e}", path.display(), n + 1)),
         }
+    }
+}
+
+/// One journal line's record; `None` for a line written under another
+/// [`SCHEMA_VERSION`].
+fn parse_journal_line(line: &str) -> Result<Option<CellRecord>, String> {
+    let j = Json::parse(line)?;
+    match j.get("schema").and_then(Json::as_u64) {
+        Some(v) if v != u64::from(SCHEMA_VERSION) => Ok(None),
+        _ => CellRecord::from_json(&j).map(Some),
     }
 }
 
@@ -1665,6 +1743,52 @@ mod tests {
         let read = read_journal_dir(&journal_dir);
         assert_eq!((read.records.len(), read.stale), (1, 1));
         assert!(read.errors.is_empty(), "{:?}", read.errors);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A resume moves a malformed interior line into `<exp>.rejected`
+    /// and re-runs its cell, leaving a journal whose every line parses; a
+    /// sweep without resume leaves the line where it is.
+    #[test]
+    fn resume_moves_malformed_lines_aside() {
+        let dir = std::env::temp_dir().join("clap-repro-test-telemetry-reject");
+        let _ = fs::remove_dir_all(&dir);
+        let sweep = |tele: &Telemetry| {
+            let scope = tele.sweep("figR", 2, 42);
+            let mut ran = Vec::new();
+            for c in 0..2 {
+                scope.cell(c, &spec(), || {
+                    ran.push(c);
+                    CellVerdict::Healthy(sample_stats())
+                });
+            }
+            scope.finish();
+            ran
+        };
+        assert_eq!(sweep(&Telemetry::new(&dir)), [0, 1]);
+        let path = dir.join("journal/figR.jsonl");
+        let body = fs::read_to_string(&path).expect("journal");
+        let intact = body.lines().nth(1).expect("cell 1's record");
+        let bad = "{\"cell\":0,\"truncat\n";
+        fs::write(&path, format!("{bad}{intact}\n")).expect("damage");
+
+        Telemetry::new(&dir).sweep("figR", 2, 42).finish();
+        let read = read_journal_dir(&dir.join("journal"));
+        assert_eq!(read.errors.len(), 1, "{:?}", read.errors);
+        assert!(read.rejected.is_empty(), "{:?}", read.rejected);
+
+        assert_eq!(sweep(&Telemetry::new(&dir).with_resume(true)), [0]);
+        let read = read_journal_dir(&dir.join("journal"));
+        assert!(read.errors.is_empty(), "{:?}", read.errors);
+        assert_eq!(
+            read.records.len(),
+            1 + 2,
+            "cell 1's record, then both cells'"
+        );
+        assert_eq!(read.rejected.len(), 1, "{:?}", read.rejected);
+        assert!(read.rejected[0].ends_with("figR.rejected: 1 line(s)"));
+        let rejected = fs::read_to_string(dir.join("journal/figR.rejected")).expect("rejected");
+        assert_eq!(rejected, bad);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -162,6 +162,8 @@ pub struct Replay {
     /// is folded here once; evaluation maps the winning stream to its
     /// chiplet under each fold's schedule.
     first_touch: Vec<Vec<u64>>,
+    /// Threads the capture ran on, and each fold runs on.
+    threads: usize,
     /// Folds under the default [`tb_chiplet`] schedule, one per machine
     /// shape predicted so far. The lock keeps `Replay` shareable across
     /// sweep workers; a worker needing a shape another is folding waits
@@ -171,22 +173,42 @@ pub struct Replay {
     folds: Mutex<Vec<(Shape, Arc<Fold>)>>,
 }
 
-/// One kernel's captured streams, flattened stream-major (TB-major,
-/// warp-minor). Within a stream, everything the model counts is
-/// order-independent (first touch is already folded into
-/// [`Replay::first_touch`]), so each stream is stored deduplicated:
-/// sorted distinct VAs with multiplicities. Workloads whose warps revisit
-/// their working set (`passes` > 1) shrink proportionally.
+/// One kernel's captured streams, stream-major (TB-major, warp-minor).
+/// Within a stream, everything the model counts is order-independent
+/// (first touch is already folded into [`Replay::first_touch`]), so each
+/// stream is stored deduplicated: sorted distinct VAs with
+/// multiplicities. Workloads whose warps revisit their working set
+/// (`passes` > 1) shrink proportionally.
 struct ReplayKernel {
     desc: crate::workload::KernelDesc,
     /// TB index of each stream (one warp = one stream).
     stream_tb: Vec<u32>,
-    /// `flat[offsets[s] as usize..offsets[s + 1] as usize]` is stream
-    /// `s`'s distinct raw VAs, ascending.
+    /// The streams in contiguous runs, in stream order: one per capture
+    /// thread that captured any, kept as captured instead of copied into
+    /// one buffer.
+    runs: Vec<StreamRun>,
+}
+
+/// Consecutive streams of one kernel, from stream `first` on.
+struct StreamRun {
+    first: usize,
+    /// `flat[offsets[j] as usize..offsets[j + 1] as usize]` is stream
+    /// `first + j`'s distinct raw VAs, ascending.
     offsets: Vec<u64>,
     flat: Vec<u64>,
     /// Occurrence count of each `flat` entry within its stream.
     mult: Vec<u32>,
+}
+
+impl ReplayKernel {
+    /// Stream `s`'s distinct raw VAs, ascending, and their multiplicities.
+    fn stream(&self, s: usize) -> (&[u64], &[u32]) {
+        // The last run starting at or before `s`; runs are never empty.
+        let run = &self.runs[self.runs.partition_point(|r| r.first <= s) - 1];
+        let j = s - run.first;
+        let (lo, hi) = (run.offsets[j] as usize, run.offsets[j + 1] as usize);
+        (&run.flat[lo..hi], &run.mult[lo..hi])
+    }
 }
 
 /// Replay-order key of access `i` of stream `s` in kernel `k`: keys
@@ -196,14 +218,166 @@ fn ft_key(k: usize, i: usize, s: usize) -> u64 {
     ((k as u64) << 56) | ((i as u64) << 32) | s as u64
 }
 
+/// Runs `f` for every part in `0..parts`, part 0 on the calling thread
+/// and the rest on scoped threads, and returns the results in part
+/// order. One part spawns nothing. A panicking part panics the caller.
+fn in_parts<T: Send>(parts: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if parts <= 1 {
+        return vec![f(0)];
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let rest: Vec<_> = (1..parts).map(|p| scope.spawn(move || f(p))).collect();
+        let mut out = Vec::with_capacity(parts);
+        out.push(f(0));
+        for handle in rest {
+            out.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        out
+    })
+}
+
+/// Part `p` of `0..n` cut into `parts` contiguous ranges that differ in
+/// length by at most one.
+fn part_range(n: usize, p: usize, parts: usize) -> std::ops::Range<usize> {
+    n * p / parts..n * (p + 1) / parts
+}
+
+/// Appends `parts` in order onto the first one, grown to exactly their
+/// total length, dropping each later part once it is copied: a merge
+/// never holds a second copy of the first part, and a single part is
+/// returned as it is.
+fn concat<T: Copy>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let total = parts.iter().map(Vec::len).sum::<usize>();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
+    out.reserve_exact(total - out.len());
+    for part in parts {
+        out.extend_from_slice(&part);
+    }
+    out
+}
+
+/// One thread's share of a capture: per kernel, the TB index of each
+/// stream of one contiguous threadblock range and the run of those
+/// streams; and the first-touch keys of the granules they touch.
+struct CapturePart {
+    kernels: Vec<(Vec<u32>, StreamRun)>,
+    first_touch: Vec<Vec<u64>>,
+}
+
+/// Captures part `p` of `parts`: every kernel's threadblock range
+/// [`part_range`]`(num_tbs, p, parts)`, with streams keyed by their
+/// index in the whole kernel.
+fn capture_range<W: Workload + ?Sized>(
+    workload: &W,
+    allocs: &[AllocInfo],
+    p: usize,
+    parts: usize,
+) -> CapturePart {
+    // Per structure: 64KB-granule first-touch table and the index base
+    // that turns a raw VA into a slot.
+    let mut first_touch: Vec<Vec<u64>> = allocs
+        .iter()
+        .map(|a| vec![u64::MAX; span(a, DEMAND_SHIFT)])
+        .collect();
+    let ft_bases: Vec<u64> = allocs
+        .iter()
+        .map(|a| a.base.raw() >> DEMAND_SHIFT)
+        .collect();
+    let mut kernels = Vec::with_capacity(workload.num_kernels());
+    let mut last_alloc = 0usize;
+    // One stream buffer and one sort buffer for the whole part.
+    let mut stream = Vec::new();
+    let mut scratch: Vec<u64> = Vec::new();
+    for k in 0..workload.num_kernels() {
+        let desc = workload.kernel(k);
+        let wpt = desc.warps_per_tb as usize;
+        assert!(
+            desc.num_tbs as usize * wpt <= u32::MAX as usize,
+            "kernel {k} exceeds the replay's u32 stream index space"
+        );
+        let tbs = part_range(desc.num_tbs as usize, p, parts);
+        let nstreams = tbs.len() * wpt;
+        let mut stream_tb = Vec::with_capacity(nstreams);
+        let mut run = StreamRun {
+            first: tbs.start * wpt,
+            offsets: Vec::with_capacity(nstreams + 1),
+            flat: Vec::new(),
+            mult: Vec::new(),
+        };
+        run.offsets.push(0);
+        for t in tbs {
+            let t = t as u32;
+            for w in 0..desc.warps_per_tb {
+                let s = t as usize * wpt + w as usize;
+                workload.warp_accesses_into(k, TbId::new(t), WarpId::new(w), &mut stream);
+                assert!(
+                    stream.len() <= 1 << 24,
+                    "kernel {k} stream exceeds the first-touch key space (16M accesses)"
+                );
+                for (i, va) in stream.iter().enumerate() {
+                    // Resolve the structure (streams run through one
+                    // structure at a time, so cache the last hit).
+                    if !allocs
+                        .get(last_alloc)
+                        .map(|a| a.contains(*va))
+                        .unwrap_or(false)
+                    {
+                        last_alloc = match allocs.iter().position(|a| a.contains(*va)) {
+                            Some(idx) => idx,
+                            None => continue,
+                        };
+                    }
+                    let slot = ((va.raw() >> DEMAND_SHIFT) - ft_bases[last_alloc]) as usize;
+                    let key = ft_key(k, i, s);
+                    let best = &mut first_touch[last_alloc][slot];
+                    if key < *best {
+                        *best = key;
+                    }
+                }
+                scratch.clear();
+                scratch.extend(stream.iter().map(|va| va.raw()));
+                scratch.sort_unstable();
+                let mut count = 0u32;
+                for (i, &raw) in scratch.iter().enumerate() {
+                    count += 1;
+                    if i + 1 == scratch.len() || scratch[i + 1] != raw {
+                        run.flat.push(raw);
+                        run.mult.push(count);
+                        count = 0;
+                    }
+                }
+                run.offsets.push(run.flat.len() as u64);
+                stream_tb.push(t);
+            }
+        }
+        kernels.push((stream_tb, run));
+    }
+    CapturePart {
+        kernels,
+        first_touch,
+    }
+}
+
 impl std::fmt::Debug for Replay {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Replay")
             .field("allocs", &self.allocs.len())
             .field("kernels", &self.kernels.len())
+            .field("threads", &self.threads)
             .field(
                 "distinct_accesses",
-                &self.kernels.iter().map(|k| k.flat.len()).sum::<usize>(),
+                &self
+                    .kernels
+                    .iter()
+                    .flat_map(|k| &k.runs)
+                    .map(|r| r.flat.len())
+                    .sum::<usize>(),
             )
             .finish()
     }
@@ -211,7 +385,8 @@ impl std::fmt::Debug for Replay {
 
 impl Replay {
     /// Materializes every warp's access stream of `workload` and folds
-    /// the per-granule first-touch keys.
+    /// the per-granule first-touch keys, on the calling thread:
+    /// [`Replay::capture_with`] at one thread.
     ///
     /// # Panics
     ///
@@ -219,94 +394,76 @@ impl Replay {
     /// kernels, `u32::MAX` streams per kernel, 16M accesses per stream —
     /// all far above any evaluation scale).
     pub fn capture<W: Workload + ?Sized>(workload: &W) -> Replay {
+        Replay::capture_with(workload, 1)
+    }
+
+    /// [`Replay::capture`] on `threads` threads (at most one per
+    /// threadblock of the largest kernel). Each kernel's threadblocks are
+    /// split into that many contiguous ranges, captured
+    /// on scoped threads (the calling thread takes the first range), and
+    /// merged in range order: each kernel's streams are the ranges' runs
+    /// in order, and the first-touch tables merge by element-wise
+    /// minimum. Every stream, and so every fold and prediction, is
+    /// therefore identical for every thread count. The replay keeps
+    /// `threads` for the folds its predictions build; one thread spawns
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`Replay::capture`].
+    pub fn capture_with<W: Workload + ?Sized>(workload: &W, threads: usize) -> Replay {
+        let threads = threads.max(1);
         let allocs = workload.allocs().to_vec();
-        // Per structure: 64KB-granule first-touch table and the index
-        // base that turns a raw VA into a slot.
-        let mut first_touch: Vec<Vec<u64>> = allocs
-            .iter()
-            .map(|a| vec![u64::MAX; span(a, DEMAND_SHIFT)])
-            .collect();
-        let ft_bases: Vec<u64> = allocs
-            .iter()
-            .map(|a| a.base.raw() >> DEMAND_SHIFT)
-            .collect();
         assert!(
             workload.num_kernels() <= 256,
             "workload exceeds the first-touch key space (256 kernels)"
         );
-        let mut kernels = Vec::with_capacity(workload.num_kernels());
-        let mut last_alloc = 0usize;
-        // One stream buffer and one sort buffer for the whole capture.
-        let mut stream = Vec::new();
-        let mut scratch: Vec<u64> = Vec::new();
-        for k in 0..workload.num_kernels() {
-            let desc = workload.kernel(k);
-            let nstreams = desc.num_tbs as usize * desc.warps_per_tb as usize;
-            assert!(
-                nstreams <= u32::MAX as usize,
-                "kernel {k} exceeds the replay's u32 stream index space"
-            );
-            let mut stream_tb = Vec::with_capacity(nstreams);
-            let mut offsets = Vec::with_capacity(nstreams + 1);
-            let mut flat = Vec::new();
-            let mut mult = Vec::new();
-            offsets.push(0u64);
-            for t in 0..desc.num_tbs {
-                for w in 0..desc.warps_per_tb {
-                    let s = stream_tb.len();
-                    workload.warp_accesses_into(k, TbId::new(t), WarpId::new(w), &mut stream);
-                    assert!(
-                        stream.len() <= 1 << 24,
-                        "kernel {k} stream exceeds the first-touch key space (16M accesses)"
-                    );
-                    for (i, va) in stream.iter().enumerate() {
-                        // Resolve the structure (streams run through one
-                        // structure at a time, so cache the last hit).
-                        if !allocs
-                            .get(last_alloc)
-                            .map(|a| a.contains(*va))
-                            .unwrap_or(false)
-                        {
-                            last_alloc = match allocs.iter().position(|a| a.contains(*va)) {
-                                Some(idx) => idx,
-                                None => continue,
-                            };
-                        }
-                        let slot = ((va.raw() >> DEMAND_SHIFT) - ft_bases[last_alloc]) as usize;
-                        let key = ft_key(k, i, s);
-                        let best = &mut first_touch[last_alloc][slot];
-                        if key < *best {
-                            *best = key;
-                        }
+        let most_tbs = (0..workload.num_kernels())
+            .map(|k| workload.kernel(k).num_tbs as usize)
+            .max()
+            .unwrap_or(0);
+        let parts = threads.min(most_tbs).max(1);
+        let (mut kernel_parts, first_touch): (Vec<_>, Vec<_>) =
+            in_parts(parts, |p| capture_range(workload, &allocs, p, parts))
+                .into_iter()
+                .map(|part| (part.kernels.into_iter(), part.first_touch))
+                .unzip();
+        // Keys are global, so the earliest toucher wins whichever part
+        // saw it.
+        let first_touch = first_touch
+            .into_iter()
+            .reduce(|mut best, keys| {
+                for (best, keys) in best.iter_mut().zip(&keys) {
+                    for (b, &k) in best.iter_mut().zip(keys) {
+                        *b = (*b).min(k);
                     }
-                    scratch.clear();
-                    scratch.extend(stream.iter().map(|va| va.raw()));
-                    scratch.sort_unstable();
-                    let mut run = 0u32;
-                    for (i, &raw) in scratch.iter().enumerate() {
-                        run += 1;
-                        if i + 1 == scratch.len() || scratch[i + 1] != raw {
-                            flat.push(raw);
-                            mult.push(run);
-                            run = 0;
-                        }
-                    }
-                    offsets.push(flat.len() as u64);
-                    stream_tb.push(t);
                 }
-            }
-            kernels.push(ReplayKernel {
-                desc,
-                stream_tb,
-                offsets,
-                flat,
-                mult,
-            });
-        }
+                best
+            })
+            .unwrap_or_default();
+        let kernels = (0..workload.num_kernels())
+            .map(|k| {
+                // Kernel `k` of every part, in part order.
+                let mut stream_tb = Vec::new();
+                let mut runs = Vec::new();
+                for (part_tb, run) in kernel_parts.iter_mut().filter_map(Iterator::next) {
+                    stream_tb.extend(part_tb);
+                    if run.offsets.len() > 1 {
+                        runs.push(run);
+                    }
+                }
+                ReplayKernel {
+                    desc: workload.kernel(k),
+                    stream_tb,
+                    runs,
+                }
+            })
+            .collect();
         Replay {
             allocs,
             kernels,
             first_touch,
+            threads,
             folds: Mutex::new(Vec::new()),
         }
     }
@@ -443,7 +600,7 @@ impl Shape {
 /// kernel. The granule's owner is constant within it (placement granules
 /// are aligned supersets of 64KB), so every per-access count the model
 /// keys by owner is a sum over groups.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Group {
     /// Σ multiplicity: line accesses (post-reuse elements).
     elems: u64,
@@ -459,7 +616,7 @@ struct Group {
 
 /// One chiplet's footprint in one structure's 64KB granule, over all of
 /// its SMs: what the L2 TLB reach and the remote-line working set need.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Footprint {
     /// Granule index from the structure's first 64KB granule.
     gran: u32,
@@ -506,7 +663,9 @@ impl Fold {
     /// accumulator over every structure's 64KB granules (a touched list
     /// makes emitting and resetting it O(touched)), and chiplet by
     /// chiplet into a per-granule distinct-line bitset. No hashing, no
-    /// sorting.
+    /// sorting. Chiplets are folded independently, so contiguous chiplet
+    /// ranges run on the replay's threads ([`in_parts`]) and are joined
+    /// in chiplet order: the fold is identical for every thread count.
     ///
     /// # Panics
     ///
@@ -517,7 +676,7 @@ impl Fold {
         let Shape {
             chiplets,
             sms_per_chiplet: spc,
-            line_bytes,
+            ..
         } = shape;
         let total_sms = chiplets * spc;
         let allocs = &replay.allocs;
@@ -578,12 +737,84 @@ impl Fold {
             slot_base.push(slot_alloc.len());
             slot_alloc.resize(slot_alloc.len() + n, a as u16);
         }
-        let demand_base: Vec<u64> = allocs
-            .iter()
-            .map(|a| a.base.raw() >> DEMAND_SHIFT)
-            .collect();
+        let plan = FoldPlan {
+            replay,
+            shape,
+            sm_streams,
+            sm_streams_start,
+            demand_base: allocs
+                .iter()
+                .map(|a| a.base.raw() >> DEMAND_SHIFT)
+                .collect(),
+            slot_base,
+            slot_alloc,
+        };
+        let threads = replay.threads.min(chiplets);
+        let parts = in_parts(threads, |p| plan.fold(part_range(chiplets, p, threads)));
+
+        // Join the parts in chiplet order, rebasing their start tables.
+        let mut sm_start = Vec::with_capacity(total_sms + 1);
+        let mut chiplet_start = Vec::with_capacity(chiplets + 1);
+        sm_start.push(0);
+        chiplet_start.push(0);
+        let (mut groups, mut footprints) = (Vec::new(), Vec::new());
+        let mut warp_insts = 0;
+        for part in parts {
+            let base = sm_start[sm_start.len() - 1];
+            sm_start.extend(part.sm_end.iter().map(|e| e + base));
+            let base = chiplet_start[chiplet_start.len() - 1];
+            chiplet_start.extend(part.chiplet_end.iter().map(|e| e + base));
+            groups.push(part.groups);
+            footprints.push(part.footprints);
+            warp_insts += part.warp_insts;
+        }
+        Fold {
+            groups: concat(groups),
+            sm_start,
+            footprints: concat(footprints),
+            chiplet_start,
+            stream_chiplet,
+            warp_insts,
+        }
+    }
+}
+
+/// What every part of a [`Fold::build`] shares: the streams of each SM
+/// and the dense slot layout over the structures' 64KB granules.
+struct FoldPlan<'r> {
+    replay: &'r Replay,
+    shape: Shape,
+    /// SM `sm`'s streams, as `(kernel, stream)`, are
+    /// `sm_streams[sm_streams_start[sm]..sm_streams_start[sm + 1]]`.
+    sm_streams: Vec<(u32, u32)>,
+    sm_streams_start: Vec<usize>,
+    /// Per structure: `base >> 16`, its first 64KB granule.
+    demand_base: Vec<u64>,
+    /// Structure `a`'s 64KB granule `g` is slot `slot_base[a] + g`.
+    slot_base: Vec<usize>,
+    /// The structure of every slot.
+    slot_alloc: Vec<u16>,
+}
+
+/// The fold of one contiguous chiplet range, with its start tables as
+/// ends relative to its own arrays.
+struct FoldPart {
+    groups: Vec<Group>,
+    sm_end: Vec<usize>,
+    footprints: Vec<Footprint>,
+    chiplet_end: Vec<usize>,
+    warp_insts: u64,
+}
+
+impl FoldPlan<'_> {
+    /// Folds the chiplets in `chs` (and their SMs) with accumulators of
+    /// its own.
+    fn fold(&self, chs: std::ops::Range<usize>) -> FoldPart {
+        let spc = self.shape.sms_per_chiplet;
+        let allocs = &self.replay.allocs;
+        let (slot_base, slot_alloc) = (&self.slot_base, &self.slot_alloc);
         let nslots = slot_alloc.len();
-        let line_shift = line_bytes.trailing_zeros();
+        let line_shift = self.shape.line_bytes.trailing_zeros();
         let lines_per_gran = (BASE_PAGE_BYTES >> line_shift) as usize;
 
         let mut sm_acc = vec![Slot::default(); nslots];
@@ -594,28 +825,28 @@ impl Fold {
         let mut ch_touched: Vec<usize> = Vec::new();
         let mut line_bits = vec![0u64; (nslots * lines_per_gran).div_ceil(64)];
 
-        let mut fold = Fold {
+        let mut part = FoldPart {
             groups: Vec::new(),
-            sm_start: vec![0],
+            sm_end: Vec::with_capacity(chs.len() * spc),
             footprints: Vec::new(),
-            chiplet_start: vec![0],
-            stream_chiplet,
+            chiplet_end: Vec::with_capacity(chs.len()),
             warp_insts: 0,
         };
         let mut cur = 0usize;
         // The cached structure's [base, base + bytes) as two locals, so
         // the common stays-in-structure case is one compare.
         let (mut cur_lo, mut cur_len) = allocs.first().map_or((1, 0), |a| (a.base.raw(), a.bytes));
-        for ch in 0..chiplets {
+        for ch in chs {
             for sm in ch * spc..(ch + 1) * spc {
-                for &(k, s) in &sm_streams[sm_streams_start[sm]..sm_streams_start[sm + 1]] {
+                let streams = self.sm_streams_start[sm]..self.sm_streams_start[sm + 1];
+                for &(k, s) in &self.sm_streams[streams] {
                     let (k, s) = (k as usize, s as usize);
-                    let rk = &replay.kernels[k];
+                    let rk = &self.replay.kernels[k];
                     let reuse = rk.desc.line_reuse.max(1) as u64;
                     let gap = rk.desc.insts_per_mem.max(1) as u64;
-                    let (lo, hi) = (rk.offsets[s] as usize, rk.offsets[s + 1] as usize);
+                    let (flat, mult) = rk.stream(s);
                     let mut stream_elems = 0u64;
-                    for (&raw, &m) in rk.flat[lo..hi].iter().zip(&rk.mult[lo..hi]) {
+                    for (&raw, &m) in flat.iter().zip(mult) {
                         // Resolve the structure (distinct VAs are sorted,
                         // so a stream crosses each structure once).
                         if raw.wrapping_sub(cur_lo) >= cur_len {
@@ -628,8 +859,8 @@ impl Fold {
                         }
                         let m = m as u64;
                         stream_elems += m;
-                        let slot =
-                            slot_base[cur] + ((raw >> DEMAND_SHIFT) - demand_base[cur]) as usize;
+                        let slot = slot_base[cur]
+                            + ((raw >> DEMAND_SHIFT) - self.demand_base[cur]) as usize;
                         let page = 1u16 << ((raw >> PAGE_SHIFT) & 15);
                         let acc = &mut sm_acc[slot];
                         if acc.elems == 0 {
@@ -651,12 +882,12 @@ impl Fold {
                         }
                         c.1 |= page;
                     }
-                    fold.warp_insts += gap * reuse * stream_elems;
+                    part.warp_insts += gap * reuse * stream_elems;
                 }
                 for slot in sm_touched.drain(..) {
                     let acc = std::mem::take(&mut sm_acc[slot]);
                     let alloc = slot_alloc[slot];
-                    fold.groups.push(Group {
+                    part.groups.push(Group {
                         elems: acc.elems,
                         insts: acc.insts,
                         gran: (slot - slot_base[alloc as usize]) as u32,
@@ -664,12 +895,12 @@ impl Fold {
                         pages: acc.pages,
                     });
                 }
-                fold.sm_start.push(fold.groups.len());
+                part.sm_end.push(part.groups.len());
             }
             for slot in ch_touched.drain(..) {
                 let (lines, pages) = std::mem::take(&mut ch_acc[slot]);
                 let alloc = slot_alloc[slot];
-                fold.footprints.push(Footprint {
+                part.footprints.push(Footprint {
                     gran: (slot - slot_base[alloc as usize]) as u32,
                     lines,
                     alloc,
@@ -682,9 +913,9 @@ impl Fold {
                 let first = slot * lines_per_gran;
                 line_bits[first >> 6..=(first + lines_per_gran - 1) >> 6].fill(0);
             }
-            fold.chiplet_start.push(fold.footprints.len());
+            part.chiplet_end.push(part.footprints.len());
         }
-        fold
+        part
     }
 }
 
@@ -1197,8 +1428,8 @@ mod tests {
             let (mut cur_lo, mut cur_len) =
                 allocs.first().map_or((1, 0), |a| (a.base.raw(), a.bytes));
             for (s, &(ch, sm)) in metas[k].iter().enumerate() {
-                let (lo, hi) = (rk.offsets[s] as usize, rk.offsets[s + 1] as usize);
-                for (&raw, &m) in rk.flat[lo..hi].iter().zip(&rk.mult[lo..hi]) {
+                let (flat, mult) = rk.stream(s);
+                for (&raw, &m) in flat.iter().zip(mult) {
                     // Resolve the structure (distinct VAs are sorted, so a
                     // stream crosses each structure once).
                     if raw.wrapping_sub(cur_lo) >= cur_len {
@@ -1530,6 +1761,65 @@ mod tests {
             }
         }
         assert_eq!(replay.folds.lock().unwrap().len(), 2);
+    }
+
+    /// A replay, its folds and its predictions are the same at every
+    /// thread count: threadblock ranges merge back in order, first-touch
+    /// tables by minimum, chiplet ranges in chiplet order. Kernels of 1–12
+    /// threadblocks and a 7×5-tile GEMM leave parts uneven, and five
+    /// threads leave some empty.
+    #[test]
+    fn replay_and_fold_are_identical_at_every_thread_count() {
+        let gemm = TiledGemm::new(7, 5, 2, TileMapping::RowMajor);
+        for seed in 0..24u64 {
+            let scatter = Scatter::new(seed);
+            let w: &dyn Workload = if seed % 4 == 3 { &gemm } else { &scatter };
+            let cfg = random_cfg(seed);
+            let chiplets = cfg.num_chiplets;
+            let shape = Shape::of(&cfg).unwrap();
+            let default = |tb: TbId, n: u32| tb_chiplet(tb, n, chiplets);
+            let arbitrary =
+                |tb: TbId, _: u32| (mix(seed ^ tb.index() as u64) % (chiplets as u64 + 2)) as usize;
+            let serial = Replay::capture(w);
+            let pm = random_placement(mix(seed ^ 4), &serial.allocs, chiplets);
+            let want_fold = Fold::build(&serial, shape, default);
+            let want = serial.predict(&cfg, &pm).unwrap();
+            let want_scheduled = serial.predict_scheduled(&cfg, &pm, arbitrary).unwrap();
+            for threads in [2, 3, 5] {
+                let replay = Replay::capture_with(w, threads);
+                assert_eq!(replay.threads, threads);
+                assert_eq!(replay.first_touch, serial.first_touch, "seed {seed}");
+                for (got, want) in replay.kernels.iter().zip(&serial.kernels) {
+                    assert_eq!(got.stream_tb, want.stream_tb, "seed {seed}");
+                    assert!(got.runs.len() <= threads);
+                    for s in 0..want.stream_tb.len() {
+                        assert_eq!(got.stream(s), want.stream(s), "seed {seed} stream {s}");
+                    }
+                }
+                assert_eq!(replay.kernels.len(), serial.kernels.len());
+                let fold = Fold::build(&replay, shape, default);
+                assert_eq!(fold.groups, want_fold.groups, "seed {seed}");
+                assert_eq!(fold.sm_start, want_fold.sm_start, "seed {seed}");
+                assert_eq!(fold.footprints, want_fold.footprints, "seed {seed}");
+                assert_eq!(fold.chiplet_start, want_fold.chiplet_start, "seed {seed}");
+                assert_eq!(fold.stream_chiplet, want_fold.stream_chiplet);
+                assert_eq!(fold.warp_insts, want_fold.warp_insts);
+                assert_eq!(replay.predict(&cfg, &pm).unwrap(), want, "seed {seed}");
+                let scheduled = replay.predict_scheduled(&cfg, &pm, arbitrary).unwrap();
+                assert_eq!(scheduled, want_scheduled, "seed {seed}");
+            }
+        }
+    }
+
+    /// One part runs on the calling thread: a serial capture or fold
+    /// spawns nothing.
+    #[test]
+    fn one_part_spawns_no_thread() {
+        let caller = std::thread::current().id();
+        assert_eq!(in_parts(1, |_| std::thread::current().id()), [caller]);
+        let ids = in_parts(3, |_| std::thread::current().id());
+        assert_eq!(ids[0], caller);
+        assert!(ids[1..].iter().all(|id| *id != caller));
     }
 
     #[test]

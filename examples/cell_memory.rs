@@ -1,6 +1,8 @@
 //! Prints the heap peak and the bucket-window bytes of every quick
 //! real-cost migration cell and every quick Fig. 18 cell, run one at a
-//! time on the cycle engine.
+//! time on the cycle engine; then the heap peak of each quick suite
+//! workload's first analytic CLAP cell (capture, fold and evaluation) at
+//! 1 and 2 jobs, each on a fresh harness.
 //!
 //! ```text
 //! cargo run --release --example cell_memory
@@ -16,7 +18,7 @@
 mod heap;
 
 use clap_repro::bench::configs::ConfigKind;
-use clap_repro::bench::experiments::{Harness, MIGRATION_CONFIGS};
+use clap_repro::bench::experiments::{EngineKind, Harness, MIGRATION_CONFIGS};
 use clap_repro::sim::{Probe, RunOutcome, Workload};
 use clap_repro::workloads::suite;
 
@@ -63,6 +65,25 @@ fn main() {
                     mb(buckets.0)
                 );
             }
+        }
+    }
+    for jobs in [1, 2] {
+        let grid = format!("analytic/j{jobs}");
+        for w in suite::all() {
+            let h = Harness::quick()
+                .with_engine(EngineKind::Analytic)
+                .with_jobs(jobs);
+            let (outcome, peak) = heap::peak_during(|| h.try_run(&w, ConfigKind::Clap));
+            if let Err(e) = outcome.and_then(RunOutcome::completed) {
+                panic!("{} under CLAP failed: {e}", w.name());
+            }
+            println!(
+                "{grid:<9} {:<8} {:<18} {:>8.1} {:>9.1}",
+                w.name(),
+                "CLAP",
+                mb(peak),
+                0.0
+            );
         }
     }
 }

@@ -106,11 +106,16 @@ awk -v cs="$cyc" -v as="$ana" 'BEGIN {
   if (cmin < 10 * amin) { print "analytic engine must be >= 10x the cycle engine" > "/dev/stderr"; exit 1 }
 }'
 
-echo "== parallel-sweep determinism smoke (figures fig1, jobs 1 vs 4)"
+echo "== parallel-sweep determinism smoke (figures fig1, and analytic fig18, jobs 1 vs 4)"
 ./target/release/figures --quick --jobs 1 --out "$smoke/j1" fig1 > "$smoke/j1.out"
 ./target/release/figures --quick --jobs 4 --out "$smoke/j4" fig1 > "$smoke/j4.out"
 cmp "$smoke/j1/fig1.csv" "$smoke/j4/fig1.csv"
 cmp "$smoke/j1.out" "$smoke/j4.out"
+# Four jobs also capture and fold each analytic replay on four threads.
+./target/release/figures --quick --jobs 1 --engine analytic --out "$smoke/a1" fig18 > "$smoke/a1.out"
+./target/release/figures --quick --jobs 4 --engine analytic --out "$smoke/a4" fig18 > "$smoke/a4.out"
+cmp "$smoke/a1/fig18.csv" "$smoke/a4/fig18.csv"
+cmp "$smoke/a1.out" "$smoke/a4.out"
 
 echo "== telemetry smoke (interrupted-then-resumed fig1 vs golden; journal well-formedness)"
 ./target/release/figures --quick --jobs 2 --progress=off --out "$smoke/tele" fig1
@@ -135,6 +140,15 @@ if ./target/release/figures --out "$smoke/tele-bad" status --check > /dev/null 2
   exit 1
 fi
 grep -q "malformed journal line" "$smoke/bad.err"
+# A resume moves the corrupt record into fig1.rejected and re-runs its
+# cell: the check passes again, and plain status warns about the file.
+rm "$smoke/tele-bad/fig1.csv"
+./target/release/figures --quick --jobs 2 --progress=off --resume --out "$smoke/tele-bad" fig1 \
+  2> /dev/null
+cmp "$smoke/tele-bad/fig1.csv" tests/goldens/fig1_quick.csv
+test -s "$smoke/tele-bad/journal/fig1.rejected"
+./target/release/figures --out "$smoke/tele-bad" status --check > /dev/null
+./target/release/figures --out "$smoke/tele-bad" status 2>&1 > /dev/null | grep -q "fig1.rejected"
 
 echo "== progress smoke (resumed fig1 with --progress=on: the final progress line counts the restored cells)"
 ./target/release/figures --quick --jobs 2 --progress=on --resume --out "$smoke/tele" fig1 \

@@ -1,9 +1,9 @@
 //! Crash-consistency: a sweep interrupted mid-write leaves a torn
 //! journal tail, and a damaged disk may corrupt an interior record.
 //! Recovery must salvage the valid journal prefix, repair the tail on the
-//! next sweep, skip the corrupt record (re-running only the two damaged
-//! cells), and still assemble a CSV byte-identical to the checked-in
-//! golden.
+//! next sweep, move the corrupt record aside (re-running only the two
+//! damaged cells), and still assemble a CSV byte-identical to the
+//! checked-in golden, leaving a journal that reads without errors.
 
 use std::fs;
 use std::path::PathBuf;
@@ -59,9 +59,9 @@ fn torn_journal_and_corrupt_record_recover_to_the_golden_csv() {
     );
     assert_eq!(read.records.len(), 22, "all intact lines survive");
 
-    // Resume: the next sweep repairs the tail, restores every intact
-    // record, re-runs only the two damaged cells, and reassembles the
-    // golden.
+    // Resume: the next sweep repairs the tail, moves the corrupt line
+    // into fig1.rejected, restores every intact record, re-runs only the
+    // two damaged cells, and reassembles the golden.
     let tele = Arc::new(Telemetry::new(&dir).with_resume(true));
     let h = Harness::quick()
         .with_jobs(2)
@@ -78,12 +78,16 @@ fn torn_journal_and_corrupt_record_recover_to_the_golden_csv() {
         "only the torn and the corrupt cell re-run"
     );
 
-    // The repaired journal has no torn tail; the corrupt interior line
-    // stays, and is still the one error.
+    // The repaired journal has no torn tail and no corrupt line: the
+    // line moved to fig1.rejected, which the read reports instead.
     let read = read_journal_dir(&dir.join("journal"));
-    assert_eq!(read.errors.len(), 1, "{:?}", read.errors);
+    assert!(read.errors.is_empty(), "{:?}", read.errors);
     assert!(read.salvaged.is_empty(), "{:?}", read.salvaged);
     assert_eq!(read.records.len(), 22 + 24);
+    assert_eq!(read.rejected.len(), 1, "{:?}", read.rejected);
+    assert!(read.rejected[0].ends_with("fig1.rejected: 1 line(s)"));
+    let rejected = fs::read_to_string(dir.join("journal/fig1.rejected")).expect("rejected");
+    assert_eq!(rejected, "{\"cell\":7,\"truncat\n");
 
     let _ = fs::remove_dir_all(&dir);
 }

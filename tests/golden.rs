@@ -100,12 +100,20 @@ fn topo_quick_grid_matches_golden() {
 /// Every analytic-engine counter of the 150 suite cells and the 18 topo
 /// cells (4, 8 and 16 chiplets), one JSON line per cell: any change to
 /// the closed-form model's arithmetic shows up here, not only the
-/// figure-of-merit ratios the CSV goldens round.
+/// figure-of-merit ratios the CSV goldens round. Three jobs capture and
+/// fold each replay on three threads, whose parts must merge back into
+/// the serial replay exactly.
 #[test]
 fn analytic_quick_cells_match_golden() {
-    let cells = analytic_cells(&Harness::quick());
-    assert_eq!(cells.len(), 15 * 10 + 2 * 9);
-    assert_golden("analytic", &stats_lines(&cells), ANALYTIC_GOLDEN);
+    for jobs in [1, 3] {
+        let cells = analytic_cells(&Harness::quick().with_jobs(jobs));
+        assert_eq!(cells.len(), 15 * 10 + 2 * 9);
+        assert_golden(
+            &format!("analytic at {jobs} job(s)"),
+            &stats_lines(&cells),
+            ANALYTIC_GOLDEN,
+        );
+    }
 }
 
 /// Every counter of the 45 quick real-cost migration cells (GRIT(real),
