@@ -162,7 +162,8 @@ pub struct Replay {
     /// is folded here once; evaluation maps the winning stream to its
     /// chiplet under each fold's schedule.
     first_touch: Vec<Vec<u64>>,
-    /// Threads the capture ran on, and each fold runs on.
+    /// Threads the capture was given, and each fold is: both use at most
+    /// one per part they can split (threadblocks, chiplets).
     threads: usize,
     /// Folds under the default [`tb_chiplet`] schedule, one per machine
     /// shape predicted so far. The lock keeps `Replay` shareable across
