@@ -119,15 +119,6 @@ pub fn stats_json(s: &RunStats) -> Json {
     degradation.push(("error_samples", Json::Arr(samples)));
     o.extend([
         ("dram_per_chiplet", Json::nums(&s.dram_per_chiplet)),
-        (
-            "interconnect_transfers",
-            Json::num(s.interconnect_transfers),
-        ),
-        ("dram_queue_cycles", Json::num(s.dram_queue_cycles)),
-        (
-            "interconnect_queue_cycles",
-            Json::num(s.interconnect_queue_cycles),
-        ),
         ("blocks_consumed", Json::opt(s.blocks_consumed)),
         ("per_alloc", Json::obj(per_alloc)),
         ("degradation", Json::obj(degradation)),
@@ -167,9 +158,6 @@ pub fn stats_from_json(j: &Json) -> Result<RunStats, String> {
             .iter()
             .map(|v| v.as_u64().ok_or("non-integer dram_per_chiplet entry"))
             .collect::<Result<_, _>>()?,
-        interconnect_transfers: u64_field(j, "interconnect_transfers")?,
-        dram_queue_cycles: u64_field(j, "dram_queue_cycles")?,
-        interconnect_queue_cycles: u64_field(j, "interconnect_queue_cycles")?,
         blocks_consumed: match field(j, "blocks_consumed")? {
             Json::Null => None,
             v => Some(v.as_usize().ok_or("non-integer blocks_consumed")?),
@@ -1373,10 +1361,10 @@ mod tests {
             migrations: 18,
             shootdowns: 19,
             dram_accesses: 20,
-            dram_per_chiplet: vec![5, 5, 5, 5],
             interconnect_transfers: 21,
             dram_queue_cycles: 22,
             interconnect_queue_cycles: 23,
+            dram_per_chiplet: vec![5, 5, 5, 5],
             blocks_consumed: Some(99),
             per_alloc,
             degradation: DegradationStats {
@@ -1458,8 +1446,8 @@ mod tests {
                 r#""walk_mshr_hits":10,"walk_cycles":11,"translation_cycles":12,"#,
                 r#""data_cycles":13,"faults":14,"coalesced_fills":15,"promotions":16,"#,
                 r#""remote_cache_hits":17,"migrations":18,"shootdowns":19,"dram_accesses":20,"#,
-                r#""dram_per_chiplet":[5,5,5,5],"interconnect_transfers":21,"#,
-                r#""dram_queue_cycles":22,"interconnect_queue_cycles":23,"blocks_consumed":99,"#,
+                r#""interconnect_transfers":21,"dram_queue_cycles":22,"#,
+                r#""interconnect_queue_cycles":23,"dram_per_chiplet":[5,5,5,5],"blocks_consumed":99,"#,
                 r#""per_alloc":{"1":{"accesses":10,"remote":2},"3":{"accesses":30,"remote":4}},"#,
                 r#""degradation":{"fallback_remote_frames":2,"rejected_directives":0,"#,
                 r#""tlb_class_missing":0,"walk_queue_stalls":3,"walk_queue_stall_cycles":40,"#,

@@ -626,11 +626,6 @@ impl<'c, 'r, 'p, P: Probe> Machine<'c, 'r, 'p, P> {
                     .insert(mcm_types::AllocId::new(i as u16), *st);
             }
         }
-        (
-            stats.interconnect_transfers,
-            stats.interconnect_queue_cycles,
-            stats.dram_queue_cycles,
-        ) = self.data.run_totals();
         stats.degradation.absorb(self.translate.degradation);
         stats.degradation.absorb(self.driver.degradation);
         stats.degradation.fallback_remote_frames = policy.frame_fallbacks();

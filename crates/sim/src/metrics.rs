@@ -19,9 +19,9 @@ use mcm_types::ChipletId;
 use crate::stats::{Counter, Counters};
 
 /// Tallies of one ordered `src → dst` pair of the cross-chiplet traffic
-/// matrix. The diagonal stays zero: same-chiplet transfers are free and
-/// uncounted, exactly as [`Topology::transfer`](crate::Topology) treats
-/// them.
+/// matrix. The diagonal stays zero: same-chiplet transfers are free
+/// ([`Topology::transfer`](crate::Topology)) and never counted or
+/// reported.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkTraffic {
     /// Completed transfers from `src` to `dst`.

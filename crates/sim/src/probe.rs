@@ -29,24 +29,11 @@ pub trait Probe {
     #[inline(always)]
     fn sample(&mut self, _stage: TraceStage, _latency: u64) {}
 
-    /// The topology's link-queue level just before a transfer; passed
-    /// back to the matching [`Probe::crossing`] as `queue_before`.
+    /// One completed cross-chiplet transfer `src → dst` that queued
+    /// `queued` cycles for busy links. Same-chiplet transfers are free and
+    /// never reported.
     #[inline(always)]
-    fn queue_probe(&self, _topo: &dyn Topology) -> u64 {
-        0
-    }
-
-    /// One completed cross-chiplet transfer `src → dst`. Same-chiplet
-    /// transfers are free and never reported.
-    #[inline(always)]
-    fn crossing(
-        &mut self,
-        _topo: &dyn Topology,
-        _src: ChipletId,
-        _dst: ChipletId,
-        _queue_before: u64,
-    ) {
-    }
+    fn crossing(&mut self, _topo: &dyn Topology, _src: ChipletId, _dst: ChipletId, _queued: u64) {}
 
     /// The event clock reached `t` (a warp wake-up popped at `t`);
     /// `counters` is the registry so far.
@@ -127,14 +114,8 @@ impl MetricsProbe {
 
 impl Probe for MetricsProbe {
     #[inline(always)]
-    fn queue_probe(&self, topo: &dyn Topology) -> u64 {
-        topo.queue_cycles()
-    }
-
-    #[inline(always)]
-    fn crossing(&mut self, topo: &dyn Topology, src: ChipletId, dst: ChipletId, queue_before: u64) {
+    fn crossing(&mut self, topo: &dyn Topology, src: ChipletId, dst: ChipletId, queued: u64) {
         self.fit(topo.num_chiplets());
-        let queued = topo.queue_cycles() - queue_before;
         self.m
             .record_transfer(src, dst, topo.hops(src, dst), queued);
     }

@@ -122,12 +122,14 @@ impl<'r> DataPath<'r> {
         }
     }
 
-    /// One DRAM line access served by `chiplet`'s channels, counted on
-    /// that chiplet.
+    /// One DRAM line access served by `chiplet`'s channels, counted (with
+    /// its channel queueing) on that chiplet.
     #[inline]
     fn dram(&mut self, chiplet: ChipletId, pa: PhysAddr, t: u64, ctr: &mut Counters) -> u64 {
+        let (done, queued) = self.dram.access_at(chiplet, pa, t);
         ctr.bump(chiplet, Counter::DramAccesses);
-        self.dram.access_at(chiplet, pa, t)
+        ctr.add(chiplet, Counter::DramQueueCycles, queued);
+        done
     }
 
     /// A line `requester` reads from `owner`'s DRAM: the request crosses
@@ -144,16 +146,25 @@ impl<'r> DataPath<'r> {
     ) -> u64 {
         let arrive = self.interconnect.request(requester, owner, t);
         let done = self.dram(owner, pa, arrive, ctr);
-        self.cross(owner, requester, done, probe)
+        self.cross(owner, requester, done, ctr, probe)
     }
 
-    /// One line transfer `src → dst` starting at `at`, reported to the
-    /// probe as a crossing; returns the arrival cycle. The only place the
-    /// stage moves data between distinct chiplets.
-    fn cross<P: Probe>(&mut self, src: ChipletId, dst: ChipletId, at: u64, probe: &mut P) -> u64 {
-        let q0 = probe.queue_probe(self.interconnect.as_ref());
-        let done = self.interconnect.transfer(src, dst, at);
-        probe.crossing(self.interconnect.as_ref(), src, dst, q0);
+    /// One line transfer `src → dst` (distinct chiplets) starting at `at`,
+    /// counted with its link queueing on `src` and reported to the probe
+    /// as a crossing; returns the arrival cycle. The only place the stage
+    /// moves data between chiplets.
+    fn cross<P: Probe>(
+        &mut self,
+        src: ChipletId,
+        dst: ChipletId,
+        at: u64,
+        ctr: &mut Counters,
+        probe: &mut P,
+    ) -> u64 {
+        let (done, queued) = self.interconnect.transfer(src, dst, at);
+        ctr.bump(src, Counter::InterconnectTransfers);
+        ctr.add(src, Counter::InterconnectQueueCycles, queued);
+        probe.crossing(self.interconnect.as_ref(), src, dst, queued);
         done
     }
 
@@ -258,10 +269,11 @@ impl<'r> DataPath<'r> {
         src: ChipletId,
         dst: ChipletId,
         now: u64,
+        ctr: &mut Counters,
         probe: &mut P,
     ) {
         if src != dst {
-            self.cross(src, dst, now, probe);
+            self.cross(src, dst, now, ctr, probe);
         }
     }
 
@@ -276,21 +288,12 @@ impl<'r> DataPath<'r> {
     pub fn bucket_bytes(&self) -> usize {
         self.dram.bucket_bytes() + self.interconnect.bucket_bytes()
     }
-
-    /// The run-level interconnect and DRAM totals: `(transfers, link
-    /// queue cycles, DRAM queue cycles)`.
-    pub(crate) fn run_totals(&self) -> (u64, u64, u64) {
-        (
-            self.interconnect.transfers(),
-            self.interconnect.queue_cycles(),
-            self.dram.queue_cycles(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::BUCKET_CYCLES;
 
     fn cfg() -> SimConfig {
         SimConfig::baseline().scaled(8)
@@ -400,7 +403,42 @@ mod tests {
         );
         assert_eq!(ctr.row(Counter::DramAccesses), vec![0, 1, 0, 0]);
         assert_eq!(ctr.get(0, Counter::L2dMisses), 1);
-        let (transfers, _, _) = d.run_totals();
-        assert_eq!(transfers, 1, "remote miss must cross the interconnect");
+        // The data crosses back from the owner: counted on the sender.
+        assert_eq!(
+            ctr.row(Counter::InterconnectTransfers),
+            vec![0, 1, 0, 0],
+            "remote miss must cross the interconnect"
+        );
+    }
+
+    #[test]
+    fn queueing_is_counted_on_the_serving_dram_and_the_sending_link() {
+        // One access fills a channel's or a link's whole time bucket, so
+        // any two that meet on one queue.
+        let c = SimConfig {
+            dram_service: BUCKET_CYCLES,
+            link_service: BUCKET_CYCLES,
+            ..cfg()
+        };
+        let layout = c.layout();
+        let mut d = DataPath::new(&c, None);
+        let mut ctr = Counters::new(c.num_chiplets);
+        let (requester, owner) = (ChipletId::new(0), ChipletId::new(1));
+        let pa = layout.block_base(layout.block_of_chiplet(owner, 0));
+        // Three remote lines read at once: the first and third share a
+        // DRAM channel, and the second (the next channel) finishes with
+        // the first and contends with it for the owner's link back.
+        let lines = [pa, pa + 256, pa + 256 * c.dram_channels as u64];
+        let done = lines.map(|pa| d.access(&c, 0, requester, owner, pa, 0, &mut ctr, &mut ()));
+        assert_eq!(ctr.row(Counter::InterconnectTransfers), vec![0, 3, 0, 0]);
+        let dram_q = ctr.get(1, Counter::DramQueueCycles);
+        let link_q = ctr.get(1, Counter::InterconnectQueueCycles);
+        assert!(dram_q > 0 && link_q > 0, "DRAM {dram_q}, link {link_q}");
+        assert_eq!(ctr.total(Counter::DramQueueCycles), dram_q);
+        assert_eq!(ctr.total(Counter::InterconnectQueueCycles), link_q);
+        // The first read queued nowhere; every cycle the others queued
+        // shows in their completion times.
+        let late: u64 = done.iter().map(|t| t - done[0]).sum();
+        assert_eq!(late, dram_q + link_q);
     }
 }

@@ -237,7 +237,7 @@ impl Driver {
                     let dst = pt.layout().chiplet_of(to_pa);
                     self.gmmu_ovh[src.index()].acquire(now, cfg.migration_latency);
                     self.gmmu_ovh[dst.index()].acquire(now, cfg.migration_latency);
-                    data.interconnect_transfer(src, dst, now, probe);
+                    data.interconnect_transfer(src, dst, now, ctr, probe);
                 }
                 Ok(())
             }

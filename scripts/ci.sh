@@ -49,6 +49,9 @@ echo "== timeline smoke (figures timeline topo: outputs land, journal carries im
 ./target/release/figures --quick --jobs 2 --progress=off --out "$smoke/timeline" timeline topo
 test -s "$smoke/timeline/timeline/topo.json"
 test -s "$smoke/timeline/timeline/topo.csv"
+# Link and DRAM queueing are registry counters, so each gets a column.
+header=$(head -n 1 "$smoke/timeline/timeline/topo.csv")
+[[ "$header" == *,interconnect_queue_cycles* && "$header" == *,dram_queue_cycles* ]]
 test -s "$smoke/timeline/journal/topo-timeline.jsonl"
 grep -q '"imbalance"' "$smoke/timeline/journal/topo-timeline.jsonl"
 ./target/release/figures --out "$smoke/timeline" status | grep -q "topo-timeline"

@@ -9,6 +9,14 @@
 # Run this only when a simulator change intentionally moves the numbers,
 # and commit the refreshed goldens together with that change.
 #
+# A change that only reorders the JSON keys of the `.jsonl` goldens (a
+# counter moving into the counter table) goes in a commit of its own;
+# show that every line holds the same values, in order:
+#   for f in analytic_quick migration_quick; do
+#     cmp <(git show HEAD:tests/goldens/$f.jsonl | jq -S -c .) \
+#         <(jq -S -c . tests/goldens/$f.jsonl)
+#   done
+#
 # Usage: scripts/update_goldens.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -91,6 +91,12 @@ fn check_metrics(name: &str, s: &RunStats, m: &RunMetrics) {
     let (mut rows, mut cols, mut hops, mut queued) = (0, 0, 0, 0);
     for c in 0..n {
         let row = m.traffic_row(c);
+        // The registry counts each transfer and its link queueing on the
+        // sending chiplet: row `c` of the matrix.
+        let sent = m.count(c, Counter::InterconnectTransfers);
+        assert_eq!(sent, row.transfers, "{name}: chiplet {c} transfers");
+        let waited = m.count(c, Counter::InterconnectQueueCycles);
+        assert_eq!(waited, row.queue_cycles, "{name}: chiplet {c} queueing");
         rows += row.transfers;
         hops += row.hops;
         queued += row.queue_cycles;

@@ -59,6 +59,25 @@ fn resume_after_crash_is_byte_identical_to_fresh_serial_run() {
     assert_eq!(counters[0].cells, 24, "8 workloads x 3 page sizes");
     assert_eq!(counters[0].resumed, 0);
 
+    // Walk-queue stalls are GMMU back-pressure, not a fault: SSSP under
+    // 4KB pages still stalls, yet no fig1 cell reads as degraded.
+    let fresh = read_journal_dir(&dir.join("journal")).records;
+    assert_eq!(fresh.len(), 24);
+    for r in &fresh {
+        assert_ne!(
+            r.outcome,
+            CellOutcome::Degraded,
+            "{} {}",
+            r.workload,
+            r.config
+        );
+    }
+    let sssp_4k = fresh
+        .iter()
+        .find(|r| r.workload == "SSSP" && r.config == "S-4KB")
+        .expect("SSSP/S-4KB record");
+    assert!(sssp_4k.stats.degradation.walk_queue_stalls > 0);
+
     let deleted = drop_every_third_cell(&dir.join("journal/fig1.jsonl"));
     assert_eq!(deleted, 8);
 
