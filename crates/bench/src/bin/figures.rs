@@ -10,6 +10,9 @@
 //! figures [--out DIR] status [--check]
 //! ```
 //!
+//! `probe` runs one workload under every main config and prints its
+//! cycle-engine statistics (cycles, translation and walk latency, cache
+//! hit rates, MSHR merges, promotions) whatever `--engine` says.
 //! `probe --chaos` re-runs the workload under every main config with a
 //! fault-injecting `ChaosPolicy` wrapper and epoch auditing, and reports
 //! the degradation counters instead of the performance columns.
@@ -27,7 +30,9 @@
 //! (default) is the cycle-approximate simulator, `analytic` replaces each
 //! cell with the closed-form fast path where a model exists
 //! (migration-dominated configs always fall back to the simulator). The
-//! engine is tagged in every telemetry record.
+//! analytic model predicts counts, not cycles, so its sweep CSVs and
+//! tables carry remote-ratio columns only. The engine is tagged in every
+//! telemetry record.
 //!
 //! `trace` re-runs a figure's sweep under the stage-tracing probe and
 //! writes per-stage latency histograms (JSON) plus a flamegraph-style
@@ -435,13 +440,16 @@ fn probed_sweep(h: &Harness, sub: &str, fig: &str, out_dir: &Path) {
     }
 }
 
-/// Deep-dive: full statistics for one workload under every main config.
+/// Deep-dive: full statistics for one workload under every main config,
+/// on the cycle engine (the analytic model fills none of these columns
+/// but `remote`).
 fn probe(h: &Harness, wname: &str) {
     use mcm_bench::configs::ConfigKind;
     let w = mcm_workloads::suite::by_name(wname).unwrap_or_else(|| {
         eprintln!("unknown workload {wname}");
         std::process::exit(2);
     });
+    let h = h.clone().with_engine(EngineKind::Cycle);
     println!(
         "{:<18} {:>10} {:>7} {:>7} {:>7} {:>8} {:>8} {:>6} {:>6} {:>7} {:>7} {:>7} {:>6}",
         "config",

@@ -38,7 +38,8 @@ pub struct Grid {
     /// Column labels (configurations or page sizes).
     pub cols: Vec<String>,
     /// `perf[row][col]`: performance normalized to the figure's baseline
-    /// column (speedup; 1.0 = baseline).
+    /// column (speedup; 1.0 = baseline). Empty for sweeps on the analytic
+    /// engine, which predicts counts, not cycles.
     pub perf: Vec<Vec<f64>>,
     /// `remote[row][col]`: remote access ratio of memory instructions.
     pub remote: Vec<Vec<f64>>,
@@ -75,9 +76,10 @@ pub enum EngineKind {
     /// The cycle-approximate simulator (the default; every statistic).
     #[default]
     Cycle,
-    /// The closed-form model ([`mcm_sim::analytic`]): figure-of-merit
-    /// statistics only, orders of magnitude faster. Configurations with
-    /// no closed form (reactive migration) fall back to the simulator.
+    /// The closed-form model ([`mcm_sim::analytic`]): placement and
+    /// translation counts only (no cycles), orders of magnitude faster.
+    /// Configurations with no closed form (reactive migration) fall back
+    /// to the simulator.
     Analytic,
 }
 
@@ -596,7 +598,10 @@ impl Cells {
 
 /// Runs figure `fig` as one supervised, journaled sweep (see
 /// [`Harness::sweep_stats`]) and projects its cells' statistics onto a
-/// grid — the one place sweeps become [`Grid`]s.
+/// grid — the one place sweeps become [`Grid`]s. Under
+/// [`EngineKind::Analytic`] the grid has no `perf` rows: the model
+/// predicts no cycles, and its fallback cells' simulated cycles must not
+/// be normalized against predicted ones.
 fn grid_over(h: &Harness, fig: &Figure) -> Grid {
     let Cells { rows, cols } = &fig.cells;
     let (row_names, labels) = fig.cells.labels();
@@ -612,10 +617,13 @@ fn grid_over(h: &Harness, fig: &Figure) -> Grid {
         perf: Vec::new(),
         remote: Vec::new(),
     };
+    let with_perf = h.engine == EngineKind::Cycle;
     for (w, stats) in rows.iter().zip(all.chunks(cols.len())) {
         let mut push = |row: String, perf: Vec<f64>, remote: Vec<f64>| {
             g.rows.push(row);
-            g.perf.push(perf);
+            if with_perf {
+                g.perf.push(perf);
+            }
             g.remote.push(remote);
         };
         match fig.projection {

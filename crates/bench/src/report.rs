@@ -27,7 +27,8 @@ pub fn stats_lines(cells: &[(String, mcm_sim::RunStats)]) -> String {
 }
 
 /// Renders a grid as an aligned text table: one block for normalized
-/// performance, one for remote ratios.
+/// performance, one for remote ratios. A block with no rows (`perf` on
+/// the analytic engine) is left out.
 pub fn render_grid(g: &Grid) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {} — {}", g.id, g.title);
@@ -35,6 +36,9 @@ pub fn render_grid(g: &Grid) -> String {
     let col_w = g.cols.iter().map(String::len).max().unwrap_or(6).max(7);
 
     for (label, data) in [("perf (norm.)", &g.perf), ("remote ratio", &g.remote)] {
+        if data.is_empty() {
+            continue;
+        }
         let _ = writeln!(out, "-- {label}");
         let _ = write!(out, "{:name_w$}", "");
         for c in &g.cols {
@@ -64,24 +68,27 @@ pub fn render_grid(g: &Grid) -> String {
 
 /// The CSV representation of a grid with both metrics (what
 /// [`write_csv`] writes; the determinism tests compare this string
-/// byte-for-byte across worker counts).
+/// byte-for-byte across worker counts). A metric with no rows (`perf` on
+/// the analytic engine) has no columns.
 pub fn csv_string(g: &Grid) -> String {
+    let blocks: Vec<(&str, &Vec<Vec<f64>>)> = [("perf", &g.perf), ("remote", &g.remote)]
+        .into_iter()
+        .filter(|(_, data)| !data.is_empty())
+        .collect();
     let mut s = String::new();
     let _ = write!(s, "workload");
-    for c in &g.cols {
-        let _ = write!(s, ",perf:{c}");
-    }
-    for c in &g.cols {
-        let _ = write!(s, ",remote:{c}");
+    for (metric, _) in &blocks {
+        for c in &g.cols {
+            let _ = write!(s, ",{metric}:{c}");
+        }
     }
     let _ = writeln!(s);
     for (i, r) in g.rows.iter().enumerate() {
         let _ = write!(s, "{r}");
-        for v in &g.perf[i] {
-            let _ = write!(s, ",{v:.6}");
-        }
-        for v in &g.remote[i] {
-            let _ = write!(s, ",{v:.6}");
+        for (_, data) in &blocks {
+            for v in &data[i] {
+                let _ = write!(s, ",{v:.6}");
+            }
         }
         let _ = writeln!(s);
     }
@@ -565,6 +572,14 @@ mod tests {
         }
     }
 
+    /// `grid()` as an analytic sweep projects it: no `perf` rows.
+    fn remote_only_grid() -> Grid {
+        Grid {
+            perf: Vec::new(),
+            ..grid()
+        }
+    }
+
     #[test]
     fn render_contains_everything() {
         let s = render_grid(&grid());
@@ -574,6 +589,10 @@ mod tests {
         assert!(s.contains("STE"));
         assert!(s.contains("1.200"));
         assert!(s.contains("gmean"));
+        let s = render_grid(&remote_only_grid());
+        assert!(!s.contains("-- perf"), "{s}");
+        assert!(s.contains("-- remote ratio\n"), "{s}");
+        assert!(s.contains("0.040"), "{s}");
     }
 
     #[test]
@@ -584,6 +603,9 @@ mod tests {
         assert!(s.starts_with("workload,perf:S-64KB,perf:CLAP,remote:S-64KB"));
         assert!(s.contains("STE,1.000000,1.200000"));
         let _ = std::fs::remove_dir_all(&dir);
+        let s = csv_string(&remote_only_grid());
+        assert!(!s.contains("perf:"), "{s}");
+        assert!(s.starts_with("workload,remote:S-64KB,remote:CLAP\nSTE,0.050000,0.040000\n"));
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //!   and an access is remote exactly when the granule's owner differs from
 //!   the requesting threadblock's chiplet.
 //! - **Interconnect transfers** — remote lines filtered through an
-//!   L2-capacity working-set model; their hop distances over the run's
-//!   [`Topology`](crate::interconnect::Topology) (its pure `hops`) enter
-//!   the cycle estimate.
+//!   L2-capacity working-set model.
 //! - **L1/L2 TLB miss rates** — an independent-reference reach model:
 //!   with `u` distinct translation units against `e` entries, misses are
 //!   compulsory (`u`) when the footprint fits and `n·(u−e)/u` when it
@@ -39,7 +37,6 @@ use mcm_types::{AllocId, PageSize, TbId, VirtAddr, WarpId, BASE_PAGE_BYTES};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::interconnect::build_topology;
 use crate::policy::{AllocInfo, StaticHint};
 use crate::stats::{AllocAccessStats, RunStats};
 use crate::workload::{tb_chiplet, Workload};
@@ -487,14 +484,12 @@ impl Replay {
     ///   per-instruction reuse credited without lookup, as in the engine);
     /// - `interconnect_transfers`: remote lines after the L2-capacity
     ///   working-set filter;
-    /// - `cycles`: a coarse estimate (issue + latency + bandwidth + fault
-    ///   bounds), useful only for normalized comparisons between analytic
-    ///   cells — the cross-validation suite pins no error band on it;
     /// - `per_alloc`: per-structure access and remote counts.
     ///
-    /// Every other field keeps its default: the cache, walk-timing,
-    /// migration and DRAM counters, `dram_per_chiplet`, the queue cycles,
-    /// `blocks_consumed` and `degradation`.
+    /// Every other field keeps its default: `cycles` (the model predicts
+    /// counts, not time), the cache, walk-timing, migration and DRAM
+    /// counters, `dram_per_chiplet`, the queue cycles, `blocks_consumed`
+    /// and `degradation`.
     ///
     /// # Errors
     ///
@@ -1008,7 +1003,6 @@ impl AllocModel {
 fn evaluate(cfg: &SimConfig, replay: &Replay, fold: &Fold, placement: &PlacementModel) -> RunStats {
     let chiplets = cfg.num_chiplets;
     let spc = cfg.sms_per_chiplet;
-    let topo = build_topology(cfg);
     let allocs = &replay.allocs;
     let na = allocs.len();
     // Distinct translation classes among the structures, in size order.
@@ -1056,18 +1050,15 @@ fn evaluate(cfg: &SimConfig, replay: &Replay, fold: &Fold, placement: &Placement
         warp_insts: fold.warp_insts,
         ..RunStats::default()
     };
-    let mut elems: u64 = 0;
     // Lookups and distinct translation units per (SM, class) and
     // (chiplet, class).
     let mut l1_lookups = vec![0u64; total_sms * nc];
     let mut l1_units = vec![0u64; total_sms * nc];
     let mut l2_units = vec![0u64; chiplets * nc];
-    // Remote traffic per (requester, owner): post-reuse element counts
-    // and distinct lines.
-    let mut remote_elems = vec![0u64; chiplets * chiplets];
-    let mut remote_lines = vec![0u64; chiplets * chiplets];
-    // Elements landing on each owner chiplet's DRAM (bandwidth bound).
-    let mut owner_elems = vec![0u64; chiplets];
+    // Remote traffic per requester: post-reuse element counts and
+    // distinct lines.
+    let mut remote_elems = vec![0u64; chiplets];
+    let mut remote_lines = vec![0u64; chiplets];
     let mut per_alloc = vec![AllocAccessStats::default(); na];
 
     for sm in 0..total_sms {
@@ -1077,14 +1068,12 @@ fn evaluate(cfg: &SimConfig, replay: &Replay, fold: &Fold, placement: &Placement
             let am = &mut mods[a];
             let owner = am.owner(g.gran);
             debug_assert!(owner < chiplets, "touched granule has an owner");
-            elems += g.elems;
             st.mem_insts += g.insts;
-            owner_elems[owner] += g.elems;
             per_alloc[a].accesses += g.insts;
             if owner != ch {
                 st.remote_insts += g.insts;
                 per_alloc[a].remote += g.insts;
-                remote_elems[ch * chiplets + owner] += g.elems;
+                remote_elems[ch] += g.elems;
             }
             l1_lookups[sm * nc + am.class] += g.elems;
             l1_units[sm * nc + am.class] += am.new_units(g.gran, g.pages, sm as u32 + 1);
@@ -1095,9 +1084,8 @@ fn evaluate(cfg: &SimConfig, replay: &Replay, fold: &Fold, placement: &Placement
         for f in &fold.footprints[fold.chiplet_start[ch]..fold.chiplet_start[ch + 1]] {
             let am = &mut mods[f.alloc as usize];
             l2_units[ch * nc + am.class] += am.new_units(f.gran, f.pages, epoch);
-            let owner = am.owner(f.gran);
-            if owner != ch {
-                remote_lines[ch * chiplets + owner] += u64::from(f.lines);
+            if am.owner(f.gran) != ch {
+                remote_lines[ch] += u64::from(f.lines);
             }
         }
     }
@@ -1151,61 +1139,11 @@ fn evaluate(cfg: &SimConfig, replay: &Replay, fold: &Fold, placement: &Placement
     // Interconnect: a requester whose distinct remote working set fits
     // its L2 transfers each line once; an overflowing one streams every
     // post-L1 remote element across the fabric.
-    let mut hop_sum = 0.0f64;
-    for req in 0..chiplets {
-        let row = req * chiplets..(req + 1) * chiplets;
-        let distinct: u64 = remote_lines[row.clone()].iter().sum();
-        let cached = distinct * cfg.line_bytes <= cfg.effective_l2d_bytes() as u64;
-        let counts = if cached {
-            &remote_lines[row]
-        } else {
-            &remote_elems[row]
-        };
-        for (own, &count) in counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            st.interconnect_transfers += count;
-            hop_sum += count as f64
-                * topo.hops(
-                    mcm_types::ChipletId::new(own as u8),
-                    mcm_types::ChipletId::new(req as u8),
-                ) as f64;
-        }
+    for (&lines, &elems) in remote_lines.iter().zip(&remote_elems) {
+        let cached = lines * cfg.line_bytes <= cfg.effective_l2d_bytes() as u64;
+        st.interconnect_transfers += if cached { lines } else { elems };
     }
-    st.cycles = estimate_cycles(cfg, &st, elems, &owner_elems, hop_sum);
     st
-}
-
-/// Coarse cycle estimate: the issue stream plus the largest of the
-/// latency, per-chiplet DRAM-bandwidth, link-bandwidth and fault-service
-/// bounds. Good enough to rank analytic cells against each other;
-/// never cross-validated against simulated cycles.
-fn estimate_cycles(
-    cfg: &SimConfig,
-    st: &RunStats,
-    elems: u64,
-    owner_elems: &[u64],
-    hop_sum: f64,
-) -> u64 {
-    let total_sms = cfg.total_sms().max(1) as f64;
-    let overlap = (cfg.max_warps_per_sm * cfg.warp_mlp).max(1) as f64;
-    let issue = st.warp_insts as f64 / total_sms;
-    let local = (elems - st.interconnect_transfers.min(elems)) as f64;
-    let lat_sum = local * (cfg.l1d_latency + cfg.l2d_latency) as f64
-        + st.interconnect_transfers as f64 * (cfg.l2d_latency + cfg.dram_latency) as f64
-        + hop_sum * 2.0 * cfg.hop_latency as f64
-        + st.walks as f64 * (cfg.pwc_latency * 4 + cfg.pte_mem_latency) as f64;
-    let lat_bound = lat_sum / (total_sms * overlap);
-    let dram_bound = owner_elems
-        .iter()
-        .map(|&n| n as f64 * cfg.dram_service as f64 / cfg.dram_channels.max(1) as f64)
-        .fold(0.0f64, f64::max);
-    let link_bound =
-        st.interconnect_transfers as f64 * cfg.link_service as f64 / cfg.num_chiplets.max(1) as f64;
-    let fault_bound = st.faults as f64 * cfg.fault_latency as f64
-        / (cfg.num_chiplets * cfg.page_walkers).max(1) as f64;
-    (issue + lat_bound + dram_bound.max(link_bound) + fault_bound) as u64 + cfg.fault_latency
 }
 
 #[cfg(test)]
@@ -1302,16 +1240,6 @@ mod tests {
         bits.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
-    fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
-        for (wi, &word) in bits.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                f(wi * 64 + w.trailing_zeros() as usize);
-                w &= w - 1;
-            }
-        }
-    }
-
     /// The per-access scan the fold replaced: every distinct stream entry
     /// updates dense per-(SM, structure) bitsets directly. Kept as the
     /// oracle the fold is tested against.
@@ -1322,7 +1250,6 @@ mod tests {
         schedule: impl Fn(TbId, u32) -> usize,
     ) -> RunStats {
         let chiplets = cfg.num_chiplets;
-        let topo = build_topology(cfg);
         let allocs = &replay.allocs;
         let na = allocs.len();
         // Distinct translation classes among the structures, in size order.
@@ -1343,7 +1270,6 @@ mod tests {
         let sa = matches!(placement, PlacementModel::StaticAnalysis { .. });
 
         let mut st = RunStats::default();
-        let mut elems: u64 = 0;
         // Lazily-allocated distinct-unit bitsets per (SM, structure) and
         // (chiplet, structure), and distinct remote lines per
         // (requester, structure); lookups per (SM, class).
@@ -1351,10 +1277,8 @@ mod tests {
         let mut l2_units: Vec<Vec<u64>> = vec![Vec::new(); chiplets * na];
         let mut remote_line_bits: Vec<Vec<u64>> = vec![Vec::new(); chiplets * na];
         let mut l1_lookups = vec![0u64; total_sms * nc];
-        // Remote traffic per (requester, owner): post-reuse element counts.
-        let mut remote_elems = vec![vec![0u64; chiplets]; chiplets];
-        // Elements landing on each owner chiplet's DRAM (bandwidth bound).
-        let mut owner_elems = vec![0u64; chiplets];
+        // Remote traffic per requester: post-reuse element counts.
+        let mut remote_elems = vec![0u64; chiplets];
         let mut per_alloc = vec![AllocAccessStats::default(); na];
 
         // (requester chiplet, requester SM) per stream, per kernel, in TB
@@ -1447,15 +1371,13 @@ mod tests {
                     let g = ((raw >> am.gran_shift) - am.gran_base) as usize;
                     let owner = am.owners[g] as usize;
                     debug_assert!(owner < chiplets, "touched granule has an owner");
-                    elems += m;
                     st.mem_insts += reuse * m;
                     st.warp_insts += gap * reuse * m;
-                    owner_elems[owner] += m;
                     per_alloc[last_alloc].accesses += reuse * m;
                     if owner != ch {
                         st.remote_insts += reuse * m;
                         per_alloc[last_alloc].remote += reuse * m;
-                        remote_elems[ch][owner] += m;
+                        remote_elems[ch] += m;
                         lazy_set_bit(
                             &mut remote_line_bits[ch * na + last_alloc],
                             am.line_words,
@@ -1526,44 +1448,14 @@ mod tests {
 
         // Interconnect: a requester whose distinct remote working set fits
         // its L2 transfers each line once; an overflowing one streams every
-        // post-L1 remote element across the fabric. A line's owner is the
-        // owner of its granule, so per-owner distinct counts fall out of the
-        // per-structure line bitsets and the granule owner tables.
-        let mut hop_sum = 0.0f64;
+        // post-L1 remote element across the fabric.
         for req in 0..chiplets {
-            let mut distinct_per_owner = vec![0u64; chiplets];
-            for a in 0..na {
-                let am = &mods[a];
-                let bits = &remote_line_bits[req * na + a];
-                for_each_bit(bits, |line_rel| {
-                    let raw = (am.line_base + line_rel as u64) << line_shift;
-                    let g = ((raw >> am.gran_shift) - am.gran_base) as usize;
-                    let owner = am.owners[g] as usize;
-                    debug_assert!(owner < chiplets, "touched line has an owner");
-                    distinct_per_owner[owner] += 1;
-                });
-            }
-            let distinct: u64 = distinct_per_owner.iter().sum();
-            let bytes = distinct * cfg.line_bytes;
-            let cached = bytes <= cfg.effective_l2d_bytes() as u64;
-            for own in 0..chiplets {
-                let count = if cached {
-                    distinct_per_owner[own]
-                } else {
-                    remote_elems[req][own]
-                };
-                if count == 0 {
-                    continue;
-                }
-                st.interconnect_transfers += count;
-                hop_sum += count as f64
-                    * topo.hops(
-                        mcm_types::ChipletId::new(own as u8),
-                        mcm_types::ChipletId::new(req as u8),
-                    ) as f64;
-            }
+            let distinct: u64 = (0..na)
+                .map(|a| popcount(&remote_line_bits[req * na + a]))
+                .sum();
+            let cached = distinct * cfg.line_bytes <= cfg.effective_l2d_bytes() as u64;
+            st.interconnect_transfers += if cached { distinct } else { remote_elems[req] };
         }
-        st.cycles = estimate_cycles(cfg, &st, elems, &owner_elems, hop_sum);
         st
     }
 
@@ -1706,7 +1598,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Fold + evaluate reproduces the per-access scan exactly (every
-        /// `RunStats` field, so `cycles` pins the hop sum too), for
+        /// `RunStats` field), for
         /// random workloads (unaligned structures sharing a granule, and
         /// GEMMs), schedules, placement models, chiplet counts, SM
         /// counts and line sizes.

@@ -119,6 +119,16 @@ cmp "$smoke/j1.out" "$smoke/j4.out"
 ./target/release/figures --quick --jobs 4 --engine analytic --out "$smoke/a4" fig18 > "$smoke/a4.out"
 cmp "$smoke/a1/fig18.csv" "$smoke/a4/fig18.csv"
 cmp "$smoke/a1.out" "$smoke/a4.out"
+# The analytic model predicts no cycles, so its grids have no perf block.
+if head -n1 "$smoke/a1/fig18.csv" | grep -q 'perf:'; then
+  echo "analytic fig18 CSV must have no perf: columns" >&2
+  exit 1
+fi
+
+echo "== probe engine smoke (figures probe runs on the cycle engine under either --engine)"
+./target/release/figures --quick --engine analytic probe STE > "$smoke/probe-analytic.out"
+./target/release/figures --quick probe STE > "$smoke/probe-cycle.out"
+cmp "$smoke/probe-analytic.out" "$smoke/probe-cycle.out"
 
 echo "== telemetry smoke (interrupted-then-resumed fig1 vs golden; journal well-formedness)"
 ./target/release/figures --quick --jobs 2 --progress=off --out "$smoke/tele" fig1

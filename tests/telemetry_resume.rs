@@ -139,6 +139,10 @@ fn topo_resume_under_analytic_engine_is_byte_identical() {
     // journal pipeline below.
     let quick = || Harness::quick().with_engine(EngineKind::Analytic);
     let fresh = csv_string(&grid(&quick(), "topo"));
+    // The model predicts no cycles, so the grid has no perf columns.
+    let header = fresh.lines().next().unwrap_or_default();
+    assert!(header.starts_with("workload,remote:"), "{header}");
+    assert!(!header.contains("perf:"), "{header}");
 
     let tele = Arc::new(Telemetry::new(&dir));
     let h = quick().with_jobs(4).with_telemetry(Arc::clone(&tele));
